@@ -6,6 +6,7 @@ check engine.  The same file works as ``enricert verify --input FILE``.
 """
 
 import json
+import os
 import tempfile
 
 from enricert import (
@@ -28,6 +29,7 @@ with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
     path = fh.name
 
 loaded = ingest(path)
+os.remove(path)
 print("read back:", loaded)
 print("same family:", loaded.families[0] == narrow)
 

@@ -1,18 +1,23 @@
 """Deterministic verification certificates.
 
-Every check the engine performs is appended, in one fixed declared order, to
-a Certificate as a small record: an identifier, a check group, the inputs
-used, a pass/fail/info result, a value or a failure witness, and a one
-sentence statement of the claim being checked.  A failing check never stops
-the run.  Serialization is plain JSON with no timestamps, so identical
-inputs give byte-identical certificates; the shipped golden file pins the
-built-in run.
+Every check the engine performs is a row of a declarative table: an
+identifier, a check group, a family tag, a one sentence statement of the
+claim, and the body that checks it.  A run first selects rows with the
+command-line filters, then runs only those, in the one fixed declared
+order, appending each to a Certificate as a small record: the row's
+identity and statement, the inputs used, a pass/fail/info result, and a
+value or a failure witness.  The bodies of one run share a context that
+builds each family, map, cover, invariance result and form ratio once.  A
+failing check never stops the run, whatever it raises.  Serialization is
+plain JSON with no timestamps, so identical inputs give byte-identical
+certificates; the shipped golden file pins the built-in run.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
@@ -27,8 +32,7 @@ from .cover import (
     specialization_to_family2,
     specialize,
 )
-from .errors import EngineError
-from .field import Cyclo, ONE, SQRT_M1, root_of_unity_order
+from .field import ONE, SQRT_M1, root_of_unity_order
 from .forms import bitwoform_pullback_ratio, index_of, k3_twoform_ratio
 from .lattices import (
     FixedCurveData,
@@ -167,43 +171,99 @@ class Certificate:
         return f"Certificate({len(self.records)} records, {self.overall})"
 
 
-class _Runner:
-    """Collects records; converts an escaping exception into a failure."""
+#: What a check body returns: result, inputs, value, witness.
+Outcome = Tuple[str, Dict[str, str], Optional[str], Optional[str]]
+
+
+class _Row(NamedTuple):
+    """One declared check.  ``fn`` computes its outcome from the run's
+    context, or returns None when the check does not apply, so no record is
+    made; an info row has no ``fn`` and records its statement with
+    ``inputs``."""
+
+    id: str
+    group: str
+    family: Optional[int]
+    statement: str
+    fn: Optional[Callable[["_Context"], Optional[Outcome]]] = None
+    inputs: Optional[Dict[str, str]] = None
+
+
+class _Context:
+    """The objects the checks of one run share, each computed on first use.
+
+    Entries are keyed by the computing function and the identities of its
+    arguments; an entry keeps its arguments alive, so no identity is reused
+    within the run.  Package functions are looked up when called, never
+    captured, so a rebinding of the module's names takes effect.
+    """
 
     def __init__(self):
-        self.records: List[CheckRecord] = []
+        self._memo = {}
 
-    def add(
-        self,
-        id: str,
-        group: str,
-        fam: Optional[int],
-        statement: str,
-        fn: Callable[[], Tuple[str, Dict[str, str], Optional[str], Optional[str]]],
-    ) -> None:
-        try:
-            result, inputs, value, witness = fn()
-        except EngineError as exc:
-            result, inputs = "fail", {}
-            value, witness = None, f"{type(exc).__name__}: {exc}"
-        except (ValueError, ArithmeticError, KeyError) as exc:
-            result, inputs = "fail", {}
-            value, witness = None, f"{type(exc).__name__}: {exc}"
-        self.records.append(
-            CheckRecord(id, group, fam, result, inputs, value, witness, statement)
-        )
+    def _once(self, fn, *args):
+        key = (fn,) + tuple(map(id, args))
+        if key not in self._memo:
+            self._memo[key] = (args, fn(*args))
+        return self._memo[key][1]
 
-    def info(
-        self,
-        id: str,
-        group: str,
-        fam: Optional[int],
-        statement: str,
-        inputs: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.records.append(
-            CheckRecord(id, group, fam, "info", inputs or {}, None, None, statement)
-        )
+    def family(self, k: int) -> SurfaceFamily:
+        return self._once(family, k)
+
+    def automorphism(self, k: int) -> BirMap:
+        return self._once(family_automorphism, k)
+
+    def cover(self, fam: SurfaceFamily) -> SurfaceFamily:
+        return self._once(k3_cover, fam)
+
+    def invariance(self, fam: SurfaceFamily, phi: BirMap):
+        return self._once(check_equation_invariance, fam, phi)
+
+    def holders(self, phi: BirMap, families) -> List[SurfaceFamily]:
+        """The families whose defining relation phi preserves, in order."""
+        return [fam for fam in families if self.invariance(fam, phi).holds]
+
+    def ratio(self, fam: SurfaceFamily, phi: BirMap):
+        """The constant phi multiplies the bi-2-form of an Enriques family,
+        or the 2-form of a K3 cover, by."""
+        if fam.kind == "enriques_horikawa":
+            return self._once(bitwoform_pullback_ratio, fam, phi)
+        return self._once(k3_twoform_ratio, fam, phi)
+
+    def biform(self, k: int):
+        return self.ratio(self.family(k), self.automorphism(k))
+
+    def deck(self) -> BirMap:
+        return self._once(deck_flip)
+
+    def lift(self, k: int, flipped: bool = False) -> BirMap:
+        """The given lift of the k-th automorphism to the K3 cover, or its
+        composition with the deck involution."""
+        lift = self._once(k3_lift, k)
+        if not flipped:
+            return lift
+        return self._once(compose, self.deck(), lift, self.cover(self.family(k)))
+
+    def actions(self, k: int) -> List[ParameterAction]:
+        return self._once(_builtin_actions, self.family(k), k)
+
+
+def _run(rows, ctx: _Context, family: str, check: str) -> List[CheckRecord]:
+    """Select rows with the command-line filters, then run only those, in
+    the declared order; an exception a check raises becomes its failure."""
+    records = []
+    for row in filter_records(rows, family, check):
+        if row.fn is None:
+            outcome = ("info", row.inputs or {}, None, None)
+        else:
+            try:
+                outcome = row.fn(ctx)
+            except Exception as exc:
+                outcome = ("fail", {}, None, f"{type(exc).__name__}: {exc}")
+            if outcome is None:
+                continue
+        records.append(CheckRecord(row.id, row.group, row.family, *outcome, row.statement))
+    return records
 
 
 def _verdict(ok: bool) -> str:
@@ -212,700 +272,522 @@ def _verdict(ok: bool) -> str:
 
 # -- frozen expectations for the built-in run --------------------------------
 
+_FAMILIES = (1, 2, 3)
 _EXPECTED_ORDERS = {1: 4, 2: 8, 3: 8}
 _EXPECTED_RATIOS = {1: -ONE, 2: -SQRT_M1, 3: -ONE}
 _EXPECTED_INDICES = {1: 2, 2: 4, 3: 2}
 _EXPECTED_SUPPORT = {1: 12, 2: 12, 3: 6}
 _EXPECTED_MODULI = {1: 5, 2: 2, 3: 2}
 _DIMENSION_TABLE = {1: (12, 4, 5), 2: (12, 8, 2), 3: (6, 4, 2)}
+_ACTION_NAMES = {1: ("homothety",), 2: ("homothety",),
+                 3: ("homothety", "diagonal_base_scaling")}
 _FAMILY1_CORNERS = ("-A", "C", "-C", "A")
 _CORNER_KEYS = ("(0,0)", "(inf,0)", "(0,inf)", "(inf,inf)")
 
 
-def _ratio_fields(ratio_value: Cyclo) -> Dict[str, str]:
-    order = root_of_unity_order(ratio_value)
-    return {
-        "ratio": str(ratio_value),
-        "encoded": ratio_value.encode(),
-        "root_of_unity_order": "none" if order is None else str(order),
-    }
-
-
-def _builtin_actions(k: int) -> List[ParameterAction]:
-    actions = [homothety(family(k))]
+def _builtin_actions(fam: SurfaceFamily, k: int) -> List[ParameterAction]:
+    actions = [homothety(fam)]
     if k == 3:
         actions.append(diagonal_base_scaling())
     return actions
 
 
-def builtin_records() -> List[CheckRecord]:
-    """Run every built-in check in the declared order."""
-    r = _Runner()
+# -- check bodies shared by built-in and document records --------------------
+# _action and _moduli are document rows as they stand, so they take the
+# run's context like every row body.
 
-    def support_check():
-        sup = horikawa_support()
-        ok = len(sup) == 13 and all(
-            4 <= i + 2 * j <= 8 and 0 <= i <= 4 and 0 <= j <= 4 for i, j in sup
-        )
-        return _verdict(ok), {}, str(len(sup)), None
+def _construction_value(fam: SurfaceFamily) -> str:
+    return f"{len(fam.geometric_support())} monomials in {len(fam.parameters)} parameters"
 
-    r.add(
-        "support-size", "construction", None,
-        "The admissible branch exponent set {(i, j): 4 <= i + 2j <= 8, "
-        "0 <= i, j <= 4} contains exactly 13 monomials.",
-        support_check,
+
+def _invariance_witness(res) -> str:
+    return f"even part {res.witness_even}; odd part {res.witness_odd}"
+
+
+def _corner_witness(res) -> Optional[str]:
+    if res.free:
+        return None
+    zero = [key for key in _CORNER_KEYS if res.corners[key].is_zero()]
+    return f"vanishing corner coefficient at {', '.join(zero)}"
+
+
+def _order(fam, phi, inputs, expected: Optional[int] = None) -> Outcome:
+    """The exact order when one is expected, else finiteness within 16."""
+    order = map_order(phi, fam)
+    ok = order is not None if expected is None else order == expected
+    return _verdict(ok), inputs, "none within 16" if order is None else str(order), None
+
+
+def _ratio(ok: bool, ratio, inputs) -> Outcome:
+    return _verdict(ok), inputs, ratio.value.encode(), None if ok else str(ratio.value)
+
+
+def _action(ctx, fam, action, inputs) -> Outcome:
+    res = check_parameter_action(fam, action)
+    value = f"needs sqrt(alpha): {res.needs_square_root}"
+    return _verdict(res.holds), inputs, value, None if res.holds else str(res.witness)
+
+
+def _moduli(ctx, fam, actions, expected: Optional[int] = None) -> Outcome:
+    """The effective parameter count; built-in families expect theirs."""
+    count = moduli_number(fam, list(actions))
+    inputs = {
+        "parameters": str(len(fam.parameters)),
+        "actions": ", ".join(a.name for a in actions) or "none",
+    }
+    return _verdict(expected is None or count == expected), inputs, str(count), None
+
+
+# -- built-in check bodies ---------------------------------------------------
+
+def _support(ctx) -> Outcome:
+    sup = horikawa_support()
+    ok = len(sup) == 13 and all(
+        4 <= i + 2 * j <= 8 and 0 <= i <= 4 and 0 <= j <= 4 for i, j in sup
     )
+    return _verdict(ok), {}, str(len(sup)), None
 
-    for k in (1, 2, 3):
-        def construction_check(k=k):
-            fam = family(k)
-            ok = (
-                fam.kind == "enriques_horikawa"
-                and len(fam.geometric_support()) == _EXPECTED_SUPPORT[k]
-            )
-            value = (
-                f"{len(fam.geometric_support())} monomials in "
-                f"{len(fam.parameters)} parameters"
-            )
-            return _verdict(ok), {"family": fam.name}, value, None
 
-        r.add(
-            f"family-{k}-construction", "construction", k,
-            "The branch polynomial is nonzero, affine in its parameters, and "
-            "supported inside the admissible exponent set.",
-            construction_check,
-        )
-
-    for k in (1, 2, 3):
-        def invariance_check(k=k):
-            fam = family(k)
-            phi = family_automorphism(k)
-            res = check_equation_invariance(fam, phi)
-            witness = None
-            if not res.holds:
-                witness = f"even part {res.witness_even}; odd part {res.witness_odd}"
-            return (
-                _verdict(res.holds),
-                {"family": fam.name, "map": phi.label},
-                None,
-                witness,
-            )
-
-        r.add(
-            f"equation-invariance-{k}", "invariance", k,
-            "Pulling w^2 - z*f back along the map and reducing modulo "
-            "w^2 = z*f leaves zero, identically in the parameters.",
-            invariance_check,
-        )
-
-    for k in (1, 2, 3):
-        def order_check(k=k):
-            fam = family(k)
-            phi = family_automorphism(k)
-            order = map_order(phi, fam)
-            ok = order == _EXPECTED_ORDERS[k]
-            return (
-                _verdict(ok),
-                {"map": phi.label, "expected": str(_EXPECTED_ORDERS[k])},
-                "none within 16" if order is None else str(order),
-                None,
-            )
-
-        r.add(
-            f"map-order-{k}", "order", k,
-            f"The automorphism has exact order {_EXPECTED_ORDERS[k]} as a "
-            "self-map of the family.",
-            order_check,
-        )
-
-    def square_relation_check():
-        fam = family(2)
-        square = compose(family_automorphism(2), family_automorphism(2), fam)
-        ok = maps_equal(square, family_automorphism(1), fam)
-        return (
-            _verdict(ok),
-            {"map": "aut_8_4", "target": "aut_4_2"},
-            None,
-            None if ok else repr(square),
-        )
-
-    r.add(
-        "square-relation", "order", 2,
-        "The square of the order-8 automorphism equals the order-4 "
-        "automorphism inherited along the coefficient specialization.",
-        square_relation_check,
+def _construction(ctx, k) -> Outcome:
+    fam = ctx.family(k)
+    ok = (
+        fam.kind == "enriques_horikawa"
+        and len(fam.geometric_support()) == _EXPECTED_SUPPORT[k]
     )
+    return _verdict(ok), {"family": fam.name}, _construction_value(fam), None
 
-    for k in (1, 2, 3):
-        def ratio_check(k=k):
-            ratio = bitwoform_pullback_ratio(family(k), family_automorphism(k))
-            ok = ratio.constant and ratio.value == _EXPECTED_RATIOS[k]
-            return (
-                _verdict(ok),
-                {"family": family(k).name, "map": family_automorphism(k).label},
-                ratio.value.encode(),
-                None if ok else str(ratio.value),
-            )
 
-        r.add(
-            f"biform-ratio-{k}", "index", k,
-            "The automorphism rescales the square of the residue 2-form by "
-            f"the constant {_EXPECTED_RATIOS[k]}, independently of all "
-            "coordinates and parameters.",
-            ratio_check,
-        )
+def _invariance(ctx, k) -> Outcome:
+    fam, phi = ctx.family(k), ctx.automorphism(k)
+    res = ctx.invariance(fam, phi)
+    witness = None if res.holds else _invariance_witness(res)
+    return _verdict(res.holds), {"family": fam.name, "map": phi.label}, None, witness
 
-        def index_check(k=k):
-            ratio = bitwoform_pullback_ratio(family(k), family_automorphism(k))
-            idx = index_of(ratio)
-            ok = idx == _EXPECTED_INDICES[k]
-            return (
-                _verdict(ok),
-                {"expected": str(_EXPECTED_INDICES[k])},
-                str(idx),
-                None,
-            )
 
-        r.add(
-            f"biform-index-{k}", "index", k,
-            "The bi-2-form ratio is a primitive root of unity of order "
-            f"{_EXPECTED_INDICES[k]}, the index of the action.",
-            index_check,
-        )
+def _map_order(ctx, k) -> Outcome:
+    phi, expected = ctx.automorphism(k), _EXPECTED_ORDERS[k]
+    return _order(ctx.family(k), phi, {"map": phi.label, "expected": str(expected)}, expected)
 
-    def multiplicativity_check():
-        r2 = bitwoform_pullback_ratio(family(2), family_automorphism(2))
-        r1 = bitwoform_pullback_ratio(family(1), family_automorphism(1))
-        ok = r2.value ** 2 == r1.value
-        return (
-            _verdict(ok),
-            {"square_of": r2.value.encode(), "target": r1.value.encode()},
-            (r2.value ** 2).encode(),
-            None,
-        )
 
-    r.add(
-        "ratio-multiplicativity", "index", 2,
-        "Squaring the order-8 automorphism's bi-2-form ratio gives the "
-        "order-4 automorphism's ratio, matching the square relation "
-        "between the maps.",
-        multiplicativity_check,
+def _square_relation(ctx) -> Outcome:
+    fam = ctx.family(2)
+    square = compose(ctx.automorphism(2), ctx.automorphism(2), fam)
+    ok = maps_equal(square, ctx.automorphism(1), fam)
+    inputs = {"map": "aut_8_4", "target": "aut_4_2"}
+    return _verdict(ok), inputs, None, None if ok else repr(square)
+
+
+def _biform_ratio(ctx, k) -> Outcome:
+    ratio = ctx.biform(k)
+    ok = ratio.constant and ratio.value == _EXPECTED_RATIOS[k]
+    return _ratio(ok, ratio, {"family": ctx.family(k).name, "map": ctx.automorphism(k).label})
+
+
+def _biform_index(ctx, k) -> Outcome:
+    idx, expected = index_of(ctx.biform(k)), _EXPECTED_INDICES[k]
+    return _verdict(idx == expected), {"expected": str(expected)}, str(idx), None
+
+
+def _multiplicativity(ctx) -> Outcome:
+    r2, r1 = ctx.biform(2).value, ctx.biform(1).value
+    inputs = {"square_of": r2.encode(), "target": r1.encode()}
+    return _verdict(r2 ** 2 == r1), inputs, (r2 ** 2).encode(), None
+
+
+def _specialization_to_family2(ctx) -> Outcome:
+    subst = specialization_to_family2()
+    image = specialize(ctx.family(1), subst)
+    ok = image.branch == ctx.family(2).branch
+    inputs = {p: str(v) for p, v in sorted(subst.items())}
+    return _verdict(ok), inputs, None, None if ok else str(image.branch)
+
+
+def _specialization_one_parameter(ctx) -> Outcome:
+    subst = specialization_one_param()
+    image = specialize(ctx.family(1), subst)
+    ok = image.parameters == ("C",) and not image.branch.is_zero()
+    inputs = {p: str(v) for p, v in sorted(subst.items())}
+    return _verdict(ok), inputs, f"{len(image.parameters)} parameter", None
+
+
+def _k3_cover(ctx, k) -> Outcome:
+    fam = ctx.family(k)
+    g = ctx.cover(fam).branch
+    dy, dz = g.degree_in("Y"), g.degree_in("Z")
+    yi, zi = g.table.index("Y"), g.table.index("Z")
+    even = all((e[yi] + e[zi]) % 2 == 0 for e in g.support())
+    ok = dy <= 4 and dz <= 4 and even
+    return _verdict(ok), {"family": fam.name}, f"bidegree ({dy}, {dz})", None
+
+
+def _bis_condition(ctx, k) -> Outcome:
+    """Condition k on the cover of family k."""
+    cov = ctx.cover(ctx.family(k))
+    holds, witness = check_bis_condition(cov, k)
+    return _verdict(holds), {"cover": cov.name}, None, None if holds else str(witness)
+
+
+def _freeness(ctx, k) -> Outcome:
+    fam = ctx.family(k)
+    res = epsilon_fixed_point_free(fam)
+    corners = tuple(str(res.corners[key]) for key in _CORNER_KEYS)
+    ok = res.free and (k != 1 or corners == _FAMILY1_CORNERS)
+    value = "; ".join(f"{key} = {c}" for key, c in zip(_CORNER_KEYS, corners))
+    return _verdict(ok), {"family": fam.name}, value, _corner_witness(res)
+
+
+def _deck_ratio(ctx) -> Outcome:
+    ratio = ctx.ratio(ctx.cover(ctx.family(1)), ctx.deck())
+    return _ratio(ratio.constant and ratio.value == -ONE, ratio, {"map": "deck_flip"})
+
+
+def _lift_ratio(ctx, k) -> Outcome:
+    """The lift's constant squares to the bi-2-form ratio downstairs, so it
+    is a root of unity of twice the index."""
+    lift = ctx.lift(k)
+    ratio = ctx.ratio(ctx.cover(ctx.family(k)), lift)
+    down = ctx.biform(k).value
+    ok = (
+        ratio.constant
+        and ratio.value ** 2 == down
+        and root_of_unity_order(ratio.value) == 2 * _EXPECTED_INDICES[k]
     )
+    return _ratio(ok, ratio, {"lift": lift.label, "square_target": down.encode()})
 
-    def specialization2_check():
-        subst = specialization_to_family2()
-        image = specialize(family(1), subst)
-        ok = image.branch == family(2).branch
-        inputs = {p: str(v) for p, v in sorted(subst.items())}
-        return _verdict(ok), inputs, None, None if ok else str(image.branch)
 
-    r.add(
-        "specialization-to-family-2", "construction", 1,
-        "Substituting C = -i*A, E = -i*D, F = -i*B into the six-parameter "
-        "branch polynomial yields exactly the three-parameter branch "
-        "polynomial of the order-8 index-4 family.",
-        specialization2_check,
+def _flipped_lift_ratio(ctx, k) -> Outcome:
+    cov = ctx.cover(ctx.family(k))
+    base = ctx.ratio(cov, ctx.lift(k))
+    flipped_lift = ctx.lift(k, flipped=True)
+    flipped = ctx.ratio(cov, flipped_lift)
+    ok = flipped.constant and flipped.value == -base.value
+    return _ratio(ok, flipped, {"lift": flipped_lift.label})
+
+
+def _k4_normal_form(ctx) -> Outcome:
+    res = k4_normal_form_check()
+    value = (
+        f"{len(res.roots)} monomial square roots, "
+        f"{len(res.direct_roots)} ruling-preserving"
     )
-
-    def specialization_mn_check():
-        subst = specialization_one_param()
-        image = specialize(family(1), subst)
-        ok = image.parameters == ("C",) and not image.branch.is_zero()
-        inputs = {p: str(v) for p, v in sorted(subst.items())}
-        return (
-            _verdict(ok),
-            inputs,
-            f"{len(image.parameters)} parameter",
-            None,
+    witness = None
+    if not res.ok:
+        witness = (
+            f"klein_ok={res.klein_ok} candidates_ok={res.candidates_ok} "
+            f"roots={res.roots}"
         )
+    return _verdict(res.ok), {"target": "double inversion"}, value, witness
 
-    r.add(
-        "specialization-one-parameter", "construction", 1,
-        "Substituting A = 1, B = -C - 1, D = 0, E = 0, F = 1 - C restricts "
-        "the six-parameter family to a valid one-parameter subfamily.",
-        specialization_mn_check,
+
+def _fixed_points(ctx, build, expected) -> Outcome:
+    g = build()
+    data = qaut_fixed_points(g)
+    ok = (
+        data.count == expected
+        and data.count == topological_lefschetz_count(g.ns_trace())
+        and not data.parabolic
     )
+    return _verdict(ok), {"trace": str(g.ns_trace())}, str(data.count), None
 
-    for k in (1, 2, 3):
-        def cover_check(k=k):
-            cov = k3_cover(family(k))
-            dy = cov.branch.degree_in("Y")
-            dz = cov.branch.degree_in("Z")
-            yi = cov.branch.table.index("Y")
-            zi = cov.branch.table.index("Z")
-            even = all(
-                (e[yi] + e[zi]) % 2 == 0 for e in cov.branch.support()
-            )
-            ok = dy <= 4 and dz <= 4 and even
-            return (
-                _verdict(ok),
-                {"family": family(k).name},
-                f"bidegree ({dy}, {dz})",
-                None,
-            )
 
-        r.add(
-            f"k3-cover-{k}", "cover", k,
-            "Substituting (y, z) = (Y*Z, Z^2) into the branch polynomial and "
-            "dividing by Z^4 is an exact polynomial operation; the quotient "
-            "has bidegree at most (4, 4) and only even-total-degree terms, "
-            "so it is invariant under (Y, Z) -> (-Y, -Z).",
-            cover_check,
-        )
+def _lefschetz_case_b(ctx) -> Outcome:
+    n_plus = holomorphic_lefschetz_case_b(1)
+    n_minus = holomorphic_lefschetz_case_b(-1)
+    ok = n_plus == 4 and n_minus == 4
+    return _verdict(ok), {"eigenvalues": "i and -i"}, str(n_plus), None
 
-    for k, which in ((1, 1), (2, 2)):
-        def bis_check(k=k, which=which):
-            cov = k3_cover(family(k))
-            holds, witness = check_bis_condition(cov, which)
-            return (
-                _verdict(holds),
-                {"cover": cov.name},
-                None,
-                None if holds else str(witness),
-            )
 
-        claim = (
-            "The cover branch g satisfies Y^4 * Z^4 * g(1/Y, 1/Z) = -g."
-            if which == 1
-            else "The cover branch g satisfies Z^4 * g(1/Z, Y) = i*g."
-        )
-        r.add(f"bis-condition-{which}", "cover", k, claim, bis_check)
+def _lefschetz_case_a(ctx) -> Outcome:
+    curve = FixedCurveData(9, 16)
+    sides = [holomorphic_lefschetz_case_a(sign, curve) for sign in (1, -1)]
+    ok = not any(equal for _, _, equal in sides)
+    lhs, rhs, _ = sides[0]
+    return _verdict(ok), {"genus": "9", "self_intersection": "16"}, f"{lhs} vs {rhs}", None
 
-    for k in (1, 2, 3):
-        def freeness_check(k=k):
-            res = epsilon_fixed_point_free(family(k))
-            corner_strs = {key: str(res.corners[key]) for key in _CORNER_KEYS}
-            ok = res.free
-            if k == 1:
-                ok = ok and tuple(corner_strs[key] for key in _CORNER_KEYS) == _FAMILY1_CORNERS
-            value = "; ".join(f"{key} = {corner_strs[key]}" for key in _CORNER_KEYS)
-            witness = None
-            if not res.free:
-                zero = [key for key in _CORNER_KEYS if res.corners[key].is_zero()]
-                witness = f"vanishing corner coefficient at {', '.join(zero)}"
-            return _verdict(ok), {"family": family(k).name}, value, witness
 
-        r.add(
-            f"epsilon-freeness-{k}", "cover", k,
-            "The base of the deck involution fixes only the four corner "
-            "points of the quadric; the corner coefficients of the cover "
-            "branch are nonzero polynomials in the parameters, so for "
-            "generic members the involution (W, Y, Z) -> (-W, -Y, -Z) is "
-            "fixed point free and the quotient is a surface.",
-            freeness_check,
-        )
+def _lattice_u2(ctx) -> Outcome:
+    lat = hyperbolic_plane(2)
+    ok = lat.invariants() == (2, -4)
+    value = f"rank {lat.rank}, det {lat.determinant()}"
+    return _verdict(ok), {"gram": "((0, 2), (2, 0))"}, value, None
 
-    def deck_ratio_check():
-        ratio = k3_twoform_ratio(k3_cover(family(1)), deck_flip())
-        ok = ratio.constant and ratio.value == -ONE
-        return _verdict(ok), {"map": "deck_flip"}, ratio.value.encode(), None
 
-    r.add(
-        "k3-deck-ratio", "index", 1,
-        "The deck involution multiplies the cover's residue 2-form by -1: "
-        "the form is anti-invariant, as an Enriques quotient requires.  "
-        "The computation does not depend on which family's cover carries it.",
-        deck_ratio_check,
+def _lattice_trace2(ctx) -> Outcome:
+    found = isometries_with_trace(hyperbolic_plane(2), 2, 2)
+    ok = found == [((1, 0), (0, 1))]
+    inputs = {"trace": "2", "entry_bound": "2"}
+    return _verdict(ok), inputs, f"{len(found)} isometry", None if ok else str(found)
+
+
+def _builtin_action(ctx, k, i) -> Outcome:
+    action = ctx.actions(k)[i]
+    inputs = {
+        "weights": ", ".join(f"{p}: {w}" for p, w in sorted(action.weights.items())),
+        "w_square_scale": str(action.w_square_scale),
+    }
+    return _action(ctx, ctx.family(k), action, inputs)
+
+
+def _moduli_number(ctx, k) -> Outcome:
+    return _moduli(ctx, ctx.family(k), ctx.actions(k), _EXPECTED_MODULI[k])
+
+
+def _moduli_dimension(ctx, k) -> Outcome:
+    rank_t, n, expected = _DIMENSION_TABLE[k]
+    d = moduli_dimension(rank_t, n)
+    inputs = {"rank_t": str(rank_t), "eigenvalue_order": str(n)}
+    return _verdict(d == expected), inputs, str(d), None
+
+
+def _picard(ctx) -> Outcome:
+    bound = picard_bound_for_82()
+    ok = bound == 16 and K3_B2 - bound == 6
+    value = f"picard rank >= {bound}, transcendental rank <= {K3_B2 - bound}"
+    return _verdict(ok), {"configuration": "4*A3 + 2*A1 + ample class"}, value, None
+
+
+def _admissible_pairs(ctx) -> Outcome:
+    out = admissible_pairs()
+    ok = out.pairs == [(4, 2), (8, 2), (8, 4)]
+    value = ", ".join(f"({n}, {i})" for n, i in out.pairs)
+    return _verdict(ok), {"candidates": "n = I*m, I in {2, 4, 8}, m <= 6"}, value, None
+
+
+def _pruning_trace(ctx) -> Outcome:
+    out = admissible_pairs()
+    candidates = {(i * m, i) for i in (2, 4, 8) for m in range(1, 7)}
+    pruned = {p.pair for p in out.trace}
+    ok = (
+        pruned | set(out.pairs) == candidates
+        and not (pruned & set(out.pairs))
+        and all(p.rule in RULE_STATEMENTS for p in out.trace)
     )
-
-    def lift1_check():
-        cov = k3_cover(family(1))
-        ratio = k3_twoform_ratio(cov, k3_lift(1))
-        down = bitwoform_pullback_ratio(family(1), family_automorphism(1))
-        ok = ratio.constant and ratio.value ** 2 == down.value
-        return (
-            _verdict(ok),
-            {"lift": k3_lift(1).label, "square_target": down.value.encode()},
-            ratio.value.encode(),
-            None if ok else str(ratio.value),
-        )
-
-    r.add(
-        "k3-lift-ratio-1", "index", 1,
-        "The given lift of the order-4 automorphism multiplies the cover's "
-        "2-form by a constant whose square is the bi-2-form ratio "
-        "downstairs.",
-        lift1_check,
+    trace_str = "; ".join(
+        f"({p.pair[0]}, {p.pair[1]}): {p.rule}" for p in out.trace
     )
+    return _verdict(ok), {"trace": trace_str}, str(len(out.trace)), None
 
-    def lift1_flip_check():
-        cov = k3_cover(family(1))
-        base = k3_twoform_ratio(cov, k3_lift(1))
-        flipped = k3_twoform_ratio(cov, compose(deck_flip(), k3_lift(1), cov))
-        ok = flipped.constant and flipped.value == -base.value
-        return (
-            _verdict(ok),
-            {"lift": f"deck_flip.{k3_lift(1).label}"},
-            flipped.value.encode(),
-            None,
-        )
 
-    r.add(
-        "k3-lift-ratio-1-flipped", "index", 1,
-        "Composing the lift with the deck involution negates the 2-form "
-        "constant; the two lifts of the automorphism realize both square "
-        "roots, and neither is preferred here.",
-        lift1_flip_check,
-    )
+def _allowed_orders(ctx) -> Outcome:
+    orders = allowed_orders()
+    ok = orders == [1, 2, 3, 4, 5, 6, 8]
+    return _verdict(ok), {}, ", ".join(str(n) for n in orders), None
 
-    def lift2_check():
-        cov = k3_cover(family(2))
-        ratio = k3_twoform_ratio(cov, k3_lift(2))
-        down = bitwoform_pullback_ratio(family(2), family_automorphism(2))
-        order = root_of_unity_order(ratio.value)
-        ok = ratio.constant and order == 8 and ratio.value ** 2 == down.value
-        return (
-            _verdict(ok),
-            {"lift": k3_lift(2).label, "square_target": down.value.encode()},
-            ratio.value.encode(),
-            None if ok else str(ratio.value),
-        )
 
-    r.add(
-        "k3-lift-ratio-2", "index", 2,
-        "The given lift of the order-8 automorphism multiplies the cover's "
-        "2-form by a primitive 8th root of unity whose square is the "
-        "bi-2-form ratio downstairs.",
-        lift2_check,
-    )
+# -- the built-in check table, in the declared order --------------------------
 
-    def lift2_flip_check():
-        cov = k3_cover(family(2))
-        base = k3_twoform_ratio(cov, k3_lift(2))
-        flipped = k3_twoform_ratio(cov, compose(deck_flip(), k3_lift(2), cov))
-        ok = flipped.constant and flipped.value == -base.value
-        return (
-            _verdict(ok),
-            {"lift": f"deck_flip.{k3_lift(2).label}"},
-            flipped.value.encode(),
-            None,
-        )
+# Map builders are called, not captured, so each check finds the package
+# functions the module names at run time.
+_FIXED_POINT_CASES = (
+    ("fixed-points-double-negation", lambda: neg_both(), 4,
+     "(Y, Z) -> (-Y, -Z)"),
+    ("fixed-points-double-inversion", lambda: inv_both(), 4,
+     "(Y, Z) -> (1/Y, 1/Z)"),
+    ("fixed-points-product", lambda: neg_both().compose(inv_both()), 4,
+     "(Y, Z) -> (-1/Y, -1/Z)"),
+    ("fixed-points-ruling-swap", lambda: swap_root(1), 2,
+     "(Y, Z) -> (1/Z, Y)"),
+)
 
-    r.add(
-        "k3-lift-ratio-2-flipped", "index", 2,
-        "Composing the order-8 lift with the deck involution negates its "
-        "2-form constant, giving the other primitive 8th root with the "
-        "same square.",
-        lift2_flip_check,
-    )
+_BIS_STATEMENTS = {
+    1: "The cover branch g satisfies Y^4 * Z^4 * g(1/Y, 1/Z) = -g.",
+    2: "The cover branch g satisfies Z^4 * g(1/Z, Y) = i*g.",
+}
 
-    def k4_check():
-        res = k4_normal_form_check()
-        value = (
-            f"{len(res.roots)} monomial square roots, "
-            f"{len(res.direct_roots)} ruling-preserving"
-        )
-        witness = None
-        if not res.ok:
-            witness = (
-                f"klein_ok={res.klein_ok} candidates_ok={res.candidates_ok} "
-                f"roots={res.roots}"
-            )
-        return _verdict(res.ok), {"target": "double inversion"}, value, witness
+_BUILTIN_ROWS = (
+    _Row("support-size", "construction", None,
+         "The admissible branch exponent set {(i, j): 4 <= i + 2j <= 8, "
+         "0 <= i, j <= 4} contains exactly 13 monomials.",
+         _support),
+    *(_Row(f"family-{k}-construction", "construction", k,
+           "The branch polynomial is nonzero, affine in its parameters, and "
+           "supported inside the admissible exponent set.",
+           partial(_construction, k=k))
+      for k in _FAMILIES),
+    *(_Row(f"equation-invariance-{k}", "invariance", k,
+           "Pulling w^2 - z*f back along the map and reducing modulo "
+           "w^2 = z*f leaves zero, identically in the parameters.",
+           partial(_invariance, k=k))
+      for k in _FAMILIES),
+    *(_Row(f"map-order-{k}", "order", k,
+           f"The automorphism has exact order {_EXPECTED_ORDERS[k]} as a "
+           "self-map of the family.",
+           partial(_map_order, k=k))
+      for k in _FAMILIES),
+    _Row("square-relation", "order", 2,
+         "The square of the order-8 automorphism equals the order-4 "
+         "automorphism inherited along the coefficient specialization.",
+         _square_relation),
+    *(row for k in _FAMILIES for row in (
+        _Row(f"biform-ratio-{k}", "index", k,
+             "The automorphism rescales the square of the residue 2-form by "
+             f"the constant {_EXPECTED_RATIOS[k]}, independently of all "
+             "coordinates and parameters.",
+             partial(_biform_ratio, k=k)),
+        _Row(f"biform-index-{k}", "index", k,
+             "The bi-2-form ratio is a primitive root of unity of order "
+             f"{_EXPECTED_INDICES[k]}, the index of the action.",
+             partial(_biform_index, k=k)),
+    )),
+    _Row("ratio-multiplicativity", "index", 2,
+         "Squaring the order-8 automorphism's bi-2-form ratio gives the "
+         "order-4 automorphism's ratio, matching the square relation "
+         "between the maps.",
+         _multiplicativity),
+    _Row("specialization-to-family-2", "construction", 1,
+         "Substituting C = -i*A, E = -i*D, F = -i*B into the six-parameter "
+         "branch polynomial yields exactly the three-parameter branch "
+         "polynomial of the order-8 index-4 family.",
+         _specialization_to_family2),
+    _Row("specialization-one-parameter", "construction", 1,
+         "Substituting A = 1, B = -C - 1, D = 0, E = 0, F = 1 - C restricts "
+         "the six-parameter family to a valid one-parameter subfamily.",
+         _specialization_one_parameter),
+    *(_Row(f"k3-cover-{k}", "cover", k,
+           "Substituting (y, z) = (Y*Z, Z^2) into the branch polynomial and "
+           "dividing by Z^4 is an exact polynomial operation; the quotient "
+           "has bidegree at most (4, 4) and only even-total-degree terms, "
+           "so it is invariant under (Y, Z) -> (-Y, -Z).",
+           partial(_k3_cover, k=k))
+      for k in _FAMILIES),
+    *(_Row(f"bis-condition-{k}", "cover", k, statement, partial(_bis_condition, k=k))
+      for k, statement in _BIS_STATEMENTS.items()),
+    *(_Row(f"epsilon-freeness-{k}", "cover", k,
+           "The base of the deck involution fixes only the four corner "
+           "points of the quadric; the corner coefficients of the cover "
+           "branch are nonzero polynomials in the parameters, so for "
+           "generic members the involution (W, Y, Z) -> (-W, -Y, -Z) is "
+           "fixed point free and the quotient is a surface.",
+           partial(_freeness, k=k))
+      for k in _FAMILIES),
+    _Row("k3-deck-ratio", "index", 1,
+         "The deck involution multiplies the cover's residue 2-form by -1: "
+         "the form is anti-invariant, as an Enriques quotient requires.  "
+         "The computation does not depend on which family's cover carries it.",
+         _deck_ratio),
+    _Row("k3-lift-ratio-1", "index", 1,
+         "The given lift of the order-4 automorphism multiplies the cover's "
+         "2-form by a constant whose square is the bi-2-form ratio "
+         "downstairs.",
+         partial(_lift_ratio, k=1)),
+    _Row("k3-lift-ratio-1-flipped", "index", 1,
+         "Composing the lift with the deck involution negates the 2-form "
+         "constant; the two lifts of the automorphism realize both square "
+         "roots, and neither is preferred here.",
+         partial(_flipped_lift_ratio, k=1)),
+    _Row("k3-lift-ratio-2", "index", 2,
+         "The given lift of the order-8 automorphism multiplies the cover's "
+         "2-form by a primitive 8th root of unity whose square is the "
+         "bi-2-form ratio downstairs.",
+         partial(_lift_ratio, k=2)),
+    _Row("k3-lift-ratio-2-flipped", "index", 2,
+         "Composing the order-8 lift with the deck involution negates its "
+         "2-form constant, giving the other primitive 8th root with the "
+         "same square.",
+         partial(_flipped_lift_ratio, k=2)),
+    _Row("k4-normal-form", "lattice", None,
+         "The double negation and the double inversion of the quadric's "
+         "rulings generate a Klein four group; the ruling-swapping maps "
+         "(Y, Z) -> (s/Z, s*Y) for s = 1, -1 square to the double inversion "
+         "and have order 4; the exhaustive monomial search finds no "
+         "ruling-preserving square root and nothing beyond those two maps "
+         "and their inverses.",
+         _k4_normal_form),
+    _Row("k4-monomial-restriction", "lattice", None,
+         "The square-root search is exhaustive over monomial maps with "
+         "8th-root-of-unity coefficients only; uniqueness within the full "
+         "symmetry group of the quadric is used as an input fact, not "
+         "rechecked here."),
+    *(_Row(rec_id, "lefschetz", None,
+           f"The map {coords} has exactly {expected} fixed points on the "
+           "quadric, equal to 2 plus its trace on the two ruling classes.",
+           partial(_fixed_points, build=build, expected=expected))
+      for rec_id, build, expected, coords in _FIXED_POINT_CASES),
+    _Row("lefschetz-case-b", "lefschetz", None,
+         "If the fixed locus of the order-4 action consists of isolated "
+         "points, the holomorphic fixed point identity forces exactly N = 4 "
+         "of them, for either choice of the 2-form eigenvalue.",
+         _lefschetz_case_b),
+    _Row("lefschetz-case-a-false", "lefschetz", None,
+         "A pointwise-fixed curve of genus 9 and self-intersection 16 is "
+         "incompatible with the holomorphic fixed point identity for the "
+         "order-4 action: the two sides evaluate to different field "
+         "elements for both eigenvalue choices.",
+         _lefschetz_case_a),
+    _Row("lattice-u2", "lattice", None,
+         "The even bilinear form with Gram matrix ((0, 2), (2, 0)) has rank "
+         "2 and determinant -4.",
+         _lattice_u2),
+    _Row("lattice-trace2-identity", "lattice", None,
+         "The identity is the only integral isometry of that form with "
+         "trace 2 and entries bounded by 2 in absolute value.",
+         _lattice_trace2),
+    *(_Row(f"action-{name}-{k}", "moduli", k,
+           "The declared parameter rescaling, combined with its base "
+           "coordinate change, maps the defining relation to an exact "
+           "alpha-power multiple of the relation at the rescaled "
+           "parameters.",
+           partial(_builtin_action, k=k, i=i))
+      for k in _FAMILIES for i, name in enumerate(_ACTION_NAMES[k])),
+    *(_Row(f"moduli-number-{k}", "moduli", k,
+           "Parameter count minus the rank of the declared identification "
+           f"weight matrix leaves {_EXPECTED_MODULI[k]} effective "
+           "parameters.",
+           partial(_moduli_number, k=k))
+      for k in _FAMILIES),
+    _Row("side-condition-square-root", "moduli", None,
+         "Every declared identification rescales w^2 by an odd power of "
+         "alpha, so rescaling w itself requires a square root of alpha; the "
+         "root exists over the complex numbers and is recorded, not "
+         "constructed, in this field.",
+         inputs={"homothety": "alpha^-1", "diagonal_base_scaling": "alpha^1"}),
+    _Row("action-completeness-assumption", "moduli", None,
+         "The effective parameter counts treat the declared identification "
+         "lists as complete; completeness is an input assumption about the "
+         "families, not something this engine proves."),
+    *(_Row(f"moduli-dimension-{k}", "moduli", k,
+           f"A transcendental-type lattice of rank {rank_t} with a "
+           f"primitive order-{n} eigenvalue action gives moduli dimension "
+           f"{rank_t}/phi({n}) - 1 = {expected}.",
+           partial(_moduli_dimension, k=k))
+      for k, (rank_t, n, expected) in _DIMENSION_TABLE.items()),
+    _Row("transcendental-rank-assumption", "moduli", None,
+         "The lattice ranks 12, 12, 6 feeding the dimension table are input "
+         "facts about the three surfaces, recorded rather than recomputed.",
+         inputs={"ranks": "12, 12, 6"}),
+    _Row("picard-bound", "moduli", 3,
+         "Four A3 configurations, two A1 configurations and the ample class "
+         "force 4*3 + 2*1 + 1 = 15 independent algebraic classes on the K3 "
+         "cover; the relevant lattice has even rank, so the Picard rank is "
+         "at least 16 and the transcendental rank at most 6.",
+         _picard),
+    _Row("admissible-pairs", "classification", None,
+         "Exhaustive pruning of the candidate grid leaves exactly the "
+         "(order, index) pairs (4, 2), (8, 2) and (8, 4).",
+         _admissible_pairs),
+    _Row("pruning-trace", "classification", None,
+         "Every excluded candidate pair is eliminated by a named rule whose "
+         "full statement ships in the rule table; survivors and exclusions "
+         "partition the candidate grid.",
+         _pruning_trace),
+    _Row("allowed-orders", "classification", None,
+         "The possible finite automorphism orders are the semi-symplectic "
+         "orders 1 through 6 together with the orders of the admissible "
+         "non-semi-symplectic pairs: 1, 2, 3, 4, 5, 6, 8.",
+         _allowed_orders),
+    _Row("rank-bound-assumption", "classification", None,
+         "Excluding index 8 at order 16 uses that the sublattice on which "
+         "the deck involution and the induced non-symplectic involution "
+         "both act by -1 has rank at least 12, the transcendental rank; "
+         "that bound is an input fact recorded here."),
+)
 
-    r.add(
-        "k4-normal-form", "lattice", None,
-        "The double negation and the double inversion of the quadric's "
-        "rulings generate a Klein four group; the ruling-swapping maps "
-        "(Y, Z) -> (s/Z, s*Y) for s = 1, -1 square to the double inversion "
-        "and have order 4; the exhaustive monomial search finds no "
-        "ruling-preserving square root and nothing beyond those two maps "
-        "and their inverses.",
-        k4_check,
-    )
 
-    r.info(
-        "k4-monomial-restriction", "lattice", None,
-        "The square-root search is exhaustive over monomial maps with "
-        "8th-root-of-unity coefficients only; uniqueness within the full "
-        "symmetry group of the quadric is used as an input fact, not "
-        "rechecked here.",
-    )
-
-    fixed_cases = (
-        ("fixed-points-double-negation", neg_both, 4,
-         "(Y, Z) -> (-Y, -Z)"),
-        ("fixed-points-double-inversion", inv_both, 4,
-         "(Y, Z) -> (1/Y, 1/Z)"),
-        ("fixed-points-product", lambda: neg_both().compose(inv_both()), 4,
-         "(Y, Z) -> (-1/Y, -1/Z)"),
-        ("fixed-points-ruling-swap", lambda: swap_root(1), 2,
-         "(Y, Z) -> (1/Z, Y)"),
-    )
-    for rec_id, builder, expected, coords in fixed_cases:
-        def fixed_check(builder=builder, expected=expected):
-            g = builder()
-            data = qaut_fixed_points(g)
-            ok = (
-                data.count == expected
-                and data.count == topological_lefschetz_count(g.ns_trace())
-                and not data.parabolic
-            )
-            return (
-                _verdict(ok),
-                {"trace": str(g.ns_trace())},
-                str(data.count),
-                None,
-            )
-
-        r.add(
-            rec_id, "lefschetz", None,
-            f"The map {coords} has exactly {expected} fixed points on the "
-            "quadric, equal to 2 plus its trace on the two ruling classes.",
-            fixed_check,
-        )
-
-    def case_b_check():
-        n_plus = holomorphic_lefschetz_case_b(1)
-        n_minus = holomorphic_lefschetz_case_b(-1)
-        ok = n_plus == 4 and n_minus == 4
-        return (
-            _verdict(ok),
-            {"eigenvalues": "i and -i"},
-            str(n_plus),
-            None,
-        )
-
-    r.add(
-        "lefschetz-case-b", "lefschetz", None,
-        "If the fixed locus of the order-4 action consists of isolated "
-        "points, the holomorphic fixed point identity forces exactly N = 4 "
-        "of them, for either choice of the 2-form eigenvalue.",
-        case_b_check,
-    )
-
-    def case_a_check():
-        curve = FixedCurveData(9, 16)
-        results = {}
-        ok = True
-        for sign, tag in ((1, "i"), (-1, "-i")):
-            lhs, rhs, equal = holomorphic_lefschetz_case_a(sign, curve)
-            results[tag] = f"{lhs} vs {rhs}"
-            ok = ok and not equal
-        return (
-            _verdict(ok),
-            {"genus": "9", "self_intersection": "16"},
-            results["i"],
-            None,
-        )
-
-    r.add(
-        "lefschetz-case-a-false", "lefschetz", None,
-        "A pointwise-fixed curve of genus 9 and self-intersection 16 is "
-        "incompatible with the holomorphic fixed point identity for the "
-        "order-4 action: the two sides evaluate to different field "
-        "elements for both eigenvalue choices.",
-        case_a_check,
-    )
-
-    def u2_check():
-        lat = hyperbolic_plane(2)
-        ok = lat.invariants() == (2, -4)
-        return (
-            _verdict(ok),
-            {"gram": "((0, 2), (2, 0))"},
-            f"rank {lat.rank}, det {lat.determinant()}",
-            None,
-        )
-
-    r.add(
-        "lattice-u2", "lattice", None,
-        "The even bilinear form with Gram matrix ((0, 2), (2, 0)) has rank "
-        "2 and determinant -4.",
-        u2_check,
-    )
-
-    def trace2_check():
-        lat = hyperbolic_plane(2)
-        found = isometries_with_trace(lat, 2, 2)
-        ok = found == [((1, 0), (0, 1))]
-        return (
-            _verdict(ok),
-            {"trace": "2", "entry_bound": "2"},
-            f"{len(found)} isometry",
-            None if ok else str(found),
-        )
-
-    r.add(
-        "lattice-trace2-identity", "lattice", None,
-        "The identity is the only integral isometry of that form with "
-        "trace 2 and entries bounded by 2 in absolute value.",
-        trace2_check,
-    )
-
-    for k in (1, 2, 3):
-        for action in _builtin_actions(k):
-            def action_check(k=k, action=action):
-                res = check_parameter_action(family(k), action)
-                inputs = {
-                    "weights": ", ".join(
-                        f"{p}: {w}" for p, w in sorted(action.weights.items())
-                    ),
-                    "w_square_scale": str(action.w_square_scale),
-                }
-                return (
-                    _verdict(res.holds),
-                    inputs,
-                    f"needs sqrt(alpha): {res.needs_square_root}",
-                    None if res.holds else str(res.witness),
-                )
-
-            r.add(
-                f"action-{action.name}-{k}", "moduli", k,
-                "The declared parameter rescaling, combined with its base "
-                "coordinate change, maps the defining relation to an exact "
-                "alpha-power multiple of the relation at the rescaled "
-                "parameters.",
-                action_check,
-            )
-
-    for k in (1, 2, 3):
-        def moduli_check(k=k):
-            actions = _builtin_actions(k)
-            count = moduli_number(family(k), actions)
-            ok = count == _EXPECTED_MODULI[k]
-            return (
-                _verdict(ok),
-                {
-                    "parameters": str(len(family(k).parameters)),
-                    "actions": ", ".join(a.name for a in actions),
-                },
-                str(count),
-                None,
-            )
-
-        r.add(
-            f"moduli-number-{k}", "moduli", k,
-            "Parameter count minus the rank of the declared identification "
-            f"weight matrix leaves {_EXPECTED_MODULI[k]} effective "
-            "parameters.",
-            moduli_check,
-        )
-
-    r.info(
-        "side-condition-square-root", "moduli", None,
-        "Every declared identification rescales w^2 by an odd power of "
-        "alpha, so rescaling w itself requires a square root of alpha; the "
-        "root exists over the complex numbers and is recorded, not "
-        "constructed, in this field.",
-        {"homothety": "alpha^-1", "diagonal_base_scaling": "alpha^1"},
-    )
-    r.info(
-        "action-completeness-assumption", "moduli", None,
-        "The effective parameter counts treat the declared identification "
-        "lists as complete; completeness is an input assumption about the "
-        "families, not something this engine proves.",
-    )
-
-    for k in (1, 2, 3):
-        def dimension_check(k=k):
-            rank_t, n, expected = _DIMENSION_TABLE[k]
-            d = moduli_dimension(rank_t, n)
-            ok = d == expected
-            return (
-                _verdict(ok),
-                {"rank_t": str(rank_t), "eigenvalue_order": str(n)},
-                str(d),
-                None,
-            )
-
-        rank_t, n, expected = _DIMENSION_TABLE[k]
-        r.add(
-            f"moduli-dimension-{k}", "moduli", k,
-            f"A transcendental-type lattice of rank {rank_t} with a "
-            f"primitive order-{n} eigenvalue action gives moduli dimension "
-            f"{rank_t}/phi({n}) - 1 = {expected}.",
-            dimension_check,
-        )
-
-    r.info(
-        "transcendental-rank-assumption", "moduli", None,
-        "The lattice ranks 12, 12, 6 feeding the dimension table are input "
-        "facts about the three surfaces, recorded rather than recomputed.",
-        {"ranks": "12, 12, 6"},
-    )
-
-    def picard_check():
-        bound = picard_bound_for_82()
-        ok = bound == 16 and K3_B2 - bound == 6
-        return (
-            _verdict(ok),
-            {"configuration": "4*A3 + 2*A1 + ample class"},
-            f"picard rank >= {bound}, transcendental rank <= {K3_B2 - bound}",
-            None,
-        )
-
-    r.add(
-        "picard-bound", "moduli", 3,
-        "Four A3 configurations, two A1 configurations and the ample class "
-        "force 4*3 + 2*1 + 1 = 15 independent algebraic classes on the K3 "
-        "cover; the relevant lattice has even rank, so the Picard rank is "
-        "at least 16 and the transcendental rank at most 6.",
-        picard_check,
-    )
-
-    def pairs_check():
-        out = admissible_pairs()
-        ok = out.pairs == [(4, 2), (8, 2), (8, 4)]
-        value = ", ".join(f"({n}, {i})" for n, i in out.pairs)
-        return _verdict(ok), {"candidates": "n = I*m, I in {2, 4, 8}, m <= 6"}, value, None
-
-    r.add(
-        "admissible-pairs", "classification", None,
-        "Exhaustive pruning of the candidate grid leaves exactly the "
-        "(order, index) pairs (4, 2), (8, 2) and (8, 4).",
-        pairs_check,
-    )
-
-    def trace_check():
-        out = admissible_pairs()
-        candidates = {(i * m, i) for i in (2, 4, 8) for m in range(1, 7)}
-        pruned = {p.pair for p in out.trace}
-        ok = (
-            pruned | set(out.pairs) == candidates
-            and not (pruned & set(out.pairs))
-            and all(p.rule in RULE_STATEMENTS for p in out.trace)
-        )
-        trace_str = "; ".join(
-            f"({p.pair[0]}, {p.pair[1]}): {p.rule}" for p in out.trace
-        )
-        return _verdict(ok), {"trace": trace_str}, str(len(out.trace)), None
-
-    r.add(
-        "pruning-trace", "classification", None,
-        "Every excluded candidate pair is eliminated by a named rule whose "
-        "full statement ships in the rule table; survivors and exclusions "
-        "partition the candidate grid.",
-        trace_check,
-    )
-
-    def orders_check():
-        orders = allowed_orders()
-        ok = orders == [1, 2, 3, 4, 5, 6, 8]
-        return (
-            _verdict(ok),
-            {},
-            ", ".join(str(n) for n in orders),
-            None,
-        )
-
-    r.add(
-        "allowed-orders", "classification", None,
-        "The possible finite automorphism orders are the semi-symplectic "
-        "orders 1 through 6 together with the orders of the admissible "
-        "non-semi-symplectic pairs: 1, 2, 3, 4, 5, 6, 8.",
-        orders_check,
-    )
-
-    r.info(
-        "rank-bound-assumption", "classification", None,
-        "Excluding index 8 at order 16 uses that the sublattice on which "
-        "the deck involution and the induced non-symplectic involution "
-        "both act by -1 has rank at least 12, the transcendental rank; "
-        "that bound is an input fact recorded here.",
-    )
-
-    return r.records
+def builtin_records(
+    family: str = "all", check: str = "all", ctx: Optional[_Context] = None
+) -> List[CheckRecord]:
+    """Run the built-in checks the filters select, in the declared order."""
+    return _run(_BUILTIN_ROWS, ctx if ctx is not None else _Context(), family, check)
 
 
 # -- checks for user-supplied families and maps ------------------------------
@@ -915,174 +797,136 @@ def _matching_families(phi: BirMap, families):
     return [fam for fam in families if fam.kind == kind]
 
 
-def document_records(families, maps, actions) -> List[CheckRecord]:
-    """Checks for ingested objects: construction and cover per family; per
-    map, invariance against the document's families in the same ambient
-    space (the map must preserve at least one), then order and form ratio
-    on the first family it preserves; then declared actions and the
-    resulting effective parameter count per family."""
-    r = _Runner()
-    for fam in families:
-        def construction_check(fam=fam):
-            value = (
-                f"{len(fam.geometric_support())} monomials in "
-                f"{len(fam.parameters)} parameters"
-            )
-            return "pass", {"family": fam.name, "kind": fam.kind}, value, None
+def _custom_construction(ctx, fam) -> Outcome:
+    return "pass", {"family": fam.name, "kind": fam.kind}, _construction_value(fam), None
 
-        r.add(
+
+def _custom_cover(ctx, fam) -> Outcome:
+    g = ctx.cover(fam).branch
+    free = epsilon_fixed_point_free(fam)
+    value = f"bidegree ({g.degree_in('Y')}, {g.degree_in('Z')}); free: {free.free}"
+    return _verdict(free.free), {"family": fam.name}, value, _corner_witness(free)
+
+
+def _custom_invariance(ctx, phi, candidates) -> Outcome:
+    holders = ctx.holders(phi, candidates)
+    witness = None
+    if not holders:
+        # every candidate failed; the first one is the witness
+        first = candidates[0]
+        witness = f"{first.name}: {_invariance_witness(ctx.invariance(first, phi))}"
+    inputs = {"map": phi.label, "candidates": ", ".join(f.name for f in candidates)}
+    return _verdict(bool(holders)), inputs, ", ".join(f.name for f in holders) or None, witness
+
+
+def _preserved(ctx, phi, candidates) -> Optional[SurfaceFamily]:
+    """The first family phi preserves, or None when the map's invariance
+    record fails, whether by a verdict or by an exception."""
+    try:
+        holders = ctx.holders(phi, candidates)
+    except Exception:
+        return None
+    return holders[0] if holders else None
+
+
+def _custom_order(ctx, phi, candidates) -> Optional[Outcome]:
+    fam = _preserved(ctx, phi, candidates)
+    if fam is None:
+        return None
+    return _order(fam, phi, {"family": fam.name, "map": phi.label})
+
+
+def _custom_ratio(ctx, phi, candidates) -> Optional[Outcome]:
+    fam = _preserved(ctx, phi, candidates)
+    if fam is None:
+        return None
+    ratio = ctx.ratio(fam, phi)
+    order = root_of_unity_order(ratio.value)
+    inputs = {
+        "family": fam.name,
+        "map": phi.label,
+        "root_of_unity_order": "none" if order is None else str(order),
+    }
+    return _ratio(ratio.constant and order is not None, ratio, inputs)
+
+
+def _document_rows(families, maps, actions) -> List[_Row]:
+    """The checks of ingested objects, in four blocks: construction and
+    cover per family; per map, invariance against the document's families
+    in the same ambient space (the map must preserve at least one); order
+    and form ratio on the first family each map preserves, made only when
+    it preserves one; declared actions and the resulting effective
+    parameter count per family."""
+    rows = []
+    for fam in families:
+        rows.append(_Row(
             f"custom-{fam.name}-construction", "construction", None,
             "The supplied branch polynomial is nonzero, affine in its "
             "declared parameters, and supported inside the bounds of its "
             "kind.",
-            construction_check,
-        )
-
+            partial(_custom_construction, fam=fam)))
         if fam.kind == "enriques_horikawa":
-            def cover_check(fam=fam):
-                cov = k3_cover(fam)
-                free = epsilon_fixed_point_free(fam)
-                value = (
-                    f"bidegree ({cov.branch.degree_in('Y')}, "
-                    f"{cov.branch.degree_in('Z')}); free: {free.free}"
-                )
-                witness = None
-                if not free.free:
-                    zero = [
-                        key for key in _CORNER_KEYS if free.corners[key].is_zero()
-                    ]
-                    witness = f"vanishing corner coefficient at {', '.join(zero)}"
-                return _verdict(free.free), {"family": fam.name}, value, witness
-
-            r.add(
+            rows.append(_Row(
                 f"custom-{fam.name}-cover", "cover", None,
                 "The double cover substitution divides exactly by Z^4 and "
                 "the deck involution acts freely on generic members: all "
                 "four corner coefficients are nonzero.",
-                cover_check,
-            )
-
-    preserved_pairs = []
-    for phi in maps:
-        candidates = _matching_families(phi, families)
-        if not candidates:
-            continue
-
-        def invariance_check(phi=phi, candidates=candidates):
-            holders = []
-            first_witness = None
-            for fam in candidates:
-                res = check_equation_invariance(fam, phi)
-                if res.holds:
-                    holders.append(fam)
-                elif first_witness is None:
-                    first_witness = (
-                        f"{fam.name}: even part {res.witness_even}; "
-                        f"odd part {res.witness_odd}"
-                    )
-            ok = bool(holders)
-            if ok:
-                preserved_pairs.append((holders[0], phi))
-            return (
-                _verdict(ok),
-                {"map": phi.label,
-                 "candidates": ", ".join(f.name for f in candidates)},
-                ", ".join(f.name for f in holders) or None,
-                None if ok else first_witness,
-            )
-
-        r.add(
+                partial(_custom_cover, fam=fam)))
+    checked = [(phi, _matching_families(phi, families)) for phi in maps]
+    checked = [(phi, candidates) for phi, candidates in checked if candidates]
+    for phi, candidates in checked:
+        rows.append(_Row(
             f"custom-invariance-{phi.label}", "invariance", None,
             "The supplied map preserves the defining relation of at least "
             "one supplied family in its ambient space; the preserving "
             "families are listed as the value.",
-            invariance_check,
-        )
-
-    for fam, phi in preserved_pairs:
-        def order_check(fam=fam, phi=phi):
-            order = map_order(phi, fam)
-            return (
-                _verdict(order is not None),
-                {"family": fam.name, "map": phi.label},
-                "none within 16" if order is None else str(order),
-                None,
-            )
-
-        r.add(
+            partial(_custom_invariance, phi=phi, candidates=candidates)))
+    for phi, candidates in checked:
+        rows.append(_Row(
             f"custom-order-{phi.label}", "order", None,
             "The supplied map has finite order at most 16 as a self-map of "
             "the first family it preserves.",
-            order_check,
-        )
-
-        def ratio_check(fam=fam, phi=phi):
-            if fam.kind == "enriques_horikawa":
-                ratio = bitwoform_pullback_ratio(fam, phi)
-            else:
-                ratio = k3_twoform_ratio(fam, phi)
-            fields = _ratio_fields(ratio.value)
-            ok = ratio.constant and root_of_unity_order(ratio.value) is not None
-            return (
-                _verdict(ok),
-                {"family": fam.name, "map": phi.label,
-                 "root_of_unity_order": fields["root_of_unity_order"]},
-                fields["encoded"],
-                None if ok else fields["ratio"],
-            )
-
-        r.add(
+            partial(_custom_order, phi=phi, candidates=candidates)))
+        rows.append(_Row(
             f"custom-ratio-{phi.label}", "index", None,
             "The supplied map rescales the (bi-)2-form of the first family "
             "it preserves by a constant root of unity.",
-            ratio_check,
-        )
-
+            partial(_custom_ratio, phi=phi, candidates=candidates)))
     for fam in families:
         fam_actions = actions.get(fam.name, [])
         for action in fam_actions:
-            def action_check(fam=fam, action=action):
-                res = check_parameter_action(fam, action)
-                return (
-                    _verdict(res.holds),
-                    {"family": fam.name, "action": action.name},
-                    f"needs sqrt(alpha): {res.needs_square_root}",
-                    None if res.holds else str(res.witness),
-                )
-
-            r.add(
+            rows.append(_Row(
                 f"custom-action-{fam.name}-{action.name}", "moduli", None,
                 "The declared parameter rescaling maps the supplied "
                 "family's relation to an exact alpha-power multiple of "
                 "itself at the rescaled parameters.",
-                action_check,
-            )
-
+                partial(_action, fam=fam, action=action,
+                        inputs={"family": fam.name, "action": action.name})))
         if fam.kind == "enriques_horikawa":
-            def moduli_check(fam=fam, fam_actions=fam_actions):
-                count = moduli_number(fam, list(fam_actions))
-                inputs = {
-                    "parameters": str(len(fam.parameters)),
-                    "actions": ", ".join(a.name for a in fam_actions) or "none",
-                }
-                return "pass", inputs, str(count), None
-
-            r.add(
+            rows.append(_Row(
                 f"custom-moduli-{fam.name}", "moduli", None,
                 "Effective parameter count of the supplied family under its "
                 "declared identifications.",
-                moduli_check,
-            )
+                partial(_moduli, fam=fam, actions=fam_actions)))
+    return rows
 
-    return r.records
+
+def document_records(
+    families, maps, actions,
+    family: str = "all", check: str = "all", ctx: Optional[_Context] = None,
+) -> List[CheckRecord]:
+    """Run the checks of ingested objects the filters select, in order."""
+    rows = _document_rows(families, maps, actions)
+    return _run(rows, ctx if ctx is not None else _Context(), family, check)
 
 
 def filter_records(
-    records: List[CheckRecord], family: str = "all", check: str = "all"
-) -> List[CheckRecord]:
-    """Subset selection used by the command line; built-in records carry a
-    family tag 1..3, custom and family-agnostic records carry none and only
-    survive the 'all' family filter."""
+    records: Sequence, family: str = "all", check: str = "all"
+) -> Sequence:
+    """Subset selection used by the command line, on records or on the check
+    rows that make them; built-in ones carry a family tag 1..3, custom and
+    family-agnostic ones carry none and only survive the 'all' family
+    filter."""
     out = records
     if family != "all":
         k = int(family)
@@ -1102,13 +946,16 @@ def run_checks(
     check: str = "all",
     document=None,
 ) -> Certificate:
-    """Built-in checks, then checks for a parsed input document, filtered."""
-    records = builtin_records()
+    """Built-in checks, then checks for a parsed input document; the filters
+    select checks before any of them runs."""
+    ctx = _Context()
+    records = builtin_records(family, check, ctx)
     if document is not None:
-        records = records + document_records(
-            document.families, document.maps, document.actions
+        records += document_records(
+            document.families, document.maps, document.actions,
+            family, check, ctx,
         )
-    return Certificate(filter_records(records, family, check))
+    return Certificate(records)
 
 
 def verify_all(document=None) -> Certificate:

@@ -38,7 +38,7 @@ class IndivisibleError(EngineError):
 
 
 class DegreeCapError(EngineError):
-    """A polynomial operation exceeded the configured total-degree cap."""
+    """A polynomial product exceeded the fixed total-degree cap poly.DEGREE_CAP."""
 
 
 class NonConstantRatioError(EngineError):

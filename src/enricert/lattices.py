@@ -40,32 +40,39 @@ class GramLattice:
 
     def determinant(self) -> int:
         """Exact determinant; the empty lattice has determinant 1."""
-        n = self.rank
-        if n == 0:
-            return 1
-        m = [[Fraction(v) for v in row] for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    factor = m[r][col] * inv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        assert det.denominator == 1
-        return int(det)
+        rank, pivot_product = row_reduce(self.rows)
+        if rank < self.rank:
+            return 0
+        assert pivot_product.denominator == 1
+        return int(pivot_product)
 
     def invariants(self) -> Tuple[int, int]:
         return self.rank, self.determinant()
 
     def __repr__(self) -> str:
         return f"GramLattice({self.rows})"
+
+
+def row_reduce(rows: IntMatrix) -> Tuple[int, Fraction]:
+    """Exact Gaussian elimination over Q: the rank of the matrix, and the
+    product of its pivots signed by the row swaps, which for a square
+    matrix of full rank is its determinant."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank, pivot_product = 0, Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            pivot_product = -pivot_product
+        pivot_product *= m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank, pivot_product
 
 
 def hyperbolic_plane(scale: int = 1) -> GramLattice:

@@ -14,10 +14,10 @@ minus the rank of the integer matrix of action weights.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import InvariantError, PreconditionError
+from .lattices import row_reduce
 from .poly import MPoly, RatFunc, TABLE, as_ratfunc
 from .cover import SurfaceFamily
 
@@ -144,27 +144,6 @@ def weight_matrix(
     )
 
 
-def _matrix_rank(rows: Tuple[Tuple[int, ...], ...]) -> int:
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(m)) if m[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def moduli_number(fam: SurfaceFamily, actions: List[ParameterAction]) -> int:
     """Parameter count minus the rank of the action weight matrix.
 
@@ -179,6 +158,4 @@ def moduli_number(fam: SurfaceFamily, actions: List[ParameterAction]) -> int:
                 f"action {action.name!r} does not preserve {fam.name}: "
                 f"witness {result.witness}"
             )
-    if not actions:
-        return len(fam.parameters)
-    return len(fam.parameters) - _matrix_rank(weight_matrix(fam, actions))
+    return len(fam.parameters) - row_reduce(weight_matrix(fam, actions))[0]

@@ -12,8 +12,9 @@ only through exact division (which either succeeds completely or leaves the
 pair untouched).  Equality is decided by cross-multiplication, so it never
 depends on how much simplification happened.
 
-A configurable total-degree cap halts runaway intermediate growth with a
-diagnostic error instead of letting a buggy reduction loop spin forever.
+A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
+with a diagnostic error instead of letting a buggy reduction loop spin
+forever.
 """
 
 from __future__ import annotations
@@ -27,18 +28,8 @@ from .field import Cyclo, ONE, ZERO
 Exponents = Tuple[int, ...]
 Scalar = Union[Cyclo, Fraction, int]
 
-_DEGREE_CAP = 64
-
-
-def set_degree_cap(cap: int) -> None:
-    global _DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    _DEGREE_CAP = cap
-
-
-def degree_cap() -> int:
-    return _DEGREE_CAP
+#: Largest total degree a polynomial product may reach.
+DEGREE_CAP = 64
 
 
 class VarTable:
@@ -227,13 +218,12 @@ class MPoly:
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
         out: Dict[Exponents, Cyclo] = {}
-        cap = _DEGREE_CAP
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > cap:
+                if sum(e) > DEGREE_CAP:
                     raise DegreeCapError(
-                        f"product term of total degree {sum(e)} exceeds cap {cap}"
+                        f"product term of total degree {sum(e)} exceeds cap {DEGREE_CAP}"
                     )
                 out[e] = out.get(e, ZERO) + c1 * c2
         return MPoly(self.table, out)

@@ -185,6 +185,29 @@ def test_run_checks_applies_filters():
     assert [r.id for r in cert.records] == ["map-order-1"]
 
 
+CLI_PAIRS = [
+    (family, check)
+    for family in ("all", "1", "2", "3")
+    for check in ("all",) + FILTERABLE_GROUPS
+    if (family, check) != ("all", "all")
+]
+
+
+def _selected(family, check, document=None):
+    return [r.as_dict() for r in run_checks(family, check, document).records]
+
+
+def _filtered(records, family, check):
+    return [r.as_dict() for r in filter_records(list(records), family, check)]
+
+
+@pytest.mark.parametrize("family,check", CLI_PAIRS)
+def test_select_before_run_equals_filtering_the_full_run(family, check):
+    assert len(CLI_PAIRS) == 23
+    want = _filtered(shared_cert().records, family, check)
+    assert _selected(family, check) == want
+
+
 # -- document records ---------------------------------------------------------
 
 
@@ -218,13 +241,24 @@ def _fixture_doc_dict():
     return json.loads((FIXTURES / "families.json").read_text(encoding="utf-8")), doc
 
 
-def test_checks_never_short_circuit():
+def _two_broken_maps_doc():
     raw, _ = _fixture_doc_dict()
     corrupted = copy.deepcopy(raw)
     # break two maps independently: both drop their unit factor
     corrupted["maps"][0]["coords"]["w"] = "w/(y^2*z^3)"
     corrupted["maps"][1]["coords"]["w"] = "y^3*w/z^4"
-    cert = verify_all(document=load_document(corrupted))
+    return corrupted
+
+
+def _one_broken_map_doc():
+    raw, _ = _fixture_doc_dict()
+    corrupted = copy.deepcopy(raw)
+    corrupted["maps"][2]["coords"]["w"] = "w*y^3/z^2"
+    return corrupted
+
+
+def test_checks_never_short_circuit():
+    cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
     failing = [r.id for r in cert.records if r.failed]
     assert failing == [
@@ -239,10 +273,7 @@ def test_checks_never_short_circuit():
 
 
 def test_failing_invariance_drops_order_and_ratio_records():
-    raw, _ = _fixture_doc_dict()
-    corrupted = copy.deepcopy(raw)
-    corrupted["maps"][2]["coords"]["w"] = "w*y^3/z^2"
-    cert = verify_all(document=load_document(corrupted))
+    cert = verify_all(document=load_document(_one_broken_map_doc()))
     ids = {r.id for r in cert.records}
     assert "custom-invariance-aut_8_2" in ids
     assert "custom-order-aut_8_2" not in ids
@@ -293,3 +324,48 @@ def test_map_with_no_matching_families_is_skipped():
     ids = {r.id for r in cert.records if r.id.startswith("custom-invariance")}
     assert ids == set()
     assert cert.overall == "pass"
+
+
+@functools.lru_cache(maxsize=None)
+def _selection_document(name):
+    if name == "fixture":
+        return ingest(str(FIXTURES / "families.json"))
+    broken = {"two-broken-maps": _two_broken_maps_doc, "one-broken-map": _one_broken_map_doc}
+    return load_document(broken[name]())
+
+
+@functools.lru_cache(maxsize=None)
+def _full_document_run(name):
+    return tuple(verify_all(document=_selection_document(name)).records)
+
+
+@pytest.mark.parametrize(
+    "name,check",
+    [("fixture", group) for group in FILTERABLE_GROUPS]
+    + [(name, group) for name in ("two-broken-maps", "one-broken-map")
+       for group in ("order", "index")],
+)
+def test_select_before_run_equals_filtering_with_a_document(name, check):
+    # order and ratio records exist only where invariance held, even when
+    # the invariance records themselves are not selected
+    want = _filtered(_full_document_run(name), "all", check)
+    assert _selected("all", check, _selection_document(name)) == want
+
+
+def test_any_exception_a_check_raises_becomes_its_failure(monkeypatch):
+    import enricert.certificate as certificate
+
+    real_map_order = certificate.map_order
+
+    def broken_map_order(phi, fam=None):
+        if phi.label == "aut_4_2":
+            raise TypeError("injected")
+        return real_map_order(phi, fam)
+
+    monkeypatch.setattr(certificate, "map_order", broken_map_order)
+    cert = verify_all()
+    assert [r.id for r in cert.records] == BUILTIN_IDS
+    assert [r.id for r in cert.records if r.failed] == ["map-order-1"]
+    record = cert.first_failure
+    assert record.witness == "TypeError: injected"
+    assert record.inputs == {} and record.value is None
