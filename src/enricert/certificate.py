@@ -2,11 +2,11 @@
 
 Every check the engine performs is a row of a declarative table: an
 identifier, a check group, a family tag, a one sentence statement of the
-claim, and the body that checks it.  A run first selects rows with the
-command-line filters, then runs only those, in the one fixed declared
-order, appending each to a Certificate as a small record: the row's
-identity and statement, the inputs used, a pass/fail/info result, and a
-value or a failure witness.  The bodies of one run share a context that
+claim, and the body that checks it.  A run runs every row in the one
+fixed declared order and makes each a small record: the row's identity
+and statement, the inputs used, a pass/fail/info result, and a value or a
+failure witness.  The command-line filters then keep a subset of those
+records for the Certificate.  The bodies of one run share a context that
 builds each family, map, cover, invariance result and form ratio once.  A
 failing check never stops the run, whatever it raises.  Serialization is
 plain JSON with no timestamps, so identical inputs give byte-identical
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
@@ -248,11 +248,11 @@ class _Context:
         return self._once(_builtin_actions, self.family(k), k)
 
 
-def _run(rows, ctx: _Context, family: str, check: str) -> List[CheckRecord]:
-    """Select rows with the command-line filters, then run only those, in
-    the declared order; an exception a check raises becomes its failure."""
+def _run(rows, ctx: _Context) -> List[CheckRecord]:
+    """Run the rows in the declared order; an exception a check raises
+    becomes its failure."""
     records = []
-    for row in filter_records(rows, family, check):
+    for row in rows:
         if row.fn is None:
             outcome = ("info", row.inputs or {}, None, None)
         else:
@@ -783,11 +783,9 @@ _BUILTIN_ROWS = (
 )
 
 
-def builtin_records(
-    family: str = "all", check: str = "all", ctx: Optional[_Context] = None
-) -> List[CheckRecord]:
-    """Run the built-in checks the filters select, in the declared order."""
-    return _run(_BUILTIN_ROWS, ctx if ctx is not None else _Context(), family, check)
+def builtin_records(ctx: Optional[_Context] = None) -> List[CheckRecord]:
+    """Run every built-in check in the declared order."""
+    return _run(_BUILTIN_ROWS, ctx if ctx is not None else _Context())
 
 
 # -- checks for user-supplied families and maps ------------------------------
@@ -912,21 +910,19 @@ def _document_rows(families, maps, actions) -> List[_Row]:
 
 
 def document_records(
-    families, maps, actions,
-    family: str = "all", check: str = "all", ctx: Optional[_Context] = None,
+    families, maps, actions, ctx: Optional[_Context] = None
 ) -> List[CheckRecord]:
-    """Run the checks of ingested objects the filters select, in order."""
+    """Run every check of ingested objects, in order."""
     rows = _document_rows(families, maps, actions)
-    return _run(rows, ctx if ctx is not None else _Context(), family, check)
+    return _run(rows, ctx if ctx is not None else _Context())
 
 
 def filter_records(
-    records: Sequence, family: str = "all", check: str = "all"
-) -> Sequence:
-    """Subset selection used by the command line, on records or on the check
-    rows that make them; built-in ones carry a family tag 1..3, custom and
-    family-agnostic ones carry none and only survive the 'all' family
-    filter."""
+    records: List[CheckRecord], family: str = "all", check: str = "all"
+) -> List[CheckRecord]:
+    """Subset selection used by the command line; built-in records carry a
+    family tag 1..3, custom and family-agnostic ones carry none and only
+    survive the 'all' family filter."""
     out = records
     if family != "all":
         k = int(family)
@@ -947,15 +943,14 @@ def run_checks(
     document=None,
 ) -> Certificate:
     """Built-in checks, then checks for a parsed input document; the filters
-    select checks before any of them runs."""
+    keep a subset of the records of the full run."""
     ctx = _Context()
-    records = builtin_records(family, check, ctx)
+    records = builtin_records(ctx)
     if document is not None:
         records += document_records(
-            document.families, document.maps, document.actions,
-            family, check, ctx,
+            document.families, document.maps, document.actions, ctx
         )
-    return Certificate(records)
+    return Certificate(filter_records(records, family, check))
 
 
 def verify_all(document=None) -> Certificate:

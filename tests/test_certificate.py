@@ -202,7 +202,7 @@ def _filtered(records, family, check):
 
 
 @pytest.mark.parametrize("family,check", CLI_PAIRS)
-def test_select_before_run_equals_filtering_the_full_run(family, check):
+def test_filtered_run_equals_filtering_the_full_run(family, check):
     assert len(CLI_PAIRS) == 23
     want = _filtered(shared_cert().records, family, check)
     assert _selected(family, check) == want
@@ -345,7 +345,7 @@ def _full_document_run(name):
     + [(name, group) for name in ("two-broken-maps", "one-broken-map")
        for group in ("order", "index")],
 )
-def test_select_before_run_equals_filtering_with_a_document(name, check):
+def test_filtered_run_equals_filtering_with_a_document(name, check):
     # order and ratio records exist only where invariance held, even when
     # the invariance records themselves are not selected
     want = _filtered(_full_document_run(name), "all", check)
