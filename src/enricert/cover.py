@@ -16,10 +16,10 @@ polynomial (z*f downstairs, g upstairs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import InvariantError, PreconditionError
-from .field import Cyclo, ONE, SQRT_M1
+from .field import ONE, SQRT_M1
 from .poly import (
     MPoly,
     RatFunc,
@@ -41,7 +41,6 @@ def horikawa_support() -> frozenset:
 
 _ENRIQUES = "enriques_horikawa"
 _K3 = "k3_cover"
-_PARAM_NAMES = ("A", "B", "C", "D", "E", "F")
 
 
 def _param_degree(poly: MPoly, names: Iterable[str]) -> int:
@@ -405,8 +404,8 @@ class CoverElement:
         return f"CoverElement({self.a} + ({self.b})*{self.cover_var})"
 
 
-def _split_by_cover_var(p: MPoly, cover_var: str, square: MPoly) -> Tuple[MPoly, MPoly]:
-    """Write p modulo (cv^2 - square) as even + odd * cv, both cv-free."""
+def _split_by_cover_var(p: MPoly, cover_var: str, square: MPoly) -> CoverElement:
+    """Write p modulo (cv^2 - square) as the element even + odd * cv, both cv-free."""
     table = p.table
     idx = table.index(cover_var)
     even = MPoly.zero(table)
@@ -421,33 +420,22 @@ def _split_by_cover_var(p: MPoly, cover_var: str, square: MPoly) -> Tuple[MPoly,
             even = even + mono * power
         else:
             odd = odd + mono * power
-    return even, odd
+    return CoverElement(
+        RatFunc.from_poly(even), RatFunc.from_poly(odd), square, cover_var
+    )
 
 
 def cover_reduce(expr, fam: SurfaceFamily) -> CoverElement:
     """Reduce a rational expression in the ambient coordinates to a + b*w form.
 
-    Powers of the cover variable are folded through the relation w^2 = S.  A
-    cover variable in the denominator is cleared by one conjugation pass,
-    which is enough because the conjugate denominator d0^2 - d1^2 S is free of
-    the cover variable.
+    Powers of the cover variable are folded through the relation w^2 = S in
+    numerator and denominator alike.  A denominator with a cover-variable part
+    is then inverted by CoverElement.inverse (conjugate over norm).
     """
     r = as_ratfunc(expr, fam.branch.table)
-    cover_var = fam.cover_var
     square = fam.relation()
-    num, den = r.num, r.den
-    d_even, d_odd = _split_by_cover_var(den, cover_var, square)
-    if not d_odd.is_zero():
-        wv = MPoly.var(cover_var, den.table)
-        num = num * (d_even - d_odd * wv)
-        den = d_even * d_even - d_odd * d_odd * square
-        if den.is_zero():
-            raise ZeroDivisionError("denominator has zero norm in the cover ring")
-    n_even, n_odd = _split_by_cover_var(num, cover_var, square)
-    den_rf = RatFunc.from_poly(den)
-    return CoverElement(
-        RatFunc.from_poly(n_even) / den_rf,
-        RatFunc.from_poly(n_odd) / den_rf,
-        square,
-        cover_var,
-    )
+    num = _split_by_cover_var(r.num, fam.cover_var, square)
+    den = _split_by_cover_var(r.den, fam.cover_var, square)
+    if den.b.is_zero():
+        return num.scale(den.a.inverse())
+    return num * den.inverse()

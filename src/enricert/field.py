@@ -8,8 +8,9 @@ polynomial x^4 + 1.  The three square roots the engine needs all live here:
 
 Rationals are stdlib ``fractions.Fraction`` (already gcd-reduced with positive
 denominator, which is exactly the normal form the engine requires).  Inversion
-is done by solving the 4x4 linear system of the regular representation rather
-than via a closed conjugate formula, so it stays obviously correct.
+uses the quadratic tower Q <= Q(i) <= Q(zeta_8): the automorphism
+zeta -> -zeta fixes Q(i), so multiplying by the conjugate lands in Q(i), where
+a Gaussian rational a + b*i is inverted by (a - b*i) / (a^2 + b^2).
 """
 
 from __future__ import annotations
@@ -114,31 +115,19 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via a 4x4 linear solve.
+        """Multiplicative inverse by conjugate and norm.
 
-        Solves M_a x = e_0 where M_a is multiplication by self in the power
-        basis.  Raises ZeroDivisionError on zero.
+        With sigma: zeta -> -zeta, u = x * sigma(x) = a + b*i lies in Q(i), so
+        x^-1 = sigma(x) * (a - b*i) / (a^2 + b^2).  Raises ZeroDivisionError
+        on zero, the only element whose norm a^2 + b^2 vanishes.
         """
-        if self.is_zero():
+        c0, c1, c2, c3 = self.coords
+        a = c0 * c0 - c2 * c2 + 2 * c1 * c3
+        b = 2 * c0 * c2 - c1 * c1 + c3 * c3
+        norm = a * a + b * b
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(zeta_8)")
-        cols = [(self * _BASIS[j]).coords for j in range(4)]
-        # Augmented system rows: sum_j M[i][j] x_j = e0[i], M[i][j] = cols[j][i].
-        rows = [
-            [cols[0][i], cols[1][i], cols[2][i], cols[3][i],
-             Fraction(1) if i == 0 else Fraction(0)]
-            for i in range(4)
-        ]
-        n = 4
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            pv = rows[col][col]
-            rows[col] = [v / pv for v in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col] != 0:
-                    factor = rows[r][col]
-                    rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-        return Cyclo(rows[0][4], rows[1][4], rows[2][4], rows[3][4])
+        return Cyclo(c0, -c1, c2, -c3) * Cyclo(a / norm, 0, -b / norm, 0)
 
     def __truediv__(self, other) -> "Cyclo":
         return self * Cyclo.coerce(other).inverse()
@@ -197,8 +186,6 @@ class Cyclo:
         """Canonical textual form: four comma-separated rationals."""
         return ",".join(str(c) for c in self.coords)
 
-
-_BASIS = (Cyclo(1), Cyclo(0, 1), Cyclo(0, 0, 1), Cyclo(0, 0, 0, 1))
 
 ZERO = Cyclo(0)
 ONE = Cyclo(1)

@@ -19,10 +19,10 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
-from .field import Cyclo, ONE, SQRT_M1, ZERO, ZETA8, field_sqrt
+from .field import Cyclo, ONE, ZERO, ZETA8, field_sqrt
 from .parsing import parse_expression
 from .poly import MPoly, RatFunc, TABLE, as_ratfunc
-from .cover import CoverElement, SurfaceFamily, cover_reduce
+from .cover import SurfaceFamily, cover_reduce
 
 ENRIQUES_VARS = ("w", "y", "z")
 K3_VARS = ("W", "Y", "Z")
@@ -119,14 +119,7 @@ def compose(outer: BirMap, inner: BirMap, fam: Optional[SurfaceFamily] = None) -
 
 
 def is_identity(phi: BirMap, fam: Optional[SurfaceFamily] = None) -> bool:
-    for v in phi.base_vars:
-        if phi.coords[v] != RatFunc.var(v, TABLE):
-            return False
-    cv = phi.cover_var
-    if fam is not None:
-        ce = cover_reduce(phi.coords[cv], fam)
-        return ce.a.is_zero() and ce.b == RatFunc.const(1, TABLE)
-    return phi.coords[cv] == RatFunc.var(cv, TABLE)
+    return maps_equal(phi, BirMap.identity(phi.variables), fam)
 
 
 def maps_equal(

@@ -10,7 +10,8 @@ Grammar (usual precedence, ^ binds tightest, left-assoc * and /):
 
 ``i`` denotes sqrt(-1) = zeta8^2 and ``zeta8`` the primitive 8th root itself.
 Variables are the table names (w, y, z, W, Y, Z, A..F, alpha).  Exponents are
-integer literals, optionally negative.  Errors carry the character position.
+integer literals, optionally negative, of absolute value at most
+poly.DEGREE_CAP.  Errors carry the character position.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Tuple
 
 from .errors import ParseError
 from .field import SQRT_M1, ZETA8
-from .poly import RatFunc, TABLE, VarTable
+from .poly import DEGREE_CAP, RatFunc, TABLE, VarTable
 
 _SYMBOLS = set("+-*/^()")
 
@@ -130,6 +131,7 @@ class _Parser:
     def exponent(self) -> int:
         sign = 1
         kind, text, pos = self.peek()
+        start = pos
         if kind == "sym" and text in "+-":
             self.advance()
             sign = -1 if text == "-" else 1
@@ -137,7 +139,11 @@ class _Parser:
         if kind != "int":
             raise ParseError(f"expected integer exponent, found {text!r}", pos)
         self.advance()
-        return sign * int(text)
+        # Compare lengths first so a huge literal is never converted.
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(DEGREE_CAP)) or int(digits) > DEGREE_CAP:
+            raise ParseError(f"exponent exceeds the degree cap {DEGREE_CAP}", start)
+        return sign * int(digits)
 
     def atom(self) -> RatFunc:
         kind, text, pos = self.advance()

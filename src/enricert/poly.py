@@ -57,9 +57,6 @@ class VarTable:
     def is_parameter(self, name: str) -> bool:
         return name in self.parameters
 
-    def geometric_names(self) -> Tuple[str, ...]:
-        return tuple(n for n in self.names if n not in self.parameters)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VarTable)

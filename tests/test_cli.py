@@ -98,6 +98,16 @@ def test_verify_parse_error_exits_2(tmp_path, capsys):
     assert "(at position 4)" in err
 
 
+def test_verify_huge_exponent_exits_2(tmp_path, capsys):
+    doc = fixture_doc()
+    doc["maps"][0]["coords"]["w"] = "zeta8^100000000"
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: maps[0].coords.w:")
+    assert "exceeds the degree cap 64" in err
+
+
 def test_verify_invariant_violation_exits_2(tmp_path, capsys):
     doc = {
         "families": [

@@ -353,6 +353,10 @@ def test_cover_reduce_clears_denominator():
     # multiplying back by w gives one
     one = cover_reduce(1, fam)
     assert r * cover_reduce(w, fam) == one
+    # an even power of w in the denominator folds through the relation too
+    assert cover_reduce((w * w).inverse(), fam) == CoverElement(
+        s.inverse(), RatFunc.const(0, TABLE), fam.relation(), "w"
+    )
 
 
 def test_cover_reduce_zero_norm_denominator():

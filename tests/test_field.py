@@ -23,6 +23,16 @@ fractions = st.fractions(
 )
 cyclos = st.builds(Cyclo, fractions, fractions, fractions, fractions)
 nonzero_cyclos = cyclos.filter(lambda c: not c.is_zero())
+# Heights like those of generated input documents: numerators up to about
+# 10^20 over denominators up to about 10^12.
+large_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    st.integers(min_value=1, max_value=10 ** 12),
+)
+large_nonzero_cyclos = st.builds(
+    Cyclo, large_fractions, large_fractions, large_fractions, large_fractions
+).filter(lambda c: not c.is_zero())
 
 
 def test_defining_relation():
@@ -136,7 +146,7 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=120, deadline=None)
-@given(nonzero_cyclos)
+@given(st.one_of(nonzero_cyclos, large_nonzero_cyclos))
 def test_multiplicative_inverse(a):
     assert a * a.inverse() == ONE
     assert (a.inverse()).inverse() == a

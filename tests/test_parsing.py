@@ -1,6 +1,7 @@
 """Expression grammar: precedence, associativity, errors, and round trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,21 @@ def test_negative_exponent():
     assert parse_expression("y^-2") == const(1) / (y * y)
     assert parse_expression("y^+2") == y * y
     assert parse_expression("2^-3") == const(Fraction(1, 8))
+
+
+def test_exponent_is_bounded_by_the_degree_cap():
+    # checked before the power is taken: a constant base would be multiplied
+    # out |n| times
+    started = time.monotonic()
+    with pytest.raises(ParseError, match="exceeds the degree cap") as info:
+        parse_expression("zeta8^100000000")
+    assert time.monotonic() - started < 1.0
+    assert info.value.position == 6
+    with pytest.raises(ParseError) as info:
+        parse_expression("y^-65")
+    assert info.value.position == 2
+    assert parse_expression("zeta8^64") == 1
+    assert parse_expression("zeta8^-64") == 1
 
 
 def test_whitespace_insensitive():
