@@ -8,13 +8,12 @@ amounts to four corner coefficients being units.
 """
 
 from enricert import (
-    CoverElement,
+    BirMap,
     check_bis_condition,
-    cover_reduce,
+    check_equation_invariance,
     epsilon_fixed_point_free,
     family,
     k3_cover,
-    parse_expression,
 )
 
 for k in (1, 2, 3):
@@ -33,16 +32,10 @@ for k in (1, 2, 3):
     corners = {pos: str(val) for pos, val in res.corners.items()}
     print(f"cover {k}: eps free = {bool(res)}, corners {corners}")
 
-# Arithmetic modulo W^2 = g: elements are a + b*W, and powers of W fold
-# back into the base ring through the relation.
-fam = family(3)
-w_cubed = cover_reduce(parse_expression("w^3"), fam)
-print("w^3 reduces to a =", w_cubed.a, "plus W times b of degree",
-      w_cubed.b.num.total_degree())
-
-elt = CoverElement(
-    parse_expression("y"), parse_expression("1"), fam.relation(), "w"
-)
-print("(y + w) * (y - w) =", (elt * CoverElement(
-    parse_expression("y"), parse_expression("-1"), fam.relation(), "w"
-)).as_ratfunc())
+# A map sends w to a + b*w with a, b functions on the base, and the
+# relation w^2 = S enters only through (a + b*w)^2 = a^2 + b^2*S + 2ab*w.
+# The shift w -> y + w leaves the even part y^2 and the odd part 2*y.
+shift = BirMap.from_strings(("w", "y", "z"), label="shift", w="y + w", y="y", z="z")
+res = check_equation_invariance(family(3), shift)
+print(f"w -> y + w preserves the equation: {bool(res)}; "
+      f"even part {res.witness_even}; odd part {res.witness_odd}")

@@ -31,12 +31,11 @@ for k in (1, 2, 3):
     result = check_equation_invariance(fam, phi)
     print(f"family {k}: {phi.label} preserves the equation: {bool(result)}")
 
-orders = [map_order(family_automorphism(k), family(k)) for k in (1, 2, 3)]
+orders = [map_order(family_automorphism(k)) for k in (1, 2, 3)]
 print("orders:", orders)
 
 # The order-8 map on family 2 squares to the order-4 map of family 1.
 sigma1 = family_automorphism(1)
 sigma2 = family_automorphism(2)
-square = compose(sigma2, sigma2, family(2))
-print("order-8 map squares to the order-4 map:",
-      maps_equal(square, sigma1, family(2)))
+square = compose(sigma2, sigma2)
+print("order-8 map squares to the order-4 map:", maps_equal(square, sigma1))

@@ -31,7 +31,7 @@ current = sigma
 for n in (1, 2, 3, 4):
     r = bitwoform_pullback_ratio(fam, current)
     print(f"power {n}: ratio {r.value}")
-    current = compose(sigma, current, fam)
+    current = compose(sigma, current)
 
 # Lifts to the cover act on the 2-form itself; composing with the deck
 # transformation flips the sign of the ratio.
@@ -39,7 +39,7 @@ for k in (1, 2):
     cov = k3_cover(family(k))
     lift = k3_lift(k)
     r = k3_twoform_ratio(cov, lift)
-    r_flip = k3_twoform_ratio(cov, compose(lift, deck_flip(), cov))
+    r_flip = k3_twoform_ratio(cov, compose(lift, deck_flip()))
     print(f"cover {k}: lift ratio {r.value}, with deck {r_flip.value}")
 
 print("deck transformation ratio:",

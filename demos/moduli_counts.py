@@ -8,6 +8,7 @@ rank and the eigenvalue order on the other side.
 """
 
 from enricert import (
+    check_parameter_action,
     diagonal_base_scaling,
     family,
     homothety,
@@ -21,7 +22,7 @@ for k in (1, 2, 3):
     actions = [homothety(fam)]
     if k == 3:
         actions.append(diagonal_base_scaling())
-    count = moduli_number(fam, actions)
+    count = moduli_number(fam, [check_parameter_action(fam, a) for a in actions])
     print(f"family {k}: {len(fam.parameters)} parameters, "
           f"{len(actions)} actions, moduli number {count}")
 

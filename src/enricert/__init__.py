@@ -26,10 +26,8 @@ from .field import (
 from .poly import MPoly, RatFunc, TABLE, VarTable, exact_divide, jacobian_det2
 from .parsing import parse_expression
 from .cover import (
-    CoverElement,
     SurfaceFamily,
     check_bis_condition,
-    cover_reduce,
     epsilon_fixed_point_free,
     family,
     horikawa_support,

@@ -7,10 +7,10 @@ fixed declared order and makes each a small record: the row's identity
 and statement, the inputs used, a pass/fail/info result, and a value or a
 failure witness.  The command-line filters then keep a subset of those
 records for the Certificate.  The bodies of one run share a context that
-builds each family, map, cover, invariance result and form ratio once.  A
-failing check never stops the run, whatever it raises.  Serialization is
-plain JSON with no timestamps, so identical inputs give byte-identical
-certificates; the shipped golden file pins the built-in run.
+builds each family, map, cover, invariance result, action check and form
+ratio once.  A failing check never stops the run, whatever it raises.
+Serialization is plain JSON with no timestamps, so identical inputs give
+byte-identical certificates; the shipped golden file pins the built-in run.
 """
 
 from __future__ import annotations
@@ -242,10 +242,13 @@ class _Context:
         lift = self._once(k3_lift, k)
         if not flipped:
             return lift
-        return self._once(compose, self.deck(), lift, self.cover(self.family(k)))
+        return self._once(compose, self.deck(), lift)
 
     def actions(self, k: int) -> List[ParameterAction]:
         return self._once(_builtin_actions, self.family(k), k)
+
+    def action(self, fam: SurfaceFamily, action: ParameterAction):
+        return self._once(check_parameter_action, fam, action)
 
 
 def _run(rows, ctx: _Context) -> List[CheckRecord]:
@@ -293,8 +296,6 @@ def _builtin_actions(fam: SurfaceFamily, k: int) -> List[ParameterAction]:
 
 
 # -- check bodies shared by built-in and document records --------------------
-# _action and _moduli are document rows as they stand, so they take the
-# run's context like every row body.
 
 def _construction_value(fam: SurfaceFamily) -> str:
     return f"{len(fam.geometric_support())} monomials in {len(fam.parameters)} parameters"
@@ -311,9 +312,9 @@ def _corner_witness(res) -> Optional[str]:
     return f"vanishing corner coefficient at {', '.join(zero)}"
 
 
-def _order(fam, phi, inputs, expected: Optional[int] = None) -> Outcome:
+def _order(phi, inputs, expected: Optional[int] = None) -> Outcome:
     """The exact order when one is expected, else finiteness within 16."""
-    order = map_order(phi, fam)
+    order = map_order(phi)
     ok = order is not None if expected is None else order == expected
     return _verdict(ok), inputs, "none within 16" if order is None else str(order), None
 
@@ -323,14 +324,15 @@ def _ratio(ok: bool, ratio, inputs) -> Outcome:
 
 
 def _action(ctx, fam, action, inputs) -> Outcome:
-    res = check_parameter_action(fam, action)
+    res = ctx.action(fam, action)
     value = f"needs sqrt(alpha): {res.needs_square_root}"
     return _verdict(res.holds), inputs, value, None if res.holds else str(res.witness)
 
 
 def _moduli(ctx, fam, actions, expected: Optional[int] = None) -> Outcome:
     """The effective parameter count; built-in families expect theirs."""
-    count = moduli_number(fam, list(actions))
+    # checked lazily, so the first action that fails stops the count
+    count = moduli_number(fam, (ctx.action(fam, a) for a in actions))
     inputs = {
         "parameters": str(len(fam.parameters)),
         "actions": ", ".join(a.name for a in actions) or "none",
@@ -366,20 +368,19 @@ def _invariance(ctx, k) -> Outcome:
 
 def _map_order(ctx, k) -> Outcome:
     phi, expected = ctx.automorphism(k), _EXPECTED_ORDERS[k]
-    return _order(ctx.family(k), phi, {"map": phi.label, "expected": str(expected)}, expected)
+    return _order(phi, {"map": phi.label, "expected": str(expected)}, expected)
 
 
 def _square_relation(ctx) -> Outcome:
-    fam = ctx.family(2)
-    square = compose(ctx.automorphism(2), ctx.automorphism(2), fam)
-    ok = maps_equal(square, ctx.automorphism(1), fam)
+    square = compose(ctx.automorphism(2), ctx.automorphism(2))
+    ok = maps_equal(square, ctx.automorphism(1))
     inputs = {"map": "aut_8_4", "target": "aut_4_2"}
     return _verdict(ok), inputs, None, None if ok else repr(square)
 
 
 def _biform_ratio(ctx, k) -> Outcome:
     ratio = ctx.biform(k)
-    ok = ratio.constant and ratio.value == _EXPECTED_RATIOS[k]
+    ok = ratio.value == _EXPECTED_RATIOS[k]
     return _ratio(ok, ratio, {"family": ctx.family(k).name, "map": ctx.automorphism(k).label})
 
 
@@ -438,7 +439,7 @@ def _freeness(ctx, k) -> Outcome:
 
 def _deck_ratio(ctx) -> Outcome:
     ratio = ctx.ratio(ctx.cover(ctx.family(1)), ctx.deck())
-    return _ratio(ratio.constant and ratio.value == -ONE, ratio, {"map": "deck_flip"})
+    return _ratio(ratio.value == -ONE, ratio, {"map": "deck_flip"})
 
 
 def _lift_ratio(ctx, k) -> Outcome:
@@ -448,8 +449,7 @@ def _lift_ratio(ctx, k) -> Outcome:
     ratio = ctx.ratio(ctx.cover(ctx.family(k)), lift)
     down = ctx.biform(k).value
     ok = (
-        ratio.constant
-        and ratio.value ** 2 == down
+        ratio.value ** 2 == down
         and root_of_unity_order(ratio.value) == 2 * _EXPECTED_INDICES[k]
     )
     return _ratio(ok, ratio, {"lift": lift.label, "square_target": down.encode()})
@@ -460,7 +460,7 @@ def _flipped_lift_ratio(ctx, k) -> Outcome:
     base = ctx.ratio(cov, ctx.lift(k))
     flipped_lift = ctx.lift(k, flipped=True)
     flipped = ctx.ratio(cov, flipped_lift)
-    ok = flipped.constant and flipped.value == -base.value
+    ok = flipped.value == -base.value
     return _ratio(ok, flipped, {"lift": flipped_lift.label})
 
 
@@ -831,7 +831,7 @@ def _custom_order(ctx, phi, candidates) -> Optional[Outcome]:
     fam = _preserved(ctx, phi, candidates)
     if fam is None:
         return None
-    return _order(fam, phi, {"family": fam.name, "map": phi.label})
+    return _order(phi, {"family": fam.name, "map": phi.label})
 
 
 def _custom_ratio(ctx, phi, candidates) -> Optional[Outcome]:
@@ -845,7 +845,7 @@ def _custom_ratio(ctx, phi, candidates) -> Optional[Outcome]:
         "map": phi.label,
         "root_of_unity_order": "none" if order is None else str(order),
     }
-    return _ratio(ratio.constant and order is not None, ratio, inputs)
+    return _ratio(order is not None, ratio, inputs)
 
 
 def _document_rows(families, maps, actions) -> List[_Row]:

@@ -9,9 +9,9 @@ The K3 cover substitutes (y, z) = (Y*Z, Z^2), divides the branch data by Z^4
 and introduces W = w / Z^3, producing W^2 = g(Y, Z) with g of bidegree at most
 (4, 4), invariant under the deck map (Y, Z) -> (-Y, -Z).
 
-Functions on the cover ring R[w] / (w^2 - S) are represented as pairs
-a + b*w of rational functions in the base variables, with S the relation
-polynomial (z*f downstairs, g upstairs).
+A family only defines its relation polynomial S (z*f downstairs, g upstairs);
+maps act on the covers through the a + b*w form of their cover coordinate,
+which lives in the maps module.
 """
 
 from __future__ import annotations
@@ -329,113 +329,3 @@ def epsilon_fixed_point_free(fam: SurfaceFamily) -> FreenessResult:
     free = all(not c.is_zero() for c in corners.values())
     return FreenessResult(free, corners)
 
-
-# -- cover ring arithmetic ---------------------------------------------------
-
-
-class CoverElement:
-    """An element a + b*w of the function field of w^2 = S."""
-
-    __slots__ = ("a", "b", "square", "cover_var")
-
-    def __init__(self, a: RatFunc, b: RatFunc, square: MPoly, cover_var: str):
-        if square.degree_in(cover_var) != 0:
-            raise InvariantError("relation polynomial must not involve the cover variable")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "square", square)
-        object.__setattr__(self, "cover_var", cover_var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverElement instances are immutable")
-
-    def _check_compatible(self, other: "CoverElement") -> None:
-        if self.cover_var != other.cover_var or self.square != other.square:
-            raise ValueError("mixing elements of different cover rings")
-
-    def _square_rf(self) -> RatFunc:
-        return RatFunc.from_poly(self.square)
-
-    def __add__(self, other: "CoverElement") -> "CoverElement":
-        self._check_compatible(other)
-        return CoverElement(self.a + other.a, self.b + other.b, self.square, self.cover_var)
-
-    def __neg__(self) -> "CoverElement":
-        return CoverElement(-self.a, -self.b, self.square, self.cover_var)
-
-    def __sub__(self, other: "CoverElement") -> "CoverElement":
-        return self + (-other)
-
-    def __mul__(self, other: "CoverElement") -> "CoverElement":
-        self._check_compatible(other)
-        s = self._square_rf()
-        return CoverElement(
-            self.a * other.a + self.b * other.b * s,
-            self.a * other.b + self.b * other.a,
-            self.square,
-            self.cover_var,
-        )
-
-    def scale(self, r) -> "CoverElement":
-        rf = as_ratfunc(r, self.a.num.table)
-        return CoverElement(self.a * rf, self.b * rf, self.square, self.cover_var)
-
-    def inverse(self) -> "CoverElement":
-        """(a + b w)^-1 = (a - b w) / (a^2 - b^2 S)."""
-        norm = self.a * self.a - self.b * self.b * self._square_rf()
-        if norm.is_zero():
-            raise ZeroDivisionError("element has zero norm in the cover ring")
-        return CoverElement(self.a / norm, -self.b / norm, self.square, self.cover_var)
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoverElement):
-            return NotImplemented
-        self._check_compatible(other)
-        return self.a == other.a and self.b == other.b
-
-    def as_ratfunc(self) -> RatFunc:
-        w = RatFunc.var(self.cover_var, self.a.num.table)
-        return self.a + self.b * w
-
-    def __repr__(self) -> str:
-        return f"CoverElement({self.a} + ({self.b})*{self.cover_var})"
-
-
-def _split_by_cover_var(p: MPoly, cover_var: str, square: MPoly) -> CoverElement:
-    """Write p modulo (cv^2 - square) as the element even + odd * cv, both cv-free."""
-    table = p.table
-    idx = table.index(cover_var)
-    even = MPoly.zero(table)
-    odd = MPoly.zero(table)
-    for e, c in p.terms.items():
-        k = e[idx]
-        stripped = list(e)
-        stripped[idx] = 0
-        mono = MPoly(table, {tuple(stripped): c})
-        power = square ** (k // 2)
-        if k % 2 == 0:
-            even = even + mono * power
-        else:
-            odd = odd + mono * power
-    return CoverElement(
-        RatFunc.from_poly(even), RatFunc.from_poly(odd), square, cover_var
-    )
-
-
-def cover_reduce(expr, fam: SurfaceFamily) -> CoverElement:
-    """Reduce a rational expression in the ambient coordinates to a + b*w form.
-
-    Powers of the cover variable are folded through the relation w^2 = S in
-    numerator and denominator alike.  A denominator with a cover-variable part
-    is then inverted by CoverElement.inverse (conjugate over norm).
-    """
-    r = as_ratfunc(expr, fam.branch.table)
-    square = fam.relation()
-    num = _split_by_cover_var(r.num, fam.cover_var, square)
-    den = _split_by_cover_var(r.den, fam.cover_var, square)
-    if den.b.is_zero():
-        return num.scale(den.a.inverse())
-    return num * den.inverse()

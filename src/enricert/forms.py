@@ -1,15 +1,18 @@
 """Pullback ratios of the canonical forms on the covers.
 
-The double-plane model carries the bi-2-form z * (dy ^ dz / w)^2; a
-coordinate automorphism phi multiplies it by
+The double-plane model w^2 = S, S = z*f, carries the bi-2-form
+z * (dy ^ dz / w)^2.  A coordinate automorphism phi multiplies it by
 
-    (phi*z / z) * J(phi_y, phi_z)^2 * w^2 / (phi*w)^2
+    (phi*z / z) * J(phi_y, phi_z)^2 * w^2 / (phi*w)^2,
 
-computed in the cover ring, where J is the base Jacobian determinant.  The K3
-cover carries the honest 2-form dY ^ dZ / W, whose ratio under a lift is
-J * W / (phi*W).  Both ratios must come out constant; the engine certifies
-constancy symbolically and reports the constant, whose multiplicative order
-is the index of the automorphism.
+where J is the base Jacobian determinant.  Once phi preserves the equation,
+(phi*w)^2 = S(phi*y, phi*z) on the surface, so the ratio is the base function
+(phi*z / z) * J^2 * S / S(phi*y, phi*z).  The K3 cover W^2 = g carries the
+honest 2-form dY ^ dZ / W, whose ratio under a lift with phi*W = a + b*W is
+J * W / (a + b*W); invariance makes ab = 0, so the ratio is J / b when a = 0
+and has a nonzero W-part otherwise.  Both ratios must come out constant; the
+engine certifies constancy symbolically and reports the constant, whose
+multiplicative order is the index of the automorphism.
 """
 
 from __future__ import annotations
@@ -23,21 +26,20 @@ from .errors import (
 )
 from .field import Cyclo, root_of_unity_order
 from .poly import RatFunc, TABLE, jacobian_det2
-from .cover import CoverElement, SurfaceFamily, cover_reduce
+from .cover import SurfaceFamily
 from .maps import BirMap, check_equation_invariance
 
 
 class FormRatio:
     """A certified-constant pullback ratio."""
 
-    def __init__(self, value: Cyclo, constant: bool = True):
+    def __init__(self, value: Cyclo):
         self.value = value
-        self.constant = constant
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FormRatio):
-            return self.constant == other.constant and self.value == other.value
-        return self.constant and self.value == other
+            return self.value == other.value
+        return self.value == other
 
     def order(self) -> Optional[int]:
         return root_of_unity_order(self.value)
@@ -46,15 +48,25 @@ class FormRatio:
         return f"FormRatio({self.value})"
 
 
-def _constant_of(element: CoverElement, what: str) -> Cyclo:
-    if not element.b.is_zero():
-        raise NonConstantRatioError(
-            f"{what} has a nonzero odd part {element.b} in the cover variable"
-        )
-    value = element.a.as_constant()
+def _constant_of(ratio: RatFunc, what: str) -> Cyclo:
+    value = ratio.as_constant()
     if value is None:
-        raise NonConstantRatioError(f"{what} is not constant: {element.a}")
+        raise NonConstantRatioError(f"{what} is not constant: {ratio}")
     return value
+
+
+def _invariance_guard(fam: SurfaceFamily, phi: BirMap):
+    inv = check_equation_invariance(fam, phi)
+    if not inv:
+        raise PreconditionError(
+            f"{phi.label} does not preserve the equation of {fam.name}"
+        )
+    return inv
+
+
+def _jacobian(fam: SurfaceFamily, phi: BirMap) -> RatFunc:
+    b1, b2 = fam.base_vars
+    return jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
 
 
 def bitwoform_pullback_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
@@ -65,24 +77,11 @@ def bitwoform_pullback_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
     """
     if fam.kind != "enriques_horikawa":
         raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
-    inv = check_equation_invariance(fam, phi)
-    if not inv:
-        raise PreconditionError(
-            f"{phi.label} does not preserve the equation of {fam.name}"
-        )
-    b1, b2 = fam.base_vars
-    jac = jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
+    pulled = _invariance_guard(fam, phi).pulled
+    jac = _jacobian(fam, phi)
+    b2 = fam.base_vars[1]
     z_ratio = phi.coords[b2] / RatFunc.var(b2, TABLE)
-    scalar = z_ratio * jac * jac
-    w_sq = CoverElement(
-        RatFunc.from_poly(fam.relation()),
-        RatFunc.zero(TABLE),
-        fam.relation(),
-        fam.cover_var,
-    )
-    pw = phi.coords[fam.cover_var]
-    pw_sq = cover_reduce(pw * pw, fam)
-    ratio = (w_sq * pw_sq.inverse()).scale(scalar)
+    ratio = z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / pulled
     return FormRatio(_constant_of(ratio, f"bi-2-form ratio of {phi.label}"))
 
 
@@ -90,22 +89,16 @@ def k3_twoform_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
     """The constant multiplying dY ^ dZ / W under a lift to the K3 cover."""
     if fam.kind != "k3_cover":
         raise PreconditionError("2-form ratios live on k3_cover families")
-    inv = check_equation_invariance(fam, phi)
-    if not inv:
-        raise PreconditionError(
-            f"{phi.label} does not preserve the equation of {fam.name}"
+    _invariance_guard(fam, phi)
+    jac = _jacobian(fam, phi)
+    a, b = phi.cover_parts()
+    what = f"2-form ratio of {phi.label}"
+    if not a.is_zero():
+        # invariance forces b = 0 here, so the ratio is (J / a) * W
+        raise NonConstantRatioError(
+            f"{what} has a nonzero odd part {jac / a} in the cover variable"
         )
-    b1, b2 = fam.base_vars
-    jac = jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
-    w_elem = CoverElement(
-        RatFunc.zero(TABLE),
-        RatFunc.const(1, TABLE),
-        fam.relation(),
-        fam.cover_var,
-    )
-    pw = cover_reduce(phi.coords[fam.cover_var], fam)
-    ratio = (w_elem * pw.inverse()).scale(jac)
-    return FormRatio(_constant_of(ratio, f"2-form ratio of {phi.label}"))
+    return FormRatio(_constant_of(jac / b, what))
 
 
 def index_of(ratio: FormRatio) -> int:
@@ -114,8 +107,6 @@ def index_of(ratio: FormRatio) -> int:
     This is the index of the automorphism: 1 means the form is preserved
     (semi-symplectic action), larger values quantify the failure.
     """
-    if not ratio.constant:
-        raise NonConstantRatioError("only constant ratios have an index")
     n = ratio.order()
     if n is None:
         raise NotRootOfUnityError(f"{ratio.value} is not a root of unity")

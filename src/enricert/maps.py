@@ -1,9 +1,14 @@
 """Birational self-maps of the double covers and automorphisms of the quadric.
 
-A BirMap stores one coordinate expression per ambient variable, with the cover
-variable appearing at most linearly and never in the base coordinates.
-Composition is substitution followed by reduction modulo the cover relation,
-and two maps are equal when their coordinates agree as cover-ring elements.
+A BirMap stores one coordinate expression per ambient variable: the base
+coordinates are functions of the base variables, and the cover coordinate is
+a + b*w with a and b functions of the base variables (BirMap.cover_parts
+splits it).  Every automorphism of a double plane w^2 = S has this shape, so
+composition is plain substitution, which keeps it, and two maps are equal
+when their coordinates agree: {1, w} is a basis of the surface's function
+field over the base function field, so a + b*w = a' + b'*w holds on the
+surface exactly when a = a' and b = b'.  The relation w^2 = S only enters
+where the cover coordinate is squared, in check_equation_invariance.
 
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
@@ -22,7 +27,7 @@ from .errors import InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8, field_sqrt
 from .parsing import parse_expression
 from .poly import MPoly, RatFunc, TABLE, as_ratfunc
-from .cover import SurfaceFamily, cover_reduce
+from .cover import SurfaceFamily
 
 ENRIQUES_VARS = ("w", "y", "z")
 K3_VARS = ("W", "Y", "Z")
@@ -78,6 +83,12 @@ class BirMap:
                 f"{self.label}: cover coordinate has degree > 1 in {cv}"
             )
 
+    def cover_parts(self) -> Tuple[RatFunc, RatFunc]:
+        """(a, b) with cover coordinate a + b*w, both free of w."""
+        r = self.coords[self.cover_var]
+        a, b = (r.num.coefficient({self.cover_var: k}) for k in (0, 1))
+        return RatFunc(a, r.den), RatFunc(b, r.den)
+
     @staticmethod
     def identity(variables: Sequence[str] = ENRIQUES_VARS) -> "BirMap":
         return BirMap(
@@ -98,12 +109,11 @@ class BirMap:
         return f"BirMap[{self.label}]({inner})"
 
 
-def compose(outer: BirMap, inner: BirMap, fam: Optional[SurfaceFamily] = None) -> BirMap:
+def compose(outer: BirMap, inner: BirMap) -> BirMap:
     """The map sending P to outer(inner(P)).
 
-    Coordinates of the result are outer's expressions with inner's coordinates
-    substituted in; when a family is supplied the cover coordinate is reduced
-    modulo its relation so later equality tests see a canonical form.
+    Coordinates of the result are outer's expressions with inner's
+    coordinates substituted in; the result is again of the shape a + b*w.
     """
     if outer.variables != inner.variables:
         raise PreconditionError("composing maps over different coordinate triples")
@@ -111,56 +121,50 @@ def compose(outer: BirMap, inner: BirMap, fam: Optional[SurfaceFamily] = None) -
     coords = {
         v: outer.coords[v].substitute(substitution) for v in outer.variables
     }
-    if fam is not None:
-        coords[outer.cover_var] = cover_reduce(coords[outer.cover_var], fam).as_ratfunc()
     return BirMap(
         outer.variables, coords, label=f"{outer.label}.{inner.label}"
     )
 
 
-def is_identity(phi: BirMap, fam: Optional[SurfaceFamily] = None) -> bool:
-    return maps_equal(phi, BirMap.identity(phi.variables), fam)
+def is_identity(phi: BirMap) -> bool:
+    return maps_equal(phi, BirMap.identity(phi.variables))
 
 
-def maps_equal(
-    phi: BirMap, psi: BirMap, fam: Optional[SurfaceFamily] = None
-) -> bool:
-    """Coordinatewise equality, modulo the cover relation when fam is given."""
+def maps_equal(phi: BirMap, psi: BirMap) -> bool:
+    """Coordinatewise equality, which is equality on the surface."""
     if phi.variables != psi.variables:
         return False
-    for v in phi.base_vars:
-        if phi.coords[v] != psi.coords[v]:
-            return False
-    cv = phi.cover_var
-    if fam is not None:
-        return cover_reduce(phi.coords[cv], fam) == cover_reduce(psi.coords[cv], fam)
-    return phi.coords[cv] == psi.coords[cv]
+    return all(phi.coords[v] == psi.coords[v] for v in phi.variables)
 
 
-def map_order(
-    phi: BirMap, fam: Optional[SurfaceFamily] = None, max_n: int = 16
-) -> Optional[int]:
+def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
     """Smallest n <= max_n with phi^n the identity, or None.
 
-    Equality is tested on the cover, so the deck transformation (w -> -w over
-    the identity on the base) counts as a nontrivial map.
+    Powers are compared with the identity coordinate by coordinate, with no
+    reduction modulo w^2 = S.  That is exact on the surface: each power sends
+    w to a + b*w, and {1, w} is a basis over the base function field.  So the
+    deck transformation (w -> -w over the identity on the base) counts as a
+    nontrivial map.
     """
     current = phi
     for n in range(1, max_n + 1):
-        if is_identity(current, fam):
+        if is_identity(current):
             return n
         if n < max_n:
-            current = compose(phi, current, fam)
+            current = compose(phi, current)
     return None
 
 
 class InvarianceResult:
-    """Verdict of an equation-invariance check, with a remainder witness."""
+    """Verdict of an equation-invariance check, with a remainder witness and
+    the pulled-back relation S(phi*y, phi*z)."""
 
-    def __init__(self, holds: bool, witness_even: MPoly, witness_odd: MPoly):
+    def __init__(self, holds: bool, witness_even: MPoly, witness_odd: MPoly,
+                 pulled: RatFunc):
         self.holds = holds
         self.witness_even = witness_even
         self.witness_odd = witness_odd
+        self.pulled = pulled
 
     def __bool__(self) -> bool:
         return self.holds
@@ -177,10 +181,12 @@ class InvarianceResult:
 def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResult:
     """Certify (phi*w)^2 - S(phi*y, phi*z) = 0 modulo w^2 = S.
 
-    For the double-plane model S = z*f this is the pullback of the defining
-    equation; after clearing denominators it amounts to the antisymmetry
-    identity of the branch polynomial.  On failure the nonzero numerators of
-    the even and odd parts are the witness.
+    With phi*w = a + b*w the left side is (a^2 + b^2*S - S(phi*y, phi*z))
+    + 2ab*w, so both parts must vanish.  For the double-plane model S = z*f
+    this is the pullback of the defining equation; after clearing
+    denominators it amounts to the antisymmetry identity of the branch
+    polynomial.  On failure the numerators of the even and odd parts are the
+    witness.
     """
     expected = (fam.cover_var,) + fam.base_vars
     if phi.variables != expected:
@@ -188,13 +194,13 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
             f"map over {phi.variables} cannot act on a family over {expected}"
         )
     b1, b2 = fam.base_vars
-    pulled = fam.relation().substitute(
-        {b1: phi.coords[b1], b2: phi.coords[b2]}
-    )
-    cw = phi.coords[fam.cover_var]
-    reduced = cover_reduce(cw * cw - pulled, fam)
+    relation = fam.relation()
+    pulled = relation.substitute({b1: phi.coords[b1], b2: phi.coords[b2]})
+    a, b = phi.cover_parts()
+    even = a * a + b * b * RatFunc.from_poly(relation) - pulled
+    odd = 2 * a * b
     return InvarianceResult(
-        reduced.is_zero(), reduced.a.num, reduced.b.num
+        even.is_zero() and odd.is_zero(), even.num, odd.num, pulled
     )
 
 

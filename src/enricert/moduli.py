@@ -14,7 +14,7 @@ minus the rank of the integer matrix of action weights.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .lattices import row_reduce
@@ -144,18 +144,20 @@ def weight_matrix(
     )
 
 
-def moduli_number(fam: SurfaceFamily, actions: List[ParameterAction]) -> int:
+def moduli_number(fam: SurfaceFamily, checked: Iterable[ActionCheckResult]) -> int:
     """Parameter count minus the rank of the action weight matrix.
 
-    Every action must first pass check_parameter_action.  Whether the listed
-    actions generate everything that identifies members is an input
-    assumption; the count is exact for the list given.
+    Takes the check_parameter_action results of the actions, in order, and
+    requires each to hold.  Whether the listed actions generate everything
+    that identifies members is an input assumption; the count is exact for
+    the list given.
     """
-    for action in actions:
-        result = check_parameter_action(fam, action)
+    actions = []
+    for result in checked:
         if not result:
             raise PreconditionError(
-                f"action {action.name!r} does not preserve {fam.name}: "
+                f"action {result.action.name!r} does not preserve {fam.name}: "
                 f"witness {result.witness}"
             )
+        actions.append(result.action)
     return len(fam.parameters) - row_reduce(weight_matrix(fam, actions))[0]

@@ -11,7 +11,9 @@ Grammar (usual precedence, ^ binds tightest, left-assoc * and /):
 ``i`` denotes sqrt(-1) = zeta8^2 and ``zeta8`` the primitive 8th root itself.
 Variables are the table names (w, y, z, W, Y, Z, A..F, alpha).  Exponents are
 integer literals, optionally negative, of absolute value at most
-poly.DEGREE_CAP.  Errors carry the character position.
+poly.DEGREE_CAP.  An integer literal longer than the interpreter's int
+string-conversion limit is an error too.  Errors carry the character
+position.
 """
 
 from __future__ import annotations
@@ -148,7 +150,13 @@ class _Parser:
     def atom(self) -> RatFunc:
         kind, text, pos = self.advance()
         if kind == "int":
-            return RatFunc.const(int(text), self.table)
+            try:
+                value = int(text)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(
+                    f"integer literal of {len(text)} digits is too long", pos
+                ) from None
+            return RatFunc.const(value, self.table)
         if kind == "name":
             if text == "i":
                 return RatFunc.const(SQRT_M1, self.table)

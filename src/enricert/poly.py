@@ -150,11 +150,6 @@ class MPoly:
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.table.index(name)
         if self.is_zero():

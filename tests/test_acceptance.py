@@ -47,7 +47,12 @@ from enricert.maps import (
     qaut_fixed_points,
     swap_root,
 )
-from enricert.moduli import diagonal_base_scaling, homothety, moduli_number
+from enricert.moduli import (
+    check_parameter_action,
+    diagonal_base_scaling,
+    homothety,
+    moduli_number,
+)
 from enricert.poly import (
     MPoly,
     RatFunc,
@@ -99,7 +104,7 @@ def test_criterion_01_equation_invariance():
 
 def test_criterion_02_orders_and_indices():
     def body():
-        orders = [map_order(family_automorphism(k), family(k)) for k in (1, 2, 3)]
+        orders = [map_order(family_automorphism(k)) for k in (1, 2, 3)]
         assert orders == [4, 8, 8]
         ratios = [
             bitwoform_pullback_ratio(family(k), family_automorphism(k))
@@ -119,9 +124,9 @@ def test_criterion_03_square_relation():
     def body():
         s1, s2 = family_automorphism(1), family_automorphism(2)
         fam = family(2)
-        assert maps_equal(compose(s2, s2, fam), s1, fam)
+        assert maps_equal(compose(s2, s2), s1)
         r2 = bitwoform_pullback_ratio(fam, s2)
-        r_square = bitwoform_pullback_ratio(fam, compose(s2, s2, fam))
+        r_square = bitwoform_pullback_ratio(fam, compose(s2, s2))
         assert r2 == -I and r_square == -ONE
         assert r2.value * r2.value == r_square.value
 
@@ -229,11 +234,13 @@ def test_criterion_07_lattice_suite():
 
 def test_criterion_08_moduli_table():
     def body():
-        assert moduli_number(family(1), [homothety(family(1))]) == 5
-        assert moduli_number(family(2), [homothety(family(2))]) == 2
-        assert moduli_number(
-            family(3), [homothety(family(3)), diagonal_base_scaling()]
-        ) == 2
+        def count(fam, actions):
+            checked = [check_parameter_action(fam, a) for a in actions]
+            return moduli_number(fam, checked)
+
+        assert count(family(1), [homothety(family(1))]) == 5
+        assert count(family(2), [homothety(family(2))]) == 2
+        assert count(family(3), [homothety(family(3)), diagonal_base_scaling()]) == 2
         assert moduli_dimension(12, 4) == 5
         assert moduli_dimension(12, 8) == 2
         assert moduli_dimension(6, 4) == 2

@@ -20,9 +20,11 @@ from enricert.certificate import (
     run_checks,
     verify_all,
 )
+from enricert.cli import main
 from enricert.ingest import ingest, load_document, serialize_document
 
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
+PINNED_RUNS = Path(__file__).parent / "data" / "pinned_document_runs.json"
 
 BUILTIN_IDS = [
     "support-size",
@@ -257,6 +259,15 @@ def _one_broken_map_doc():
     return corrupted
 
 
+def _shift_map_doc():
+    # w -> y + w has both an even and an odd part, so its invariance
+    # witness carries the cross term 2ab of (a + b*w)^2
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append({"name": "shift", "coords": {"w": "y + w", "y": "y", "z": "z"}})
+    return doc
+
+
 def test_checks_never_short_circuit():
     cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
@@ -298,6 +309,28 @@ def test_escaping_exception_becomes_failure_record():
     moduli = by_id["custom-moduli-family3"]
     assert moduli.failed
     assert moduli.witness.startswith("PreconditionError:")
+
+
+_PINNED_DOCUMENTS = {
+    "two-broken-maps": _two_broken_maps_doc,
+    "one-broken-map": _one_broken_map_doc,
+    "shift-map": _shift_map_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DOCUMENTS))
+def test_document_run_output_is_pinned(name, tmp_path, capsys):
+    # The data file holds the full `enricert verify --input` output, witness
+    # lines included, captured before the map layer dropped its cover-ring
+    # reduction; it must never be regenerated from the code it checks.
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_PINNED_DOCUMENTS[name]()), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    want = json.loads(PINNED_RUNS.read_text(encoding="utf-8"))[name]
+    assert code == want["exit_code"]
+    assert captured.out == want["stdout"]
+    assert captured.err == ""
 
 
 def test_vanishing_corner_fails_custom_cover_record():
@@ -357,10 +390,10 @@ def test_any_exception_a_check_raises_becomes_its_failure(monkeypatch):
 
     real_map_order = certificate.map_order
 
-    def broken_map_order(phi, fam=None):
+    def broken_map_order(phi):
         if phi.label == "aut_4_2":
             raise TypeError("injected")
-        return real_map_order(phi, fam)
+        return real_map_order(phi)
 
     monkeypatch.setattr(certificate, "map_order", broken_map_order)
     cert = verify_all()

@@ -108,6 +108,17 @@ def test_verify_huge_exponent_exits_2(tmp_path, capsys):
     assert "exceeds the degree cap 64" in err
 
 
+def test_verify_huge_integer_literal_exits_2(tmp_path, capsys):
+    # 5,000 digits exceed the interpreter's int string-conversion limit
+    doc = fixture_doc()
+    doc["maps"][0]["coords"]["w"] = "1" * 5000 + "*w"
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: maps[0].coords.w:")
+    assert "(at position 0)" in err
+
+
 def test_verify_invariant_violation_exits_2(tmp_path, capsys):
     doc = {
         "families": [

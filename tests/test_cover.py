@@ -1,14 +1,10 @@
-"""Branch families, K3 covers, freeness, and cover-ring arithmetic."""
-
-import random
+"""Branch families, K3 covers and freeness."""
 
 import pytest
 
 from enricert.cover import (
-    CoverElement,
     SurfaceFamily,
     check_bis_condition,
-    cover_reduce,
     epsilon_fixed_point_free,
     family,
     horikawa_support,
@@ -20,8 +16,6 @@ from enricert.cover import (
 from enricert.errors import InvariantError, PreconditionError
 from enricert.field import SQRT_M1
 from enricert.poly import MPoly, RatFunc, TABLE
-
-from _helpers import rand_mpoly
 
 
 def mono(exps, scalar=1):
@@ -280,109 +274,3 @@ def test_epsilon_freeness_rejects_cover_input():
     with pytest.raises(PreconditionError):
         epsilon_fixed_point_free(k3_cover(family(1)))
 
-
-# -- cover ring arithmetic ---------------------------------------------------
-
-
-def _w_element(fam):
-    zero = RatFunc.const(0, TABLE)
-    one = RatFunc.const(1, TABLE)
-    return CoverElement(zero, one, fam.relation(), fam.cover_var)
-
-
-def test_cover_element_square_folds_through_relation():
-    fam = family(3)
-    w = _w_element(fam)
-    ww = w * w
-    assert ww.a == RatFunc.from_poly(fam.relation())
-    assert ww.b.is_zero()
-
-
-def test_cover_element_inverse():
-    fam = family(3)
-    one = CoverElement(
-        RatFunc.const(1, TABLE), RatFunc.const(0, TABLE),
-        fam.relation(), fam.cover_var,
-    )
-    e = _w_element(fam) + one
-    assert e * e.inverse() == one
-    assert e.inverse() * e == one
-
-
-def test_cover_element_immutability():
-    e = _w_element(family(1))
-    with pytest.raises(AttributeError):
-        e.a = RatFunc.const(2, TABLE)
-
-
-def test_cover_element_rejects_relation_with_cover_variable():
-    bad = mono({"w": 2})
-    with pytest.raises(InvariantError):
-        CoverElement(RatFunc.const(0, TABLE), RatFunc.const(1, TABLE), bad, "w")
-
-
-def test_cover_element_rejects_mixed_rings():
-    with pytest.raises(ValueError, match="different cover rings"):
-        _w_element(family(1)) + _w_element(family(3))
-
-
-def test_cover_element_zero_norm_inverse():
-    with pytest.raises(ZeroDivisionError):
-        (_w_element(family(1)) - _w_element(family(1))).inverse()
-
-
-def test_cover_reduce_powers():
-    fam = family(3)
-    w = RatFunc.var("w", TABLE)
-    s = RatFunc.from_poly(fam.relation())
-    assert cover_reduce(w * w, fam) == CoverElement(
-        s, RatFunc.const(0, TABLE), fam.relation(), "w"
-    )
-    assert cover_reduce(w ** 3, fam) == CoverElement(
-        RatFunc.const(0, TABLE), s, fam.relation(), "w"
-    )
-
-
-def test_cover_reduce_clears_denominator():
-    fam = family(3)
-    w = RatFunc.var("w", TABLE)
-    r = cover_reduce(w.inverse(), fam)
-    s = RatFunc.from_poly(fam.relation())
-    assert r.a.is_zero()
-    assert r.b == s.inverse()
-    # multiplying back by w gives one
-    one = cover_reduce(1, fam)
-    assert r * cover_reduce(w, fam) == one
-    # an even power of w in the denominator folds through the relation too
-    assert cover_reduce((w * w).inverse(), fam) == CoverElement(
-        s.inverse(), RatFunc.const(0, TABLE), fam.relation(), "w"
-    )
-
-
-def test_cover_reduce_zero_norm_denominator():
-    # relation z * (y^4 z) = (y^2 z)^2 is a perfect square, so y^2 z + w
-    # has zero norm
-    fam = SurfaceFamily("sq", "enriques_horikawa", mono({"y": 4, "z": 1}), ())
-    den = RatFunc.from_poly(mono({"y": 2, "z": 1}) + var("w"))
-    with pytest.raises(ZeroDivisionError, match="zero norm"):
-        cover_reduce(den.inverse(), fam)
-
-
-def test_cover_reduce_is_multiplicative_on_random_elements():
-    fam = family(3)
-    w = RatFunc.var("w", TABLE)
-    rng = random.Random(20260822)
-    checked = 0
-    while checked < 100:
-        parts = [
-            RatFunc.from_poly(
-                rand_mpoly(rng, names=("y", "z"), max_terms=2, max_exp=2, span=2)
-            )
-            for _ in range(4)
-        ]
-        p1 = parts[0] + parts[1] * w
-        p2 = parts[2] + parts[3] * w
-        lhs = cover_reduce(p1 * p2, fam)
-        rhs = cover_reduce(p1, fam) * cover_reduce(p2, fam)
-        assert lhs == rhs
-        checked += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from enricert.cover import family, k3_cover
+from enricert.cover import SurfaceFamily, family, k3_cover
 from enricert.errors import (
     NonConstantRatioError,
     NotRootOfUnityError,
@@ -18,11 +18,14 @@ from enricert.forms import (
 from enricert.maps import (
     BirMap,
     ENRIQUES_VARS,
+    K3_VARS,
+    check_equation_invariance,
     compose,
     deck_flip,
     family_automorphism,
     k3_lift,
 )
+from enricert.poly import MPoly, TABLE
 
 I = SQRT_M1
 
@@ -55,27 +58,27 @@ def test_ratio_is_multiplicative_along_powers():
     for k in range(1, 9):
         ratio = bitwoform_pullback_ratio(fam, current)
         assert ratio == (-I) ** k
-        current = compose(sigma, current, fam)
+        current = compose(sigma, current)
 
 
 def test_k3_lift_ratios():
     cov1 = k3_cover(family(1))
     r = k3_twoform_ratio(cov1, k3_lift(1))
     assert r == -I and index_of(r) == 4
-    r_flip = k3_twoform_ratio(cov1, compose(k3_lift(1), deck_flip(), cov1))
+    r_flip = k3_twoform_ratio(cov1, compose(k3_lift(1), deck_flip()))
     assert r_flip == I and index_of(r_flip) == 4
 
     cov2 = k3_cover(family(2))
     r = k3_twoform_ratio(cov2, k3_lift(2))
     assert r == -(ZETA8 ** 3) and index_of(r) == 8
-    r_flip = k3_twoform_ratio(cov2, compose(k3_lift(2), deck_flip(), cov2))
+    r_flip = k3_twoform_ratio(cov2, compose(k3_lift(2), deck_flip()))
     assert r_flip == ZETA8 ** 3 and index_of(r_flip) == 8
 
 
 def test_both_lift_ratios_square_to_the_order4_value():
     cov2 = k3_cover(family(2))
-    for lift in (k3_lift(2), compose(k3_lift(2), deck_flip(), cov2)):
-        square = compose(lift, lift, cov2)
+    for lift in (k3_lift(2), compose(k3_lift(2), deck_flip())):
+        square = compose(lift, lift)
         assert k3_twoform_ratio(cov2, square) == -I
 
 
@@ -114,13 +117,18 @@ def test_index_of_non_root_of_unity():
         index_of(FormRatio(Cyclo.coerce(2)))
 
 
-def test_index_of_nonconstant_ratio():
-    with pytest.raises(NonConstantRatioError):
-        index_of(FormRatio(ONE, constant=False))
-
-
 def test_formratio_equality():
     assert FormRatio(-ONE) == FormRatio(-ONE)
     assert FormRatio(-ONE) == -ONE
     assert FormRatio(-ONE) != FormRatio(ONE)
-    assert FormRatio(ONE, constant=False) != ONE
+
+
+def test_twoform_ratio_with_an_even_part_is_not_constant():
+    # on W^2 = Y^2 Z^2 the map W -> Y*Z preserves the equation, but
+    # dY ^ dZ / W pulls back to dY ^ dZ / (Y*Z), which is not a multiple
+    # of the form
+    cov = SurfaceFamily("square", "k3_cover", MPoly.monomial(TABLE, {"Y": 2, "Z": 2}), ())
+    phi = BirMap.from_strings(K3_VARS, label="even", W="Y*Z", Y="Y", Z="Z")
+    assert check_equation_invariance(cov, phi).holds
+    with pytest.raises(NonConstantRatioError, match="nonzero odd part 1 / \\(Y\\*Z\\) in the cover"):
+        k3_twoform_ratio(cov, phi)

@@ -33,7 +33,7 @@ from enricert.maps import (
 )
 from enricert.poly import RatFunc, TABLE
 
-from _helpers import rand_rational_mobius, semisimple_mobius
+from _helpers import nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius
 
 
 def strings(label="m", **exprs):
@@ -76,7 +76,6 @@ def test_birmap_rejects_higher_cover_degree():
 def test_identity_map():
     ident = BirMap.identity()
     assert is_identity(ident)
-    assert is_identity(ident, family(1))
     assert map_order(ident) == 1
 
 
@@ -84,22 +83,26 @@ def test_identity_map():
 
 
 def test_builtin_orders_on_their_families():
-    assert map_order(family_automorphism(1), family(1)) == 4
-    assert map_order(family_automorphism(2), family(2)) == 8
-    assert map_order(family_automorphism(3), family(3)) == 8
-    assert map_order(deck_flip(), k3_cover(family(1))) == 2
-
-
-def test_orders_hold_without_reduction_too():
     assert map_order(family_automorphism(1)) == 4
     assert map_order(family_automorphism(2)) == 8
     assert map_order(family_automorphism(3)) == 8
+    assert map_order(deck_flip()) == 2
+
+
+def test_orders_hold_without_reduction_too():
+    # the n-th power is the identity coordinate by coordinate: composing
+    # never needs the relation w^2 = S
+    for k, order in ((1, 4), (2, 8), (3, 8)):
+        phi = power = family_automorphism(k)
+        for _ in range(order - 1):
+            power = compose(phi, power)
+        assert [str(power.coords[v]) for v in ENRIQUES_VARS] == ["w", "y", "z"]
 
 
 def test_square_of_order8_map_is_order4_map():
     s1, s2 = family_automorphism(1), family_automorphism(2)
-    assert maps_equal(compose(s2, s2, family(2)), s1, family(2))
     assert maps_equal(compose(s2, s2), s1)
+    assert not maps_equal(s2, s1)
 
 
 def test_infinite_order_returns_none():
@@ -120,10 +123,24 @@ def test_builtin_index_errors():
 
 
 def test_deck_flip_is_not_the_identity_but_squares_to_it():
-    cov = k3_cover(family(2))
     eps = deck_flip()
-    assert not is_identity(eps, cov)
-    assert is_identity(compose(eps, eps, cov), cov)
+    assert not is_identity(eps)
+    assert is_identity(compose(eps, eps))
+
+
+def test_cover_parts_split_the_cover_coordinate():
+    rng = random.Random(20261018)
+    w, y, z = (RatFunc.var(v, TABLE) for v in ENRIQUES_VARS)
+    for _ in range(40):
+        a, b = (
+            RatFunc.from_poly(rand_mpoly(rng, max_terms=2, max_exp=2, span=2))
+            / RatFunc.from_poly(nonzero_mpoly(rng, max_terms=2, max_exp=2, span=2))
+            for _ in range(2)
+        )
+        if a.is_zero() and b.is_zero():
+            continue
+        phi = BirMap(ENRIQUES_VARS, {"w": a + b * w, "y": y, "z": z})
+        assert phi.cover_parts() == (a, b)
 
 
 # -- equation invariance ------------------------------------------------------
@@ -149,6 +166,11 @@ def test_corrupted_map_fails_with_witness():
     res = check_equation_invariance(family(1), bad)
     assert not res.holds and not bool(res)
     assert not res.witness_even.is_zero()
+    # (y + w)^2 - S = y^2 + 2*y*w modulo w^2 = S: the odd part is 2ab
+    shift = strings(label="shift", w="y + w", y="y", z="z")
+    res = check_equation_invariance(family(1), shift)
+    assert not res.holds
+    assert str(res.witness_even) == "y^2" and str(res.witness_odd) == "2*y"
 
 
 def test_invariance_rejects_mismatched_variables():

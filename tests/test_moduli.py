@@ -89,15 +89,20 @@ def test_weight_matrix_layout():
     assert rows == ((1, 1, 1, 1), (6, 4, 4, 2))
 
 
+def count(fam, actions):
+    """moduli_number over the checks of the given actions."""
+    return moduli_number(fam, [check_parameter_action(fam, a) for a in actions])
+
+
 def test_moduli_numbers():
-    assert moduli_number(family(1), [homothety(family(1))]) == 5
-    assert moduli_number(family(2), [homothety(family(2))]) == 2
+    assert count(family(1), [homothety(family(1))]) == 5
+    assert count(family(2), [homothety(family(2))]) == 2
     fam3 = family(3)
-    assert moduli_number(fam3, [homothety(fam3), diagonal_base_scaling()]) == 2
+    assert count(fam3, [homothety(fam3), diagonal_base_scaling()]) == 2
 
 
 def test_moduli_number_without_actions_counts_parameters():
-    assert moduli_number(family(1), []) == 6
+    assert count(family(1), []) == 6
 
 
 def test_dependent_actions_do_not_overcount():
@@ -110,12 +115,12 @@ def test_dependent_actions_do_not_overcount():
         w_square_scale=-2,
     )
     assert check_parameter_action(fam, doubled).holds
-    assert moduli_number(fam, [action, doubled]) == 2
+    assert count(fam, [action, doubled]) == 2
 
 
 def test_moduli_number_rejects_non_preserving_action():
-    with pytest.raises(PreconditionError, match="does not preserve"):
-        moduli_number(family(2), [diagonal_base_scaling_on_family2()])
+    with pytest.raises(PreconditionError, match="'diagonal_on_2' does not preserve family2"):
+        count(family(2), [diagonal_base_scaling_on_family2()])
 
 
 def diagonal_base_scaling_on_family2():
@@ -129,4 +134,4 @@ def diagonal_base_scaling_on_family2():
 
 def test_specialized_family_keeps_the_homothety():
     fam = specialize(family(1), {"E": 0, "F": 0})
-    assert moduli_number(fam, [homothety(fam)]) == 3
+    assert count(fam, [homothety(fam)]) == 3

@@ -85,6 +85,12 @@ def test_exponent_is_bounded_by_the_degree_cap():
     assert parse_expression("zeta8^-64") == 1
 
 
+def test_huge_integer_literal_is_a_positioned_parse_error():
+    with pytest.raises(ParseError, match="5000 digits is too long") as info:
+        parse_expression("y + " + "7" * 5000 + "*w")
+    assert info.value.position == 4
+
+
 def test_whitespace_insensitive():
     a = parse_expression("i*w / (y^2*z^3)")
     b = parse_expression("  i * w/( y ^2 * z^ 3 ) ")
