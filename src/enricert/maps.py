@@ -286,11 +286,14 @@ class Mobius:
         a, b, c, d = (Cyclo.coerce(x) for x in (a, b, c, d))
         if (a * d - b * c).is_zero():
             raise InvariantError("Moebius matrix is singular")
-        scale = next(x for x in (a, b, c, d) if not x.is_zero()).inverse()
-        object.__setattr__(self, "a", a * scale)
-        object.__setattr__(self, "b", b * scale)
-        object.__setattr__(self, "c", c * scale)
-        object.__setattr__(self, "d", d * scale)
+        lead = next(x for x in (a, b, c, d) if not x.is_zero())
+        if lead != ONE:
+            scale = lead.inverse()
+            a, b, c, d = (x * scale for x in (a, b, c, d))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mobius instances are immutable")

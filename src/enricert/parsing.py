@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .errors import ParseError
-from .field import SQRT_M1, ZETA8
+from .field import SQRT_M1, ZETA8, int_literal
 from .poly import DEGREE_CAP, RatFunc, TABLE, VarTable
 
 _SYMBOLS = set("+-*/^()")
@@ -150,13 +150,7 @@ class _Parser:
     def atom(self) -> RatFunc:
         kind, text, pos = self.advance()
         if kind == "int":
-            try:
-                value = int(text)
-            except ValueError:  # beyond the interpreter's digit limit
-                raise ParseError(
-                    f"integer literal of {len(text)} digits is too long", pos
-                ) from None
-            return RatFunc.const(value, self.table)
+            return RatFunc.const(int_literal(text, pos), self.table)
         if kind == "name":
             if text == "i":
                 return RatFunc.const(SQRT_M1, self.table)

@@ -225,9 +225,15 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("MPoly exponent must be a nonnegative integer")
-        result = MPoly.const(1, self.table)
-        for _ in range(n):
-            result = result * self
+        base, result = self, MPoly.const(1, self.table)
+        # Square-and-multiply; the base is squared only while bits remain, so
+        # no intermediate product has a higher degree than the result.
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: Scalar) -> "MPoly":
@@ -347,7 +353,9 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     if p.table != q.table:
         raise ValueError("mixing polynomials over different tables")
     qe, qc = q.leading_term()
-    qc_inv = qc.inverse()
+    # RatFunc._simplify hands over monic divisors; skip inverting 1.
+    monic = qc == ONE
+    qc_inv = ONE if monic else qc.inverse()
     quot: Dict[Exponents, Cyclo] = {}
     rem = p
     while not rem.is_zero():
@@ -357,7 +365,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
             raise IndivisibleError(
                 f"leading term not divisible while dividing by {q}", rem
             )
-        coeff = c * qc_inv
+        coeff = c if monic else c * qc_inv
         quot[diff] = quot.get(diff, ZERO) + coeff
         rem = rem - MPoly(p.table, {diff: coeff}) * q
     return MPoly(p.table, quot)

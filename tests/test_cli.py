@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,29 @@ def test_verify_huge_integer_literal_exits_2(tmp_path, capsys):
     assert "(at position 0)" in err
 
 
+@pytest.mark.parametrize(
+    "scalar, message",
+    [
+        ("1e5000,0,0,0", "bad rational '1e5000'"),
+        ("1.5,0,0,0", "bad rational '1.5'"),
+        ("1_000,0,0,0", "bad rational '1_000'"),
+        ("1" * 5001 + ",0,0,0", "integer literal of 5001 digits is too long"),
+    ],
+    ids=["exponent", "decimal", "underscore", "too-long"],
+)
+def test_verify_undocumented_scalar_exits_2(tmp_path, capsys, scalar, message):
+    # Only n and n/d are scalar coordinates; 1e5000 used to build a
+    # 5,001-digit integer and fail every record that touched it (exit 1).
+    doc = fixture_doc()
+    doc["families"][0]["monomials"][0]["coeff"]["scalar"] = scalar
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: families[0].monomials[0].scalar:")
+    assert message in err
+    assert "(at position 0)" in err
+
+
 def test_verify_invariant_violation_exits_2(tmp_path, capsys):
     doc = {
         "families": [
@@ -197,9 +221,15 @@ def test_unknown_check_choice_rejected(capsys):
 
 
 def test_installed_entry_point():
+    # The child imports the same package as this process, also when pytest
+    # put it on sys.path through its pythonpath setting rather than the
+    # environment.
+    root = str(Path(enricert.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "enricert.cli", "classify"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "admissible (order, index) pairs:" in proc.stdout

@@ -1,6 +1,7 @@
 """Arithmetic in the degree-4 cyclotomic field."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +164,203 @@ def test_power_laws(a, n):
 @given(cyclos)
 def test_encode_round_trips(a):
     assert parse_cyclo(a.encode()) == a
+
+
+def test_parse_accepts_signed_integers_and_fractions():
+    assert parse_cyclo("+1") == ONE
+    assert parse_cyclo(" -3/6 ") == Cyclo(Fraction(-1, 2))
+    assert parse_cyclo("0, 0, -1/2") == Cyclo(0, 0, Fraction(-1, 2))
+    assert parse_cyclo("0007/0014") == Cyclo(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1.5", 0), ("1_000", 0), ("1e5", 0), ("1E5", 0), ("1e5000,0,0,0", 0),
+        (".5", 0), ("1/", 0), ("/2", 0), ("1/-2", 0), ("--1", 0), ("1 2", 0),
+        ("1 / 2", 0), ("0x10", 0), ("١", 0), ("inf", 0), ("nan", 0),
+        ("1,,0", 2), ("0,2.5", 2), ("0,1,1/0", 4),
+    ],
+)
+def test_parse_rejects_undocumented_forms(text, position):
+    # Only n and n/d are documented, although Fraction() also takes
+    # decimals, digit separators, exponents and non-ASCII digits.
+    with pytest.raises(ParseError) as info:
+        parse_cyclo(text)
+    assert info.value.position == position
+
+
+def test_parse_rejects_overlong_literals_at_their_position():
+    with pytest.raises(ParseError) as info:
+        parse_cyclo("0,1/" + "1" * 4301)
+    assert info.value.position == 4
+    assert "4301 digits" in info.value.message
+    with pytest.raises(ParseError) as info:
+        parse_cyclo("0, -" + "2" * 5000 + "/3")
+    assert info.value.position == 4
+    assert parse_cyclo("9" * 4300) == Cyclo(int("9" * 4300))
+
+
+# -- differential tests against a plain Fraction 4-tuple reference --------------
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def ref_mul(a, b):
+    prod = [Fraction(0)] * 8
+    for i in range(4):
+        for j in range(4):
+            prod[i + j] += a[i] * b[j]
+    return tuple(prod[k] - prod[k + 4] for k in range(4))
+
+
+def ref_inverse(a):
+    """Solve a * x = 1 by Gauss-Jordan on the multiplication-by-a matrix."""
+    basis = [tuple(Fraction(int(i == k)) for i in range(4)) for k in range(4)]
+    columns = [ref_mul(a, e) for e in basis]
+    rows = [[columns[j][i] for j in range(4)] + [Fraction(int(i == 0))] for i in range(4)]
+    for col in range(4):
+        pivot = next(r for r in range(col, 4) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(4):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return tuple(rows[i][4] for i in range(4))
+
+
+def ref_pow(a, n):
+    base = a if n >= 0 else ref_inverse(a)
+    result = tuple(Fraction(int(i == 0)) for i in range(4))
+    for _ in range(abs(n)):
+        result = ref_mul(result, base)
+    return result
+
+
+def ref_encode(a):
+    return ",".join(str(c) for c in a)
+
+
+def ref_str(a):
+    parts = []
+    for c, name in zip(a, ["", "zeta8", "i", "zeta8^3"]):
+        if c == 0:
+            continue
+        if name == "":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(name)
+        elif c == -1:
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{c}*{name}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert gcd(*x.numerators, x.den) == 1
+    assert x.coords == tuple(Fraction(n, x.den) for n in x.numerators)
+
+
+# The coordinates behind nonzero_cyclos and large_nonzero_cyclos, kept as
+# tuples so the reference never goes through Cyclo.
+small_coords = st.tuples(fractions, fractions, fractions, fractions)
+large_coords = st.tuples(large_fractions, large_fractions, large_fractions, large_fractions)
+any_coords = st.one_of(small_coords, large_coords)
+nonzero_coords = any_coords.filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_coords, any_coords)
+def test_ring_operations_match_the_fraction_reference(a, b):
+    x, y = Cyclo(*a), Cyclo(*b)
+    assert x.coords == a
+    for got, want in (
+        (x + y, ref_add(a, b)),
+        (x - y, ref_add(a, ref_neg(b))),
+        (-x, ref_neg(a)),
+        (x * y, ref_mul(a, b)),
+    ):
+        assert_canonical(got)
+        assert got.coords == want
+        assert got == Cyclo(*want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_coords)
+def test_inverse_matches_the_fraction_reference(a):
+    inv = Cyclo(*a).inverse()
+    assert_canonical(inv)
+    assert inv.coords == ref_inverse(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_coords, st.integers(min_value=-9, max_value=9))
+def test_power_matches_the_fraction_reference(a, n):
+    p = Cyclo(*a) ** n
+    assert_canonical(p)
+    assert p.coords == ref_pow(a, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_coords)
+def test_text_matches_the_fraction_reference(a):
+    x = Cyclo(*a)
+    assert x.encode() == ref_encode(a)
+    assert str(x) == ref_str(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(nonzero_cyclos, large_nonzero_cyclos),
+    st.integers(min_value=-50, max_value=50).filter(bool),
+)
+def test_equal_values_have_one_form(x, k):
+    scaled = Cyclo(*(c * k for c in x.coords)) / k
+    through_text = parse_cyclo(x.encode())
+    for y in (scaled, through_text, (x * x) / x, x.inverse().inverse()):
+        assert_canonical(y)
+        assert y == x
+        assert hash(y) == hash(x)
+
+
+def test_canonical_form_examples():
+    half = Cyclo(Fraction(2, 4))
+    assert half == Cyclo(1) / 2 == parse_cyclo("2/4") == Cyclo(3) * Fraction(1, 6)
+    assert hash(half) == hash(Cyclo(1) / 2)
+    assert (half.numerators, half.den) == ((1, 0, 0, 0), 2)
+    x = Cyclo(Fraction(2, 6), Fraction(-4, 3), 0, Fraction(8, 9))
+    assert (x.numerators, x.den) == ((3, -12, 0, 8), 9)
+    assert (ZERO.numerators, ZERO.den) == ((0, 0, 0, 0), 1)
+    assert ZETA8 - ZETA8 == ZERO and (ZETA8 - ZETA8).den == 1
+
+
+def test_rational_elements_hash_like_their_value():
+    assert Cyclo(3) == 3 and hash(Cyclo(3)) == hash(3)
+    assert {Cyclo(3): 1}.get(3) == 1
+    assert {3: 1}.get(Cyclo(3)) == 1
+    assert hash(Cyclo(Fraction(-7, 2))) == hash(Fraction(-7, 2))
+    assert {Fraction(1, 2): "half"}[Cyclo(1) / 2] == "half"
+    assert hash(ZERO) == hash(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fractions, large_fractions))
+def test_rational_hash_agrees_with_equality(q):
+    x = Cyclo(q)
+    assert x == q
+    assert hash(x) == hash(q)
+    assert {q: True}.get(x)

@@ -60,6 +60,25 @@ def test_degree_cap_guards_runaway_products():
         p * p
 
 
+def test_power_equals_repeated_product():
+    y, z = V("y"), V("z")
+    p = y + z.scale(SQRT_M1) - 1
+    product = MPoly.const(1, TABLE)
+    for n in range(10):
+        assert p ** n == product
+        product = product * p
+    assert (y ** 64).degree_in("y") == 64
+    with pytest.raises(DegreeCapError):
+        y ** 65
+
+
+def test_exact_divide_by_non_monic_divisor():
+    y, z = V("y"), V("z")
+    q = (y - z).scale(Cyclo(Fraction(2, 3), 0, 1))
+    p = (y ** 2 + z) * q
+    assert exact_divide(p, q) == y ** 2 + z
+
+
 def test_exact_divide_recovers_factor():
     y, z = V("y"), V("z")
     p = (y ** 2 + z) * (y - z ** 2)
