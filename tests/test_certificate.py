@@ -268,6 +268,25 @@ def _shift_map_doc():
     return doc
 
 
+def _big_power_map_doc():
+    # y -> y^40 pushes the pulled-back branch curve past poly.DEGREE_CAP, so
+    # custom-invariance-big fails on a DegreeCapError witness
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append({"name": "big", "coords": {"w": "w", "y": "y^40", "z": "z"}})
+    return doc
+
+
+def _monomial_denominator_map_doc():
+    # y -> 1 / y^20 substitutes a value with a monomial denominator
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append(
+        {"name": "inverse_power", "coords": {"w": "w", "y": "1 / y^20", "z": "z^3"}}
+    )
+    return doc
+
+
 def test_checks_never_short_circuit():
     cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
@@ -315,6 +334,8 @@ _PINNED_DOCUMENTS = {
     "two-broken-maps": _two_broken_maps_doc,
     "one-broken-map": _one_broken_map_doc,
     "shift-map": _shift_map_doc,
+    "big-power-map": _big_power_map_doc,
+    "monomial-denominator-map": _monomial_denominator_map_doc,
 }
 
 
