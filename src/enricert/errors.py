@@ -30,11 +30,21 @@ class InvariantError(EngineError):
 
 
 class IndivisibleError(EngineError):
-    """Exact polynomial division failed; carries the nonzero remainder."""
+    """Exact polynomial division failed; carries the divisor and the nonzero
+    remainder.
 
-    def __init__(self, message: str, remainder):
-        super().__init__(message)
+    Most failed divisions are attempts that ``RatFunc`` simplification
+    catches and discards, so the message, which prints the divisor, is
+    formatted only when it is asked for.
+    """
+
+    def __init__(self, divisor, remainder):
+        super().__init__(divisor, remainder)
+        self.divisor = divisor
         self.remainder = remainder
+
+    def __str__(self) -> str:
+        return f"leading term not divisible while dividing by {self.divisor}"
 
 
 class DegreeCapError(EngineError):

@@ -71,6 +71,11 @@ class Cyclo:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo instances are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the reduced form, never through the
+        # __setattr__ above
+        return _raw, (self._q,)
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -181,7 +186,10 @@ class Cyclo:
         )
 
     def __truediv__(self, other) -> "Cyclo":
-        return self * Cyclo.coerce(other).inverse()
+        other = Cyclo.coerce(other)
+        if other._q == _ONE_Q:
+            return self
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Cyclo":
         return Cyclo.coerce(other) * self.inverse()
@@ -257,6 +265,7 @@ class Cyclo:
 _new_cyclo = object.__new__
 _set_q = Cyclo._q.__set__
 _ZERO_Q = (0, 0, 0, 0, 1)
+_ONE_Q = (1, 0, 0, 0, 1)
 
 
 def _raw(q: Tuple[int, int, int, int, int]) -> Cyclo:

@@ -298,6 +298,9 @@ class Mobius:
     def __setattr__(self, name, value):
         raise AttributeError("Mobius instances are immutable")
 
+    def __reduce__(self):
+        return Mobius, (self.a, self.b, self.c, self.d)
+
     @staticmethod
     def identity() -> "Mobius":
         return Mobius(ONE, ZERO, ZERO, ONE)
@@ -394,6 +397,9 @@ class QAut:
 
     def __setattr__(self, name, value):
         raise AttributeError("QAut instances are immutable")
+
+    def __reduce__(self):
+        return QAut, (self.shape, self.m1, self.m2)
 
     @staticmethod
     def identity() -> "QAut":

@@ -10,7 +10,23 @@ is deliberately modest: common monomial content is cancelled, the denominator
 is scaled to have leading coefficient 1, and full cancellation is attempted
 only through exact division (which either succeeds completely or leaves the
 pair untouched).  Equality is decided by cross-multiplication, so it never
-depends on how much simplification happened.
+depends on how much simplification happened.  A polynomial over a monomial
+has one simplified form, with no common monomial content and denominator
+coefficient 1, so no division is attempted for it.
+
+Substitution has two paths that return the same pair.  When every assigned
+value is c * (Laurent monomial), as for the monomial automorphisms, lifts
+and covers of the Horikawa models, the substitution is a toric morphism: an
+integer exponent matrix and a vector of scalars.  The monomial path maps
+each term's exponent vector and sums the terms in one dict, then builds one
+polynomial over one monomial.  Any other value, such as the affine
+parameter substitution of a specialization or w -> y + w, takes the
+term-by-term path, one RatFunc product per factor and one RatFunc sum per
+term.  The monomial path first checks a degree bound that is conservative:
+it assumes no cancellation and bounds the lcm of the term denominators by
+per-slot maxima, so where the bound passes, the term-by-term path provably
+stays under DEGREE_CAP.  Where it fails, the term-by-term path runs and
+raises its own DegreeCapError if it must.
 
 A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
 with a diagnostic error instead of letting a buggy reduction loop spin
@@ -100,6 +116,9 @@ class MPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly instances are immutable")
+
+    def __reduce__(self):
+        return MPoly, (self.table, self.terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -260,10 +279,113 @@ class MPoly:
         Unassigned variables map to themselves, making this the identity on
         untouched slots.  The substitution is a ring homomorphism; the result
         is a RatFunc because assigned values may have denominators.
+
+        Two paths compute it.  When every assigned value is a nonzero
+        c * (Laurent monomial), a RatFunc whose numerator and denominator are
+        single terms, the monomial path maps each term's exponent vector
+        linearly, multiplies its coefficient by cached powers of the c's and
+        sums the terms into one polynomial over one monomial.  Every other
+        assignment takes the term-by-term path, which multiplies and adds one
+        RatFunc per term.  The monomial path also hands over to the
+        term-by-term path when a conservative degree bound cannot show that
+        the term-by-term path stays under DEGREE_CAP, so an input over the
+        cap raises the same DegreeCapError whichever path it would suit.
+        Both paths return the same num/den pair: see _substitute_monomials.
         """
-        values: Dict[int, RatFunc] = {}
-        for name, v in assignment.items():
-            values[self.table.index(name)] = as_ratfunc(v, self.table)
+        values = self._values(assignment)
+        result = self._substitute_monomials(values)
+        return self._substitute_terms(values) if result is None else result
+
+    def _values(self, assignment: Mapping[str, object]) -> Dict[int, "RatFunc"]:
+        """The assignment as table slot -> RatFunc."""
+        return {
+            self.table.index(name): as_ratfunc(v, self.table)
+            for name, v in assignment.items()
+        }
+
+    def _substitute_monomials(
+        self, values: Mapping[int, "RatFunc"]
+    ) -> Optional["RatFunc"]:
+        """The monomial path of substitute, or None where it does not apply.
+
+        A value c * x^a / x^b moves the exponent of its slot i onto a - b.
+        So a term c0 * x^e maps to c0 * prod(c_i^e_i) * x^E, where E is e
+        with each assigned slot's exponent moved along its value's a - b.  E
+        may have negative entries; the sum of all terms is P / x^M with M the
+        most negative entry per slot (or 0), and P without common monomial
+        content in any slot of M.  _simplify keeps such a pair as it is (a
+        polynomial over a monomial has one simplified form), so it equals
+        the pair the term-by-term path returns.
+        """
+        # (slot, scalar or None for 1, nonzero entries of a - b, |a|, |b|);
+        # _simplify leaves a monic denominator, so b carries coefficient 1
+        monomials = []
+        for i, v in values.items():
+            if len(v.num.terms) != 1 or len(v.den.terms) != 1:
+                return None
+            ((a, c),) = v.num.terms.items()
+            (b,) = v.den.terms
+            moves = tuple(
+                (j, aj - bj) for j, (aj, bj) in enumerate(zip(a, b)) if aj != bj
+            )
+            monomials.append((i, None if c == ONE else c, moves, sum(a), sum(b)))
+        sums: Dict[Exponents, Cyclo] = {}
+        powers: Dict[Tuple[int, int], Cyclo] = {}
+        top = dict.fromkeys(values, 0)
+        num_top = den_top = 0
+        for e, c in self.terms.items():
+            out = list(e)
+            num_deg, den_deg = sum(e), 0
+            for i, ci, moves, na, nb in monomials:
+                k = e[i]
+                if not k:
+                    continue
+                out[i] -= k
+                for j, d in moves:
+                    out[j] += k * d
+                num_deg += k * (na - 1)
+                den_deg += k * nb
+                if k > top[i]:
+                    top[i] = k
+                if ci is not None:
+                    p = powers.get((i, k))
+                    if p is None:
+                        p = powers[(i, k)] = ci ** k
+                    c = c * p
+            if num_deg > num_top:
+                num_top = num_deg
+            if den_deg > den_top:
+                den_top = den_deg
+            key = tuple(out)
+            prev = sums.get(key)
+            sums[key] = c if prev is None else prev + c
+        # The term-by-term path raises DegreeCapError when one of its products
+        # exceeds the cap.  There a term c0 * x^e becomes c * x^U / x^V with
+        # |U| = num_deg and |V| = den_deg before cancellation, so its own
+        # products stay within max(|U|, |V|).  The running sum is P / x^M
+        # with M at most L, the slotwise maximum of the V's, and every term
+        # of P of degree at most max|U| + |L|; so the products of adding a
+        # term stay within max|U| + |L| + max|V|, and simplifying a
+        # polynomial over a monomial divides nothing.  |L| is at most the
+        # sum over assigned slots of the largest exponent there times |b|.
+        # Cancellation only lowers degrees, so the bound is conservative:
+        # over the cap, the term-by-term path decides and raises its own
+        # error if it must.
+        lcm_top = sum(top[i] * nb for i, _, _, _, nb in monomials)
+        if num_top + lcm_top + den_top > DEGREE_CAP:
+            return None
+        terms = {e: c for e, c in sums.items() if not c.is_zero()}
+        if not terms:
+            return RatFunc.zero(self.table)
+        den_exp = tuple(-m if m < 0 else 0 for m in map(min, zip(*terms)))
+        if any(den_exp):
+            terms = {
+                tuple(x + m for x, m in zip(e, den_exp)): c for e, c in terms.items()
+            }
+        return RatFunc(MPoly(self.table, terms), MPoly(self.table, {den_exp: ONE}))
+
+    def _substitute_terms(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
+        """The term-by-term path of substitute: one RatFunc product per factor."""
         total = RatFunc.zero(self.table)
         cache: Dict[Tuple[int, int], RatFunc] = {}
         for e, c in self.terms.items():
@@ -287,9 +409,9 @@ class MPoly:
     def substitute_poly(self, assignment: Mapping[str, object]) -> "MPoly":
         """Substitution that must produce a polynomial (denominator 1)."""
         r = self.substitute(assignment)
-        if not r.den.is_constant():
+        if not r.is_polynomial():
             raise ValueError("substitution produced a genuine denominator")
-        return r.num.scale(r.den.constant_value().inverse())
+        return r.num
 
     # -- comparison and display ----------------------------------------------
 
@@ -362,9 +484,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         e, c = rem.leading_term()
         diff = tuple(a - b for a, b in zip(e, qe))
         if any(d < 0 for d in diff):
-            raise IndivisibleError(
-                f"leading term not divisible while dividing by {q}", rem
-            )
+            raise IndivisibleError(q, rem)
         coeff = c if monic else c * qc_inv
         quot[diff] = quot.get(diff, ZERO) + coeff
         rem = rem - MPoly(p.table, {diff: coeff}) * q
@@ -407,6 +527,10 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc instances are immutable")
 
+    def __reduce__(self):
+        # _simplify returns a simplified pair unchanged
+        return RatFunc, (self.num, self.den)
+
     @staticmethod
     def _simplify(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         if num.is_zero():
@@ -419,7 +543,11 @@ class RatFunc:
         if lead != ONE:
             inv = lead.inverse()
             num, den = num.scale(inv), den.scale(inv)
-        if den.is_constant():
+        # A monomial x^M (a constant included) is final here.  Once the
+        # shift leaves num a term free of x_j for each x_j in x^M, num is
+        # not divisible by x^M, and num divides x^M only as a constant c,
+        # where the branch below would return (c, x^M) again.
+        if len(den.terms) == 1:
             return num, den
         try:
             return exact_divide(num, den), MPoly.const(1, den.table)
@@ -469,7 +597,8 @@ class RatFunc:
     def as_poly(self) -> MPoly:
         if not self.is_polynomial():
             raise ValueError(f"{self} is not a polynomial")
-        return self.num.scale(self.den.constant_value().inverse())
+        # _simplify makes the denominator monic, so a constant one is 1
+        return self.num
 
     def as_constant(self) -> Optional[Cyclo]:
         """The constant value if num = c * den identically, else None."""

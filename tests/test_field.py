@@ -364,3 +364,11 @@ def test_rational_hash_agrees_with_equality(q):
     assert x == q
     assert hash(x) == hash(q)
     assert {q: True}.get(x)
+
+
+def test_division_by_one_returns_the_dividend():
+    x = Cyclo(Fraction(2, 3), 1, 0, -5)
+    assert x / ONE is x
+    assert x / 1 is x
+    assert x / Fraction(1) is x
+    assert x / SQRT_M1 == x * SQRT_M1.inverse()

@@ -1,5 +1,7 @@
 """Birational maps, quadric automorphisms, and fixed-point counting."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -446,3 +448,11 @@ def test_projection_intertwines_double_inversion_with_order4_base():
         sigma.coords["z"].substitute({"y": p1, "z": p2}),
     )
     assert lhs == rhs
+
+
+def test_mobius_and_qaut_pickle_and_deepcopy_round_trip():
+    m = Mobius(ZETA8, ONE, ZERO, SQRT_M1)
+    g = QAut(SWAP, m, Mobius.identity())
+    for value in (m, g):
+        for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert restored == value and hash(restored) == hash(value)

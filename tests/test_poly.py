@@ -1,17 +1,23 @@
 """Sparse multivariate polynomials and rational functions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enricert import Cyclo, MPoly, ONE, RatFunc, SQRT_M1, TABLE, exact_divide, jacobian_det2
+from enricert import (
+    Cyclo, MPoly, ONE, RatFunc, SQRT_M1, TABLE, ZETA8, exact_divide, jacobian_det2,
+)
+from enricert.cover import family
 from enricert.errors import DegreeCapError, IndivisibleError
+from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
 from enricert.poly import monomial_content
 
-from _helpers import nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
+from _helpers import nonzero_cyclo, nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
 
 
 def V(name):
@@ -232,3 +238,190 @@ def test_jacobian_multiplicativity_random_monomial_maps():
         lhs = jacobian_det2(comp_y, comp_z)
         rhs = jacobian_det2(fy, fz).substitute({"y": gy, "z": gz}) * jacobian_det2(gy, gz)
         assert lhs == rhs
+
+
+# -- the two substitution paths ----------------------------------------------
+#
+# substitute takes the monomial path whenever every value is c * (Laurent
+# monomial) and its degree bound allows; the term-by-term path must agree
+# with it on the num/den pair, so every such substitution has a second,
+# independent computation here.
+
+_SLOTS = ("w", "y", "z", "A")
+
+
+def _laurent_value(rng):
+    """c * y^a * z^b with a, b in [-1, 1] and c a nonzero field element."""
+    value = RatFunc.const(nonzero_cyclo(rng, span=2), TABLE)
+    for name in ("y", "z"):
+        value = value * RatFunc.var(name, TABLE) ** rng.randint(-1, 1)
+    return value
+
+
+def _monomial_case(seed):
+    """(p, assignment) with a random subset of _SLOTS assigned.
+
+    Exponents stay at most 2 per slot and values at most degree 2, so the
+    monomial path's degree bound (at most 48 here) never exceeds the cap.
+    Many cases add q * (x - g) to p, where g has the same image as the
+    assigned slot x: another assigned slot given x's value, or c * u^k for
+    an unassigned slot u that x is sent to.  Those terms all cancel.
+    """
+    rng = random.Random(seed)
+    assigned = [n for n in _SLOTS if rng.random() < 0.6]
+    assignment = {n: _laurent_value(rng) for n in assigned}
+    p = rand_mpoly(rng, names=_SLOTS, max_terms=4, max_exp=1)
+    free = [n for n in _SLOTS if n not in assigned]
+    q = nonzero_mpoly(rng, names=_SLOTS, max_terms=2, max_exp=1)
+    if len(assigned) >= 2 and rng.random() < 0.4:
+        x, x2 = rng.sample(assigned, 2)
+        assignment[x2] = assignment[x]
+        p = p + q * (V(x) - V(x2))
+    elif assigned and free and rng.random() < 0.6:
+        x, u = rng.choice(assigned), rng.choice(free)
+        image = MPoly.const(nonzero_cyclo(rng, span=2), TABLE) * V(u) ** rng.randint(0, 1)
+        assignment[x] = RatFunc.from_poly(image)
+        p = p + q * (V(x) - image)
+    return p, assignment
+
+
+def _both_paths(p, assignment):
+    values = p._values(assignment)
+    return p._substitute_monomials(values), p._substitute_terms(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_monomial_path_matches_term_by_term(seed):
+    p, assignment = _monomial_case(seed)
+    fast, slow = _both_paths(p, assignment)
+    assert fast is not None
+    assert fast == slow
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+    assert str(fast) == str(slow)
+    assert str(p.substitute(assignment)) == str(slow)
+
+
+def test_monomial_path_cancels_to_zero():
+    c = Cyclo(0, 1, 0, 2)
+    p = (V("y") - MPoly.const(c, TABLE) * V("z")) * (V("w") + V("A") ** 2)
+    fast, slow = _both_paths(p, {"y": MPoly.const(c, TABLE) * V("z")})
+    assert fast.is_zero() and slow.is_zero()
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+
+
+def test_cancelled_terms_leave_no_denominator():
+    # y and w both go to c / z; the terms of (y - w) * (y + A) cancel, and
+    # their z^-1 and z^-2 must not reach the denominator
+    c = RatFunc(MPoly.const(Cyclo(1, 0, 1), TABLE), V("z"))
+    p = (V("y") - V("w")) * (V("y") + V("A")) + V("z")
+    fast, slow = _both_paths(p, {"y": c, "w": c})
+    assert str(fast) == str(slow) == "z"
+
+
+def test_monomial_path_keeps_a_monomial_denominator():
+    y, z = V("y"), V("z")
+    p = y ** 2 * z + MPoly.const(3, TABLE) * z ** 2
+    assignment = {"y": RatFunc(MPoly.const(SQRT_M1, TABLE), y * z), "z": RatFunc.from_poly(y)}
+    fast, slow = _both_paths(p, assignment)
+    assert str(fast) == str(slow) == "(3*y^3*z^2 - 1) / (y*z^2)"
+
+
+def test_non_monomial_values_take_the_term_by_term_path():
+    y, z = V("y"), V("z")
+    values = (y ** 2 + z)._values({"y": y + z})
+    assert (y ** 2 + z)._substitute_monomials(values) is None
+
+
+def test_fallback_is_taken_under_the_cap_when_the_bound_is_loose():
+    # y -> 1/y^10 on y^4: the bound counts the denominator twice (80 > 64),
+    # but the term-by-term path only reaches y^40 and succeeds
+    y = V("y")
+    values = (y ** 4)._values({"y": RatFunc(MPoly.const(1, TABLE), y ** 10)})
+    assert (y ** 4)._substitute_monomials(values) is None
+    assert (y ** 4).substitute({"y": RatFunc(MPoly.const(1, TABLE), y ** 10)}) == RatFunc(
+        MPoly.const(1, TABLE), y ** 40
+    )
+
+
+@pytest.mark.parametrize(
+    "poly_text,values",
+    [
+        ("y^2 + z", {"y": "y^40"}),
+        ("y^4*z", {"y": "1 / y^20"}),
+        # each term stays at degree 40; adding them cross-multiplies the
+        # denominators into y^40*z^40
+        ("y^4 + z^4", {"y": "1 / y^10", "z": "1 / z^10"}),
+    ],
+)
+def test_over_the_bound_falls_back_and_raises_the_cap_error(poly_text, values):
+    p = parse_expression(poly_text).as_poly()
+    assignment = {name: parse_expression(text) for name, text in values.items()}
+    assert p._substitute_monomials(p._values(assignment)) is None
+    with pytest.raises(DegreeCapError) as err:
+        p.substitute(assignment)
+    assert str(err.value) == "product term of total degree 80 exceeds cap 64"
+
+
+# -- failed divisions and constant denominators -------------------------------
+
+
+def test_indivisible_error_text_is_unchanged():
+    y, z = V("y"), V("z")
+    p = y ** 2 * z + MPoly.const(1, TABLE)
+    with pytest.raises(IndivisibleError) as err:
+        exact_divide(p, y + z)
+    assert str(err.value) == "leading term not divisible while dividing by y + z"
+    assert err.value.divisor == y + z
+    assert f"IndivisibleError: {err.value}" == (
+        "IndivisibleError: leading term not divisible while dividing by y + z"
+    )
+
+
+def test_constant_denominator_is_one():
+    y = V("y")
+    r = RatFunc(MPoly.const(2, TABLE) * y, MPoly.const(Cyclo(0, 3), TABLE))
+    assert r.den == MPoly.const(1, TABLE)
+    assert r.as_poly() is r.num
+    assert r.as_poly() == y.scale(Cyclo(0, 3).inverse() * 2)
+    image = (y ** 2).substitute_poly({"y": r})
+    assert image == (y * y).scale((Cyclo(0, 3).inverse() * 2) ** 2)
+
+
+# -- pickling and copying ------------------------------------------------------
+
+
+_ROUND_TRIP = {
+    "zeta8": lambda: ZETA8,
+    "branch": lambda: family(1).branch,
+    "map-coordinate": lambda: family_automorphism(2).coords["w"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
+def test_pickle_and_deepcopy_round_trip(name):
+    value = _ROUND_TRIP[name]()
+    for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(restored) is type(value)
+        assert restored == value
+        assert str(restored) == str(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_polys, st.integers(min_value=0, max_value=10 ** 9))
+def test_monomial_denominator_admits_no_further_division(p, seed):
+    # RatFunc stops simplifying at a monomial denominator; exact division
+    # either way must confirm that nothing more cancels
+    rng = random.Random(seed)
+    den = MPoly.monomial(
+        TABLE, {n: rng.randint(0, 3) for n in ("y", "z", "A")}, nonzero_cyclo(rng)
+    )
+    r = RatFunc(p, den)
+    assert r.num * den == p * r.den
+    if r.den.is_constant():
+        return
+    with pytest.raises(IndivisibleError):
+        exact_divide(r.num, r.den)
+    if not r.num.is_constant():
+        with pytest.raises(IndivisibleError):
+            exact_divide(r.den, r.num)
