@@ -28,7 +28,7 @@ for k in (1, 2, 3):
     print(f"cover {k}: condition 1 {one}, condition 2 {two}")
 
 for k in (1, 2, 3):
-    res = epsilon_fixed_point_free(family(k))
+    res = epsilon_fixed_point_free(k3_cover(family(k)))
     corners = {pos: str(val) for pos, val in res.corners.items()}
     print(f"cover {k}: eps free = {bool(res)}, corners {corners}")
 

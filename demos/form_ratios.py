@@ -8,6 +8,7 @@ of that root is the index of the automorphism.  On the K3 cover the honest
 
 from enricert import (
     bitwoform_pullback_ratio,
+    check_equation_invariance,
     compose,
     deck_flip,
     family,
@@ -18,9 +19,15 @@ from enricert import (
     k3_twoform_ratio,
 )
 
+
+def ratio_of(form, fam, phi):
+    """A ratio needs the certified invariance of the map it measures."""
+    return form(fam, phi, check_equation_invariance(fam, phi))
+
+
 for k in (1, 2, 3):
-    ratio = bitwoform_pullback_ratio(family(k), family_automorphism(k))
-    print(f"family {k}: bi-2-form ratio {ratio.value}, "
+    ratio = ratio_of(bitwoform_pullback_ratio, family(k), family_automorphism(k))
+    print(f"family {k}: bi-2-form ratio {ratio}, "
           f"index {index_of(ratio)}")
 
 # The ratio is multiplicative under composition, so powers walk through
@@ -29,8 +36,8 @@ fam = family(2)
 sigma = family_automorphism(2)
 current = sigma
 for n in (1, 2, 3, 4):
-    r = bitwoform_pullback_ratio(fam, current)
-    print(f"power {n}: ratio {r.value}")
+    r = ratio_of(bitwoform_pullback_ratio, fam, current)
+    print(f"power {n}: ratio {r}")
     current = compose(sigma, current)
 
 # Lifts to the cover act on the 2-form itself; composing with the deck
@@ -38,9 +45,9 @@ for n in (1, 2, 3, 4):
 for k in (1, 2):
     cov = k3_cover(family(k))
     lift = k3_lift(k)
-    r = k3_twoform_ratio(cov, lift)
-    r_flip = k3_twoform_ratio(cov, compose(lift, deck_flip()))
-    print(f"cover {k}: lift ratio {r.value}, with deck {r_flip.value}")
+    r = ratio_of(k3_twoform_ratio, cov, lift)
+    r_flip = ratio_of(k3_twoform_ratio, cov, compose(lift, deck_flip()))
+    print(f"cover {k}: lift ratio {r}, with deck {r_flip}")
 
 print("deck transformation ratio:",
-      k3_twoform_ratio(k3_cover(family(1)), deck_flip()).value)
+      ratio_of(k3_twoform_ratio, k3_cover(family(1)), deck_flip()))

@@ -23,7 +23,7 @@ from .field import (
     parse_cyclo,
     root_of_unity_order,
 )
-from .poly import MPoly, RatFunc, TABLE, VarTable, exact_divide, jacobian_det2
+from .poly import MPoly, RatFunc, TABLE, exact_divide, jacobian_det2
 from .parsing import parse_expression
 from .cover import (
     SurfaceFamily,
@@ -38,8 +38,6 @@ from .cover import (
 )
 from .maps import (
     BirMap,
-    FixedPointData,
-    K4CheckResult,
     Mobius,
     QAut,
     INF,
@@ -58,7 +56,7 @@ from .maps import (
     qaut_fixed_points,
     swap_root,
 )
-from .forms import FormRatio, bitwoform_pullback_ratio, index_of, k3_twoform_ratio
+from .forms import bitwoform_pullback_ratio, index_of, k3_twoform_ratio
 from .lattices import (
     ADE_RANK,
     FixedCurveData,
@@ -88,4 +86,4 @@ from .moduli import (
     moduli_number,
 )
 from .certificate import Certificate, CheckRecord, run_checks, verify_all
-from .ingest import IngestResult, ingest, load_document, serialize_document
+from .ingest import ingest, load_document, serialize_document

@@ -32,7 +32,7 @@ from .cover import (
     specialization_to_family2,
     specialize,
 )
-from .field import ONE, SQRT_M1, root_of_unity_order
+from .field import Cyclo, ONE, SQRT_M1, root_of_unity_order
 from .forms import bitwoform_pullback_ratio, index_of, k3_twoform_ratio
 from .lattices import (
     FixedCurveData,
@@ -223,14 +223,14 @@ class _Context:
         """The families whose defining relation phi preserves, in order."""
         return [fam for fam in families if self.invariance(fam, phi).holds]
 
-    def ratio(self, fam: SurfaceFamily, phi: BirMap):
+    def ratio(self, fam: SurfaceFamily, phi: BirMap) -> Cyclo:
         """The constant phi multiplies the bi-2-form of an Enriques family,
         or the 2-form of a K3 cover, by."""
-        if fam.kind == "enriques_horikawa":
-            return self._once(bitwoform_pullback_ratio, fam, phi)
-        return self._once(k3_twoform_ratio, fam, phi)
+        form = (bitwoform_pullback_ratio if fam.kind == "enriques_horikawa"
+                else k3_twoform_ratio)
+        return self._once(form, fam, phi, self.invariance(fam, phi))
 
-    def biform(self, k: int):
+    def biform(self, k: int) -> Cyclo:
         return self.ratio(self.family(k), self.automorphism(k))
 
     def deck(self) -> BirMap:
@@ -319,8 +319,8 @@ def _order(phi, inputs, expected: Optional[int] = None) -> Outcome:
     return _verdict(ok), inputs, "none within 16" if order is None else str(order), None
 
 
-def _ratio(ok: bool, ratio, inputs) -> Outcome:
-    return _verdict(ok), inputs, ratio.value.encode(), None if ok else str(ratio.value)
+def _ratio(ok: bool, ratio: Cyclo, inputs) -> Outcome:
+    return _verdict(ok), inputs, ratio.encode(), None if ok else str(ratio)
 
 
 def _action(ctx, fam, action, inputs) -> Outcome:
@@ -380,7 +380,7 @@ def _square_relation(ctx) -> Outcome:
 
 def _biform_ratio(ctx, k) -> Outcome:
     ratio = ctx.biform(k)
-    ok = ratio.value == _EXPECTED_RATIOS[k]
+    ok = ratio == _EXPECTED_RATIOS[k]
     return _ratio(ok, ratio, {"family": ctx.family(k).name, "map": ctx.automorphism(k).label})
 
 
@@ -390,7 +390,7 @@ def _biform_index(ctx, k) -> Outcome:
 
 
 def _multiplicativity(ctx) -> Outcome:
-    r2, r1 = ctx.biform(2).value, ctx.biform(1).value
+    r2, r1 = ctx.biform(2), ctx.biform(1)
     inputs = {"square_of": r2.encode(), "target": r1.encode()}
     return _verdict(r2 ** 2 == r1), inputs, (r2 ** 2).encode(), None
 
@@ -430,7 +430,7 @@ def _bis_condition(ctx, k) -> Outcome:
 
 def _freeness(ctx, k) -> Outcome:
     fam = ctx.family(k)
-    res = epsilon_fixed_point_free(fam)
+    res = epsilon_fixed_point_free(ctx.cover(fam))
     corners = tuple(str(res.corners[key]) for key in _CORNER_KEYS)
     ok = res.free and (k != 1 or corners == _FAMILY1_CORNERS)
     value = "; ".join(f"{key} = {c}" for key, c in zip(_CORNER_KEYS, corners))
@@ -439,7 +439,7 @@ def _freeness(ctx, k) -> Outcome:
 
 def _deck_ratio(ctx) -> Outcome:
     ratio = ctx.ratio(ctx.cover(ctx.family(1)), ctx.deck())
-    return _ratio(ratio.value == -ONE, ratio, {"map": "deck_flip"})
+    return _ratio(ratio == -ONE, ratio, {"map": "deck_flip"})
 
 
 def _lift_ratio(ctx, k) -> Outcome:
@@ -447,11 +447,8 @@ def _lift_ratio(ctx, k) -> Outcome:
     is a root of unity of twice the index."""
     lift = ctx.lift(k)
     ratio = ctx.ratio(ctx.cover(ctx.family(k)), lift)
-    down = ctx.biform(k).value
-    ok = (
-        ratio.value ** 2 == down
-        and root_of_unity_order(ratio.value) == 2 * _EXPECTED_INDICES[k]
-    )
+    down = ctx.biform(k)
+    ok = ratio ** 2 == down and root_of_unity_order(ratio) == 2 * _EXPECTED_INDICES[k]
     return _ratio(ok, ratio, {"lift": lift.label, "square_target": down.encode()})
 
 
@@ -460,7 +457,7 @@ def _flipped_lift_ratio(ctx, k) -> Outcome:
     base = ctx.ratio(cov, ctx.lift(k))
     flipped_lift = ctx.lift(k, flipped=True)
     flipped = ctx.ratio(cov, flipped_lift)
-    ok = flipped.value == -base.value
+    ok = flipped == -base
     return _ratio(ok, flipped, {"lift": flipped_lift.label})
 
 
@@ -800,8 +797,8 @@ def _custom_construction(ctx, fam) -> Outcome:
 
 
 def _custom_cover(ctx, fam) -> Outcome:
-    g = ctx.cover(fam).branch
-    free = epsilon_fixed_point_free(fam)
+    cov = ctx.cover(fam)
+    g, free = cov.branch, epsilon_fixed_point_free(cov)
     value = f"bidegree ({g.degree_in('Y')}, {g.degree_in('Z')}); free: {free.free}"
     return _verdict(free.free), {"family": fam.name}, value, _corner_witness(free)
 
@@ -839,7 +836,7 @@ def _custom_ratio(ctx, phi, candidates) -> Optional[Outcome]:
     if fam is None:
         return None
     ratio = ctx.ratio(fam, phi)
-    order = root_of_unity_order(ratio.value)
+    order = root_of_unity_order(ratio)
     inputs = {
         "family": fam.name,
         "map": phi.label,

@@ -89,9 +89,11 @@ class SurfaceFamily:
             raise InvariantError("branch polynomial is zero")
         if "alpha" in self.parameters:
             raise InvariantError("alpha is reserved for parameter actions")
-        for p in self.parameters:
+        for i, p in enumerate(self.parameters):
             if not table.is_parameter(p):
                 raise InvariantError(f"{p!r} is not a parameter variable")
+            if p in self.parameters[:i]:
+                raise InvariantError(f"parameter {p!r} of {self.name} is repeated")
         allowed = set(self.base_vars) | set(self.parameters)
         used = set(self.branch.variables())
         if not used <= allowed:
@@ -306,8 +308,9 @@ class FreenessResult:
         return f"FreenessResult(free={self.free}, {vals})"
 
 
-def epsilon_fixed_point_free(fam: SurfaceFamily) -> FreenessResult:
-    """Check that the lift (W,Y,Z) -> (-W,-Y,-Z) of the deck map acts freely.
+def epsilon_fixed_point_free(cover: SurfaceFamily) -> FreenessResult:
+    """Check that the lift (W,Y,Z) -> (-W,-Y,-Z) of the deck map acts freely
+    on a K3 cover W^2 = g.
 
     Its base map fixes exactly the four points {0, inf} x {0, inf}; a fixed
     point on the cover would need W = 0 there, i.e. a vanishing corner value
@@ -315,11 +318,9 @@ def epsilon_fixed_point_free(fam: SurfaceFamily) -> FreenessResult:
     (of 1, Y^4, Z^4, Y^4 Z^4) are returned as the witness; freeness holds for
     parameter values avoiding their common zero locus.
     """
-    if fam.kind != _ENRIQUES:
-        raise PreconditionError(
-            "epsilon_fixed_point_free expects an enriques_horikawa family"
-        )
-    g = k3_cover(fam).branch
+    if cover.kind != _K3:
+        raise PreconditionError("epsilon_fixed_point_free expects a k3_cover family")
+    g = cover.branch
     corners = {
         "(0,0)": g.coefficient({"Y": 0, "Z": 0}),
         "(inf,0)": g.coefficient({"Y": 4, "Z": 0}),

@@ -11,13 +11,13 @@ where J is the base Jacobian determinant.  Once phi preserves the equation,
 honest 2-form dY ^ dZ / W, whose ratio under a lift with phi*W = a + b*W is
 J * W / (a + b*W); invariance makes ab = 0, so the ratio is J / b when a = 0
 and has a nonzero W-part otherwise.  Both ratios must come out constant; the
-engine certifies constancy symbolically and reports the constant, whose
-multiplicative order is the index of the automorphism.
+engine certifies constancy symbolically and returns the constant, whose
+multiplicative order is the index of the automorphism.  Each ratio takes the
+InvarianceResult already certified for (fam, phi) rather than certifying it
+again; a result that does not hold raises PreconditionError.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .errors import (
     NonConstantRatioError,
@@ -27,25 +27,7 @@ from .errors import (
 from .field import Cyclo, root_of_unity_order
 from .poly import RatFunc, TABLE, jacobian_det2
 from .cover import SurfaceFamily
-from .maps import BirMap, check_equation_invariance
-
-
-class FormRatio:
-    """A certified-constant pullback ratio."""
-
-    def __init__(self, value: Cyclo):
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FormRatio):
-            return self.value == other.value
-        return self.value == other
-
-    def order(self) -> Optional[int]:
-        return root_of_unity_order(self.value)
-
-    def __repr__(self) -> str:
-        return f"FormRatio({self.value})"
+from .maps import BirMap, InvarianceResult
 
 
 def _constant_of(ratio: RatFunc, what: str) -> Cyclo:
@@ -55,41 +37,40 @@ def _constant_of(ratio: RatFunc, what: str) -> Cyclo:
     return value
 
 
-def _invariance_guard(fam: SurfaceFamily, phi: BirMap):
-    inv = check_equation_invariance(fam, phi)
-    if not inv:
-        raise PreconditionError(
-            f"{phi.label} does not preserve the equation of {fam.name}"
-        )
-    return inv
-
-
 def _jacobian(fam: SurfaceFamily, phi: BirMap) -> RatFunc:
     b1, b2 = fam.base_vars
     return jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
 
 
-def bitwoform_pullback_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
+def bitwoform_pullback_ratio(
+    fam: SurfaceFamily, phi: BirMap, invariance: InvarianceResult
+) -> Cyclo:
     """The constant multiplying the bi-2-form under phi.
 
-    Requires phi to preserve the defining equation; the ratio is then a
-    root of unity whose order is the index of the automorphism.
+    invariance is phi's certified preservation of the defining equation; the
+    ratio is then a root of unity whose order is the index of the
+    automorphism.
     """
     if fam.kind != "enriques_horikawa":
         raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
-    pulled = _invariance_guard(fam, phi).pulled
+    if not invariance:
+        raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
     jac = _jacobian(fam, phi)
     b2 = fam.base_vars[1]
     z_ratio = phi.coords[b2] / RatFunc.var(b2, TABLE)
-    ratio = z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / pulled
-    return FormRatio(_constant_of(ratio, f"bi-2-form ratio of {phi.label}"))
+    ratio = z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / invariance.pulled
+    return _constant_of(ratio, f"bi-2-form ratio of {phi.label}")
 
 
-def k3_twoform_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
-    """The constant multiplying dY ^ dZ / W under a lift to the K3 cover."""
+def k3_twoform_ratio(
+    fam: SurfaceFamily, phi: BirMap, invariance: InvarianceResult
+) -> Cyclo:
+    """The constant multiplying dY ^ dZ / W under a lift to the K3 cover,
+    given phi's certified preservation of the cover equation."""
     if fam.kind != "k3_cover":
         raise PreconditionError("2-form ratios live on k3_cover families")
-    _invariance_guard(fam, phi)
+    if not invariance:
+        raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
     jac = _jacobian(fam, phi)
     a, b = phi.cover_parts()
     what = f"2-form ratio of {phi.label}"
@@ -98,16 +79,16 @@ def k3_twoform_ratio(fam: SurfaceFamily, phi: BirMap) -> FormRatio:
         raise NonConstantRatioError(
             f"{what} has a nonzero odd part {jac / a} in the cover variable"
         )
-    return FormRatio(_constant_of(jac / b, what))
+    return _constant_of(jac / b, what)
 
 
-def index_of(ratio: FormRatio) -> int:
+def index_of(ratio: Cyclo) -> int:
     """The multiplicative order of a certified ratio.
 
     This is the index of the automorphism: 1 means the form is preserved
     (semi-symplectic action), larger values quantify the failure.
     """
-    n = ratio.order()
+    n = root_of_unity_order(ratio)
     if n is None:
-        raise NotRootOfUnityError(f"{ratio.value} is not a root of unity")
+        raise NotRootOfUnityError(f"{ratio} is not a root of unity")
     return n

@@ -17,7 +17,8 @@ to that accumulation, so round trips reproduce the same domain objects.
 Failure taxonomy: malformed expressions raise ParseError (with a character
 position), a document of the wrong shape raises SchemaError, and a
 well-formed document describing an invalid object raises InvariantError
-from the object constructor.
+from the object constructor.  A repeated family or map name, or action
+name within a family, is a wrong shape: record ids carry these names.
 """
 
 from __future__ import annotations
@@ -150,15 +151,21 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
 
     fam = SurfaceFamily(name, kind, branch, tuple(params))
 
-    actions: List[ParameterAction] = []
+    actions: Dict[str, ParameterAction] = {}
     raw_actions = entry.get("actions", [])
     _expect(isinstance(raw_actions, list), where, "'actions' must be a list")
     for idx, raw in enumerate(raw_actions):
-        actions.append(_load_action(raw, f"{where}.actions[{idx}]"))
-    return fam, tuple(actions)
+        action = _load_action(raw, f"{where}.actions[{idx}]", (base1, base2))
+        _expect(
+            action.name not in actions,
+            f"{where}.actions[{idx}]",
+            f"duplicate action name {action.name!r}",
+        )
+        actions[action.name] = action
+    return fam, tuple(actions.values())
 
 
-def _load_action(entry: Mapping, where: str) -> ParameterAction:
+def _load_action(entry: Mapping, where: str, bases: Tuple[str, str]) -> ParameterAction:
     _expect(isinstance(entry, Mapping), where, "action entry must be an object")
     name = _str_field(entry, "name", where)
     weights = entry.get("weights")
@@ -178,6 +185,7 @@ def _load_action(entry: Mapping, where: str) -> ParameterAction:
     _expect(isinstance(geometric_raw, Mapping), where, "'geometric' must be an object")
     geometric = {}
     for var, text in geometric_raw.items():
+        _expect(var in bases, where, f"geometric key {var!r} is not one of {bases}")
         _expect(isinstance(text, str), where, f"geometric[{var!r}] must be a string")
         geometric[var] = _expression(text, f"{where}.geometric.{var}")
     scale = entry.get("w_square_scale")
@@ -229,12 +237,14 @@ def load_document(document: Mapping) -> IngestResult:
         )
         families.append(fam)
         actions[fam.name] = fam_actions
-    maps: List[BirMap] = []
+    maps: Dict[str, BirMap] = {}
     raw_maps = document.get("maps", [])
     _expect(isinstance(raw_maps, list), "document", "'maps' must be a list")
     for idx, entry in enumerate(raw_maps):
-        maps.append(_load_map(entry, f"maps[{idx}]"))
-    return IngestResult(tuple(families), tuple(maps), actions)
+        phi = _load_map(entry, f"maps[{idx}]")
+        _expect(phi.label not in maps, f"maps[{idx}]", f"duplicate map name {phi.label!r}")
+        maps[phi.label] = phi
+    return IngestResult(tuple(families), tuple(maps.values()), actions)
 
 
 def ingest(path: str) -> IngestResult:

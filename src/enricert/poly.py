@@ -162,13 +162,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Cyclo:
-        if self.is_zero():
-            return ZERO
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
-
     def degree_in(self, name: str) -> int:
         i = self.table.index(name)
         if self.is_zero():

@@ -107,7 +107,10 @@ def test_criterion_02_orders_and_indices():
         orders = [map_order(family_automorphism(k)) for k in (1, 2, 3)]
         assert orders == [4, 8, 8]
         ratios = [
-            bitwoform_pullback_ratio(family(k), family_automorphism(k))
+            bitwoform_pullback_ratio(
+                family(k), family_automorphism(k),
+                check_equation_invariance(family(k), family_automorphism(k)),
+            )
             for k in (1, 2, 3)
         ]
         assert ratios[0] == -ONE and ratios[1] == -I and ratios[2] == -ONE
@@ -125,10 +128,13 @@ def test_criterion_03_square_relation():
         s1, s2 = family_automorphism(1), family_automorphism(2)
         fam = family(2)
         assert maps_equal(compose(s2, s2), s1)
-        r2 = bitwoform_pullback_ratio(fam, s2)
-        r_square = bitwoform_pullback_ratio(fam, compose(s2, s2))
+        r2 = bitwoform_pullback_ratio(fam, s2, check_equation_invariance(fam, s2))
+        square = compose(s2, s2)
+        r_square = bitwoform_pullback_ratio(
+            fam, square, check_equation_invariance(fam, square)
+        )
         assert r2 == -I and r_square == -ONE
-        assert r2.value * r2.value == r_square.value
+        assert r2 * r2 == r_square
 
     _criterion(3, "the order-8 map squares to the order-4 map and (-i)^2 = -1", body)
 
@@ -165,15 +171,15 @@ def test_criterion_05_k3_covers():
                 assert (i + j) % 2 == 0
         assert check_bis_condition(k3_cover(family(1)), 1)[0]
         assert check_bis_condition(k3_cover(family(2)), 2)[0]
-        free1 = epsilon_fixed_point_free(family(1))
+        free1 = epsilon_fixed_point_free(k3_cover(family(1)))
         assert free1.free
         a = MPoly.var("A", TABLE)
         c = MPoly.var("C", TABLE)
         corners = [free1.corners[key] for key in
                    ("(0,0)", "(inf,0)", "(0,inf)", "(inf,inf)")]
         assert corners == [-a, c, -c, a]
-        assert epsilon_fixed_point_free(family(2)).free
-        assert epsilon_fixed_point_free(family(3)).free
+        assert epsilon_fixed_point_free(k3_cover(family(2))).free
+        assert epsilon_fixed_point_free(k3_cover(family(3))).free
 
     _criterion(
         5,

@@ -3,6 +3,9 @@
 import copy
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +124,47 @@ def test_golden_certificate_is_byte_identical():
     assert verify_all().to_json() == golden
     # a second run reproduces the bytes: no clocks, no iteration-order leaks
     assert verify_all().to_json() == golden
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_golden_bytes_do_not_depend_on_the_hash_seed(seed):
+    golden = (FIXTURES / "golden_certificate.json").read_text(encoding="utf-8")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    root = str(Path(enricert.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    code = "import sys, enricert; sys.stdout.write(enricert.verify_all().to_json())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden
+
+
+def test_a_run_certifies_each_pair_once_and_builds_each_cover_once(monkeypatch):
+    import enricert.certificate as certificate
+    import enricert.cover as cover
+    import enricert.forms as forms
+
+    pairs, covers = [], []
+
+    def counted(calls, key, real):
+        def wrapper(*args):
+            calls.append(key(*args))
+            return real(*args)
+        return wrapper
+
+    def pair_key(fam, phi):
+        return fam.kind, str(fam.branch), tuple(str(phi.coords[v]) for v in phi.variables)
+
+    invariance = counted(pairs, pair_key, certificate.check_equation_invariance)
+    monkeypatch.setattr(certificate, "check_equation_invariance", invariance)
+    monkeypatch.setattr(forms, "check_equation_invariance", invariance, raising=False)
+    k3 = counted(covers, lambda fam: str(fam.branch), cover.k3_cover)
+    monkeypatch.setattr(certificate, "k3_cover", k3)
+    monkeypatch.setattr(cover, "k3_cover", k3)
+    assert verify_all().overall == "pass"
+    assert len(pairs) == len(set(pairs)) == 8
+    assert len(covers) == len(set(covers)) == 3
 
 
 def test_certificate_envelope():

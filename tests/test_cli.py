@@ -89,6 +89,34 @@ def test_verify_schema_violation_exits_2(tmp_path, capsys):
     assert "support outside 4 <= i+2j <= 8: (0, 1)" in err
 
 
+def test_verify_repeated_parameter_exits_2(tmp_path, capsys):
+    # the repeated name used to pass with moduli count 6 over 7 parameters;
+    # family1 has 5 moduli
+    doc = fixture_doc()
+    doc["families"][0]["parameters"] = list("ABCDEF") + ["A"]
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: parameter 'A' of family1 is repeated\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["maps"].append(dict(doc["maps"][0])),
+     "maps[6]: duplicate map name 'aut_4_2'"),
+    (lambda doc: doc["families"][2]["actions"].append(doc["families"][2]["actions"][0]),
+     "families[2].actions[2]: duplicate action name 'homothety'"),
+    (lambda doc: doc["families"][0]["actions"][0].update(geometric={"q": "y"}),
+     "families[0].actions[0]: geometric key 'q' is not one of ('y', 'z')"),
+], ids=["map-name", "action-name", "geometric-key"])
+def test_verify_schema_breaking_names_exit_2(tmp_path, capsys, edit, message):
+    doc = fixture_doc()
+    edit(doc)
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    assert capsys.readouterr().err == f"schema violation: {message}\n"
+
+
 def test_verify_parse_error_exits_2(tmp_path, capsys):
     doc = fixture_doc()
     doc["maps"][0]["coords"]["w"] = "i*w*"

@@ -104,6 +104,12 @@ def test_rejects_geometric_name_as_parameter():
         SurfaceFamily("t", "enriques_horikawa", mono({"y": 4}), ("y",))
 
 
+def test_rejects_repeated_parameter():
+    # a repeated name would count twice towards the moduli number
+    with pytest.raises(InvariantError, match="parameter 'A' of t is repeated"):
+        SurfaceFamily("t", "enriques_horikawa", mono({"y": 4, "A": 1}), ("A", "B", "A"))
+
+
 def test_rejects_stray_variables():
     branch = mono({"y": 4}) + mono({"Y": 2, "Z": 2})
     with pytest.raises(InvariantError, match="outside"):
@@ -244,19 +250,19 @@ def test_bis_condition_argument_validation():
 
 
 def test_epsilon_freeness_corner_values():
-    res1 = epsilon_fixed_point_free(family(1))
+    res1 = epsilon_fixed_point_free(k3_cover(family(1)))
     assert res1.free and bool(res1)
     assert res1.corners["(0,0)"] == -var("A")
     assert res1.corners["(inf,0)"] == var("C")
     assert res1.corners["(0,inf)"] == -var("C")
     assert res1.corners["(inf,inf)"] == var("A")
 
-    res2 = epsilon_fixed_point_free(family(2))
+    res2 = epsilon_fixed_point_free(k3_cover(family(2)))
     assert res2.free
     assert res2.corners["(inf,0)"] == var("A").scale(-SQRT_M1)
     assert res2.corners["(0,inf)"] == var("A").scale(SQRT_M1)
 
-    res3 = epsilon_fixed_point_free(family(3))
+    res3 = epsilon_fixed_point_free(k3_cover(family(3)))
     assert res3.free
     assert res3.corners["(0,0)"] == var("D")
     assert res3.corners["(inf,0)"] == var("B")
@@ -265,12 +271,12 @@ def test_epsilon_freeness_corner_values():
 
 
 def test_epsilon_freeness_fails_on_vanishing_corner():
-    res = epsilon_fixed_point_free(specialize(family(3), {"D": 0}))
+    res = epsilon_fixed_point_free(k3_cover(specialize(family(3), {"D": 0})))
     assert not res.free
     assert res.corners["(0,0)"].is_zero()
 
 
-def test_epsilon_freeness_rejects_cover_input():
-    with pytest.raises(PreconditionError):
-        epsilon_fixed_point_free(k3_cover(family(1)))
+def test_epsilon_freeness_rejects_enriques_input():
+    with pytest.raises(PreconditionError, match="expects a k3_cover family"):
+        epsilon_fixed_point_free(family(1))
 

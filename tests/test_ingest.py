@@ -158,6 +158,11 @@ def test_repeated_support_pairs_accumulate():
             lambda d: d["maps"][0]["coords"].__setitem__("q", "1"),
             "coords keys must be exactly",
         ),
+        (
+            # record ids are unique within a run, and a map's ids carry its name
+            lambda d: d["maps"].append(copy.deepcopy(d["maps"][0])),
+            "maps[1]: duplicate map name 'm'",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):
@@ -179,6 +184,46 @@ def test_duplicate_family_names_rejected():
     doc = base_doc()
     doc["families"].append(copy.deepcopy(doc["families"][0]))
     with pytest.raises(SchemaError, match="duplicate family name 't'"):
+        load_document(doc)
+
+
+def test_duplicate_action_names_rejected():
+    doc = base_doc()
+    action = {"name": "a", "weights": {"A": 1}, "w_square_scale": 0}
+    doc["families"][0]["actions"] = [action, dict(action, weights={"A": 2})]
+    with pytest.raises(
+        SchemaError, match=r"families\[0\].actions\[1\]: duplicate action name 'a'"
+    ):
+        load_document(doc)
+    # the same action name in two families is fine
+    doc["families"][0]["actions"] = [action]
+    other = copy.deepcopy(doc["families"][0])
+    other["name"] = "u"
+    doc["families"].append(other)
+    assert [a.name for a in load_document(doc).actions["u"]] == ["a"]
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("enriques_horikawa", "q"),
+    ("enriques_horikawa", "w"),
+    ("enriques_horikawa", "Y"),
+    ("k3_cover", "y"),
+])
+def test_action_geometric_keys_are_base_coordinates(kind, key):
+    doc = base_doc()
+    if kind == "k3_cover":
+        doc["families"][0] = {
+            "name": "c",
+            "kind": "k3_cover",
+            "parameters": ["A"],
+            "monomials": [{"i": 2, "j": 2, "coeff": {"param": "A", "scalar": "1,0,0,0"}}],
+        }
+    doc["families"][0]["actions"] = [
+        {"name": "a", "weights": {"A": 1}, "geometric": {key: "1"}, "w_square_scale": 0}
+    ]
+    with pytest.raises(
+        SchemaError, match=rf"families\[0\].actions\[0\]: geometric key '{key}' is not one of"
+    ):
         load_document(doc)
 
 
