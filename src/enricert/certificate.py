@@ -67,11 +67,12 @@ from .moduli import (
     homothety,
     moduli_number,
 )
+from .poly import slot
 
 SCHEMA = "enricert-certificate/1"
 
-#: Check groups selectable from the command line; everything else only runs
-#: under the "all" filter.
+#: Every check group a record may carry; FILTERABLE_GROUPS lists the ones the
+#: command line can select.
 CHECK_GROUPS = (
     "construction",
     "invariance",
@@ -415,7 +416,7 @@ def _k3_cover(ctx, k) -> Outcome:
     fam = ctx.family(k)
     g = ctx.cover(fam).branch
     dy, dz = g.degree_in("Y"), g.degree_in("Z")
-    yi, zi = g.table.index("Y"), g.table.index("Z")
+    yi, zi = slot("Y"), slot("Z")
     even = all((e[yi] + e[zi]) % 2 == 0 for e in g.support())
     ok = dy <= 4 and dz <= 4 and even
     return _verdict(ok), {"family": fam.name}, f"bidegree ({dy}, {dz})", None

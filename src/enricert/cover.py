@@ -16,16 +16,17 @@ which lives in the maps module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .field import ONE, SQRT_M1
 from .poly import (
     MPoly,
+    PARAMETERS,
     RatFunc,
-    TABLE,
     as_ratfunc,
     exact_divide,
+    slot,
 )
 
 
@@ -43,11 +44,13 @@ _ENRIQUES = "enriques_horikawa"
 _K3 = "k3_cover"
 
 
-def _param_degree(poly: MPoly, names: Iterable[str]) -> int:
-    idx = [poly.table.index(n) for n in names]
+_PARAMETER_SLOTS = tuple(slot(p) for p in PARAMETERS)
+
+
+def _param_degree(poly: MPoly) -> int:
     if poly.is_zero():
         return 0
-    return max(sum(e[i] for i in idx) for e in poly.terms)
+    return max(sum(e[i] for i in _PARAMETER_SLOTS) for e in poly.terms)
 
 
 class SurfaceFamily:
@@ -80,17 +83,16 @@ class SurfaceFamily:
     def relation(self) -> MPoly:
         """The polynomial S with cover equation (cover_var)^2 = S."""
         if self.kind == _ENRIQUES:
-            return MPoly.var("z", self.branch.table) * self.branch
+            return MPoly.var("z") * self.branch
         return self.branch
 
     def _validate(self) -> None:
-        table = self.branch.table
         if self.branch.is_zero():
             raise InvariantError("branch polynomial is zero")
         if "alpha" in self.parameters:
             raise InvariantError("alpha is reserved for parameter actions")
         for i, p in enumerate(self.parameters):
-            if not table.is_parameter(p):
+            if p not in PARAMETERS:
                 raise InvariantError(f"{p!r} is not a parameter variable")
             if p in self.parameters[:i]:
                 raise InvariantError(f"parameter {p!r} of {self.name} is repeated")
@@ -101,10 +103,10 @@ class SurfaceFamily:
                 f"branch uses variables {sorted(used - allowed)} outside "
                 f"{sorted(allowed)}"
             )
-        if _param_degree(self.branch, table.parameters) > 1:
+        if _param_degree(self.branch) > 1:
             raise InvariantError("branch is not affine-linear in the parameters")
         vy, vz = self.base_vars
-        iy, iz = table.index(vy), table.index(vz)
+        iy, iz = slot(vy), slot(vz)
         if self.kind == _ENRIQUES:
             support = {(e[iy], e[iz]) for e in self.branch.terms}
             bad = support - horikawa_support()
@@ -122,8 +124,7 @@ class SurfaceFamily:
                     )
 
     def geometric_support(self) -> Tuple[Tuple[int, int], ...]:
-        table = self.branch.table
-        iy, iz = (table.index(v) for v in self.base_vars)
+        iy, iz = (slot(v) for v in self.base_vars)
         return tuple(sorted({(e[iy], e[iz]) for e in self.branch.terms}))
 
     def monomial_coefficient(self, i: int, j: int) -> MPoly:
@@ -189,26 +190,26 @@ def family(k: int) -> SurfaceFamily:
     """
     if k not in _FAMILY_ROWS:
         raise ValueError(f"no built-in family {k}; choose 1, 2 or 3")
-    branch = MPoly.zero(TABLE)
+    branch = MPoly.zero()
     for i, j, param, scalar in _FAMILY_ROWS[k]:
-        branch = branch + MPoly.monomial(TABLE, {"y": i, "z": j, param: 1}, scalar)
+        branch = branch + MPoly.monomial({"y": i, "z": j, param: 1}, scalar)
     return SurfaceFamily(f"family{k}", _ENRIQUES, branch, _FAMILY_PARAMS[k])
 
 
 def specialization_to_family2() -> Dict[str, MPoly]:
     """Parameter substitution carrying family 1 onto family 2."""
-    a = MPoly.var("A", TABLE)
-    b = MPoly.var("B", TABLE)
-    d = MPoly.var("D", TABLE)
+    a = MPoly.var("A")
+    b = MPoly.var("B")
+    d = MPoly.var("D")
     return {"C": a.scale(-_I), "E": d.scale(-_I), "F": b.scale(-_I)}
 
 
 def specialization_one_param() -> Dict[str, MPoly]:
     """Substitution collapsing family 1 to the classical one-parameter
     subfamily with free parameter C."""
-    c = MPoly.var("C", TABLE)
-    one = MPoly.const(1, TABLE)
-    zero = MPoly.zero(TABLE)
+    c = MPoly.var("C")
+    one = MPoly.const(1)
+    zero = MPoly.zero()
     return {"A": one, "B": -c - one, "D": zero, "E": zero, "F": one - c}
 
 
@@ -220,31 +221,28 @@ def specialize(fam: SurfaceFamily, substitution: Mapping[str, object]) -> Surfac
     so the result stays affine-linear.  The result is re-validated, so a
     substitution that escapes the admissible support is rejected too.
     """
-    table = fam.branch.table
     assignment: Dict[str, MPoly] = {}
     for name, value in substitution.items():
         if name not in fam.parameters:
             raise InvariantError(f"{name!r} is not a parameter of {fam.name}")
-        rf = as_ratfunc(value, table)
+        rf = as_ratfunc(value)
         if not rf.is_polynomial():
             raise InvariantError(f"substitution for {name} is not polynomial")
         p = rf.as_poly()
-        geometric = set(p.variables()) - table.parameters
+        geometric = set(p.variables()) - PARAMETERS
         if geometric:
             raise InvariantError(
                 f"substitution for {name} uses geometric variables {sorted(geometric)}"
             )
-        if _param_degree(p, table.parameters) > 1:
+        if _param_degree(p) > 1:
             raise InvariantError(
                 f"substitution for {name} is not affine-linear in the parameters"
             )
         assignment[name] = p
     branch = fam.branch.substitute_poly(assignment)
-    remaining = [
-        p for p in table.names
-        if table.is_parameter(p) and p in branch.variables()
-    ]
-    return SurfaceFamily(f"{fam.name}_special", fam.kind, branch, tuple(remaining))
+    # variables() lists names in layout order
+    remaining = tuple(p for p in branch.variables() if p in PARAMETERS)
+    return SurfaceFamily(f"{fam.name}_special", fam.kind, branch, remaining)
 
 
 def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
@@ -256,11 +254,10 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     """
     if fam.kind != _ENRIQUES:
         raise PreconditionError("k3_cover expects an enriques_horikawa family")
-    table = fam.branch.table
-    y_image = MPoly.var("Y", table) * MPoly.var("Z", table)
-    z_image = MPoly.var("Z", table) ** 2
+    y_image = MPoly.var("Y") * MPoly.var("Z")
+    z_image = MPoly.var("Z") ** 2
     pulled = fam.branch.substitute_poly({"y": y_image, "z": z_image})
-    g = exact_divide(pulled, MPoly.var("Z", table) ** 4)
+    g = exact_divide(pulled, MPoly.var("Z") ** 4)
     return SurfaceFamily(f"{fam.name}_cover", _K3, g, fam.parameters)
 
 
@@ -275,10 +272,9 @@ def check_bis_condition(cover: SurfaceFamily, which: int):
     """
     if cover.kind != _K3:
         raise PreconditionError("bis conditions apply to k3_cover families")
-    table = cover.branch.table
     g = RatFunc.from_poly(cover.branch)
-    yv = RatFunc.var("Y", table)
-    zv = RatFunc.var("Z", table)
+    yv = RatFunc.var("Y")
+    zv = RatFunc.var("Z")
     if which == 1:
         lhs = (yv ** 4) * (zv ** 4) * g.substitute(
             {"Y": yv.inverse(), "Z": zv.inverse()}
@@ -286,7 +282,7 @@ def check_bis_condition(cover: SurfaceFamily, which: int):
         rhs = -g
     elif which == 2:
         lhs = (zv ** 4) * g.substitute({"Y": zv.inverse(), "Z": yv})
-        rhs = RatFunc.const(SQRT_M1, table) * g
+        rhs = RatFunc.const(SQRT_M1) * g
     else:
         raise ValueError("which must be 1 or 2")
     diff = lhs - rhs

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .field import Cyclo, root_of_unity_order
-from .poly import RatFunc, TABLE, jacobian_det2
+from .poly import RatFunc, jacobian_det2
 from .cover import SurfaceFamily
 from .maps import BirMap, InvarianceResult
 
@@ -57,7 +57,7 @@ def bitwoform_pullback_ratio(
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
     jac = _jacobian(fam, phi)
     b2 = fam.base_vars[1]
-    z_ratio = phi.coords[b2] / RatFunc.var(b2, TABLE)
+    z_ratio = phi.coords[b2] / RatFunc.var(b2)
     ratio = z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / invariance.pulled
     return _constant_of(ratio, f"bi-2-form ratio of {phi.label}")
 

@@ -16,9 +16,11 @@ to that accumulation, so round trips reproduce the same domain objects.
 
 Failure taxonomy: malformed expressions raise ParseError (with a character
 position), a document of the wrong shape raises SchemaError, and a
-well-formed document describing an invalid object raises InvariantError
-from the object constructor.  A repeated family or map name, or action
-name within a family, is a wrong shape: record ids carry these names.
+well-formed document describing an invalid object raises the object
+constructor's InvariantError.  Parse and invariant errors carry the
+document location; an invariant error also carries the entry's name, as in
+"families[0] 'c': ...".  A repeated family or map name, or action name
+within a family, is a wrong shape: record ids carry these names.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cover import SurfaceFamily, horikawa_support
-from .errors import ParseError, SchemaError
+from .errors import InvariantError, ParseError, SchemaError
 from .field import Cyclo, parse_cyclo
 from .maps import BirMap
 from .moduli import ParameterAction
 from .parsing import parse_expression
-from .poly import MPoly, RatFunc, TABLE
+from .poly import MPoly, PARAMETERS, RatFunc, VARIABLES
 
 _ENRIQUES_COORDS = ("w", "y", "z")
 _K3_COORDS = ("W", "Y", "Z")
@@ -95,7 +97,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
     _expect(isinstance(params, list), where, "'parameters' must be a list")
     for p in params:
         _expect(
-            isinstance(p, str) and TABLE.is_parameter(p) and p != "alpha",
+            isinstance(p, str) and p in PARAMETERS and p != "alpha",
             where,
             f"unknown parameter {p!r}",
         )
@@ -105,7 +107,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
 
     base1, base2 = ("y", "z") if kind == "enriques_horikawa" else ("Y", "Z")
     support = horikawa_support()
-    branch = MPoly.zero(TABLE)
+    branch = MPoly.zero()
     for idx, mono in enumerate(monomials):
         mwhere = f"{where}.monomials[{idx}]"
         _expect(isinstance(mono, Mapping), mwhere, "must be an object")
@@ -137,7 +139,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
             f"unknown coeff keys {sorted(set(coeff) - {'param', 'scalar'})}",
         )
         scalar = _scalar(coeff, mwhere)
-        term = MPoly.const(scalar, TABLE)
+        term = MPoly.const(scalar)
         if "param" in coeff:
             p = coeff["param"]
             _expect(
@@ -145,11 +147,14 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
                 mwhere,
                 f"coeff names undeclared parameter {p!r}",
             )
-            term = term * MPoly.var(p, TABLE)
-        term = term * MPoly.var(base1, TABLE) ** i * MPoly.var(base2, TABLE) ** j
+            term = term * MPoly.var(p)
+        term = term * MPoly.var(base1) ** i * MPoly.var(base2) ** j
         branch = branch + term
 
-    fam = SurfaceFamily(name, kind, branch, tuple(params))
+    try:
+        fam = SurfaceFamily(name, kind, branch, tuple(params))
+    except InvariantError as exc:
+        raise InvariantError(f"{where} {name!r}: {exc}") from exc
 
     actions: Dict[str, ParameterAction] = {}
     raw_actions = entry.get("actions", [])
@@ -172,7 +177,7 @@ def _load_action(entry: Mapping, where: str, bases: Tuple[str, str]) -> Paramete
     _expect(isinstance(weights, Mapping), where, "'weights' must be an object")
     for p, wgt in weights.items():
         _expect(
-            isinstance(p, str) and TABLE.is_parameter(p) and p != "alpha",
+            isinstance(p, str) and p in PARAMETERS and p != "alpha",
             where,
             f"weight names unknown parameter {p!r}",
         )
@@ -216,7 +221,10 @@ def _load_map(entry: Mapping, where: str) -> BirMap:
         v: _expression(_str_field(coords, v, f"{where}.coords"), f"{where}.coords.{v}")
         for v in variables
     }
-    return BirMap(variables, parsed, label=name)
+    try:
+        return BirMap(variables, parsed, label=name)
+    except InvariantError as exc:
+        raise InvariantError(f"{where} {name!r}: {exc}") from exc
 
 
 def load_document(document: Mapping) -> IngestResult:
@@ -262,12 +270,11 @@ def ingest(path: str) -> IngestResult:
 def _coeff_entries(fam: SurfaceFamily, i: int, j: int) -> List[Dict[str, object]]:
     """Split the (i, j) coefficient into one entry per scalar / parameter part."""
     coeff = fam.monomial_coefficient(i, j)
-    table = coeff.table
     out: List[Dict[str, object]] = []
     const_term = None
     by_param: Dict[str, Cyclo] = {}
     for e, c in coeff.terms.items():
-        live = [table.names[pos] for pos, k in enumerate(e) if k]
+        live = [VARIABLES[pos] for pos, k in enumerate(e) if k]
         if not live:
             const_term = c
         else:

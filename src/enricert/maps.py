@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8, field_sqrt
 from .parsing import parse_expression
-from .poly import MPoly, RatFunc, TABLE, as_ratfunc
+from .poly import MPoly, RatFunc, as_ratfunc
 from .cover import SurfaceFamily
 
 ENRIQUES_VARS = ("w", "y", "z")
@@ -49,7 +49,7 @@ class BirMap:
         self.variables = tuple(variables)
         if len(self.variables) != 3:
             raise InvariantError("expected exactly three ambient variables")
-        self.coords = {v: as_ratfunc(coords[v], TABLE) for v in self.variables}
+        self.coords = {v: as_ratfunc(coords[v]) for v in self.variables}
         self.label = label or "map"
         self._validate()
 
@@ -93,7 +93,7 @@ class BirMap:
     def identity(variables: Sequence[str] = ENRIQUES_VARS) -> "BirMap":
         return BirMap(
             variables,
-            {v: RatFunc.var(v, TABLE) for v in variables},
+            {v: RatFunc.var(v) for v in variables},
             label="id",
         )
 
@@ -343,9 +343,8 @@ class Mobius:
         return (self.a * x + self.b) / den
 
     def apply_ratfunc(self, x: RatFunc) -> RatFunc:
-        table = x.num.table
-        num = RatFunc.const(self.a, table) * x + RatFunc.const(self.b, table)
-        den = RatFunc.const(self.c, table) * x + RatFunc.const(self.d, table)
+        num = RatFunc.const(self.a) * x + RatFunc.const(self.b)
+        den = RatFunc.const(self.c) * x + RatFunc.const(self.d)
         return num / den
 
     def fixed_points(self) -> Tuple[int, Optional[List[object]], bool]:
@@ -446,7 +445,7 @@ class QAut:
         return 2 if self.shape == DIRECT else 0
 
     def coord_funcs(self) -> Tuple[RatFunc, RatFunc]:
-        yv, zv = RatFunc.var("Y", TABLE), RatFunc.var("Z", TABLE)
+        yv, zv = RatFunc.var("Y"), RatFunc.var("Z")
         if self.shape == DIRECT:
             return self.m1.apply_ratfunc(yv), self.m2.apply_ratfunc(zv)
         return self.m1.apply_ratfunc(zv), self.m2.apply_ratfunc(yv)

@@ -18,7 +18,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .lattices import row_reduce
-from .poly import MPoly, RatFunc, TABLE, as_ratfunc
+from .poly import MPoly, PARAMETERS, RatFunc, as_ratfunc
 from .cover import SurfaceFamily
 
 
@@ -39,12 +39,10 @@ class ParameterAction:
     ):
         self.name = name
         self.weights = {k: int(v) for k, v in weights.items()}
-        self.geometric = {
-            k: as_ratfunc(v, TABLE) for k, v in geometric.items()
-        }
+        self.geometric = {k: as_ratfunc(v) for k, v in geometric.items()}
         self.w_square_scale = int(w_square_scale)
         for v in self.geometric:
-            if TABLE.is_parameter(v):
+            if v in PARAMETERS:
                 raise InvariantError(
                     f"geometric part of action {name!r} maps parameter {v!r}"
                 )
@@ -81,11 +79,11 @@ def homothety(fam: SurfaceFamily) -> ParameterAction:
 def diagonal_base_scaling() -> ParameterAction:
     """(y, z) -> (alpha*y, alpha*z), matching the 4-parameter family whose
     branch monomials have y-z-degrees 6, 4, 4, 2."""
-    alpha = RatFunc.var("alpha", TABLE)
+    alpha = RatFunc.var("alpha")
     return ParameterAction(
         "diagonal_base_scaling",
         {"A": 6, "B": 4, "C": 4, "D": 2},
-        {"y": alpha * RatFunc.var("y", TABLE), "z": alpha * RatFunc.var("z", TABLE)},
+        {"y": alpha * RatFunc.var("y"), "z": alpha * RatFunc.var("z")},
         w_square_scale=1,
     )
 
@@ -123,12 +121,12 @@ def check_parameter_action(
     b1, b2 = fam.base_vars
     geometric = dict(action.geometric)
     for v in (b1, b2):
-        geometric.setdefault(v, RatFunc.var(v, TABLE))
+        geometric.setdefault(v, RatFunc.var(v))
     relation = RatFunc.from_poly(fam.relation())
     lhs = relation.substitute(geometric)
-    alpha = RatFunc.var("alpha", TABLE)
+    alpha = RatFunc.var("alpha")
     rho = {
-        p: (alpha ** action.weights[p]) * RatFunc.var(p, TABLE)
+        p: (alpha ** action.weights[p]) * RatFunc.var(p)
         for p in fam.parameters
     }
     rhs = (alpha ** action.w_square_scale) * relation.substitute(rho)

@@ -9,7 +9,8 @@ Grammar (usual precedence, ^ binds tightest, left-assoc * and /):
     atom   := INT | 'i' | 'zeta8' | VAR | '(' expr ')'
 
 ``i`` denotes sqrt(-1) = zeta8^2 and ``zeta8`` the primitive 8th root itself.
-Variables are the table names (w, y, z, W, Y, Z, A..F, alpha).  Exponents are
+Variables are the names of poly's one fixed layout, poly.VARIABLES (w, y, z,
+W, Y, Z, A..F, alpha), so the parser takes no variable table.  Exponents are
 integer literals, optionally negative, of absolute value at most
 poly.DEGREE_CAP.  An integer literal longer than the interpreter's int
 string-conversion limit is an error too.  Errors carry the character
@@ -22,7 +23,7 @@ from typing import List, Tuple
 
 from .errors import ParseError
 from .field import SQRT_M1, ZETA8, int_literal
-from .poly import DEGREE_CAP, RatFunc, TABLE, VarTable
+from .poly import DEGREE_CAP, RatFunc, VARIABLES
 
 _SYMBOLS = set("+-*/^()")
 
@@ -57,10 +58,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, table: VarTable):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.table = table
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.k]
@@ -150,14 +150,14 @@ class _Parser:
     def atom(self) -> RatFunc:
         kind, text, pos = self.advance()
         if kind == "int":
-            return RatFunc.const(int_literal(text, pos), self.table)
+            return RatFunc.const(int_literal(text, pos))
         if kind == "name":
             if text == "i":
-                return RatFunc.const(SQRT_M1, self.table)
+                return RatFunc.const(SQRT_M1)
             if text == "zeta8":
-                return RatFunc.const(ZETA8, self.table)
-            if text in self.table.names:
-                return RatFunc.var(text, self.table)
+                return RatFunc.const(ZETA8)
+            if text in VARIABLES:
+                return RatFunc.var(text)
             raise ParseError(f"unknown variable {text!r}", pos)
         if kind == "sym" and text == "(":
             value = self.expr()
@@ -168,6 +168,6 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, table: VarTable = TABLE) -> RatFunc:
-    """Parse ``text`` into a RatFunc over the engine's variable table."""
-    return _Parser(text, table).parse()
+def parse_expression(text: str) -> RatFunc:
+    """Parse ``text`` into a RatFunc in the engine's variables."""
+    return _Parser(text).parse()

@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials and rational functions over Q(zeta_8).
 
-A polynomial is a dict from exponent vectors (one slot per table variable) to
+Every polynomial lives in one ring, Q(zeta_8)[w, y, z, W, Y, Z, A..F, alpha],
+and this module owns its fixed variable layout, VARIABLES.  A polynomial is
+a dict from exponent vectors (slot i holds the exponent of VARIABLES[i]) to
 nonzero field coefficients.  Zero coefficients are never stored, so equality
 is dict equality.  Terms are ordered graded-lexicographically for display and
 for the exact-division algorithm.
@@ -36,7 +38,7 @@ forever.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import DegreeCapError, IndivisibleError
 from .field import Cyclo, ONE, ZERO
@@ -47,49 +49,25 @@ Scalar = Union[Cyclo, Fraction, int]
 #: Largest total degree a polynomial product may reach.
 DEGREE_CAP = 64
 
-
-class VarTable:
-    """Ordered variable names with a geometric/parameter role for each."""
-
-    def __init__(self, names: Sequence[str], parameters: Iterable[str]):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
-        self.parameters = frozenset(parameters)
-        unknown = self.parameters - set(self.names)
-        if unknown:
-            raise ValueError(f"parameters not in table: {sorted(unknown)}")
-        self._index = {n: i for i, n in enumerate(self.names)}
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
-    def is_parameter(self, name: str) -> bool:
-        return name in self.parameters
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VarTable)
-            and self.names == other.names
-            and self.parameters == other.parameters
-        )
-
-    def __repr__(self) -> str:
-        return f"VarTable({list(self.names)})"
-
-
-#: The one table the whole engine works in: ambient coordinates of the double
+#: The fixed variable layout: slot i of every exponent vector holds the
+#: exponent of VARIABLES[i].  These are the ambient coordinates of the double
 #: plane model (w, y, z), of its K3 cover (W, Y, Z), and the formal parameters.
-TABLE = VarTable(
-    ["w", "y", "z", "W", "Y", "Z", "A", "B", "C", "D", "E", "F", "alpha"],
-    parameters=["A", "B", "C", "D", "E", "F", "alpha"],
-)
+VARIABLES = ("w", "y", "z", "W", "Y", "Z", "A", "B", "C", "D", "E", "F", "alpha")
+PARAMETERS = frozenset(VARIABLES[6:])
+_NVARS = len(VARIABLES)
+_SLOTS = {n: i for i, n in enumerate(VARIABLES)}
+
+#: The layout under its older name, which ``perfbench/docgen.py`` imports and
+#: hands to MPoly.var.
+TABLE = VARIABLES
+
+
+def slot(name: str) -> int:
+    """The exponent-vector slot of the variable ``name``."""
+    try:
+        return _SLOTS[name]
+    except KeyError:
+        raise KeyError(f"unknown variable {name!r}") from None
 
 
 def _grlex_key(e: Exponents) -> Tuple[int, Exponents]:
@@ -99,59 +77,59 @@ def _grlex_key(e: Exponents) -> Tuple[int, Exponents]:
 class MPoly:
     """Immutable sparse polynomial over Q(zeta_8)."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, table: VarTable, terms: Mapping[Exponents, Cyclo]):
+    def __init__(self, terms: Mapping[Exponents, Cyclo]):
         cleaned: Dict[Exponents, Cyclo] = {}
-        n = len(table)
         for e, c in terms.items():
-            if len(e) != n:
+            if len(e) != _NVARS:
                 raise ValueError(f"exponent vector {e} has wrong length")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
             if not c.is_zero():
                 cleaned[tuple(e)] = c
-        object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly instances are immutable")
 
     def __reduce__(self):
-        return MPoly, (self.table, self.terms)
+        return MPoly, (self.terms,)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(table: VarTable = TABLE) -> "MPoly":
-        return MPoly(table, {})
+    def zero() -> "MPoly":
+        return MPoly({})
 
     @staticmethod
-    def const(c: Scalar, table: VarTable = TABLE) -> "MPoly":
-        return MPoly(table, {(0,) * len(table): Cyclo.coerce(c)})
+    def const(c: Scalar) -> "MPoly":
+        return MPoly({(0,) * _NVARS: Cyclo.coerce(c)})
 
     @staticmethod
-    def var(name: str, table: VarTable = TABLE) -> "MPoly":
-        e = [0] * len(table)
-        e[table.index(name)] = 1
-        return MPoly(table, {tuple(e): ONE})
+    def var(name: str, table: Tuple[str, ...] = TABLE) -> "MPoly":
+        """The variable ``name`` as a polynomial.
+
+        The optional ``table`` is kept for ``perfbench/docgen.py``, the
+        benchmark's frozen document generator, which passes TABLE; any
+        other value is a ValueError.
+        """
+        if table is not TABLE:
+            raise ValueError("the only variable layout is TABLE")
+        return MPoly({_unit_exp(slot(name), 1): ONE})
 
     @staticmethod
-    def monomial(
-        table: VarTable, exponents: Mapping[str, int], coeff: Scalar = 1
-    ) -> "MPoly":
-        e = [0] * len(table)
+    def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "MPoly":
+        e = [0] * _NVARS
         for name, k in exponents.items():
-            e[table.index(name)] = k
-        return MPoly(table, {tuple(e): Cyclo.coerce(coeff)})
+            e[slot(name)] = k
+        return MPoly({tuple(e): Cyclo.coerce(coeff)})
 
     def _coerce(self, x) -> "MPoly":
         if isinstance(x, MPoly):
-            if x.table != self.table:
-                raise ValueError("mixing polynomials over different tables")
             return x
         if isinstance(x, (Cyclo, Fraction, int)):
-            return MPoly.const(x, self.table)
+            return MPoly.const(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to MPoly")
 
     # -- inspection ----------------------------------------------------------
@@ -163,7 +141,7 @@ class MPoly:
         return all(sum(e) == 0 for e in self.terms)
 
     def degree_in(self, name: str) -> int:
-        i = self.table.index(name)
+        i = slot(name)
         if self.is_zero():
             return 0
         return max(e[i] for e in self.terms)
@@ -174,7 +152,7 @@ class MPoly:
             for i, k in enumerate(e):
                 if k:
                     used.add(i)
-        return tuple(self.table.names[i] for i in sorted(used))
+        return tuple(VARIABLES[i] for i in sorted(used))
 
     def support(self) -> Tuple[Exponents, ...]:
         return tuple(sorted(self.terms, key=_grlex_key, reverse=True))
@@ -191,13 +169,13 @@ class MPoly:
         Only the named variables are matched; all remaining variables
         (typically the parameters) stay in the returned polynomial.
         """
-        idx = {self.table.index(n): k for n, k in exponents.items()}
+        idx = {slot(n): k for n, k in exponents.items()}
         out: Dict[Exponents, Cyclo] = {}
         for e, c in self.terms.items():
             if all(e[i] == k for i, k in idx.items()):
                 reduced = tuple(0 if i in idx else v for i, v in enumerate(e))
                 out[reduced] = out.get(reduced, ZERO) + c
-        return MPoly(self.table, out)
+        return MPoly(out)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -206,12 +184,12 @@ class MPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, ZERO) + c
-        return MPoly(self.table, out)
+        return MPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return MPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -230,14 +208,14 @@ class MPoly:
                         f"product term of total degree {sum(e)} exceeds cap {DEGREE_CAP}"
                     )
                 out[e] = out.get(e, ZERO) + c1 * c2
-        return MPoly(self.table, out)
+        return MPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("MPoly exponent must be a nonnegative integer")
-        base, result = self, MPoly.const(1, self.table)
+        base, result = self, MPoly.const(1)
         # Square-and-multiply; the base is squared only while bits remain, so
         # no intermediate product has a higher degree than the result.
         while n:
@@ -250,10 +228,10 @@ class MPoly:
 
     def scale(self, c: Scalar) -> "MPoly":
         cc = Cyclo.coerce(c)
-        return MPoly(self.table, {e: cc * v for e, v in self.terms.items()})
+        return MPoly({e: cc * v for e, v in self.terms.items()})
 
     def partial(self, name: str) -> "MPoly":
-        i = self.table.index(name)
+        i = slot(name)
         out: Dict[Exponents, Cyclo] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
@@ -262,7 +240,7 @@ class MPoly:
             de[i] -= 1
             key = tuple(de)
             out[key] = out.get(key, ZERO) + c * e[i]
-        return MPoly(self.table, out)
+        return MPoly(out)
 
     # -- substitution --------------------------------------------------------
 
@@ -290,11 +268,8 @@ class MPoly:
         return self._substitute_terms(values) if result is None else result
 
     def _values(self, assignment: Mapping[str, object]) -> Dict[int, "RatFunc"]:
-        """The assignment as table slot -> RatFunc."""
-        return {
-            self.table.index(name): as_ratfunc(v, self.table)
-            for name, v in assignment.items()
-        }
+        """The assignment as slot -> RatFunc."""
+        return {slot(name): as_ratfunc(v) for name, v in assignment.items()}
 
     def _substitute_monomials(
         self, values: Mapping[int, "RatFunc"]
@@ -369,20 +344,20 @@ class MPoly:
             return None
         terms = {e: c for e, c in sums.items() if not c.is_zero()}
         if not terms:
-            return RatFunc.zero(self.table)
+            return RatFunc.zero()
         den_exp = tuple(-m if m < 0 else 0 for m in map(min, zip(*terms)))
         if any(den_exp):
             terms = {
                 tuple(x + m for x, m in zip(e, den_exp)): c for e, c in terms.items()
             }
-        return RatFunc(MPoly(self.table, terms), MPoly(self.table, {den_exp: ONE}))
+        return RatFunc(MPoly(terms), MPoly({den_exp: ONE}))
 
     def _substitute_terms(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """The term-by-term path of substitute: one RatFunc product per factor."""
-        total = RatFunc.zero(self.table)
+        total = RatFunc.zero()
         cache: Dict[Tuple[int, int], RatFunc] = {}
         for e, c in self.terms.items():
-            term = RatFunc.from_poly(MPoly.const(c, self.table))
+            term = RatFunc.from_poly(MPoly.const(c))
             for i, k in enumerate(e):
                 if k == 0:
                     continue
@@ -392,9 +367,7 @@ class MPoly:
                         cache[key] = values[i] ** k
                     factor = cache[key]
                 else:
-                    factor = RatFunc.from_poly(
-                        MPoly(self.table, {_unit_exp(self.table, i, k): ONE})
-                    )
+                    factor = RatFunc.from_poly(MPoly({_unit_exp(i, k): ONE}))
                 term = term * factor
             total = total + term
         return total
@@ -410,10 +383,10 @@ class MPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Cyclo, Fraction, int)):
-            other = MPoly.const(other, self.table)
+            other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.terms == other.terms
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -425,7 +398,7 @@ class MPoly:
             for i, k in enumerate(e):
                 if k == 0:
                     continue
-                name = self.table.names[i]
+                name = VARIABLES[i]
                 factors.append(name if k == 1 else f"{name}^{k}")
             cs = str(c)
             if factors:
@@ -449,8 +422,8 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _unit_exp(table: VarTable, i: int, k: int) -> Exponents:
-    e = [0] * len(table)
+def _unit_exp(i: int, k: int) -> Exponents:
+    e = [0] * _NVARS
     e[i] = k
     return tuple(e)
 
@@ -465,8 +438,6 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.table != q.table:
-        raise ValueError("mixing polynomials over different tables")
     qe, qc = q.leading_term()
     # RatFunc._simplify hands over monic divisors; skip inverting 1.
     monic = qc == ONE
@@ -480,14 +451,14 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
             raise IndivisibleError(q, rem)
         coeff = c if monic else c * qc_inv
         quot[diff] = quot.get(diff, ZERO) + coeff
-        rem = rem - MPoly(p.table, {diff: coeff}) * q
-    return MPoly(p.table, quot)
+        rem = rem - MPoly({diff: coeff}) * q
+    return MPoly(quot)
 
 
 def monomial_content(p: MPoly) -> Exponents:
     """Componentwise minimum exponent vector over all terms."""
     if p.is_zero():
-        return (0,) * len(p.table)
+        return (0,) * _NVARS
     mins = None
     for e in p.terms:
         mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
@@ -497,20 +468,15 @@ def monomial_content(p: MPoly) -> Exponents:
 def _shift_down(p: MPoly, shift: Exponents) -> MPoly:
     if all(s == 0 for s in shift):
         return p
-    return MPoly(
-        p.table,
-        {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()},
-    )
+    return MPoly({tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()})
 
 
 class RatFunc:
-    """Quotient of two MPolys over the same table."""
+    """Quotient of two MPolys."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MPoly, den: MPoly):
-        if num.table != den.table:
-            raise ValueError("numerator and denominator over different tables")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         num, den = self._simplify(num, den)
@@ -527,7 +493,7 @@ class RatFunc:
     @staticmethod
     def _simplify(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         if num.is_zero():
-            return num, MPoly.const(1, den.table)
+            return num, MPoly.const(1)
         shift = tuple(
             min(a, b) for a, b in zip(monomial_content(num), monomial_content(den))
         )
@@ -543,13 +509,13 @@ class RatFunc:
         if len(den.terms) == 1:
             return num, den
         try:
-            return exact_divide(num, den), MPoly.const(1, den.table)
+            return exact_divide(num, den), MPoly.const(1)
         except IndivisibleError:
             pass
         try:
             cofactor = exact_divide(den, num)
             # den = num * cofactor, so num/den = 1/cofactor; renormalize.
-            one = MPoly.const(1, den.table)
+            one = MPoly.const(1)
             lead = cofactor.leading_term()[1]
             if lead != ONE:
                 inv = lead.inverse()
@@ -561,23 +527,23 @@ class RatFunc:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(table: VarTable = TABLE) -> "RatFunc":
-        return RatFunc(MPoly.zero(table), MPoly.const(1, table))
+    def zero() -> "RatFunc":
+        return RatFunc(MPoly.zero(), MPoly.const(1))
 
     @staticmethod
-    def const(c: Scalar, table: VarTable = TABLE) -> "RatFunc":
-        return RatFunc(MPoly.const(c, table), MPoly.const(1, table))
+    def const(c: Scalar) -> "RatFunc":
+        return RatFunc(MPoly.const(c), MPoly.const(1))
 
     @staticmethod
     def from_poly(p: MPoly) -> "RatFunc":
-        return RatFunc(p, MPoly.const(1, p.table))
+        return RatFunc(p, MPoly.const(1))
 
     @staticmethod
-    def var(name: str, table: VarTable = TABLE) -> "RatFunc":
-        return RatFunc.from_poly(MPoly.var(name, table))
+    def var(name: str) -> "RatFunc":
+        return RatFunc.from_poly(MPoly.var(name))
 
     def _coerce(self, x) -> "RatFunc":
-        return as_ratfunc(x, self.num.table)
+        return as_ratfunc(x)
 
     # -- inspection ----------------------------------------------------------
 
@@ -646,7 +612,7 @@ class RatFunc:
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         base = self if n >= 0 else self.inverse()
-        result = RatFunc.const(1, self.num.table)
+        result = RatFunc.const(1)
         for _ in range(abs(n)):
             result = result * base
         return result
@@ -669,7 +635,7 @@ class RatFunc:
         return (self.num * other.den) == (other.num * self.den)
 
     def __str__(self) -> str:
-        if self.den == MPoly.const(1, self.den.table):
+        if self.den == MPoly.const(1):
             return str(self.num)
         ns, ds = str(self.num), str(self.den)
         if len(self.num.terms) > 1:
@@ -688,15 +654,13 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def as_ratfunc(x, table: VarTable = TABLE) -> RatFunc:
+def as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
-        if x.num.table != table:
-            raise ValueError("mixing rational functions over different tables")
         return x
     if isinstance(x, MPoly):
         return RatFunc.from_poly(x)
     if isinstance(x, (Cyclo, Fraction, int)):
-        return RatFunc.const(x, table)
+        return RatFunc.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to RatFunc")
 
 

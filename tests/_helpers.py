@@ -6,7 +6,7 @@ seed printed by the test that caught them.
 
 from fractions import Fraction
 
-from enricert import Cyclo, MPoly, Mobius, RatFunc, TABLE
+from enricert import Cyclo, MPoly, Mobius, RatFunc
 
 
 def rand_fraction(rng, span=4):
@@ -31,11 +31,11 @@ def nonzero_cyclo(rng, span=3):
 
 
 def rand_mpoly(rng, names=("y", "z"), max_terms=3, max_exp=3, span=3):
-    p = MPoly.zero(TABLE)
+    p = MPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        term = MPoly.const(rand_cyclo(rng, span, density=1.0), TABLE)
+        term = MPoly.const(rand_cyclo(rng, span, density=1.0))
         for name in names:
-            term = term * MPoly.var(name, TABLE) ** rng.randint(0, max_exp)
+            term = term * MPoly.var(name) ** rng.randint(0, max_exp)
         p = p + term
     return p
 
@@ -77,8 +77,8 @@ def rand_monomial_plane_map(rng, span=2):
         a, b, c, d = (rng.randint(-span, span) for _ in range(4))
         if a * d - b * c != 0:
             break
-    y = RatFunc.var("y", TABLE)
-    z = RatFunc.var("z", TABLE)
-    c1 = RatFunc.const(nonzero_cyclo(rng, span=2), TABLE)
-    c2 = RatFunc.const(nonzero_cyclo(rng, span=2), TABLE)
+    y = RatFunc.var("y")
+    z = RatFunc.var("z")
+    c1 = RatFunc.const(nonzero_cyclo(rng, span=2))
+    c2 = RatFunc.const(nonzero_cyclo(rng, span=2))
     return c1 * y ** a * z ** b, c2 * y ** c * z ** d

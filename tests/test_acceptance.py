@@ -56,7 +56,6 @@ from enricert.moduli import (
 from enricert.poly import (
     MPoly,
     RatFunc,
-    TABLE,
     exact_divide,
     jacobian_det2,
 )
@@ -144,8 +143,8 @@ def test_criterion_04_specializations():
         assert specialize(family(1), specialization_to_family2()) == family(2)
         narrow = specialize(family(1), specialization_one_param())
         assert narrow.parameters == ("C",)
-        c = MPoly.var("C", TABLE)
-        one = MPoly.const(1, TABLE)
+        c = MPoly.var("C")
+        one = MPoly.const(1)
         expected = {
             (4, 2): one, (0, 2): -one,
             (4, 1): -c - one, (0, 3): c + one,
@@ -173,8 +172,8 @@ def test_criterion_05_k3_covers():
         assert check_bis_condition(k3_cover(family(2)), 2)[0]
         free1 = epsilon_fixed_point_free(k3_cover(family(1)))
         assert free1.free
-        a = MPoly.var("A", TABLE)
-        c = MPoly.var("C", TABLE)
+        a = MPoly.var("A")
+        c = MPoly.var("C")
         corners = [free1.corners[key] for key in
                    ("(0,0)", "(inf,0)", "(0,inf)", "(inf,inf)")]
         assert corners == [-a, c, -c, a]

@@ -98,7 +98,9 @@ def test_verify_repeated_parameter_exits_2(tmp_path, capsys):
     assert main(["verify", "--input", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "invariant violation: parameter 'A' of family1 is repeated\n"
+    assert captured.err == (
+        "invariant violation: families[0] 'family1': parameter 'A' of family1 is repeated\n"
+    )
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -183,7 +185,24 @@ def test_verify_invariant_violation_exits_2(tmp_path, capsys):
     }
     path = write_doc(tmp_path, doc)
     assert main(["verify", "--input", path]) == 2
-    assert capsys.readouterr().err.startswith("invariant violation:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invariant violation: families[0] 'c': "
+        "cover branch is not invariant under (Y,Z) -> (-Y,-Z)\n"
+    )
+
+
+def test_verify_map_invariant_violation_names_the_map(tmp_path, capsys):
+    doc = fixture_doc()
+    doc["maps"][0]["coords"]["y"] = "w"
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invariant violation: maps[0] 'aut_4_2': aut_4_2: base coordinate y involves w\n"
+    )
 
 
 def test_verify_missing_file_exits_2(capsys):

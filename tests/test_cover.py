@@ -15,15 +15,15 @@ from enricert.cover import (
 )
 from enricert.errors import InvariantError, PreconditionError
 from enricert.field import SQRT_M1
-from enricert.poly import MPoly, RatFunc, TABLE
+from enricert.poly import MPoly, RatFunc
 
 
 def mono(exps, scalar=1):
-    return MPoly.monomial(TABLE, exps, scalar)
+    return MPoly.monomial(exps, scalar)
 
 
 def var(name):
-    return MPoly.var(name, TABLE)
+    return MPoly.var(name)
 
 
 # -- admissible support and the built-in families ----------------------------
@@ -64,7 +64,7 @@ def test_family_coefficients_spot_checks():
     assert f3.monomial_coefficient(3, 1) == var("C")
     assert f3.monomial_coefficient(1, 3) == var("C").scale(-SQRT_M1)
     assert f3.monomial_coefficient(0, 2) == var("D")
-    assert f3.monomial_coefficient(2, 2) == MPoly.zero(TABLE)
+    assert f3.monomial_coefficient(2, 2) == MPoly.zero()
 
 
 def test_family_relation_includes_extra_ruling_factor():
@@ -86,7 +86,7 @@ def test_family_index_errors():
 
 def test_rejects_zero_branch():
     with pytest.raises(InvariantError, match="zero"):
-        SurfaceFamily("t", "enriques_horikawa", MPoly.zero(TABLE), ())
+        SurfaceFamily("t", "enriques_horikawa", MPoly.zero(), ())
 
 
 def test_rejects_unknown_kind():
@@ -157,8 +157,8 @@ def test_one_parameter_specialization():
     assert set(got.geometric_support()) == {
         (4, 2), (0, 2), (4, 1), (0, 3), (4, 0), (0, 4), (2, 1), (2, 3),
     }
-    assert got.monomial_coefficient(4, 1) == -var("C") - MPoly.const(1, TABLE)
-    assert got.monomial_coefficient(2, 3) == var("C") - MPoly.const(1, TABLE)
+    assert got.monomial_coefficient(4, 1) == -var("C") - MPoly.const(1)
+    assert got.monomial_coefficient(2, 3) == var("C") - MPoly.const(1)
 
 
 def test_specialize_rejects_unknown_parameter():
@@ -167,7 +167,7 @@ def test_specialize_rejects_unknown_parameter():
 
 
 def test_specialize_rejects_rational_value():
-    one_over_a = RatFunc.const(1, TABLE) / RatFunc.var("A", TABLE)
+    one_over_a = RatFunc.const(1) / RatFunc.var("A")
     with pytest.raises(InvariantError, match="not polynomial"):
         specialize(family(1), {"B": one_over_a})
 

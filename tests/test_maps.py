@@ -33,7 +33,7 @@ from enricert.maps import (
     qaut_fixed_points,
     swap_root,
 )
-from enricert.poly import RatFunc, TABLE
+from enricert.poly import RatFunc
 
 from _helpers import nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius
 
@@ -132,7 +132,7 @@ def test_deck_flip_is_not_the_identity_but_squares_to_it():
 
 def test_cover_parts_split_the_cover_coordinate():
     rng = random.Random(20261018)
-    w, y, z = (RatFunc.var(v, TABLE) for v in ENRIQUES_VARS)
+    w, y, z = (RatFunc.var(v) for v in ENRIQUES_VARS)
     for _ in range(40):
         a, b = (
             RatFunc.from_poly(rand_mpoly(rng, max_terms=2, max_exp=2, span=2))
@@ -219,10 +219,10 @@ def test_mobius_apply():
 
 def test_mobius_apply_ratfunc_matches_pointwise():
     m = Mobius(1, 2, 3, 4)
-    y = RatFunc.var("Y", TABLE)
+    y = RatFunc.var("Y")
     image = m.apply_ratfunc(y)
     for x in (0, 1, -2, 5):
-        value = image.substitute({"Y": RatFunc.const(x, TABLE)})
+        value = image.substitute({"Y": RatFunc.const(x)})
         assert value.as_constant() == m.apply(Cyclo.coerce(x))
 
 
@@ -289,8 +289,8 @@ def test_qaut_ns_trace():
 
 
 def test_qaut_coord_funcs():
-    y = RatFunc.var("Y", TABLE)
-    z = RatFunc.var("Z", TABLE)
+    y = RatFunc.var("Y")
+    z = RatFunc.var("Z")
     assert swap_root(1).coord_funcs() == (z.inverse(), y)
     assert inv_both().coord_funcs() == (y.inverse(), z.inverse())
 
@@ -413,8 +413,8 @@ def test_k4_normal_form():
 
 
 def _projection():
-    y = RatFunc.var("Y", TABLE)
-    z = RatFunc.var("Z", TABLE)
+    y = RatFunc.var("Y")
+    z = RatFunc.var("Z")
     return y * z, z * z
 
 

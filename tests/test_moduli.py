@@ -12,7 +12,7 @@ from enricert.moduli import (
     moduli_number,
     weight_matrix,
 )
-from enricert.poly import RatFunc, TABLE
+from enricert.poly import RatFunc
 
 
 def test_homothety_shape():
@@ -28,13 +28,13 @@ def test_diagonal_base_scaling_shape():
     assert action.weights == {"A": 6, "B": 4, "C": 4, "D": 2}
     assert action.w_square_scale == 1
     assert action.needs_square_root()
-    alpha = RatFunc.var("alpha", TABLE)
-    assert action.geometric["y"] == alpha * RatFunc.var("y", TABLE)
+    alpha = RatFunc.var("alpha")
+    assert action.geometric["y"] == alpha * RatFunc.var("y")
 
 
 def test_action_rejects_parameter_in_geometric_part():
     with pytest.raises(InvariantError, match="parameter"):
-        ParameterAction("bad", {"A": 1}, {"A": RatFunc.var("A", TABLE)}, 0)
+        ParameterAction("bad", {"A": 1}, {"A": RatFunc.var("A")}, 0)
 
 
 def test_homothety_preserves_each_family():

@@ -11,13 +11,13 @@ import hypothesis.strategies as st
 from enricert.errors import ParseError
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
 from enricert.parsing import parse_expression
-from enricert.poly import MPoly, RatFunc, TABLE
+from enricert.poly import MPoly, RatFunc
 
 from _helpers import rand_cyclo, rand_mpoly, nonzero_mpoly
 
 
 def const(value):
-    return RatFunc.const(value, TABLE)
+    return RatFunc.const(value)
 
 
 def test_literals():
@@ -32,7 +32,7 @@ def test_literals():
 def test_variables_and_case():
     # w and W are distinct variables
     assert parse_expression("w") != parse_expression("W")
-    assert parse_expression("y*z") == RatFunc.var("y", TABLE) * RatFunc.var("z", TABLE)
+    assert parse_expression("y*z") == RatFunc.var("y") * RatFunc.var("z")
 
 
 def test_precedence():
@@ -46,9 +46,9 @@ def test_precedence():
 
 def test_division_left_associative():
     assert parse_expression("8/4/2") == const(1)
-    y = RatFunc.var("y", TABLE)
-    z = RatFunc.var("z", TABLE)
-    w = RatFunc.var("w", TABLE)
+    y = RatFunc.var("y")
+    z = RatFunc.var("z")
+    w = RatFunc.var("w")
     assert parse_expression("w/y/z") == w / (y * z)
     assert parse_expression("w/(y/z)") == w * z / y
 
@@ -64,7 +64,7 @@ def test_unary_sign_chains():
 
 
 def test_negative_exponent():
-    y = RatFunc.var("y", TABLE)
+    y = RatFunc.var("y")
     assert parse_expression("y^-2") == const(1) / (y * y)
     assert parse_expression("y^+2") == y * y
     assert parse_expression("2^-3") == const(Fraction(1, 8))
@@ -99,7 +99,7 @@ def test_whitespace_insensitive():
 
 def test_fractional_coefficients():
     got = parse_expression("3/2*zeta8*y")
-    want = RatFunc.var("y", TABLE) * const(ZETA8 * Fraction(3, 2))
+    want = RatFunc.var("y") * const(ZETA8 * Fraction(3, 2))
     assert got == want
 
 
@@ -164,7 +164,7 @@ def test_constant_round_trip(c):
 def test_polynomial_round_trip(seed):
     rng = random.Random(seed)
     p = rand_mpoly(rng, names=("w", "y", "z", "A"), max_terms=4, max_exp=3, span=3)
-    r = RatFunc(p, MPoly.const(ONE, TABLE))
+    r = RatFunc(p, MPoly.const(ONE))
     assert parse_expression(str(r)) == r
 
 
