@@ -15,7 +15,8 @@ rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
 a shape flag ("direct" preserves the rulings, "swap" exchanges them).  Fixed
 points come from the quadratic c x^2 + (d - a) x - b = 0 of each Moebius
 factor; coordinates are reported when the roots lie in Q(zeta_8), and only
-counted otherwise.
+counted otherwise.  The search for monomial square roots runs in exponent
+form, on integer matrices and exponents of zeta_8, not on these matrices.
 """
 
 from __future__ import annotations
@@ -66,22 +67,16 @@ class BirMap:
         for v in self.base_vars:
             r = self.coords[v]
             if r.is_zero():
-                raise InvariantError(f"{self.label}: base coordinate {v} is zero")
+                raise InvariantError(f"base coordinate {v} is zero")
             if r.num.degree_in(cv) or r.den.degree_in(cv):
-                raise InvariantError(
-                    f"{self.label}: base coordinate {v} involves {cv}"
-                )
+                raise InvariantError(f"base coordinate {v} involves {cv}")
         r = self.coords[cv]
         if r.is_zero():
-            raise InvariantError(f"{self.label}: cover coordinate is zero")
+            raise InvariantError("cover coordinate is zero")
         if r.den.degree_in(cv):
-            raise InvariantError(
-                f"{self.label}: cover coordinate has {cv} in its denominator"
-            )
+            raise InvariantError(f"cover coordinate has {cv} in its denominator")
         if r.num.degree_in(cv) > 1:
-            raise InvariantError(
-                f"{self.label}: cover coordinate has degree > 1 in {cv}"
-            )
+            raise InvariantError(f"cover coordinate has degree > 1 in {cv}")
 
     def cover_parts(self) -> Tuple[RatFunc, RatFunc]:
         """(a, b) with cover coordinate a + b*w, both free of w."""
@@ -520,35 +515,82 @@ def swap_root(sign: int) -> QAut:
     return QAut(SWAP, Mobius(ZERO, s, ONE, ZERO), Mobius(s, ZERO, ZERO, ONE))
 
 
-def _unit_matrix(unit: Cyclo, inverted: bool) -> Mobius:
-    if inverted:
-        return Mobius(ZERO, unit, ONE, ZERO)
-    return Mobius(unit, ZERO, ZERO, ONE)
+# A monomial QAut (Y, Z) -> (zeta8^k1 * V1^e1, zeta8^k2 * V2^e2), with
+# (V1, V2) = (Y, Z) for the direct shape and (Z, Y) for the swap shape, in
+# exponent form (M, k): M is the signed permutation matrix in GL2(Z) whose
+# row i holds the exponents of output coordinate i in (Y, Z), and k is in
+# (Z/8)^2.
+
+_UNITS = tuple(ZETA8 ** k for k in range(8))
+_UNIT_EXPONENT = {u: k for k, u in enumerate(_UNITS)}
+
+
+def _monomial_mobius(e: int, k: int) -> Mobius:
+    """x -> zeta8^k * x^e for e in {1, -1}."""
+    if e == -1:
+        return Mobius(ZERO, _UNITS[k], ONE, ZERO)
+    return Mobius(_UNITS[k], ZERO, ZERO, ONE)
+
+
+def _monomial_factor(m: Mobius) -> Optional[Tuple[int, int]]:
+    """(e, k) with m . x = zeta8^k * x^e, or None when m has no such form."""
+    if m.b.is_zero() and m.c.is_zero():
+        e, unit = 1, m.a / m.d
+    elif m.a.is_zero() and m.d.is_zero():
+        e, unit = -1, m.b / m.c
+    else:
+        return None
+    k = _UNIT_EXPONENT.get(unit)
+    return None if k is None else (e, k)
+
+
+def _exponent_matrix(shape: str, e1: int, e2: int) -> Tuple[int, int, int, int]:
+    """M = ((m11, m12), (m21, m22)) as a flat tuple."""
+    if shape == DIRECT:
+        return (e1, 0, 0, e2)
+    return (0, e1, e2, 0)
+
+
+def _square(m: Tuple[int, int, int, int], k: Tuple[int, int]):
+    """(M, k) . (M, k) = (M^2, k + M k mod 8)."""
+    m11, m12, m21, m22 = m
+    k1, k2 = k
+    return (
+        (m11 * m11 + m12 * m21, m11 * m12 + m12 * m22,
+         m21 * m11 + m22 * m21, m21 * m12 + m22 * m22),
+        ((k1 + m11 * k1 + m12 * k2) % 8, (k2 + m21 * k1 + m22 * k2) % 8),
+    )
 
 
 def monomial_square_roots(target: QAut) -> List[QAut]:
     """All monomial-type QAuts g with g . g = target.
 
-    The candidate set is every map whose coordinates are u * V or u / V with
-    u an 8th root of unity and V one of the two coordinates (degenerate
-    combinations using the same coordinate twice are skipped): at most
-    8 * 8 * 16 candidates, searched exhaustively.
+    The candidates are the maps whose coordinates are u * V or u / V with u
+    an 8th root of unity, V1 = Y and V2 = Z (direct shape) or V1 = Z and
+    V2 = Y (swap shape): 2 shapes * 4 inversion patterns * 64 unit pairs =
+    512 pairwise distinct candidates, searched exhaustively.  The search
+    runs in exponent form, where composition is
+    (M, k) . (M', k') = (M M', k + M k' mod 8), and builds a QAut only for
+    a match.  The square of a monomial map is monomial, so a target with a
+    factor that is neither diagonal nor antidiagonal with an 8th-root-of-
+    unity ratio has no root.
     """
-    units = [ZETA8 ** k for k in range(8)]
+    factors = (_monomial_factor(target.m1), _monomial_factor(target.m2))
+    if None in factors:
+        return []
+    (t1, j1), (t2, j2) = factors
+    wanted = (_exponent_matrix(target.shape, t1, t2), (j1, j2))
     roots = []
-    seen = set()
-    for var1, var2 in itertools.product(("Y", "Z"), repeat=2):
-        if var1 == var2:
-            continue
-        shape = DIRECT if var1 == "Y" else SWAP
-        for inv1, inv2 in itertools.product((False, True), repeat=2):
-            for u1, u2 in itertools.product(units, repeat=2):
-                g = QAut(shape, _unit_matrix(u1, inv1), _unit_matrix(u2, inv2))
-                if g in seen:
-                    continue
-                seen.add(g)
-                if g.compose(g) == target:
-                    roots.append(g)
+    for shape in (DIRECT, SWAP):
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            m = _exponent_matrix(shape, e1, e2)
+            for k in itertools.product(range(8), repeat=2):
+                if _square(m, k) == wanted:
+                    roots.append(QAut(
+                        shape,
+                        _monomial_mobius(e1, k[0]),
+                        _monomial_mobius(e2, k[1]),
+                    ))
     return roots
 
 

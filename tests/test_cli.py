@@ -201,7 +201,7 @@ def test_verify_map_invariant_violation_names_the_map(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "invariant violation: maps[0] 'aut_4_2': aut_4_2: base coordinate y involves w\n"
+        "invariant violation: maps[0] 'aut_4_2': base coordinate y involves w\n"
     )
 
 

@@ -1,10 +1,12 @@
 """Birational maps, quadric automorphisms, and fixed-point counting."""
 
 import copy
+import itertools
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enricert.cover import family, k3_cover
 from enricert.errors import InvariantError, PreconditionError
@@ -407,6 +409,75 @@ def test_k4_normal_form():
     assert result.klein_ok and result.candidates_ok and result.up_to_inverse_ok
     assert result.direct_roots == []
     assert len(result.roots) == 4
+
+
+def _unit_mobius(k, inverted):
+    u = ZETA8 ** k
+    return Mobius(ZERO, u, ONE, ZERO) if inverted else Mobius(u, ZERO, ZERO, ONE)
+
+
+def _monomial_candidates():
+    """Every monomial QAut (Y, Z) -> (u1 * V1^+-1, u2 * V2^+-1), built
+    through Mobius normalisation, in the order the search reports roots."""
+    for shape in (DIRECT, SWAP):
+        for inv1, inv2 in itertools.product((False, True), repeat=2):
+            for k1, k2 in itertools.product(range(8), repeat=2):
+                yield QAut(shape, _unit_mobius(k1, inv1), _unit_mobius(k2, inv2))
+
+
+def _brute_force_square_roots(target):
+    return [g for g in _monomial_candidates() if g.compose(g) == target]
+
+
+@pytest.mark.parametrize("target", [
+    inv_both(),
+    neg_both(),
+    QAut.identity(),
+    swap_root(1),
+    QAut(DIRECT, Mobius(1, 1, 0, 1), Mobius.identity()),
+    QAut(SWAP, Mobius.identity(), Mobius(1, 0, 1, 1)),
+    QAut(DIRECT, Mobius(2, 0, 0, 1), Mobius.identity()),
+    QAut(DIRECT, Mobius(ZERO, SQRT_M1, 3, ZERO), Mobius.identity()),
+], ids=[
+    "double-inversion", "double-negation", "identity", "swap-shaped",
+    "non-monomial", "non-monomial-swap", "unit-not-a-root", "inverted-unit-not-a-root",
+])
+def test_monomial_square_roots_match_the_brute_force_search(target):
+    assert monomial_square_roots(target) == _brute_force_square_roots(target)
+
+
+def test_monomial_candidates_are_pairwise_distinct():
+    candidates = list(_monomial_candidates())
+    assert len(candidates) == len(set(candidates)) == 512
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    shape=st.sampled_from((DIRECT, SWAP)),
+    inverted=st.tuples(st.booleans(), st.booleans()),
+    units=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+)
+def test_square_roots_of_squares_match_the_brute_force_search(shape, inverted, units):
+    g = QAut(shape, _unit_mobius(units[0], inverted[0]), _unit_mobius(units[1], inverted[1]))
+    target = g.compose(g)
+    roots = monomial_square_roots(target)
+    assert g in roots
+    assert roots == _brute_force_square_roots(target)
+
+
+def test_k4_check_stays_off_the_mobius_path(monkeypatch):
+    # the square-root search squares its 512 candidates in exponent form;
+    # only the Klein-four checks and the matching roots build Mobius matrices
+    calls = []
+    real = Mobius.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Mobius, "__init__", counted)
+    assert k4_normal_form_check().ok
+    assert len(calls) <= 64
 
 
 # -- compatibility between surface maps and quadric maps ----------------------
