@@ -50,7 +50,7 @@ _PARAMETER_SLOTS = tuple(slot(p) for p in PARAMETERS)
 def _param_degree(poly: MPoly) -> int:
     if poly.is_zero():
         return 0
-    return max(sum(e[i] for i in _PARAMETER_SLOTS) for e in poly.terms)
+    return max(sum(e[i] for i in _PARAMETER_SLOTS) for e in poly.support())
 
 
 class SurfaceFamily:
@@ -108,14 +108,14 @@ class SurfaceFamily:
         vy, vz = self.base_vars
         iy, iz = slot(vy), slot(vz)
         if self.kind == _ENRIQUES:
-            support = {(e[iy], e[iz]) for e in self.branch.terms}
+            support = {(e[iy], e[iz]) for e in self.branch.support()}
             bad = support - horikawa_support()
             if bad:
                 raise InvariantError(
                     f"branch support {sorted(bad)} outside the admissible set"
                 )
         else:
-            for e in self.branch.terms:
+            for e in self.branch.support():
                 if e[iy] > 4 or e[iz] > 4:
                     raise InvariantError("cover branch exceeds bidegree (4, 4)")
                 if (e[iy] + e[iz]) % 2 != 0:
@@ -125,7 +125,7 @@ class SurfaceFamily:
 
     def geometric_support(self) -> Tuple[Tuple[int, int], ...]:
         iy, iz = (slot(v) for v in self.base_vars)
-        return tuple(sorted({(e[iy], e[iz]) for e in self.branch.terms}))
+        return tuple(sorted({(e[iy], e[iz]) for e in self.branch.support()}))
 
     def monomial_coefficient(self, i: int, j: int) -> MPoly:
         """Coefficient of base^i * base2^j as a polynomial in the parameters."""

@@ -262,6 +262,8 @@ def ingest(path: str) -> IngestResult:
             document = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError(f"{path}: not valid JSON: nested too deeply") from None
     return load_document(document)
 
 
@@ -273,7 +275,7 @@ def _coeff_entries(fam: SurfaceFamily, i: int, j: int) -> List[Dict[str, object]
     out: List[Dict[str, object]] = []
     const_term = None
     by_param: Dict[str, Cyclo] = {}
-    for e, c in coeff.terms.items():
+    for e, c in coeff.term_items():
         live = [VARIABLES[pos] for pos, k in enumerate(e) if k]
         if not live:
             const_term = c

@@ -13,7 +13,9 @@ Variables are the names of poly's one fixed layout, poly.VARIABLES (w, y, z,
 W, Y, Z, A..F, alpha), so the parser takes no variable table.  Exponents are
 integer literals, optionally negative, of absolute value at most
 poly.DEGREE_CAP.  An integer literal longer than the interpreter's int
-string-conversion limit is an error too.  Errors carry the character
+string-conversion limit is an error too.  Parentheses and unary signs
+nest at most MAX_NESTING deep, so a deeply nested input is a ParseError and
+never exhausts the interpreter's recursion limit.  Errors carry the character
 position.
 """
 
@@ -26,6 +28,11 @@ from .field import SQRT_M1, ZETA8, int_literal
 from .poly import DEGREE_CAP, RatFunc, VARIABLES
 
 _SYMBOLS = set("+-*/^()")
+
+#: Deepest nesting of parentheses and unary signs together.  Each level of
+#: parentheses costs five frames of recursion (expr, term, factor, power,
+#: atom), so this stays far below the default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -61,6 +68,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.k]
@@ -75,6 +83,12 @@ class _Parser:
         if kind != "sym" or text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
         self.advance()
+
+    def nest(self, pos: int) -> None:
+        """Enter one level of parentheses or unary sign opened at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def parse(self) -> RatFunc:
         value = self.expr()
@@ -111,10 +125,12 @@ class _Parser:
                 return value
 
     def factor(self) -> RatFunc:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "sym" and text in "+-":
             self.advance()
+            self.nest(pos)
             inner = self.factor()
+            self.depth -= 1
             return inner if text == "+" else -inner
         return self.power()
 
@@ -160,8 +176,10 @@ class _Parser:
                 return RatFunc.var(text)
             raise ParseError(f"unknown variable {text!r}", pos)
         if kind == "sym" and text == "(":
+            self.nest(pos)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(
             f"expected a value, found {text or 'end of input'!r}", pos

@@ -2,10 +2,32 @@
 
 Every polynomial lives in one ring, Q(zeta_8)[w, y, z, W, Y, Z, A..F, alpha],
 and this module owns its fixed variable layout, VARIABLES.  A polynomial is
-a dict from exponent vectors (slot i holds the exponent of VARIABLES[i]) to
-nonzero field coefficients.  Zero coefficients are never stored, so equality
-is dict equality.  Terms are ordered graded-lexicographically for display and
-for the exact-division algorithm.
+a dict from packed exponent vectors to nonzero field coefficients.  Zero
+coefficients are never stored, so equality is dict equality.
+
+Packed exponents.  Each term's exponent vector e (slot i holds the exponent
+of VARIABLES[i]) is one int, its key.  Each slot has an 8-bit lane, slot 0
+(w) in the highest lane and slot 12 (alpha) in the lowest, and the total
+degree |e| sits above all the lanes:
+
+    key(e) = |e| << 104  +  sum_i e_i << 8 * (12 - i)
+
+The key compares as the pair (|e|, e) does lexicographically, because no
+lane overflows into the next, so graded-lex order is plain int order: the
+leading term is max(terms) and sorted(..., reverse=True) is display order.
+The encoding is linear, key(e + f) = key(e) + key(f), so a product's key is
+the sum of its factors' keys and a monomial substitution maps keys by adding
+integer multiples of fixed keys.  DEGREE_CAP (64) bounds every stored total
+degree, so every lane holds at most 64 and its top bit is free.  That bit is
+the lane's guard: (e | GUARD) - f borrows within each lane and never across
+lanes, and leaves the guard of lane i set exactly when e_i >= f_i.  One
+subtraction thus tests whether x^f divides x^e (exact division) and selects
+the smaller lane of two keys (the monomial content).  Only this module
+knows the layout: exponent tuples come in through const, var and monomial,
+and go out through support, leading_term, term_items and monomial_content.
+
+Terms are ordered graded-lexicographically for display and for the
+exact-division algorithm.
 
 Rational functions are held as numerator/denominator pairs.  Simplification
 is deliberately modest: common monomial content is cancelled, the denominator
@@ -20,15 +42,15 @@ Substitution has two paths that return the same pair.  When every assigned
 value is c * (Laurent monomial), as for the monomial automorphisms, lifts
 and covers of the Horikawa models, the substitution is a toric morphism: an
 integer exponent matrix and a vector of scalars.  The monomial path maps
-each term's exponent vector and sums the terms in one dict, then builds one
-polynomial over one monomial.  Any other value, such as the affine
-parameter substitution of a specialization or w -> y + w, takes the
-term-by-term path, one RatFunc product per factor and one RatFunc sum per
-term.  The monomial path first checks a degree bound that is conservative:
-it assumes no cancellation and bounds the lcm of the term denominators by
-per-slot maxima, so where the bound passes, the term-by-term path provably
-stays under DEGREE_CAP.  Where it fails, the term-by-term path runs and
-raises its own DegreeCapError if it must.
+each term's key and sums the terms in one dict, then builds one polynomial
+over one monomial.  Any other value, such as the affine parameter
+substitution of a specialization or w -> y + w, takes the term-by-term path,
+one RatFunc product per factor and one RatFunc sum per term.  The monomial
+path first checks a degree bound that is conservative: it assumes no
+cancellation and bounds the lcm of the term denominators by per-slot maxima,
+so where the bound passes, the term-by-term path provably stays under
+DEGREE_CAP.  Where it fails, the term-by-term path runs and raises its own
+DegreeCapError if it must.
 
 A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
 with a diagnostic error instead of letting a buggy reduction loop spin
@@ -38,7 +60,7 @@ forever.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import DegreeCapError, IndivisibleError
 from .field import Cyclo, ONE, ZERO
@@ -61,6 +83,20 @@ _SLOTS = {n: i for i, n in enumerate(VARIABLES)}
 #: hands to MPoly.var.
 TABLE = VARIABLES
 
+# The packed key layout (see the module docstring).  _SHIFTS[i] is the lowest
+# bit of slot i's lane and _DEG that of the total degree; _UNITS[i] is the
+# key of VARIABLES[i] itself.  _ONES has a 1 in every lane and _GUARD the top
+# bit of every lane.
+_BITS = 8
+_LANE = (1 << _BITS) - 1
+_SHIFTS = tuple(_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_DEG = _BITS * _NVARS
+_UNITS = tuple((1 << s) | (1 << _DEG) for s in _SHIFTS)
+_ONES = sum(1 << s for s in _SHIFTS)
+_GUARD = _ONES << (_BITS - 1)
+# Every lane at 127, above any stored exponent: the start of a minimum.
+_LANE_TOP = _GUARD - _ONES
+
 
 def slot(name: str) -> int:
     """The exponent-vector slot of the variable ``name``."""
@@ -70,25 +106,56 @@ def slot(name: str) -> int:
         raise KeyError(f"unknown variable {name!r}") from None
 
 
-def _grlex_key(e: Exponents) -> Tuple[int, Exponents]:
-    return (sum(e), e)
+def _unpack(key: int) -> Exponents:
+    return tuple((key >> s) & _LANE for s in _SHIFTS)
+
+
+def _lane_min(keys: Iterable[int], m: int = _LANE_TOP) -> int:
+    """The slotwise minimum of ``m`` and the lanes of ``keys``, lanes only.
+
+    Every lane must be below the guard bit.  The guard survives the
+    subtraction (m | GUARD) - k in the lanes where m_i >= k_i, and those
+    lanes take k_i.  The degree field of a key never reaches the lanes.
+    """
+    for k in keys:
+        if not m:
+            break
+        d = ((m | _GUARD) - k) & _GUARD
+        if d:
+            # 0xFF in each lane whose guard is set
+            m ^= (m ^ k) & ((d << 1) - (d >> (_BITS - 1)))
+    return m
+
+
+def _with_degree(lanes: int) -> int:
+    """The key of the lanes ``lanes``, whose total must be below 255.
+
+    Each lane is worth 256 = 1 (mod 255), so the lanes total lanes % 255.
+    """
+    return lanes + ((lanes % _LANE) << _DEG)
+
+
+def _wrap(terms: Dict[int, Cyclo]) -> "MPoly":
+    """An MPoly over ``terms`` as they are: keys valid, no zero coefficient."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 class MPoly:
-    """Immutable sparse polynomial over Q(zeta_8)."""
+    """Immutable sparse polynomial over Q(zeta_8).
+
+    ``terms`` maps packed exponent keys to coefficients; the constructor
+    drops zero coefficients.  Build polynomials from exponent vectors with
+    const, var and monomial.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponents, Cyclo]):
-        cleaned: Dict[Exponents, Cyclo] = {}
-        for e, c in terms.items():
-            if len(e) != _NVARS:
-                raise ValueError(f"exponent vector {e} has wrong length")
-            if any(k < 0 for k in e):
-                raise ValueError(f"negative exponent in {e}")
-            if not c.is_zero():
-                cleaned[tuple(e)] = c
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, terms: Mapping[int, Cyclo]):
+        object.__setattr__(
+            self, "terms", {e: c for e, c in terms.items() if not c.is_zero()}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly instances are immutable")
@@ -100,11 +167,11 @@ class MPoly:
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly({})
+        return _wrap({})
 
     @staticmethod
     def const(c: Scalar) -> "MPoly":
-        return MPoly({(0,) * _NVARS: Cyclo.coerce(c)})
+        return MPoly({0: Cyclo.coerce(c)})
 
     @staticmethod
     def var(name: str, table: Tuple[str, ...] = TABLE) -> "MPoly":
@@ -116,14 +183,23 @@ class MPoly:
         """
         if table is not TABLE:
             raise ValueError("the only variable layout is TABLE")
-        return MPoly({_unit_exp(slot(name), 1): ONE})
+        return _wrap({_UNITS[slot(name)]: ONE})
 
     @staticmethod
     def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "MPoly":
-        e = [0] * _NVARS
+        """coeff times the product of name^k; a lane holds at most DEGREE_CAP."""
+        key = degree = 0
         for name, k in exponents.items():
-            e[slot(name)] = k
-        return MPoly({tuple(e): Cyclo.coerce(coeff)})
+            i = slot(name)
+            if k < 0:
+                raise ValueError(f"negative exponent {k} of {name}")
+            key += k * _UNITS[i]
+            degree += k
+        if degree > DEGREE_CAP:
+            raise DegreeCapError(
+                f"monomial of total degree {degree} exceeds cap {DEGREE_CAP}"
+            )
+        return MPoly({key: Cyclo.coerce(coeff)})
 
     def _coerce(self, x) -> "MPoly":
         if isinstance(x, MPoly):
@@ -138,30 +214,32 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)
 
     def degree_in(self, name: str) -> int:
-        i = slot(name)
-        if self.is_zero():
-            return 0
-        return max(e[i] for e in self.terms)
+        s = _SHIFTS[slot(name)]
+        return max(((e >> s) & _LANE for e in self.terms), default=0)
 
     def variables(self) -> Tuple[str, ...]:
-        used = set()
+        used = 0
         for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return tuple(VARIABLES[i] for i in sorted(used))
+            used |= e
+        return tuple(n for n, k in zip(VARIABLES, _unpack(used)) if k)
 
     def support(self) -> Tuple[Exponents, ...]:
-        return tuple(sorted(self.terms, key=_grlex_key, reverse=True))
+        """The exponent vectors, leading term first."""
+        return tuple(_unpack(e) for e in sorted(self.terms, reverse=True))
+
+    def term_items(self) -> Tuple[Tuple[Exponents, Cyclo], ...]:
+        """The (exponent vector, coefficient) pairs, leading term first."""
+        terms = self.terms
+        return tuple((_unpack(e), terms[e]) for e in sorted(terms, reverse=True))
 
     def leading_term(self) -> Tuple[Exponents, Cyclo]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.terms)
+        return _unpack(e), self.terms[e]
 
     def coefficient(self, exponents: Mapping[str, int]) -> "MPoly":
         """The coefficient of the given geometric monomial, itself an MPoly.
@@ -169,13 +247,18 @@ class MPoly:
         Only the named variables are matched; all remaining variables
         (typically the parameters) stay in the returned polynomial.
         """
-        idx = {slot(n): k for n, k in exponents.items()}
-        out: Dict[Exponents, Cyclo] = {}
-        for e, c in self.terms.items():
-            if all(e[i] == k for i, k in idx.items()):
-                reduced = tuple(0 if i in idx else v for i, v in enumerate(e))
-                out[reduced] = out.get(reduced, ZERO) + c
-        return MPoly(out)
+        mask = target = 0
+        for name, k in exponents.items():
+            i = slot(name)
+            if not 0 <= k <= DEGREE_CAP:
+                return MPoly.zero()
+            mask |= _LANE << _SHIFTS[i]
+            target += k * _UNITS[i]
+        lanes = target & mask
+        # distinct matching keys stay distinct once the named lanes are cleared
+        return _wrap(
+            {e - target: c for e, c in self.terms.items() if e & mask == lanes}
+        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -183,13 +266,14 @@ class MPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
         return MPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly({e: -c for e, c in self.terms.items()})
+        return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -199,15 +283,22 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
-        out: Dict[Exponents, Cyclo] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > DEGREE_CAP:
-                    raise DegreeCapError(
-                        f"product term of total degree {sum(e)} exceeds cap {DEGREE_CAP}"
-                    )
-                out[e] = out.get(e, ZERO) + c1 * c2
+        a, b = self.terms, other.terms
+        if a and b and (max(a) >> _DEG) + (max(b) >> _DEG) > DEGREE_CAP:
+            # the first product term over the cap, in the order of the loop below
+            for e1 in a:
+                for e2 in b:
+                    degree = (e1 + e2) >> _DEG
+                    if degree > DEGREE_CAP:
+                        raise DegreeCapError(
+                            f"product term of total degree {degree} exceeds cap {DEGREE_CAP}"
+                        )
+        out: Dict[int, Cyclo] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
         return MPoly(out)
 
     __rmul__ = __mul__
@@ -232,15 +323,14 @@ class MPoly:
 
     def partial(self, name: str) -> "MPoly":
         i = slot(name)
-        out: Dict[Exponents, Cyclo] = {}
+        s, unit = _SHIFTS[i], _UNITS[i]
+        out: Dict[int, Cyclo] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            key = tuple(de)
-            out[key] = out.get(key, ZERO) + c * e[i]
-        return MPoly(out)
+            k = (e >> s) & _LANE
+            if k:
+                # distinct keys stay distinct, and c * k is nonzero
+                out[e - unit] = c * k
+        return _wrap(out)
 
     # -- substitution --------------------------------------------------------
 
@@ -253,15 +343,15 @@ class MPoly:
 
         Two paths compute it.  When every assigned value is a nonzero
         c * (Laurent monomial), a RatFunc whose numerator and denominator are
-        single terms, the monomial path maps each term's exponent vector
-        linearly, multiplies its coefficient by cached powers of the c's and
-        sums the terms into one polynomial over one monomial.  Every other
-        assignment takes the term-by-term path, which multiplies and adds one
-        RatFunc per term.  The monomial path also hands over to the
-        term-by-term path when a conservative degree bound cannot show that
-        the term-by-term path stays under DEGREE_CAP, so an input over the
-        cap raises the same DegreeCapError whichever path it would suit.
-        Both paths return the same num/den pair: see _substitute_monomials.
+        single terms, the monomial path maps each term's key linearly,
+        multiplies its coefficient by cached powers of the c's and sums the
+        terms into one polynomial over one monomial.  Every other assignment
+        takes the term-by-term path, which multiplies and adds one RatFunc
+        per term.  The monomial path also hands over to the term-by-term
+        path when a conservative degree bound cannot show that the
+        term-by-term path stays under DEGREE_CAP, so an input over the cap
+        raises the same DegreeCapError whichever path it would suit.  Both
+        paths return the same num/den pair: see _substitute_monomials.
         """
         values = self._values(assignment)
         result = self._substitute_monomials(values)
@@ -284,33 +374,38 @@ class MPoly:
         content in any slot of M.  _simplify keeps such a pair as it is (a
         polynomial over a monomial has one simplified form), so it equals
         the pair the term-by-term path returns.
+
+        The key is linear, so key(E) is key(e) plus e_i times
+        key(a) - key(b) - key(x_i) for each assigned slot i.  Negative
+        entries borrow from the lanes above, so a key of E is read only
+        after adding den_top to every lane: no entry of E is below
+        -den_top, and under the degree bound no biased lane exceeds 64.
         """
-        # (slot, scalar or None for 1, nonzero entries of a - b, |a|, |b|);
+        # (slot, lane shift, scalar or None for 1, key move, |a|, |b|);
         # _simplify leaves a monic denominator, so b carries coefficient 1
         monomials = []
         for i, v in values.items():
-            if len(v.num.terms) != 1 or len(v.den.terms) != 1:
+            num, den = v.num.terms, v.den.terms
+            if len(num) != 1 or len(den) != 1:
                 return None
-            ((a, c),) = v.num.terms.items()
-            (b,) = v.den.terms
-            moves = tuple(
-                (j, aj - bj) for j, (aj, bj) in enumerate(zip(a, b)) if aj != bj
+            ((a, c),) = num.items()
+            (b,) = den
+            monomials.append(
+                (i, _SHIFTS[i], None if c == ONE else c, a - b - _UNITS[i],
+                 a >> _DEG, b >> _DEG)
             )
-            monomials.append((i, None if c == ONE else c, moves, sum(a), sum(b)))
-        sums: Dict[Exponents, Cyclo] = {}
+        sums: Dict[int, Cyclo] = {}
         powers: Dict[Tuple[int, int], Cyclo] = {}
         top = dict.fromkeys(values, 0)
         num_top = den_top = 0
         for e, c in self.terms.items():
-            out = list(e)
-            num_deg, den_deg = sum(e), 0
-            for i, ci, moves, na, nb in monomials:
-                k = e[i]
+            out = e
+            num_deg, den_deg = e >> _DEG, 0
+            for i, s, ci, move, na, nb in monomials:
+                k = (e >> s) & _LANE
                 if not k:
                     continue
-                out[i] -= k
-                for j, d in moves:
-                    out[j] += k * d
+                out += k * move
                 num_deg += k * (na - 1)
                 den_deg += k * nb
                 if k > top[i]:
@@ -324,9 +419,8 @@ class MPoly:
                 num_top = num_deg
             if den_deg > den_top:
                 den_top = den_deg
-            key = tuple(out)
-            prev = sums.get(key)
-            sums[key] = c if prev is None else prev + c
+            prev = sums.get(out)
+            sums[out] = c if prev is None else prev + c
         # The term-by-term path raises DegreeCapError when one of its products
         # exceeds the cap.  There a term c0 * x^e becomes c * x^U / x^V with
         # |U| = num_deg and |V| = den_deg before cancellation, so its own
@@ -338,19 +432,21 @@ class MPoly:
         # sum over assigned slots of the largest exponent there times |b|.
         # Cancellation only lowers degrees, so the bound is conservative:
         # over the cap, the term-by-term path decides and raises its own
-        # error if it must.
-        lcm_top = sum(top[i] * nb for i, _, _, _, nb in monomials)
+        # error if it must.  Each entry of E lies in [-den_top, num_top], so
+        # under the bound distinct E have distinct keys.
+        lcm_top = sum(top[i] * nb for i, _, _, _, _, nb in monomials)
         if num_top + lcm_top + den_top > DEGREE_CAP:
             return None
         terms = {e: c for e, c in sums.items() if not c.is_zero()}
         if not terms:
             return RatFunc.zero()
-        den_exp = tuple(-m if m < 0 else 0 for m in map(min, zip(*terms)))
-        if any(den_exp):
-            terms = {
-                tuple(x + m for x, m in zip(e, den_exp)): c for e, c in terms.items()
-            }
-        return RatFunc(MPoly(terms), MPoly({den_exp: ONE}))
+        # min(den_top, den_top + E_j) per slot, whence M = den_top - that
+        bias = den_top * _ONES
+        low = _lane_min((e + bias for e in terms), bias)
+        den_key = _with_degree(bias - low)
+        if den_key:
+            terms = {e + den_key: c for e, c in terms.items()}
+        return RatFunc(MPoly(terms), _wrap({den_key: ONE}))
 
     def _substitute_terms(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """The term-by-term path of substitute: one RatFunc product per factor."""
@@ -358,7 +454,8 @@ class MPoly:
         cache: Dict[Tuple[int, int], RatFunc] = {}
         for e, c in self.terms.items():
             term = RatFunc.from_poly(MPoly.const(c))
-            for i, k in enumerate(e):
+            for i, s in enumerate(_SHIFTS):
+                k = (e >> s) & _LANE
                 if k == 0:
                     continue
                 if i in values:
@@ -367,7 +464,7 @@ class MPoly:
                         cache[key] = values[i] ** k
                     factor = cache[key]
                 else:
-                    factor = RatFunc.from_poly(MPoly({_unit_exp(i, k): ONE}))
+                    factor = RatFunc.from_poly(_wrap({k * _UNITS[i]: ONE}))
                 term = term * factor
             total = total + term
         return total
@@ -392,13 +489,11 @@ class MPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for e in self.support():
-            c = self.terms[e]
+        for e, c in self.term_items():
             factors = []
-            for i, k in enumerate(e):
+            for name, k in zip(VARIABLES, e):
                 if k == 0:
                     continue
-                name = VARIABLES[i]
                 factors.append(name if k == 1 else f"{name}^{k}")
             cs = str(c)
             if factors:
@@ -422,10 +517,7 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _unit_exp(i: int, k: int) -> Exponents:
-    e = [0] * _NVARS
-    e[i] = k
-    return tuple(e)
+_ONE_POLY = MPoly.const(1)
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
@@ -438,37 +530,36 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    qe, qc = q.leading_term()
+    qterms = q.terms
+    qe = max(qterms)
+    qc = qterms[qe]
     # RatFunc._simplify hands over monic divisors; skip inverting 1.
     monic = qc == ONE
     qc_inv = ONE if monic else qc.inverse()
-    quot: Dict[Exponents, Cyclo] = {}
+    # the leading keys strictly decrease, so each quotient key is new
+    quot: Dict[int, Cyclo] = {}
     rem = p
-    while not rem.is_zero():
-        e, c = rem.leading_term()
-        diff = tuple(a - b for a, b in zip(e, qe))
-        if any(d < 0 for d in diff):
+    while rem.terms:
+        e = max(rem.terms)
+        # x^qe divides x^e: every lane keeps its guard bit
+        if ((e | _GUARD) - qe) & _GUARD != _GUARD:
             raise IndivisibleError(q, rem)
+        c = rem.terms[e]
         coeff = c if monic else c * qc_inv
-        quot[diff] = quot.get(diff, ZERO) + coeff
-        rem = rem - MPoly({diff: coeff}) * q
-    return MPoly(quot)
+        quot[e - qe] = coeff
+        rem = rem + _wrap({e - qe: -coeff}) * q
+    return _wrap(quot)
 
 
 def monomial_content(p: MPoly) -> Exponents:
     """Componentwise minimum exponent vector over all terms."""
     if p.is_zero():
         return (0,) * _NVARS
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins
+    return _unpack(_lane_min(p.terms))
 
 
-def _shift_down(p: MPoly, shift: Exponents) -> MPoly:
-    if all(s == 0 for s in shift):
-        return p
-    return MPoly({tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()})
+def _shift_down(p: MPoly, shift: int) -> MPoly:
+    return _wrap({e - shift: c for e, c in p.terms.items()})
 
 
 class RatFunc:
@@ -493,12 +584,15 @@ class RatFunc:
     @staticmethod
     def _simplify(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         if num.is_zero():
-            return num, MPoly.const(1)
-        shift = tuple(
-            min(a, b) for a, b in zip(monomial_content(num), monomial_content(den))
-        )
-        num, den = _shift_down(num, shift), _shift_down(den, shift)
-        lead = den.leading_term()[1]
+            return num, _ONE_POLY
+        # the common monomial content of num and den; its lanes total at
+        # most a stored degree
+        shift = _lane_min(den.terms, _lane_min(num.terms))
+        if shift:
+            shift = _with_degree(shift)
+            num, den = _shift_down(num, shift), _shift_down(den, shift)
+        terms = den.terms
+        lead = terms[max(terms)]
         if lead != ONE:
             inv = lead.inverse()
             num, den = num.scale(inv), den.scale(inv)
@@ -506,21 +600,21 @@ class RatFunc:
         # shift leaves num a term free of x_j for each x_j in x^M, num is
         # not divisible by x^M, and num divides x^M only as a constant c,
         # where the branch below would return (c, x^M) again.
-        if len(den.terms) == 1:
+        if len(terms) == 1:
             return num, den
         try:
-            return exact_divide(num, den), MPoly.const(1)
+            return exact_divide(num, den), _ONE_POLY
         except IndivisibleError:
             pass
         try:
             cofactor = exact_divide(den, num)
             # den = num * cofactor, so num/den = 1/cofactor; renormalize.
-            one = MPoly.const(1)
-            lead = cofactor.leading_term()[1]
+            terms = cofactor.terms
+            lead = terms[max(terms)]
             if lead != ONE:
                 inv = lead.inverse()
-                return one.scale(inv), cofactor.scale(inv)
-            return one, cofactor
+                return _ONE_POLY.scale(inv), cofactor.scale(inv)
+            return _ONE_POLY, cofactor
         except IndivisibleError:
             return num, den
 
@@ -528,15 +622,15 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(MPoly.zero(), MPoly.const(1))
+        return RatFunc(MPoly.zero(), _ONE_POLY)
 
     @staticmethod
     def const(c: Scalar) -> "RatFunc":
-        return RatFunc(MPoly.const(c), MPoly.const(1))
+        return RatFunc(MPoly.const(c), _ONE_POLY)
 
     @staticmethod
     def from_poly(p: MPoly) -> "RatFunc":
-        return RatFunc(p, MPoly.const(1))
+        return RatFunc(p, _ONE_POLY)
 
     @staticmethod
     def var(name: str) -> "RatFunc":
@@ -563,11 +657,12 @@ class RatFunc:
         """The constant value if num = c * den identically, else None."""
         if self.num.is_zero():
             return ZERO
-        e, dc = self.den.leading_term()
+        terms = self.den.terms
+        e = max(terms)
         nc = self.num.terms.get(e)
         if nc is None:
             return None
-        c = nc / dc
+        c = nc / terms[e]
         return c if self.num == self.den.scale(c) else None
 
     # -- arithmetic ----------------------------------------------------------
@@ -635,7 +730,7 @@ class RatFunc:
         return (self.num * other.den) == (other.num * self.den)
 
     def __str__(self) -> str:
-        if self.den == MPoly.const(1):
+        if self.den == _ONE_POLY:
             return str(self.num)
         ns, ds = str(self.num), str(self.den)
         if len(self.num.terms) > 1:
@@ -644,7 +739,7 @@ class RatFunc:
         # variable power must be parenthesized to survive a reparse
         bare_power = False
         if len(self.den.terms) == 1:
-            (e, c), = self.den.terms.items()
+            ((e, c),) = self.den.term_items()
             bare_power = c == ONE and sum(1 for k in e if k) == 1
         if not bare_power:
             ds = f"({ds})"

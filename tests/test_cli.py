@@ -151,6 +151,24 @@ def test_verify_huge_integer_literal_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "y" + ")" * 3000, "-" * 5000 + "y"],
+    ids=["parentheses", "unary-signs"],
+)
+def test_verify_deep_nesting_exits_2(tmp_path, capsys, text):
+    # deep enough to exhaust the interpreter's recursion limit unbounded
+    doc = fixture_doc()
+    doc["maps"][0]["coords"]["y"] = text
+    path = write_doc(tmp_path, doc)
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: maps[0].coords.y: nesting deeper than 100 levels (at position 100)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "scalar, message",
     [
         ("1e5000,0,0,0", "bad rational '1e5000'"),
@@ -215,6 +233,16 @@ def test_verify_unreadable_json_exits_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["verify", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("schema violation:")
+
+
+def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
+    # deeper than json.load can follow: it raises RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema violation: {path}: not valid JSON: nested too deeply\n"
 
 
 # -- classify -----------------------------------------------------------------

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from enricert.errors import ParseError
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
-from enricert.parsing import parse_expression
+from enricert.parsing import MAX_NESTING, parse_expression
 from enricert.poly import MPoly, RatFunc
 
 from _helpers import rand_cyclo, rand_mpoly, nonzero_mpoly
@@ -89,6 +89,31 @@ def test_huge_integer_literal_is_a_positioned_parse_error():
     with pytest.raises(ParseError, match="5000 digits is too long") as info:
         parse_expression("y + " + "7" * 5000 + "*w")
     assert info.value.position == 4
+
+
+def test_nesting_up_to_the_bound_parses():
+    y = RatFunc.var("y")
+    assert parse_expression("(" * MAX_NESTING + "y" + ")" * MAX_NESTING) == y
+    assert parse_expression("-" * MAX_NESTING + "y") == y
+    half = MAX_NESTING // 2
+    assert parse_expression("(-" * half + "y" + ")" * half) == y
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("(" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+        ("(" * 3000 + "y" + ")" * 3000, MAX_NESTING),
+        ("-" * 5000 + "y", MAX_NESTING),
+        ("y + " + "-(" * MAX_NESTING + "y" + ")" * MAX_NESTING, 4 + MAX_NESTING),
+    ],
+    ids=["one-over", "parens-3000", "signs-5000", "mixed"],
+)
+def test_nesting_past_the_bound_is_a_positioned_parse_error(text, position):
+    # the deep ones exhaust the interpreter's recursion limit unbounded
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels") as info:
+        parse_expression(text)
+    assert info.value.position == position
 
 
 def test_whitespace_insensitive():

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enricert import (
-    Cyclo, MPoly, ONE, RatFunc, SQRT_M1, ZETA8, exact_divide, jacobian_det2,
+    Cyclo, MPoly, ONE, RatFunc, SQRT_M1, ZERO, ZETA8, exact_divide, jacobian_det2,
 )
 from enricert.cover import family
 from enricert.errors import DegreeCapError, IndivisibleError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
-from enricert.poly import monomial_content, slot
+from enricert.poly import DEGREE_CAP, VARIABLES, monomial_content, slot
 
 from _helpers import nonzero_cyclo, nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
 
@@ -430,3 +430,288 @@ def test_monomial_denominator_admits_no_further_division(p, seed):
     if not r.num.is_constant():
         with pytest.raises(IndivisibleError):
             exact_divide(r.den, r.num)
+
+
+# -- the packed keys against a tuple-keyed reference ---------------------------
+#
+# MPoly keeps each exponent vector packed into one int.  The reference below
+# keeps plain exponent tuples, as dicts tuple -> Cyclo, and does every
+# operation slot by slot; a polynomial enters MPoly only through
+# MPoly.monomial and leaves only through term_items.
+
+_DIFF_NAMES = ("w", "y", "Z", "A", "alpha")  # the top lane, middle lanes, the bottom lane
+_MOVE_NAMES = ("y", "Z", "alpha")
+_ZERO_EXP = (0,) * len(VARIABLES)
+
+
+def _exponent_tuple(names, ks):
+    e = [0] * len(VARIABLES)
+    for name, k in zip(names, ks):
+        e[slot(name)] = k
+    return tuple(e)
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+def _ref(p):
+    return dict(p.term_items())
+
+
+def _same(p, terms):
+    """p holds exactly ``terms``, both read out and as built from them."""
+    return _ref(p) == terms and p == _from_ref(terms)
+
+
+def _from_ref(terms):
+    p = MPoly.zero()
+    for e, c in terms.items():
+        p = p + MPoly.monomial(dict(zip(VARIABLES, e)), c)
+    return p
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, ZERO) + c
+    return _clean(out)
+
+
+def _ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return _clean(out)
+
+
+def _ref_scale(a, c):
+    return _clean({e: v * c for e, v in a.items()})
+
+
+def _ref_lead(a):
+    e = max(a, key=_grlex)
+    return e, a[e]
+
+
+def _ref_content(a):
+    return tuple(map(min, zip(*a)))
+
+
+def _ref_divide(p, q):
+    """(quotient, None), or (None, the remainder whose lead q's lead misses)."""
+    qe, qc = _ref_lead(q)
+    quot, rem = {}, p
+    while rem:
+        e, c = _ref_lead(rem)
+        d = tuple(x - y for x, y in zip(e, qe))
+        if min(d) < 0:
+            return None, rem
+        quot[d] = c / qc
+        rem = _ref_add(rem, _ref_mul({d: -(c / qc)}, q))
+    return quot, None
+
+
+def _ref_pair(num, den):
+    """The num/den pair RatFunc keeps, computed on tuples."""
+    if not num:
+        return {}, {_ZERO_EXP: ONE}
+    shift = tuple(map(min, _ref_content(num), _ref_content(den)))
+
+    def down(a):
+        return {tuple(x - s for x, s in zip(e, shift)): c for e, c in a.items()}
+
+    inv = _ref_lead(down(den))[1].inverse()
+    num, den = _ref_scale(down(num), inv), _ref_scale(down(den), inv)
+    if len(den) == 1:
+        return num, den
+    quot, _ = _ref_divide(num, den)
+    if quot is not None:
+        return quot, {_ZERO_EXP: ONE}
+    cofactor, _ = _ref_divide(den, num)
+    if cofactor is not None:
+        inv = _ref_lead(cofactor)[1].inverse()
+        return {_ZERO_EXP: inv}, _ref_scale(cofactor, inv)
+    return num, den
+
+
+def _ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a, key=_grlex, reverse=True):
+        factors = [n if k == 1 else f"{n}^{k}" for n, k in zip(VARIABLES, e) if k]
+        cs = str(a[e])
+        if not factors:
+            parts.append(f"({cs})" if " " in cs else cs)
+            continue
+        if cs in ("1", "-1"):
+            cs = cs[:-1]
+        elif "+" in cs[1:] or "-" in cs[1:] or " " in cs:
+            cs = f"({cs})*"
+        else:
+            cs += "*"
+        parts.append(cs + "*".join(factors))
+    return parts[0] + "".join(
+        f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+    )
+
+
+def _ref_substitute(a, spec):
+    """The pair of substituting name -> c * x^v (v signed) into a."""
+    out = {}
+    for e, c in a.items():
+        image = list(e)
+        for name, (v, cv) in spec.items():
+            k = e[slot(name)]
+            if not k:
+                continue
+            image[slot(name)] -= k
+            for target, d in zip(_MOVE_NAMES, v):
+                image[slot(target)] += k * d
+            c = c * cv ** k
+        key = tuple(image)
+        out[key] = out.get(key, ZERO) + c
+    out = _clean(out)
+    if not out:
+        return {}, {_ZERO_EXP: ONE}
+    den = tuple(max(0, -m) for m in map(min, zip(*out)))
+    return {tuple(x + d for x, d in zip(e, den)): c for e, c in out.items()}, {den: ONE}
+
+
+_coords = st.sampled_from((-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3)))
+_nonzero_cyclos = st.builds(Cyclo, _coords, _coords, _coords, _coords).filter(
+    lambda c: not c.is_zero()
+)
+
+
+def _ref_polys(max_exp, min_size=0):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(_DIFF_NAMES)).map(
+        lambda ks: _exponent_tuple(_DIFF_NAMES, ks)
+    )
+    return st.dictionaries(exps, _nonzero_cyclos, min_size=min_size, max_size=4)
+
+
+# total degree at most 15, so two-factor products stay under the cap
+_refs = _ref_polys(3)
+_nonzero_refs = _ref_polys(3, min_size=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refs, _refs)
+def test_packed_ring_operations_match_the_tuple_reference(a, b):
+    p, q = _from_ref(a), _from_ref(b)
+    assert _same(p, a)
+    assert p.support() == tuple(sorted(a, key=_grlex, reverse=True))
+    assert _same(p * q, _ref_mul(a, b))
+    assert _same(p + q, _ref_add(a, b))
+    assert _same(p - q, _ref_add(a, _ref_neg(b)))
+    assert _same(-p, _ref_neg(a))
+    assert str(p) == _ref_str(a)
+    assert str(p * q) == _ref_str(_ref_mul(a, b))
+    if a:
+        assert monomial_content(p) == _ref_content(a)
+        assert p.leading_term() == _ref_lead(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refs, _nonzero_refs, st.one_of(st.just({}), _refs))
+def test_packed_exact_divide_matches_the_tuple_reference(a, b, bump):
+    # a * b is divisible by b; adding a nonzero bump usually is not
+    num = _ref_add(_ref_mul(a, b), bump)
+    quot, rem = _ref_divide(num, b)
+    if quot is not None:
+        assert _same(exact_divide(_from_ref(num), _from_ref(b)), quot)
+    else:
+        with pytest.raises(IndivisibleError) as err:
+            exact_divide(_from_ref(num), _from_ref(b))
+        assert _same(err.value.remainder, rem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refs, _nonzero_refs, _nonzero_refs)
+def test_packed_ratfunc_pair_matches_the_tuple_reference(a, b, common):
+    # a common factor gives the content shift and the divisions work to do
+    num, den = _ref_mul(a, common), _ref_mul(b, common)
+    r = RatFunc(_from_ref(num), _from_ref(den))
+    ref_num, ref_den = _ref_pair(num, den)
+    assert _same(r.num, ref_num) and _same(r.den, ref_den)
+    assert str(r.num) == _ref_str(ref_num)
+
+
+_laurent_specs = st.dictionaries(
+    st.sampled_from(_DIFF_NAMES),
+    st.tuples(st.tuples(*[st.integers(-1, 1)] * len(_MOVE_NAMES)), _nonzero_cyclos),
+    max_size=len(_DIFF_NAMES),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ref_polys(1), _laurent_specs)
+def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
+    # name -> c * x^v with v in {-1, 0, 1} on y, Z, alpha: negative Laurent
+    # exponents on the packed keys, within the monomial path's degree bound
+    assignment = {}
+    for name, (v, cv) in spec.items():
+        up = _exponent_tuple(_MOVE_NAMES, [max(d, 0) for d in v])
+        down = _exponent_tuple(_MOVE_NAMES, [max(-d, 0) for d in v])
+        assignment[name] = RatFunc(
+            MPoly.monomial(dict(zip(VARIABLES, up)), cv),
+            MPoly.monomial(dict(zip(VARIABLES, down))),
+        )
+    p = _from_ref(a)
+    ref_num, ref_den = _ref_substitute(a, spec)
+    fast, slow = _both_paths(p, assignment)
+    assert fast is not None
+    for r in (fast, slow):
+        assert _same(r.num, ref_num) and _same(r.den, ref_den)
+        assert str(r.num) == _ref_str(ref_num)
+        assert str(r.den) == _ref_str(ref_den)
+
+
+def test_a_slot_holds_exactly_the_cap():
+    for name in ("w", "y", "alpha"):
+        x = MPoly.var(name)
+        top = MPoly.monomial({name: DEGREE_CAP}, 3)
+        assert top.support() == (_exponent_tuple((name,), (DEGREE_CAP,)),)
+        assert top.degree_in(name) == DEGREE_CAP
+        assert str(top) == f"3*{name}^{DEGREE_CAP}"
+        assert (x ** 32 * x ** 32).scale(3) == top
+        assert exact_divide(top, x ** 63) == x.scale(3)
+        with pytest.raises(IndivisibleError):
+            exact_divide(x ** 63, top)
+        assert monomial_content(top + x) == _exponent_tuple((name,), (1,))
+        assert RatFunc(top, x ** 60) == RatFunc.from_poly(x ** 4 * 3)
+
+
+def test_a_product_of_degree_65_is_over_the_cap():
+    with pytest.raises(DegreeCapError, match="total degree 65") as err:
+        MPoly.monomial({"w": 64}) * MPoly.var("alpha")
+    assert str(err.value) == "product term of total degree 65 exceeds cap 64"
+
+
+@pytest.mark.parametrize(
+    "exponents,degree",
+    [({"y": 65}, 65), ({"y": 40, "z": 25}, 65), ({"alpha": 300}, 300), ({"w": 256}, 256)],
+)
+def test_a_monomial_over_the_cap_is_refused(exponents, degree):
+    # a lane holds at most the cap: a larger exponent would spill into the
+    # next slot's bits
+    with pytest.raises(DegreeCapError) as err:
+        MPoly.monomial(exponents)
+    assert str(err.value) == f"monomial of total degree {degree} exceeds cap 64"
+
+
+def test_a_negative_monomial_exponent_is_a_value_error():
+    with pytest.raises(ValueError, match="negative exponent"):
+        MPoly.monomial({"y": 2, "z": -1})
