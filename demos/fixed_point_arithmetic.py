@@ -1,7 +1,10 @@
 """Fixed-point bookkeeping on the quadric, both Lefschetz identities."""
 
 from enricert import (
+    Cyclo,
     FixedCurveData,
+    SQRT_M1,
+    ZERO,
     holomorphic_lefschetz_case_a,
     holomorphic_lefschetz_case_b,
     hyperbolic_plane,
@@ -28,21 +31,38 @@ for sign in (1, -1):
     print(f"sign {sign:+d}: curve case lhs {lhs}, rhs {rhs}, equal {equal}")
 
 # Fixed loci of the coordinate involutions on P^1 x P^1, with the
-# topological count 2 + trace as cross-check.
+# topological count 2 + trace as cross-check.  The engine counts the fixed
+# points without solving for them; the paper names them, and a point x of
+# P^1 is fixed by (a, b; c, d) exactly when c x^2 + (d - a) x - b = 0, or,
+# for x = oo, when c = 0.
+def fixes(m, x):
+    if x == "oo":
+        return m.c.is_zero()
+    return (m.c * x * x + (m.d - m.a) * x - m.b).is_zero()
+
+
+one, i = Cyclo(1), SQRT_M1
 involutions = [
-    ("negate both", neg_both()),
-    ("invert both", inv_both()),
-    ("their product", neg_both().compose(inv_both())),
+    ("negate both", neg_both(), [ZERO, "oo"]),
+    ("invert both", inv_both(), [one, -one]),
+    ("their product", neg_both().compose(inv_both()), [i, -i]),
 ]
-for label, g in involutions:
+for label, g, named in involutions:
     data = qaut_fixed_points(g)
-    points = [(str(a), str(b)) for a, b in data.points]
-    print(f"{label}: {data.count} fixed points at {points}, "
+    named_fixed = all(fixes(m, x) for m in (g.m1, g.m2) for x in named)
+    assert named_fixed and data.count == len(named) ** 2
+    names = ", ".join(str(x) for x in named)
+    print(f"{label}: {data.count} fixed points, {{{names}}}^2 fixed: {named_fixed}, "
           f"topological count {topological_lefschetz_count(g.ns_trace())}")
 
-data = qaut_fixed_points(swap_root(1))
-print("factor swap:", data.count, "fixed points at",
-      [(str(a), str(b)) for a, b in data.points])
+# The ruling swap (Y, Z) -> (1/Z, Y) fixes (Y0, m2 . Y0) for each Y0 fixed
+# by m1 . m2; m2 is the identity, so the points are (1, 1) and (-1, -1).
+g = swap_root(1)
+data = qaut_fixed_points(g)
+named_fixed = all(fixes(g.m1 @ g.m2, x) for x in (one, -one))
+assert named_fixed and data.count == 2
+print(f"factor swap: {data.count} fixed points, Y0 = 1 and -1 are fixed: "
+      f"{named_fixed}")
 
 # Square roots of the coordinate involutions inside the monomial group:
 # only factor-swapping roots exist for the double inversion.

@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 from .field import (
     Cyclo,
     ONE,
-    SQRT2,
     SQRT_M1,
     ZERO,
     ZETA8,
-    field_sqrt,
     parse_cyclo,
     root_of_unity_order,
 )
@@ -40,7 +38,6 @@ from .maps import (
     BirMap,
     Mobius,
     QAut,
-    INF,
     check_equation_invariance,
     compose,
     deck_flip,

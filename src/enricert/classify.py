@@ -11,7 +11,7 @@ why every rejected candidate dies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 Pair = Tuple[int, int]
 
@@ -74,9 +74,6 @@ class ClassificationOutcome:
     def __init__(self, pairs: List[Pair], trace: List[PruneRecord]):
         self.pairs = pairs
         self.trace = trace
-
-    def pruned_by(self) -> Dict[Pair, str]:
-        return {r.pair: r.rule for r in self.trace}
 
     def __repr__(self) -> str:
         return f"ClassificationOutcome(pairs={self.pairs})"

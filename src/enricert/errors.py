@@ -4,7 +4,9 @@ Input handling distinguishes three failure kinds so the command line tool can
 map them to exit codes: malformed expressions (ParseError), malformed JSON
 documents (SchemaError), and well-formed documents describing objects that
 break a structural invariant (InvariantError).  Everything else is an internal
-contract violation and raises one of the remaining types.
+contract violation or a resource cap (DegreeCapError on total degree,
+SizeCapError on the work of a product) and raises one of the remaining
+types.
 """
 
 
@@ -49,6 +51,11 @@ class IndivisibleError(EngineError):
 
 class DegreeCapError(EngineError):
     """A polynomial product exceeded the fixed total-degree cap poly.DEGREE_CAP."""
+
+
+class SizeCapError(EngineError):
+    """A polynomial product would visit more term pairs than the fixed cap
+    poly.MAX_TERM_PAIRS."""
 
 
 class NonConstantRatioError(EngineError):

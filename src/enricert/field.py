@@ -1,8 +1,8 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_8).
 
 Elements are stored in the power basis {1, zeta, zeta^2, zeta^3}, where zeta
-is a primitive 8th root of unity with minimal polynomial x^4 + 1.  The three
-square roots the engine needs all live here:
+is a primitive 8th root of unity with minimal polynomial x^4 + 1.  The square
+roots in the families' formulas all live here:
 
     zeta^2 = sqrt(-1),   zeta - zeta^3 = sqrt(2),   zeta = (1 + sqrt(-1)) / sqrt(2).
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import ParseError
@@ -288,7 +288,6 @@ ZERO = Cyclo(0)
 ONE = Cyclo(1)
 ZETA8 = Cyclo(0, 1)
 SQRT_M1 = Cyclo(0, 0, 1)
-SQRT2 = Cyclo(0, 1, 0, -1)
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
@@ -347,87 +346,4 @@ def root_of_unity_order(a: Cyclo) -> Optional[int]:
         power = power * a
         if power == ONE:
             return n
-    return None
-
-
-# -- square roots ------------------------------------------------------------
-#
-# Needed for Moebius fixed points.  The tower Q <= Q(i) <= Q(zeta_8) reduces a
-# square root in the big field to rational perfect-square tests.  Each helper
-# returns None when no root exists in its field, so callers can fall back to
-# count-only answers.
-
-
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    nr, dr = isqrt(q.numerator), isqrt(q.denominator)
-    if nr * nr == q.numerator and dr * dr == q.denominator:
-        return Fraction(nr, dr)
-    return None
-
-
-def _gauss(re: Fraction, im: Fraction) -> Cyclo:
-    return Cyclo(re, 0, im, 0)
-
-
-def _gauss_sqrt(re: Fraction, im: Fraction) -> Optional[Cyclo]:
-    """Square root of re + im*i inside Q(i), as a Cyclo, or None."""
-    if im == 0:
-        r = rational_sqrt(re)
-        if r is not None:
-            return _gauss(r, Fraction(0))
-        r = rational_sqrt(-re)
-        if r is not None:
-            return _gauss(Fraction(0), r)
-        return None
-    norm = rational_sqrt(re * re + im * im)
-    if norm is None:
-        return None
-    p2 = (re + norm) / 2
-    p = rational_sqrt(p2)
-    if p is None or p == 0:
-        return None
-    return _gauss(p, im / (2 * p))
-
-
-def field_sqrt(delta: Cyclo) -> Optional[Cyclo]:
-    """A square root of delta in Q(zeta_8), or None if none exists there.
-
-    Writes delta = u + v*zeta with u, v in Q(i); then x = p + q*zeta squares to
-    (p^2 + i q^2) + 2pq zeta, which reduces the problem to square roots in
-    Q(i).  Completeness: p^2 solves a quadratic over Q(i), so if the needed
-    Gaussian roots do not exist, no root exists in the field at all.
-    """
-    if delta.is_zero():
-        return ZERO
-    c0, c1, c2, c3 = delta.coords
-    u_re, u_im = c0, c2
-    v_re, v_im = c1, c3
-    i = SQRT_M1
-    u = _gauss(u_re, u_im)
-    v = _gauss(v_re, v_im)
-    if v.is_zero():
-        root = _gauss_sqrt(u_re, u_im)
-        if root is not None:
-            return root
-        # Try x = q * zeta, so q^2 = u / i = -i u.
-        w = -i * u
-        root = _gauss_sqrt(w.coords[0], w.coords[2])
-        if root is not None:
-            return root * ZETA8
-        return None
-    disc = u * u - i * v * v
-    s = _gauss_sqrt(disc.coords[0], disc.coords[2])
-    if s is None:
-        return None
-    for sign in (1, -1):
-        t = (u + sign * s) * Fraction(1, 2)
-        p = _gauss_sqrt(t.coords[0], t.coords[2])
-        if p is None or p.is_zero():
-            continue
-        q = v / (2 * p)
-        cand = p + q * ZETA8
-        if cand * cand == delta:
-            return cand
     return None

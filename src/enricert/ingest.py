@@ -260,7 +260,9 @@ def ingest(path: str) -> IngestResult:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError on a non-UTF-8 byte, and
+            # the interpreter's int digit limit on a huge number literal
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         except RecursionError:
             raise SchemaError(f"{path}: not valid JSON: nested too deeply") from None

@@ -13,10 +13,10 @@ where the cover coordinate is squared, in check_equation_invariance.
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
 a shape flag ("direct" preserves the rulings, "swap" exchanges them).  Fixed
-points come from the quadratic c x^2 + (d - a) x - b = 0 of each Moebius
-factor; coordinates are reported when the roots lie in Q(zeta_8), and only
-counted otherwise.  The search for monomial square roots runs in exponent
-form, on integer matrices and exponents of zeta_8, not on these matrices.
+points are counted, not solved for: the quadratic c x^2 + (d - a) x - b = 0
+of each Moebius factor has one root or two, as its discriminant decides.
+The search for monomial square roots runs in exponent form, on integer
+matrices and exponents of zeta_8, not on these matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
-from .field import Cyclo, ONE, ZERO, ZETA8, field_sqrt
+from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import MPoly, RatFunc, as_ratfunc
 from .cover import SurfaceFamily
@@ -255,23 +255,6 @@ def deck_flip() -> BirMap:
 # -- automorphisms of the quadric P1 x P1 -------------------------------------
 
 
-class _Infinity:
-    """The point at infinity of P1; a singleton."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "oo"
-
-
-INF = _Infinity()
-
-
 class Mobius:
     """A 2x2 invertible matrix over Q(zeta_8), normalized up to scalar."""
 
@@ -325,45 +308,19 @@ class Mobius:
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
-    def apply(self, point):
-        """Evaluate the fractional-linear action at a point of P1."""
-        if point is INF:
-            if self.c.is_zero():
-                return INF
-            return self.a / self.c
-        x = Cyclo.coerce(point)
-        den = self.c * x + self.d
-        if den.is_zero():
-            return INF
-        return (self.a * x + self.b) / den
-
-    def apply_ratfunc(self, x: RatFunc) -> RatFunc:
-        num = RatFunc.const(self.a) * x + RatFunc.const(self.b)
-        den = RatFunc.const(self.c) * x + RatFunc.const(self.d)
-        return num / den
-
-    def fixed_points(self) -> Tuple[int, Optional[List[object]], bool]:
-        """(count, points or None, parabolic flag) for the action on P1.
+    def fixed_points(self) -> Tuple[int, bool]:
+        """(count, parabolic flag) for the action on P1.
 
         Fixed points solve c x^2 + (d - a) x - b = 0, with infinity fixed
-        exactly when c = 0.  Coordinates are listed when they lie in
-        Q(zeta_8); a repeated root (parabolic map) is flagged.
+        exactly when c = 0.  There is one, and the map is parabolic, exactly
+        when the discriminant (d - a)^2 + 4bc vanishes (for c = 0: when
+        a = d); there are two otherwise.
         """
         if self.is_identity():
             raise ValueError("the identity fixes everything")
         a, b, c, d = self.a, self.b, self.c, self.d
-        if c.is_zero():
-            if a == d:
-                return 1, [INF], True
-            return 2, [INF, b / (d - a)], False
-        disc = (d - a) * (d - a) + 4 * b * c
-        if disc.is_zero():
-            return 1, [(a - d) / (2 * c)], True
-        root = field_sqrt(disc)
-        if root is None:
-            return 2, None, False
-        half = (2 * c).inverse()
-        return 2, [((a - d) + root) * half, ((a - d) - root) * half], False
+        parabolic = ((d - a) * (d - a) + 4 * b * c).is_zero()
+        return (1 if parabolic else 2), parabolic
 
     def __repr__(self) -> str:
         return f"Mobius(({self.a}, {self.b}), ({self.c}, {self.d}))"
@@ -439,31 +396,23 @@ class QAut:
         """Trace on the rank-2 lattice spanned by the two ruling classes."""
         return 2 if self.shape == DIRECT else 0
 
-    def coord_funcs(self) -> Tuple[RatFunc, RatFunc]:
-        yv, zv = RatFunc.var("Y"), RatFunc.var("Z")
-        if self.shape == DIRECT:
-            return self.m1.apply_ratfunc(yv), self.m2.apply_ratfunc(zv)
-        return self.m1.apply_ratfunc(zv), self.m2.apply_ratfunc(yv)
-
     def __repr__(self) -> str:
         return f"QAut({self.shape}, {self.m1}, {self.m2})"
 
 
 class FixedPointData:
-    """Fixed-point count of a QAut, with coordinates when available."""
+    """Fixed-point count of a QAut, with the parabolic flag."""
 
-    def __init__(self, count: int, points: Optional[List[Tuple[object, object]]],
-                 parabolic: bool):
+    def __init__(self, count: int, parabolic: bool):
         self.count = count
-        self.points = points
         self.parabolic = parabolic
 
     def __repr__(self) -> str:
-        return f"FixedPointData(count={self.count}, points={self.points})"
+        return f"FixedPointData(count={self.count}, parabolic={self.parabolic})"
 
 
 def qaut_fixed_points(g: QAut) -> FixedPointData:
-    """Fixed points of a non-identity QAut on the quadric.
+    """Fixed-point count of a non-identity QAut on the quadric.
 
     direct shape: the product of the two factors' fixed sets; a factor equal
     to the identity would fix a curve, which is rejected.  swap shape: fixed
@@ -475,20 +424,13 @@ def qaut_fixed_points(g: QAut) -> FixedPointData:
     if g.shape == DIRECT:
         if g.m1.is_identity() or g.m2.is_identity():
             raise ValueError("a direct map with an identity factor fixes a curve")
-        c1, pts1, par1 = g.m1.fixed_points()
-        c2, pts2, par2 = g.m2.fixed_points()
-        points = None
-        if pts1 is not None and pts2 is not None:
-            points = [(p, q) for p in pts1 for q in pts2]
-        return FixedPointData(c1 * c2, points, par1 or par2)
+        c1, par1 = g.m1.fixed_points()
+        c2, par2 = g.m2.fixed_points()
+        return FixedPointData(c1 * c2, par1 or par2)
     h = g.m1 @ g.m2
     if h.is_identity():
         raise ValueError("this ruling swap fixes a curve, not isolated points")
-    count, pts, par = h.fixed_points()
-    points = None
-    if pts is not None:
-        points = [(p, g.m2.apply(p)) for p in pts]
-    return FixedPointData(count, points, par)
+    return FixedPointData(*h.fixed_points())
 
 
 # -- the Klein-four normal form and square roots of the double inversion ------

@@ -54,7 +54,10 @@ DegreeCapError if it must.
 
 A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
 with a diagnostic error instead of letting a buggy reduction loop spin
-forever.
+forever.  The degree cap does not bound the work of a product, since a
+polynomial under it can still have millions of terms.  MAX_TERM_PAIRS
+bounds that work, the number of term pairs one schoolbook product visits,
+and a product over it raises SizeCapError.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import DegreeCapError, IndivisibleError
+from .errors import DegreeCapError, IndivisibleError, SizeCapError
 from .field import Cyclo, ONE, ZERO
 
 Exponents = Tuple[int, ...]
@@ -70,6 +73,10 @@ Scalar = Union[Cyclo, Fraction, int]
 
 #: Largest total degree a polynomial product may reach.
 DEGREE_CAP = 64
+
+#: Largest number of term pairs, |a| * |b|, one product a * b may visit.
+#: The built-in run stays far below it: its largest product has 12 pairs.
+MAX_TERM_PAIRS = 2 ** 16
 
 #: The fixed variable layout: slot i of every exponent vector holds the
 #: exponent of VARIABLES[i].  These are the ambient coordinates of the double
@@ -293,6 +300,11 @@ class MPoly:
                         raise DegreeCapError(
                             f"product term of total degree {degree} exceeds cap {DEGREE_CAP}"
                         )
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise SizeCapError(
+                f"product of {len(a)} by {len(b)} terms exceeds cap "
+                f"{MAX_TERM_PAIRS} term pairs"
+            )
         out: Dict[int, Cyclo] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():

@@ -326,7 +326,7 @@ def _lefschetz_count(rng):
             h = m1 @ m2
             if h.is_identity():
                 continue
-            if h.fixed_points()[2]:
+            if h.fixed_points()[1]:
                 continue
             break
         g = QAut(SWAP, m1, m2)

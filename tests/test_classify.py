@@ -43,7 +43,7 @@ def test_pruning_trace_rules():
         (48, 8): "square_inadmissible",
         (16, 8): "no_index8",
     }
-    assert admissible_pairs().pruned_by() == expected
+    assert {r.pair: r.rule for r in admissible_pairs().trace} == expected
 
 
 def test_every_prune_record_carries_its_statement():

@@ -1,13 +1,17 @@
 """Command line behaviour: output shapes and the exit code contract."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import enricert
 from enricert.cli import main
@@ -23,6 +27,22 @@ def write_doc(tmp_path, doc, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def run_cli(*args, **kwargs):
+    """Run ``python -m enricert.cli`` in a child process.
+
+    The child imports the same package as this process, also when pytest
+    put it on sys.path through its pythonpath setting rather than the
+    environment.
+    """
+    root = str(Path(enricert.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "enricert.cli", *args],
+        capture_output=True, text=True, env=env, **kwargs,
+    )
 
 
 # -- verify -------------------------------------------------------------------
@@ -235,6 +255,29 @@ def test_verify_unreadable_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("schema violation:")
 
 
+# Both are ValueErrors raised inside json.load, as JSONDecodeError is.
+NON_UTF8_BYTES = b'{"families": [], "maps": [\xff]}'
+HUGE_NUMBER_BYTES = b'{"families": [], "maps": [' + b"1" * 5000 + b"]}"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (NON_UTF8_BYTES, "'utf-8' codec can't decode byte 0xff"),
+        (HUGE_NUMBER_BYTES, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["non-utf8-byte", "huge-number"],
+)
+def test_verify_unreadable_bytes_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema violation: {path}: not valid JSON: ")
+    assert message in captured.err
+
+
 def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
     # deeper than json.load can follow: it raises RecursionError
     path = tmp_path / "nested.json"
@@ -243,6 +286,105 @@ def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"schema violation: {path}: not valid JSON: nested too deeply\n"
+
+
+def _with_coord(var, text):
+    doc = fixture_doc()
+    doc["maps"][0]["coords"][var] = text
+    return doc
+
+
+def _with_map(coords):
+    doc = fixture_doc()
+    doc["maps"].append({"name": "big", "coords": coords})
+    return doc
+
+
+# 6,435 terms of degree 8; substituted into a branch of y-degree 4 it stays
+# under the degree cap, but squaring it alone visits 6,435^2 term pairs.
+TERM_COUNT_BOMB = _with_coord("y", "(y+z+A+B+C+D+E+F)^8")
+
+
+def test_verify_term_count_bomb_hits_the_size_cap(tmp_path):
+    path = write_doc(tmp_path, TERM_COUNT_BOMB)
+    proc = run_cli("verify", "--input", path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert (
+        "[FAIL] custom-invariance-aut_4_2\n"
+        "       witness: SizeCapError: product of 6435 by 6435 terms exceeds "
+        "cap 65536 term pairs\n"
+    ) in proc.stdout
+
+
+# -- fuzzing ingest through the command line ----------------------------------
+
+_EXPRESSION_TOKENS = (
+    "w", "y", "z", "A", "B", "i", "zeta8", "0", "1", "2", "8",
+    "+", "-", "*", "/", "^", "(", ")", " ",
+)
+_well_formed = st.recursive(
+    st.sampled_from(["w", "y", "z", "A", "i", "zeta8", "0", "1", "3/2"]),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})"
+    )
+    | st.tuples(inner, st.integers(min_value=-3, max_value=70)).map(
+        lambda t: f"{t[0]}^{t[1]}"
+    ),
+    max_leaves=6,
+)
+_expressions = _well_formed | st.lists(
+    st.sampled_from(_EXPRESSION_TOKENS), max_size=14
+).map("".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _edited_family(index, key, value):
+    doc = fixture_doc()
+    monomial = doc["families"][0]["monomials"][index]
+    if key == "scalar":
+        monomial["coeff"]["scalar"] = value
+    else:
+        monomial[key] = value
+    return doc
+
+
+_documents = st.one_of(
+    st.binary(max_size=40),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.builds(_with_coord, st.sampled_from("wyz"), _expressions).map(
+        lambda d: json.dumps(d).encode()
+    ),
+    st.builds(
+        _edited_family,
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["i", "j", "scalar"]),
+        _json_values,
+    ).map(lambda d: json.dumps(d).encode()),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=timedelta(seconds=10))
+@given(_documents)
+@example(json.dumps(_with_map({"w": "w", "y": "y^40", "z": "z"})).encode())
+@example(json.dumps(_with_map({"w": "w", "y": "1 / y^20", "z": "z^3"})).encode())
+@example(json.dumps(TERM_COUNT_BOMB).encode())
+@example(NON_UTF8_BYTES)
+@example(HUGE_NUMBER_BYTES)
+def test_verify_any_document_ends_with_an_exit_code(tmp_path_factory, content):
+    # Whatever the file holds, verify returns 0, 1 or 2 and no exception
+    # escapes.
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--input", str(path)])
+    assert code in (0, 1, 2)
 
 
 # -- classify -----------------------------------------------------------------
@@ -296,15 +438,6 @@ def test_unknown_check_choice_rejected(capsys):
 
 
 def test_installed_entry_point():
-    # The child imports the same package as this process, also when pytest
-    # put it on sys.path through its pythonpath setting rather than the
-    # environment.
-    root = str(Path(enricert.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "enricert.cli", "classify"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli("classify")
     assert proc.returncode == 0
     assert "admissible (order, index) pairs:" in proc.stdout

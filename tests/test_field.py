@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from enricert import (
     Cyclo,
     ONE,
-    SQRT2,
     SQRT_M1,
     ZERO,
     ZETA8,
-    field_sqrt,
     parse_cyclo,
     root_of_unity_order,
 )
@@ -44,9 +42,10 @@ def test_defining_relation():
 def test_named_constants():
     assert SQRT_M1 == ZETA8 ** 2
     assert SQRT_M1 * SQRT_M1 == -1
-    assert SQRT2 * SQRT2 == 2
-    assert SQRT2 == ZETA8 - ZETA8 ** 3
-    assert ZETA8 * SQRT2 == ONE + SQRT_M1
+    sqrt2 = Cyclo(0, 1, 0, -1)
+    assert sqrt2 * sqrt2 == 2
+    assert sqrt2 == ZETA8 - ZETA8 ** 3
+    assert ZETA8 * sqrt2 == ONE + SQRT_M1
 
 
 def test_mixed_arithmetic_with_ints_and_fractions():
@@ -109,28 +108,6 @@ def test_parse_rejects_garbage():
         parse_cyclo("x")
     with pytest.raises(ParseError):
         parse_cyclo("1/0")
-
-
-def test_field_sqrt_examples():
-    assert field_sqrt(Cyclo(4)) == Cyclo(2)
-    # sqrt(-1) and sqrt(2) live in the field
-    assert field_sqrt(Cyclo(-1)) in (SQRT_M1, -SQRT_M1)
-    r = field_sqrt(Cyclo(2))
-    assert r is not None and r * r == 2
-    # sqrt(i) = zeta8 up to sign
-    r = field_sqrt(SQRT_M1)
-    assert r is not None and r * r == SQRT_M1
-    # 3 has no square root in the field
-    assert field_sqrt(Cyclo(3)) is None
-    assert field_sqrt(ONE + ZETA8) is None
-
-
-@settings(max_examples=120, deadline=None)
-@given(cyclos)
-def test_sqrt_of_square_exists(a):
-    r = field_sqrt(a * a)
-    assert r is not None
-    assert r * r == a * a
 
 
 @settings(max_examples=120, deadline=None)

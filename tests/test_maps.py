@@ -15,7 +15,6 @@ from enricert.maps import (
     BirMap,
     DIRECT,
     ENRIQUES_VARS,
-    INF,
     K3_VARS,
     Mobius,
     QAut,
@@ -210,56 +209,31 @@ def test_mobius_group_laws():
     assert (m @ n).inverse() == n.inverse() @ m.inverse()
 
 
-def test_mobius_apply():
-    inv = Mobius(0, 1, 1, 0)
-    assert inv.apply(Cyclo.coerce(2)) == Cyclo.coerce(1) / Cyclo.coerce(2)
-    assert inv.apply(ZERO) is INF
-    assert inv.apply(INF) == ZERO
-    shift = Mobius(1, 1, 0, 1)
-    assert shift.apply(INF) is INF
-
-
-def test_mobius_apply_ratfunc_matches_pointwise():
-    m = Mobius(1, 2, 3, 4)
-    y = RatFunc.var("Y")
-    image = m.apply_ratfunc(y)
-    for x in (0, 1, -2, 5):
-        value = image.substitute({"Y": RatFunc.const(x)})
-        assert value.as_constant() == m.apply(Cyclo.coerce(x))
-
-
 def test_fixed_points_of_identity_rejected():
     with pytest.raises(ValueError):
         Mobius.identity().fixed_points()
 
 
 def test_fixed_points_translation_is_parabolic():
-    count, points, parabolic = Mobius(1, 1, 0, 1).fixed_points()
-    assert (count, points, parabolic) == (1, [INF], True)
+    assert Mobius(1, 1, 0, 1).fixed_points() == (1, True)
 
 
 def test_fixed_points_diagonal():
-    count, points, parabolic = Mobius(2, 0, 0, 1).fixed_points()
-    assert count == 2 and not parabolic
-    assert points == [INF, ZERO]
+    assert Mobius(2, 0, 0, 1).fixed_points() == (2, False)
 
 
 def test_fixed_points_inversion():
-    count, points, parabolic = Mobius(0, 1, 1, 0).fixed_points()
-    assert count == 2 and not parabolic
-    assert set(points) == {Cyclo.coerce(1), Cyclo.coerce(-1)}
+    assert Mobius(0, 1, 1, 0).fixed_points() == (2, False)
 
 
 def test_fixed_points_parabolic_affine():
-    count, points, parabolic = Mobius(3, 1, -1, 1).fixed_points()
-    assert (count, parabolic) == (1, True)
-    assert points == [Cyclo.coerce(-1)]
+    # discriminant (1 - 3)^2 + 4 * 1 * (-1) = 0: the double root -1
+    assert Mobius(3, 1, -1, 1).fixed_points() == (1, True)
 
 
 def test_fixed_points_outside_the_field():
     # discriminant 5 has no square root in the field; count still 2
-    count, points, parabolic = Mobius(1, 1, 1, 0).fixed_points()
-    assert (count, points, parabolic) == (2, None, False)
+    assert Mobius(1, 1, 1, 0).fixed_points() == (2, False)
 
 
 # -- quadric automorphisms ----------------------------------------------------
@@ -290,11 +264,26 @@ def test_qaut_ns_trace():
     assert swap_root(1).ns_trace() == 0
 
 
+def _act(m, x):
+    """m . x as a RatFunc, by the fractional-linear formula."""
+    a, b, c, d = (RatFunc.const(e) for e in (m.a, m.b, m.c, m.d))
+    return (a * x + b) / (c * x + d)
+
+
+def _coord_funcs(g):
+    """The (Y, Z) coordinate functions of a QAut."""
+    y, z = RatFunc.var("Y"), RatFunc.var("Z")
+    if g.shape == DIRECT:
+        return _act(g.m1, y), _act(g.m2, z)
+    return _act(g.m1, z), _act(g.m2, y)
+
+
 def test_qaut_coord_funcs():
+    # the matrices encode the maps the constructors' docstrings name
     y = RatFunc.var("Y")
     z = RatFunc.var("Z")
-    assert swap_root(1).coord_funcs() == (z.inverse(), y)
-    assert inv_both().coord_funcs() == (y.inverse(), z.inverse())
+    assert _coord_funcs(swap_root(1)) == (z.inverse(), y)
+    assert _coord_funcs(inv_both()) == (y.inverse(), z.inverse())
 
 
 def test_swap_root_sign_validation():
@@ -320,35 +309,59 @@ def test_qaut_fixed_points_rejects_curve_fixing_maps():
         qaut_fixed_points(graph)
 
 
+# The paper's named fixed points, checked with plain field arithmetic and
+# not with the engine's count: a point x of P1 is fixed by m exactly when
+# c x^2 + (d - a) x - b = 0 (x finite) or c = 0 (x infinite, None here).
+# A non-identity m has at most two fixed points, so naming that many
+# distinct ones settles the count.
+
+
+def _fixes(m, x):
+    if x is None:
+        return m.c.is_zero()
+    return (m.c * x * x + (m.d - m.a) * x - m.b).is_zero()
+
+
+def _check_named_points(m, points):
+    assert len(set(points)) == len(points)
+    assert all(_fixes(m, x) for x in points)
+    assert m.fixed_points() == (len(points), len(points) == 1)
+
+
+def _check_direct(g, points1, points2):
+    _check_named_points(g.m1, points1)
+    _check_named_points(g.m2, points2)
+    data = qaut_fixed_points(g)
+    assert data.count == len(points1) * len(points2) == 2 + g.ns_trace()
+    assert not data.parabolic
+
+
 def test_double_negation_fixes_four_corners():
-    data = qaut_fixed_points(neg_both())
-    assert data.count == 4 and not data.parabolic
-    assert set(data.points) == {(p, q) for p in (INF, ZERO) for q in (INF, ZERO)}
+    _check_direct(neg_both(), [ZERO, None], [ZERO, None])
 
 
 def test_double_inversion_fixes_four_points():
-    data = qaut_fixed_points(inv_both())
     one, minus = Cyclo.coerce(1), Cyclo.coerce(-1)
-    assert data.count == 4
-    assert set(data.points) == {(p, q) for p in (one, minus) for q in (one, minus)}
+    _check_direct(inv_both(), [one, minus], [one, minus])
 
 
 def test_product_map_fixes_four_points():
-    data = qaut_fixed_points(neg_both().compose(inv_both()))
     i = SQRT_M1
-    assert data.count == 4
-    assert set(data.points) == {(p, q) for p in (i, -i) for q in (i, -i)}
+    _check_direct(neg_both().compose(inv_both()), [i, -i], [i, -i])
 
 
 def test_ruling_swap_fixes_two_points():
-    data = qaut_fixed_points(swap_root(1))
-    assert data.count == 2 and not data.parabolic
+    g = swap_root(1)
     one, minus = Cyclo.coerce(1), Cyclo.coerce(-1)
-    assert set(data.points) == {(one, one), (minus, minus)}
-    # every listed point really is fixed
-    for p, q in data.points:
-        m1, m2 = swap_root(1).m1, swap_root(1).m2
-        assert (m1.apply(q), m2.apply(p)) == (p, q)
+    # a fixed point (Y0, m2 . Y0) has Y0 fixed by m1 . m2
+    _check_named_points(g.m1 @ g.m2, [one, minus])
+    data = qaut_fixed_points(g)
+    assert data.count == 2 == 2 + g.ns_trace() and not data.parabolic
+    # and (1, 1), (-1, -1) really are fixed by (Y, Z) -> (1/Z, Y)
+    fy, fz = _coord_funcs(g)
+    for p in (one, minus):
+        point = {"Y": RatFunc.const(p), "Z": RatFunc.const(p)}
+        assert (fy.substitute(point), fz.substitute(point)) == (point["Y"], point["Z"])
 
 
 def test_fixed_count_matches_lattice_trace_on_random_maps():
@@ -366,7 +379,7 @@ def test_fixed_count_matches_lattice_trace_on_random_maps():
             h = m1 @ m2
             if h.is_identity():
                 continue
-            _, _, parabolic = h.fixed_points()
+            _, parabolic = h.fixed_points()
             if parabolic:
                 continue
             g = QAut(SWAP, m1, m2)
@@ -375,11 +388,12 @@ def test_fixed_count_matches_lattice_trace_on_random_maps():
 
 
 def test_swap_fixed_points_survive_irrational_coordinates():
-    # trace count degrades gracefully when the coordinates leave the field
+    # the count needs no coordinates: these fixed points (1 +- sqrt 5)/2
+    # lie outside the field
     m1 = Mobius(1, 1, 1, 0)
     g = QAut(SWAP, m1, Mobius.identity())
     data = qaut_fixed_points(g)
-    assert data.count == 2 and data.points is None
+    assert data.count == 2 and not data.parabolic
 
 
 # -- square roots and the Klein-four normal form ------------------------------
@@ -493,7 +507,7 @@ def test_projection_intertwines_swap_root_with_order8_base():
     # the quotient map (Y, Z) -> (Y*Z, Z^2) carries the ruling swap
     # (1/Z, Y) to the order-8 base map (y/z, y^2/z)
     p1, p2 = _projection()
-    fy, fz = swap_root(1).coord_funcs()
+    fy, fz = _coord_funcs(swap_root(1))
     lhs = (
         p1.substitute({"Y": fy, "Z": fz}),
         p2.substitute({"Y": fy, "Z": fz}),
@@ -508,7 +522,7 @@ def test_projection_intertwines_swap_root_with_order8_base():
 
 def test_projection_intertwines_double_inversion_with_order4_base():
     p1, p2 = _projection()
-    fy, fz = inv_both().coord_funcs()
+    fy, fz = _coord_funcs(inv_both())
     lhs = (
         p1.substitute({"Y": fy, "Z": fz}),
         p2.substitute({"Y": fy, "Z": fz}),

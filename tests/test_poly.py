@@ -12,10 +12,10 @@ from enricert import (
     Cyclo, MPoly, ONE, RatFunc, SQRT_M1, ZERO, ZETA8, exact_divide, jacobian_det2,
 )
 from enricert.cover import family
-from enricert.errors import DegreeCapError, IndivisibleError
+from enricert.errors import DegreeCapError, IndivisibleError, SizeCapError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
-from enricert.poly import DEGREE_CAP, VARIABLES, monomial_content, slot
+from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, monomial_content, slot
 
 from _helpers import nonzero_cyclo, nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
 
@@ -64,6 +64,19 @@ def test_degree_cap_guards_runaway_products():
     p = y ** 60
     with pytest.raises(DegreeCapError):
         p * p
+
+
+def test_size_cap_bounds_the_work_of_a_product():
+    y, z = V("y"), V("z")
+    square = MPoly.zero()
+    for i in range(16):
+        for j in range(16):
+            square = square + y ** i * z ** j
+    # 256 * 256 term pairs is exactly the cap, which is allowed
+    assert len(square.terms) ** 2 == MAX_TERM_PAIRS
+    assert len((square * square).terms) == 31 * 31
+    with pytest.raises(SizeCapError, match="257 by 256 terms exceeds cap 65536"):
+        (square + y ** 20) * square
 
 
 def test_power_equals_repeated_product():
