@@ -21,10 +21,16 @@ constructor's InvariantError.  Parse and invariant errors carry the
 document location; an invariant error also carries the entry's name, as in
 "families[0] 'c': ...".  A repeated family or map name, or action name
 within a family, is a wrong shape: record ids carry these names.
+
+The document is bounded: a file over MAX_DOCUMENT_BYTES bytes (which also
+bounds its literal digits), more than MAX_FAMILIES families, more than
+MAX_MAPS maps or more than MAX_ACTIONS actions in one family is a wrong
+shape whose message names the cap.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -39,6 +45,13 @@ from .poly import MPoly, PARAMETERS, RatFunc, VARIABLES
 _ENRIQUES_COORDS = ("w", "y", "z")
 _K3_COORDS = ("W", "Y", "Z")
 _KINDS = ("enriques_horikawa", "k3_cover")
+
+#: Largest input file, in bytes.
+MAX_DOCUMENT_BYTES = 2 ** 20
+#: Most families, maps, and actions of one family, a document may list.
+MAX_FAMILIES = 32
+MAX_MAPS = 64
+MAX_ACTIONS = 32
 
 
 class IngestResult:
@@ -107,7 +120,9 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
 
     base1, base2 = ("y", "z") if kind == "enriques_horikawa" else ("Y", "Z")
     support = horikawa_support()
-    branch = MPoly.zero()
+    # the branch's packed terms, summed in one dict: the terms and their
+    # order are those of adding each entry's monomial to a running sum
+    terms: Dict[int, Cyclo] = {}
     for idx, mono in enumerate(monomials):
         mwhere = f"{where}.monomials[{idx}]"
         _expect(isinstance(mono, Mapping), mwhere, "must be an object")
@@ -139,7 +154,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
             f"unknown coeff keys {sorted(set(coeff) - {'param', 'scalar'})}",
         )
         scalar = _scalar(coeff, mwhere)
-        term = MPoly.const(scalar)
+        exponents = {base1: i, base2: j}
         if "param" in coeff:
             p = coeff["param"]
             _expect(
@@ -147,18 +162,28 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
                 mwhere,
                 f"coeff names undeclared parameter {p!r}",
             )
-            term = term * MPoly.var(p)
-        term = term * MPoly.var(base1) ** i * MPoly.var(base2) ** j
-        branch = branch + term
+            exponents[p] = 1
+        for key, c in MPoly.monomial(exponents, scalar).terms.items():
+            prev = terms.get(key)
+            c = c if prev is None else prev + c
+            if c.is_zero():
+                del terms[key]
+            else:
+                terms[key] = c
 
     try:
-        fam = SurfaceFamily(name, kind, branch, tuple(params))
+        fam = SurfaceFamily(name, kind, MPoly(terms), tuple(params))
     except InvariantError as exc:
         raise InvariantError(f"{where} {name!r}: {exc}") from exc
 
     actions: Dict[str, ParameterAction] = {}
     raw_actions = entry.get("actions", [])
     _expect(isinstance(raw_actions, list), where, "'actions' must be a list")
+    _expect(
+        len(raw_actions) <= MAX_ACTIONS,
+        where,
+        f"{len(raw_actions)} actions exceed the cap MAX_ACTIONS = {MAX_ACTIONS}",
+    )
     for idx, raw in enumerate(raw_actions):
         action = _load_action(raw, f"{where}.actions[{idx}]", (base1, base2))
         _expect(
@@ -236,6 +261,11 @@ def load_document(document: Mapping) -> IngestResult:
     actions: Dict[str, Tuple[ParameterAction, ...]] = {}
     raw_families = document.get("families", [])
     _expect(isinstance(raw_families, list), "document", "'families' must be a list")
+    _expect(
+        len(raw_families) <= MAX_FAMILIES,
+        "document",
+        f"{len(raw_families)} families exceed the cap MAX_FAMILIES = {MAX_FAMILIES}",
+    )
     for idx, entry in enumerate(raw_families):
         fam, fam_actions = _load_family(entry, f"families[{idx}]")
         _expect(
@@ -248,6 +278,11 @@ def load_document(document: Mapping) -> IngestResult:
     maps: Dict[str, BirMap] = {}
     raw_maps = document.get("maps", [])
     _expect(isinstance(raw_maps, list), "document", "'maps' must be a list")
+    _expect(
+        len(raw_maps) <= MAX_MAPS,
+        "document",
+        f"{len(raw_maps)} maps exceed the cap MAX_MAPS = {MAX_MAPS}",
+    )
     for idx, entry in enumerate(raw_maps):
         phi = _load_map(entry, f"maps[{idx}]")
         _expect(phi.label not in maps, f"maps[{idx}]", f"duplicate map name {phi.label!r}")
@@ -257,15 +292,22 @@ def load_document(document: Mapping) -> IngestResult:
 
 def ingest(path: str) -> IngestResult:
     """Read and parse a JSON document from a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except ValueError as exc:
-            # JSONDecodeError, UnicodeDecodeError on a non-UTF-8 byte, and
-            # the interpreter's int digit limit on a huge number literal
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise SchemaError(f"{path}: not valid JSON: nested too deeply") from None
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_DOCUMENT_BYTES + 1)
+    if len(raw) > MAX_DOCUMENT_BYTES:
+        raise SchemaError(
+            f"{path}: more than {MAX_DOCUMENT_BYTES} bytes exceeds the cap "
+            f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}"
+        )
+    try:
+        # decoded as a UTF-8 text-mode read would, newlines included
+        document = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError on a non-UTF-8 byte, and
+        # the interpreter's int digit limit on a huge number literal
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: not valid JSON: nested too deeply") from None
     return load_document(document)
 
 

@@ -91,13 +91,20 @@ def isometries_with_trace(
     n = lattice.rank
     if n > 3:
         raise PreconditionError("brute-force isometry search limited to rank <= 3")
+    if n == 0:
+        # the empty matrix, an isometry of trace 0
+        return [()] if trace == 0 else []
     g = lattice.rows
     values = range(-bound, bound + 1)
     found: List[IntMatrix] = []
-    for flat in itertools.product(values, repeat=n * n):
-        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if sum(m[i][i] for i in range(n)) != trace:
+    # The last entry is the last diagonal entry, which the trace fixes, so
+    # the matrices come in the order of enumerating all n^2 entries.
+    for head in itertools.product(values, repeat=n * n - 1):
+        last = trace - sum(head[i * (n + 1)] for i in range(n - 1))
+        if last not in values:
             continue
+        flat = head + (last,)
+        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
         ok = True
         for i in range(n):
             for j in range(i, n):

@@ -122,7 +122,7 @@ def compose(outer: BirMap, inner: BirMap) -> BirMap:
 
 
 def is_identity(phi: BirMap) -> bool:
-    return maps_equal(phi, BirMap.identity(phi.variables))
+    return all(phi.coords[v] == RatFunc.var(v) for v in phi.variables)
 
 
 def maps_equal(phi: BirMap, psi: BirMap) -> bool:

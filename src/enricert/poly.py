@@ -58,6 +58,18 @@ forever.  The degree cap does not bound the work of a product, since a
 polynomial under it can still have millions of terms.  MAX_TERM_PAIRS
 bounds that work, the number of term pairs one schoolbook product visits,
 and a product over it raises SizeCapError.
+
+Nearly every product in a run has a single-term operand: the Horikawa
+models and their automorphisms are monomial.  Once both caps are checked,
+such a product is a key shift plus a scale.  c * x^f times the sum of
+c_e * x^e is the sum of (c_e * c) * x^(e + f), one term per term of the
+other operand, in the order the schoolbook loop meets them.  Adding key(f)
+is injective, so no two terms collide and no lookup is needed.  Q(zeta_8)
+is a field and has no zero divisors, so c_e * c is nonzero and no zero
+filter is needed.  When c is 1 the coefficients are kept as they are.  In
+the same way a RatFunc over the constant 1 is already simplified, so
+construction keeps it, and substituting into it substitutes the numerator
+alone.
 """
 
 from __future__ import annotations
@@ -305,6 +317,15 @@ class MPoly:
                 f"product of {len(a)} by {len(b)} terms exceeds cap "
                 f"{MAX_TERM_PAIRS} term pairs"
             )
+        # A single-term operand shifts the other's keys and scales its
+        # coefficients, in the loop's order; see the module docstring.
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((f, c),) = b.items()
+            if c == ONE:
+                return _wrap({e + f: v for e, v in a.items()})
+            return _wrap({e + f: v * c for e, v in a.items()})
         out: Dict[int, Cyclo] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -530,6 +551,7 @@ class MPoly:
 
 
 _ONE_POLY = MPoly.const(1)
+_ONE_TERMS = _ONE_POLY.terms
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
@@ -595,6 +617,8 @@ class RatFunc:
 
     @staticmethod
     def _simplify(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
+        if den.terms == _ONE_TERMS:
+            return num, den
         if num.is_zero():
             return num, _ONE_POLY
         # the common monomial content of num and den; its lanes total at
@@ -730,7 +754,10 @@ class RatFunc:
         return RatFunc(n.partial(name) * d - n * d.partial(name), d * d)
 
     def substitute(self, assignment: Mapping[str, object]) -> "RatFunc":
-        return self.num.substitute(assignment) / self.den.substitute(assignment)
+        num = self.num.substitute(assignment)
+        if self.den.terms == _ONE_TERMS:
+            return num
+        return num / self.den.substitute(assignment)
 
     # -- comparison and display ----------------------------------------------
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import enricert
 from enricert.cli import main
+from enricert.ingest import MAX_MAPS
 
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 
@@ -276,6 +277,18 @@ def test_verify_unreadable_bytes_exit_2(tmp_path, capsys, content, message):
     assert captured.out == ""
     assert captured.err.startswith(f"schema violation: {path}: not valid JSON: ")
     assert message in captured.err
+
+
+def test_verify_document_over_a_cap_exits_2(tmp_path, capsys):
+    doc = fixture_doc()
+    doc["maps"] = [dict(doc["maps"][0], name=f"m{k}") for k in range(MAX_MAPS + 1)]
+    assert main(["verify", "--input", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"schema violation: document: {MAX_MAPS + 1} maps exceed the cap "
+        f"MAX_MAPS = {MAX_MAPS}\n"
+    )
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):

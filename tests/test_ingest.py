@@ -2,14 +2,21 @@
 
 import copy
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import enricert
 from enricert.cover import family, specialize, specialization_one_param
 from enricert.errors import InvariantError, ParseError, SchemaError
+from enricert.field import ONE, parse_cyclo
 from enricert.ingest import (
+    MAX_ACTIONS,
+    MAX_DOCUMENT_BYTES,
+    MAX_FAMILIES,
+    MAX_MAPS,
     ingest,
     load_document,
     serialize_document,
@@ -17,8 +24,10 @@ from enricert.ingest import (
 )
 from enricert.maps import deck_flip, family_automorphism, k3_lift
 from enricert.moduli import diagonal_base_scaling, homothety
+from enricert.poly import MPoly
 
 FIXTURE = Path(enricert.__file__).parent / "fixtures" / "families.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def base_doc():
@@ -337,3 +346,179 @@ def test_ingest_reads_serialized_file(tmp_path):
     result = ingest(str(path))
     assert result.families[0] == family(2)
     assert result.maps[0].coords == family_automorphism(2).coords
+
+
+# -- the branch against the product-and-sum construction ----------------------
+
+
+def _summed_branch(entry):
+    """The branch as a running sum of one product per monomial entry."""
+    base1, base2 = ("y", "z") if entry["kind"] == "enriques_horikawa" else ("Y", "Z")
+    branch = MPoly.zero()
+    for mono in entry["monomials"]:
+        coeff = mono["coeff"]
+        term = MPoly.const(parse_cyclo(coeff["scalar"]))
+        if "param" in coeff:
+            term = term * MPoly.var(coeff["param"])
+        term = term * MPoly.var(base1) ** mono["i"] * MPoly.var(base2) ** mono["j"]
+        branch = branch + term
+    return branch
+
+
+def _assert_branches_are_summed(doc):
+    for fam, entry in zip(load_document(doc).families, doc["families"]):
+        want = _summed_branch(entry)
+        assert fam.branch == want
+        # the same terms in the same order, so later loops visit them alike
+        assert list(fam.branch.terms.items()) == list(want.terms.items())
+
+
+@pytest.fixture(scope="module")
+def docgen():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import docgen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return docgen
+
+
+def test_branches_of_generated_documents_are_the_summed_products(docgen):
+    for seed in (1, 2, 3):
+        for index in (0, 1, 2):
+            text, _, _ = docgen.generate(seed, index)
+            _assert_branches_are_summed(json.loads(text))
+    _assert_branches_are_summed(json.loads(FIXTURE.read_text(encoding="utf-8")))
+
+
+# Few (i, j, param) triples and scalars that cancel in pairs: entries repeat,
+# sums vanish, and a triple can come back after its sum vanished.
+_SCALARS = ("1,0,0,0", "-1,0,0,0", "2,0,0,0", "-2,0,0,0", "0,1,0,0", "0,-1,0,0",
+            "0,0,0,0", "1/2,0,0,-3")
+_ENTRIES = {
+    "enriques_horikawa": st.tuples(st.sampled_from([(4, 0), (0, 2), (2, 1), (4, 2)]),
+                                   st.sampled_from([None, "A", "B"])),
+    "k3_cover": st.tuples(st.sampled_from([(0, 0), (1, 1), (4, 0), (2, 2)]),
+                          st.sampled_from([None, "A"])),
+}
+
+
+@st.composite
+def _family_entries(draw):
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    monomials = []
+    for (i, j), param in draw(st.lists(_ENTRIES[kind], min_size=1, max_size=12)):
+        coeff = {"scalar": draw(st.sampled_from(_SCALARS))}
+        if param is not None:
+            coeff["param"] = param
+        monomials.append({"i": i, "j": j, "coeff": coeff})
+    return {"name": "f", "kind": kind, "parameters": ["A", "B"], "monomials": monomials}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_entries())
+def test_repeated_and_cancelling_entries_build_the_summed_branch(entry):
+    doc = {"families": [entry]}
+    if _summed_branch(entry).is_zero():
+        with pytest.raises(InvariantError, match="branch polynomial is zero"):
+            load_document(doc)
+    else:
+        _assert_branches_are_summed(doc)
+
+
+def test_an_entry_whose_sum_vanished_comes_back_last():
+    doc = base_doc()
+    monomials = doc["families"][0]["monomials"]
+    a4 = monomials[0]
+    monomials[1:1] = [dict(a4, coeff={"param": "A", "scalar": "-1,0,0,0"})]
+    monomials.append(a4)
+    # A*y^4, -A*y^4, A*y^4, -z^2: the first two cancel, so A*y^4 comes back
+    # after -z^2 in the running sum's order
+    branch = load_document(doc).families[0].branch
+    assert str(branch) == "y^4*A - z^2"
+    assert list(branch.terms.values()) == [-ONE, ONE]
+    _assert_branches_are_summed(doc)
+
+
+# -- document bounds ---------------------------------------------------------
+
+
+def _families(n):
+    doc = base_doc()
+    entry = doc["families"][0]
+    doc["families"] = [dict(entry, name=f"t{k}") for k in range(n)]
+    return doc
+
+
+def _maps(n):
+    doc = base_doc()
+    entry = doc["maps"][0]
+    doc["maps"] = [dict(entry, name=f"m{k}") for k in range(n)]
+    return doc
+
+
+def _actions(n):
+    doc = base_doc()
+    doc["families"][0]["actions"] = [
+        {"name": f"a{k}", "weights": {"A": k}, "w_square_scale": 0} for k in range(n)
+    ]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "build, count, cap, message",
+    [
+        (_families, lambda r: len(r.families), MAX_FAMILIES,
+         "document: {n} families exceed the cap MAX_FAMILIES = {cap}"),
+        (_maps, lambda r: len(r.maps), MAX_MAPS,
+         "document: {n} maps exceed the cap MAX_MAPS = {cap}"),
+        (_actions, lambda r: len(r.actions["t"]), MAX_ACTIONS,
+         "families[0]: {n} actions exceed the cap MAX_ACTIONS = {cap}"),
+    ],
+    ids=["families", "maps", "actions"],
+)
+def test_document_lists_are_capped(build, count, cap, message):
+    assert count(load_document(build(cap))) == cap
+    with pytest.raises(SchemaError) as err:
+        load_document(build(cap + 1))
+    assert str(err.value) == message.format(n=cap + 1, cap=cap)
+
+
+def test_generated_documents_are_far_under_the_caps(docgen):
+    text, _, _ = docgen.generate(1, 0)
+    doc = json.loads(text)
+    assert len(text.encode("utf-8")) * 50 < MAX_DOCUMENT_BYTES
+    assert len(doc["families"]) * 10 <= MAX_FAMILIES
+    assert len(doc["maps"]) * 10 <= MAX_MAPS
+    assert max(len(f.get("actions", [])) for f in doc["families"]) * 10 <= MAX_ACTIONS
+
+
+def _padded(size):
+    """The base document as exactly ``size`` bytes, padded with spaces."""
+    text = json.dumps(base_doc())
+    return text + " " * (size - len(text))
+
+
+def test_document_bytes_are_capped(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_padded(MAX_DOCUMENT_BYTES), encoding="utf-8")
+    assert ingest(str(path)).families[0].name == "t"
+    path.write_text(_padded(MAX_DOCUMENT_BYTES + 1), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        ingest(str(path))
+    assert str(err.value) == (
+        f"{path}: more than {MAX_DOCUMENT_BYTES} bytes exceeds the cap "
+        f"MAX_DOCUMENT_BYTES = {MAX_DOCUMENT_BYTES}"
+    )
+
+
+def test_a_document_is_decoded_as_a_text_mode_read_decodes_it(tmp_path):
+    # newlines translated: the error positions count CR LF as one character
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{\r\n"maps": [{"name": "a\rb"}]}')
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as text_mode:
+            json.load(fh)
+    with pytest.raises(SchemaError) as err:
+        ingest(str(path))
+    assert str(err.value) == f"{path}: not valid JSON: {text_mode.value}"

@@ -1,5 +1,6 @@
 """Lattice arithmetic, Lefschetz identities, and dimension counts."""
 
+import itertools
 import random
 
 import pytest
@@ -80,6 +81,55 @@ def test_isometries_preserve_gram_matrix():
                     for l in range(2)
                 )
                 assert s == g[i][j]
+
+
+def _brute_force_isometries(lattice, bound):
+    """Every isometry with |entries| <= bound, over all n^2 entries in order."""
+    n, g = lattice.rank, lattice.rows
+    found = []
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        if all(
+            sum(m[k][i] * g[k][l] * m[l][j] for k in range(n) for l in range(n))
+            == g[i][j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            found.append(m)
+    return found
+
+
+@pytest.mark.parametrize(
+    "rows, bounds",
+    [
+        ((), (-1, 0, 1)),
+        (((2,),), (-1, 0, 1, 3)),
+        (((-2,),), (0, 2)),
+        (((0, 1), (1, 0)), (0, 1, 2)),
+        (((0, 2), (2, 0)), (1, 2)),
+        (((2, 1), (1, 2)), (1, 2)),
+        (((2, 0), (0, -2)), (2,)),
+        (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (1,)),
+        (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1,)),
+    ],
+    ids=["rank0", "A1", "A1(-1)", "U", "U(2)", "A2", "A1+A1(-1)", "U+A1(-1)", "A3"],
+)
+def test_isometry_search_equals_brute_force_in_order(rows, bounds):
+    # the search fixes the last diagonal entry from the trace; brute force
+    # runs over every entry and filters by trace, and the lists agree in order
+    lattice = GramLattice(rows)
+    for bound in bounds:
+        every = _brute_force_isometries(lattice, bound)
+        for trace in range(-4, 5):
+            want = [m for m in every if sum(m[i][i] for i in range(len(m))) == trace]
+            assert isometries_with_trace(lattice, trace, bound) == want
+
+
+def test_isometry_search_of_rank_zero():
+    # the empty matrix is the one isometry, of trace 0, whatever the bound
+    for bound in (-1, 0, 2):
+        assert isometries_with_trace(GramLattice(()), 0, bound) == [()]
+        assert isometries_with_trace(GramLattice(()), 1, bound) == []
 
 
 def test_isometry_search_rejects_large_rank():

@@ -608,11 +608,16 @@ _nonzero_cyclos = st.builds(Cyclo, _coords, _coords, _coords, _coords).filter(
 )
 
 
-def _ref_polys(max_exp, min_size=0):
-    exps = st.tuples(*[st.integers(0, max_exp)] * len(_DIFF_NAMES)).map(
+def _ref_exponents(max_exp):
+    return st.tuples(*[st.integers(0, max_exp)] * len(_DIFF_NAMES)).map(
         lambda ks: _exponent_tuple(_DIFF_NAMES, ks)
     )
-    return st.dictionaries(exps, _nonzero_cyclos, min_size=min_size, max_size=4)
+
+
+def _ref_polys(max_exp, min_size=0):
+    return st.dictionaries(
+        _ref_exponents(max_exp), _nonzero_cyclos, min_size=min_size, max_size=4
+    )
 
 
 # total degree at most 15, so two-factor products stay under the cap
@@ -669,11 +674,8 @@ _laurent_specs = st.dictionaries(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(_ref_polys(1), _laurent_specs)
-def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
-    # name -> c * x^v with v in {-1, 0, 1} on y, Z, alpha: negative Laurent
-    # exponents on the packed keys, within the monomial path's degree bound
+def _laurent_assignment(spec):
+    """The assignment name -> c * x^v of a _laurent_specs example."""
     assignment = {}
     for name, (v, cv) in spec.items():
         up = _exponent_tuple(_MOVE_NAMES, [max(d, 0) for d in v])
@@ -682,6 +684,15 @@ def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
             MPoly.monomial(dict(zip(VARIABLES, up)), cv),
             MPoly.monomial(dict(zip(VARIABLES, down))),
         )
+    return assignment
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ref_polys(1), _laurent_specs)
+def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
+    # name -> c * x^v with v in {-1, 0, 1} on y, Z, alpha: negative Laurent
+    # exponents on the packed keys, within the monomial path's degree bound
+    assignment = _laurent_assignment(spec)
     p = _from_ref(a)
     ref_num, ref_den = _ref_substitute(a, spec)
     fast, slow = _both_paths(p, assignment)
@@ -728,3 +739,101 @@ def test_a_monomial_over_the_cap_is_refused(exponents, degree):
 def test_a_negative_monomial_exponent_is_a_value_error():
     with pytest.raises(ValueError, match="negative exponent"):
         MPoly.monomial({"y": 2, "z": -1})
+
+
+# -- single-term fast paths ------------------------------------------------------
+#
+# A product with a single-term operand shifts the other operand's keys and
+# scales its coefficients, and a RatFunc over 1 is kept as it is.  These
+# compare both with the tuple reference and with the general code they
+# stand in for.
+
+_OTHER_COEFF = Cyclo(Fraction(-3, 2), 0, 1, 2)
+
+
+def _schoolbook_keys(p, q):
+    """The keys of p * q in the order the two-loop product first meets them."""
+    return list(dict.fromkeys(e1 + e2 for e1 in p.terms for e2 in q.terms))
+
+
+@pytest.mark.parametrize("coeff", [ONE, -ONE, _OTHER_COEFF], ids=["one", "minus-one", "other"])
+@settings(max_examples=60, deadline=None)
+@given(e=_ref_exponents(3), a=_refs)
+def test_single_term_products_match_the_tuple_reference(coeff, e, a):
+    m = {e: coeff}
+    single, p = _from_ref(m), _from_ref(a)
+    want = _ref_mul(m, a)
+    for product, order in (
+        (single * p, _schoolbook_keys(single, p)),
+        (p * single, _schoolbook_keys(p, single)),
+    ):
+        assert _same(product, want)
+        # no term cancels, so every key the loop meets stays, in its order
+        assert list(product.terms) == order
+        assert str(product) == _ref_str(want)
+
+
+def test_caps_are_checked_before_the_single_term_path():
+    y, z = V("y"), V("z")
+    top = MPoly.monomial({"y": 60}, 3)
+    for a, b in ((top, y ** 5 + z), (y ** 5 + z, top), (top, y ** 5), (top, z ** 5)):
+        with pytest.raises(DegreeCapError, match="total degree 65 exceeds cap 64"):
+            a * b
+    # MAX_TERM_PAIRS + 1 distinct monomials: k's base-7 digits as exponents
+    names = ("y", "z", "Y", "Z", "A", "B")
+    terms = {}
+    for k in range(MAX_TERM_PAIRS + 1):
+        exps = {name: k // 7 ** d % 7 for d, name in enumerate(names)}
+        terms.update(MPoly.monomial(exps).terms)
+    big = MPoly(terms)
+    n = MAX_TERM_PAIRS + 1
+    for single in (MPoly.const(1), V("w").scale(_OTHER_COEFF)):
+        with pytest.raises(SizeCapError, match=f"product of 1 by {n} terms exceeds cap"):
+            single * big
+        with pytest.raises(SizeCapError, match=f"product of {n} by 1 terms exceeds cap"):
+            big * single
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refs)
+def test_ratfunc_over_one_matches_the_tuple_reference(a):
+    r = RatFunc(_from_ref(a), MPoly.const(1))
+    ref_num, ref_den = _ref_pair(a, {_ZERO_EXP: ONE})
+    assert _same(r.num, ref_num) and _same(r.den, ref_den)
+
+
+def _division_path(r, assignment):
+    """What RatFunc.substitute computes for any denominator."""
+    return r.num.substitute(assignment) / r.den.substitute(assignment)
+
+
+def _same_pair(r, s):
+    """The same num/den pair, term order included."""
+    return all(
+        list(x.terms.items()) == list(y.terms.items())
+        for x, y in ((r.num, s.num), (r.den, s.den))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ref_polys(1), _laurent_specs)
+def test_substitute_over_one_matches_the_division_path(a, spec):
+    r = RatFunc.from_poly(_from_ref(a))
+    assignment = _laurent_assignment(spec)
+    assert _same_pair(r.substitute(assignment), _division_path(r, assignment))
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("y^2*z + 3*z^4 - y", {"y": "y + z", "z": "1/(y - z)"}),
+        ("A*y^4 + (1 + i)*z^2", {"A": "A + B", "y": "y/z"}),
+        ("w*y + w^2", {"w": "w + y"}),
+        ("y^3 - z^3", {"y": "z", "z": "y"}),
+    ],
+)
+def test_substitute_over_one_matches_the_division_path_on_any_values(text, values):
+    r = parse_expression(text)
+    assert r.den == MPoly.const(1)
+    assignment = {k: parse_expression(v) for k, v in values.items()}
+    assert _same_pair(r.substitute(assignment), _division_path(r, assignment))
