@@ -7,8 +7,10 @@ with its pruning trace, and ``report`` writes the full certificate.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 the input could not be used (malformed expression, schema violation, or
-an object breaking a structural invariant).  Checks never stop early; a
-failing run still reports every record.
+an object breaking a structural invariant) or the certificate could not be
+written to ``--out`` ("output error: cannot write PATH: reason", after the
+records are printed).  Checks never stop early; a failing run still reports
+every record.
 """
 
 from __future__ import annotations
@@ -43,11 +45,19 @@ def _print_certificate(cert: Certificate, stream) -> None:
         print(f"first failure: {failure.id}", file=stream)
 
 
-def _write_out(cert: Certificate, path: Optional[str]) -> None:
+def _write_out(cert: Certificate, path: Optional[str]) -> bool:
+    """Write the certificate JSON to ``path``, if given; False, reported as
+    an output error, when it cannot be written."""
     if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cert.to_json())
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cert.to_json())
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"output error: cannot write {path}: {reason}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_verify(args) -> int:
@@ -56,7 +66,8 @@ def _cmd_verify(args) -> int:
         document = ingest(args.input)
     cert = run_checks(family=args.family, check=args.check, document=document)
     _print_certificate(cert, sys.stdout)
-    _write_out(cert, args.out)
+    if not _write_out(cert, args.out):
+        return 2
     return 0 if cert.overall == "pass" else 1
 
 
@@ -76,7 +87,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_report(args) -> int:
     cert = verify_all()
-    _write_out(cert, args.out)
+    if not _write_out(cert, args.out):
+        return 2
     checked = sum(1 for rec in cert.records if rec.result != "info")
     print(f"wrote {args.out}: overall {cert.overall} ({checked} checks)")
     return 0 if cert.overall == "pass" else 1

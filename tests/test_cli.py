@@ -244,6 +244,18 @@ def test_verify_map_invariant_violation_names_the_map(tmp_path, capsys):
     )
 
 
+def test_verify_unwritable_out_is_an_output_error(tmp_path, capsys):
+    out_path = tmp_path / "missing-dir" / "cert.json"
+    assert main(["verify", "--family", "1", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    # every record is still printed before the write fails
+    assert "overall: pass" in captured.out
+    assert captured.err == (
+        f"output error: cannot write {out_path}: No such file or directory\n"
+    )
+    assert not out_path.parent.exists()
+
+
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "--input", "/nonexistent/input.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
@@ -426,6 +438,13 @@ def test_report_writes_golden_bytes(tmp_path, capsys):
     assert f"wrote {out_path}: overall pass (56 checks)" in stdout
     golden = (FIXTURES / "golden_certificate.json").read_text(encoding="utf-8")
     assert out_path.read_text(encoding="utf-8") == golden
+
+
+def test_report_unwritable_out_is_an_output_error(tmp_path, capsys):
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_report_requires_out(capsys):

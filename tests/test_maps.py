@@ -6,10 +6,13 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from enricert import maps
 from enricert.cover import family, k3_cover
-from enricert.errors import InvariantError, PreconditionError
+from enricert.errors import (
+    DegreeCapError, EngineError, InvariantError, PreconditionError,
+)
 from enricert.field import Cyclo, ONE, SQRT_M1, ZERO, ZETA8
 from enricert.maps import (
     BirMap,
@@ -34,7 +37,8 @@ from enricert.maps import (
     qaut_fixed_points,
     swap_root,
 )
-from enricert.poly import RatFunc
+from enricert.maps import _compose_forms, _exponent_form, _order_by_composition
+from enricert.poly import MPoly, RatFunc
 
 from _helpers import nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius
 
@@ -111,6 +115,149 @@ def test_square_of_order8_map_is_order4_map():
 def test_infinite_order_returns_none():
     grow = strings(label="grow", w="w", y="2*y", z="z")
     assert map_order(grow, max_n=8) is None
+
+
+# -- map_order in exponent form against composition -----------------------
+
+
+def _outcome(order_fn, phi, max_n):
+    """The order, or the type and text of the exception raised instead."""
+    try:
+        return order_fn(phi, max_n)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def _monomial_map(variables, scalars, rows):
+    """The map x_v -> scalars[v] * x^rows[v] over its own three variables."""
+    coords = {}
+    for v, c, row in zip(variables, scalars, rows):
+        num = MPoly.monomial({x: k for x, k in zip(variables, row) if k > 0}, c)
+        den = MPoly.monomial({x: -k for x, k in zip(variables, row) if k < 0})
+        coords[v] = RatFunc(num, den)
+    return BirMap(variables, coords, label="m")
+
+
+_SIGNED_PERMUTATIONS = [
+    tuple(tuple(s * (j == p) for j in range(2)) for p, s in zip(perm, signs))
+    for perm in itertools.permutations(range(2))
+    for signs in itertools.product((1, -1), repeat=2)
+]
+_EXPONENT = st.integers(-3, 3)
+_ROOT_OF_UNITY = st.integers(0, 7).map(lambda k: ZETA8 ** k)
+_SCALAR = st.one_of(
+    _ROOT_OF_UNITY,
+    st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    .filter(lambda q: q != 0).map(Cyclo.from_rational),
+)
+
+
+@st.composite
+def _monomial_maps(draw, variables):
+    """Monomial maps whose exponent rows have entries in -3..3."""
+    base = draw(st.one_of(
+        st.sampled_from(_SIGNED_PERMUTATIONS),
+        st.tuples(st.tuples(_EXPONENT, _EXPONENT), st.tuples(_EXPONENT, _EXPONENT)),
+    ))
+    cover_row = draw(st.one_of(
+        st.just((1, 0, 0)), st.tuples(st.integers(0, 1), _EXPONENT, _EXPONENT)
+    ))
+    rows = (cover_row,) + tuple((0,) + row for row in base)
+    # maps of finite order need roots of unity in every coordinate
+    scalar = _ROOT_OF_UNITY if draw(st.booleans()) else _SCALAR
+    return _monomial_map(variables, draw(st.tuples(scalar, scalar, scalar)), rows)
+
+
+_VARIABLE_TRIPLES = st.sampled_from((ENRIQUES_VARS, K3_VARS))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    phi=_VARIABLE_TRIPLES.flatmap(_monomial_maps),
+    max_n=st.one_of(st.just(16), st.integers(1, 16)),
+)
+def test_map_order_matches_composition_on_monomial_maps(phi, max_n):
+    assert _exponent_form(phi) is not None
+    assert _outcome(map_order, phi, max_n) == _outcome(_order_by_composition, phi, max_n)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=_VARIABLE_TRIPLES.flatmap(
+    lambda vs: st.tuples(_monomial_maps(vs), _monomial_maps(vs))
+))
+# y/z after (y^64, y^20/z^20) is y^44*z^20, but the quotient's product
+# y^64 * z^20 is over the cap
+@example(pair=(strings(w="w", y="y/z", z="z"), strings(w="w", y="y^64", z="y^20/z^20")))
+def test_exponent_forms_compose_like_the_maps(pair):
+    # (c, M) . (d, N) = (c * d^M, M N) for two different maps, which need
+    # not commute; None only where composing the maps may hit the cap
+    outer, inner = pair
+    form = _compose_forms(_exponent_form(outer), _exponent_form(inner))
+    try:
+        composed = compose(outer, inner)
+    except DegreeCapError:
+        assert form is None
+    else:
+        assert form is None or form == _exponent_form(composed)
+
+
+@pytest.mark.parametrize("phi, expected", [
+    (BirMap.identity(), 1),
+    (BirMap.identity(K3_VARS), 1),
+    (deck_flip(), 2),
+    (family_automorphism(1), 4),
+    (family_automorphism(2), 8),
+    (family_automorphism(3), 8),
+    (k3_lift(1), 4),
+    (k3_lift(2), 8),
+    (strings(w="w", y="2*y", z="z"), None),
+    (strings(w="w", y="-y", z="zeta8*z"), 8),
+    (strings(w="w*y", y="1/y", z="z"), 2),
+], ids=[
+    "identity", "k3-identity", "deck-flip", "aut-4-2", "aut-8-4", "aut-8-2",
+    "lift-4-2", "lift-8-4", "scaling", "zeta8-scaling", "cover-twist",
+])
+def test_map_order_of_monomial_maps_composes_nothing(monkeypatch, phi, expected):
+    calls = []
+    monkeypatch.setattr(maps, "compose", lambda *args: calls.append(args))
+    assert map_order(phi) == expected
+    assert not calls
+    monkeypatch.undo()
+    assert _order_by_composition(phi, 16) == expected
+
+
+@pytest.mark.parametrize("coords, max_n, below", [
+    # y^(2^n) outgrows the substitution bound
+    ({"w": "w", "y": "y^2", "z": "z"}, 16, 4),
+    # the third power sends y to 1/y^64, so is_identity's product y * y^64
+    # is over the cap although composing stayed under it
+    ({"w": "w", "y": "1/y^4", "z": "1/y^4"}, 3, 2),
+    # the square is under the cap, but substituting z^3/y^4 into y^5*z^6
+    # takes the term-by-term path, whose products are not
+    ({"w": "w", "y": "y^5*z^6", "z": "z^3/y^4"}, 2, 1),
+    # the same for the denominator y^2 of the cover coordinate
+    ({"w": "w/y^2", "y": "1/(y^5*z^5)", "z": "z^5/y^3"}, 2, 1),
+    # the map itself fails the identity test
+    ({"w": "w", "y": "1/y^64", "z": "z"}, 1, 0),
+], ids=["substitution", "identity-test", "term-by-term", "denominator", "first-power"])
+def test_map_order_past_the_cap_raises_the_loops_error(coords, max_n, below):
+    grow = strings(label="grow", **coords)
+    with pytest.raises(DegreeCapError) as fast:
+        map_order(grow, max_n)
+    with pytest.raises(DegreeCapError) as loop:
+        _order_by_composition(grow, max_n)
+    assert str(fast.value) == str(loop.value)
+    assert map_order(grow, below) is _order_by_composition(grow, below) is None
+
+
+@pytest.mark.parametrize("phi, expected", [
+    (strings(w="w", y="A*y", z="z"), None),
+    (strings(w="w", y="(1+y)/(1-y)", z="z"), 4),
+    (strings(w="w + y", y="y", z="z"), None),
+], ids=["parameter", "multi-term", "cover-sum"])
+def test_map_order_composes_maps_outside_the_exponent_form(phi, expected):
+    assert _exponent_form(phi) is None
+    assert map_order(phi) == _order_by_composition(phi, 16) == expected
 
 
 def test_compose_rejects_mixed_coordinate_triples():
