@@ -1,20 +1,25 @@
 """Pullback ratios of the canonical forms on the covers.
 
 The double-plane model w^2 = S, S = z*f, carries the bi-2-form
-z * (dy ^ dz / w)^2.  A coordinate automorphism phi multiplies it by
+z * (dy ^ dz / w)^2.  A coordinate automorphism phi with phi*w = a + b*w
+multiplies it by
 
     (phi*z / z) * J(phi_y, phi_z)^2 * w^2 / (phi*w)^2,
 
 where J is the base Jacobian determinant.  Once phi preserves the equation,
-(phi*w)^2 = S(phi*y, phi*z) on the surface, so the ratio is the base function
-(phi*z / z) * J^2 * S / S(phi*y, phi*z).  The K3 cover W^2 = g carries the
-honest 2-form dY ^ dZ / W, whose ratio under a lift with phi*W = a + b*W is
-J * W / (a + b*W); invariance makes ab = 0, so the ratio is J / b when a = 0
-and has a nonzero W-part otherwise.  Both ratios must come out constant; the
-engine certifies constancy symbolically and returns the constant, whose
-multiplicative order is the index of the automorphism.  Each ratio takes the
-InvarianceResult already certified for (fam, phi) rather than certifying it
-again; a result that does not hold raises PreconditionError.
+the odd part 2ab of (phi*w)^2 vanishes, so a = 0 or b = 0.  With a = 0,
+(phi*w)^2 = b^2 * w^2 and the ratio is (phi*z / z) * J^2 / b^2; with b = 0
+it is (phi*z / z) * J^2 * S / a^2.  Both are read from the cover coordinate,
+so the ratio never divides by the pulled-back relation S(phi*y, phi*z),
+which it equals as a function (b^2 * S = S(phi*y, phi*z) when a = 0).  The
+K3 cover W^2 = g carries the honest 2-form dY ^ dZ / W, whose ratio under a
+lift with phi*W = a + b*W is J * W / (a + b*W); invariance makes ab = 0, so
+the ratio is J / b when a = 0 and has a nonzero W-part otherwise.  Both
+ratios must come out constant; the engine certifies constancy symbolically
+and returns the constant, whose multiplicative order is the index of the
+automorphism.  Each ratio takes the InvarianceResult already certified for
+(fam, phi) rather than certifying it again; a result that does not hold
+raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -57,8 +62,13 @@ def bitwoform_pullback_ratio(
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
     jac = _jacobian(fam, phi)
     b2 = fam.base_vars[1]
-    z_ratio = phi.coords[b2] / RatFunc.var(b2)
-    ratio = z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / invariance.pulled
+    scale = phi.coords[b2] / RatFunc.var(b2) * jac * jac
+    a, b = phi.cover_parts()
+    if a.is_zero():
+        ratio = scale / (b * b)
+    else:
+        # invariance forces b = 0 here, so (phi*w)^2 = a^2
+        ratio = scale * RatFunc.from_poly(fam.relation()) / (a * a)
     return _constant_of(ratio, f"bi-2-form ratio of {phi.label}")
 
 

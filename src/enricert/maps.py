@@ -276,15 +276,12 @@ def _compose_forms(outer, inner):
 
 
 class InvarianceResult:
-    """Verdict of an equation-invariance check, with a remainder witness and
-    the pulled-back relation S(phi*y, phi*z)."""
+    """Verdict of an equation-invariance check, with a remainder witness."""
 
-    def __init__(self, holds: bool, witness_even: MPoly, witness_odd: MPoly,
-                 pulled: RatFunc):
+    def __init__(self, holds: bool, witness_even: MPoly, witness_odd: MPoly):
         self.holds = holds
         self.witness_even = witness_even
         self.witness_odd = witness_odd
-        self.pulled = pulled
 
     def __bool__(self) -> bool:
         return self.holds
@@ -319,9 +316,7 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
     a, b = phi.cover_parts()
     even = a * a + b * b * RatFunc.from_poly(relation) - pulled
     odd = 2 * a * b
-    return InvarianceResult(
-        even.is_zero() and odd.is_zero(), even.num, odd.num, pulled
-    )
+    return InvarianceResult(even.is_zero() and odd.is_zero(), even.num, odd.num)
 
 
 # -- built-in automorphisms ---------------------------------------------------

@@ -4,9 +4,15 @@ Everything takes an explicit random.Random so failures reproduce from the
 seed printed by the test that caught them.
 """
 
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from enricert import Cyclo, MPoly, Mobius, RatFunc
+from enricert.ingest import load_document
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def rand_fraction(rng, span=4):
@@ -82,3 +88,26 @@ def rand_monomial_plane_map(rng, span=2):
     c1 = RatFunc.const(nonzero_cyclo(rng, span=2))
     c2 = RatFunc.const(nonzero_cyclo(rng, span=2))
     return c1 * y ** a * z ** b, c2 * y ** c * z ** d
+
+
+def load_docgen():
+    """``perfbench/docgen.py``, the benchmark's document generator, imported
+    from its directory and only read."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import docgen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return docgen
+
+
+def document_pairs(seeds=(1, 2, 3), indices=(0, 1, 2)):
+    """Every (family, map) pair of the generated documents of the given
+    seeds and indices, the failing decoy map included."""
+    docgen = load_docgen()
+    pairs = []
+    for seed in seeds:
+        for index in indices:
+            doc = load_document(json.loads(docgen.generate(seed, index)[0]))
+            pairs += [(fam, phi) for fam in doc.families for phi in doc.maps]
+    return pairs

@@ -24,7 +24,10 @@ from enricert.maps import (
     family_automorphism,
     k3_lift,
 )
-from enricert.poly import MPoly
+from enricert.parsing import parse_expression
+from enricert.poly import VARIABLES, MPoly, RatFunc, jacobian_det2
+
+from _helpers import document_pairs
 
 I = SQRT_M1
 
@@ -145,3 +148,92 @@ def test_twoform_ratio_with_an_even_part_is_not_constant():
     assert check_equation_invariance(cov, phi).holds
     with pytest.raises(NonConstantRatioError, match="nonzero odd part 1 / \\(Y\\*Z\\) in the cover"):
         twoform(cov, phi)
+
+
+def test_bitwoform_ratio_with_an_even_part():
+    # S = z^2 (y^2 + z)^2 is a square, so w -> z (y^2 + z) + 0*w preserves
+    # w^2 = S; the ratio is then (phi*z / z) * J^2 * S / a^2
+    f = parse_expression("y^4*z + 2*y^2*z^2 + z^3").as_poly()
+    fam = SurfaceFamily("square", "enriques_horikawa", f, ())
+    phi = BirMap.from_strings(ENRIQUES_VARS, label="even", w="y^2*z + z^2", y="y", z="z")
+    assert check_equation_invariance(fam, phi).holds
+    r = biform(fam, phi)
+    assert r == ONE and index_of(r) == 1
+    stretch = BirMap.from_strings(
+        ENRIQUES_VARS, label="even", w="y^2*z^3 + z^2", y="y*z", z="z"
+    )
+    assert check_equation_invariance(fam, stretch).holds
+    with pytest.raises(NonConstantRatioError) as err:
+        biform(fam, stretch)
+    assert str(err.value) == (
+        "bi-2-form ratio of even is not constant: "
+        "(y^4 + 2*y^2*z + z^2) / (y^4*z^2 + 2*y^2*z + 1)"
+    )
+
+
+def test_a_non_constant_bitwoform_ratio_prints_reduced():
+    # y -> z / y fixes S = z^3 + z^4, and the ratio is J^2 = z^2 / y^4.
+    # Read from the cover coordinate (b = 1) it prints reduced; the quotient
+    # S / S(phi*y, phi*z) printed (z^3 + z^2) / (y^4*z + y^4), the same
+    # function with S's factor z + 1 left in.
+    fam = SurfaceFamily("t", "enriques_horikawa", parse_expression("z^2 + z^3").as_poly(), ())
+    phi = BirMap.from_strings(ENRIQUES_VARS, label="m", w="w", y="z / y", z="z")
+    assert check_equation_invariance(fam, phi).holds
+    with pytest.raises(NonConstantRatioError) as err:
+        biform(fam, phi)
+    assert str(err.value) == "bi-2-form ratio of m is not constant: z^2 / y^4"
+    assert _quotient_ratio(fam, phi) == parse_expression("z^2 / y^4")
+
+
+# -- the ratio against S / S(phi*y, phi*z) ------------------------------------
+#
+# The engine reads the bi-2-form ratio from the cover coordinate a + b*w.
+# The second path below is the quotient (phi*z / z) * J^2 * S / S(phi*y,
+# phi*z), with S(phi*y, phi*z) summed term by term here.
+
+
+def _pulled_relation(fam, phi):
+    y_name, z_name = fam.base_vars
+    y_image, z_image = phi.coords[y_name], phi.coords[z_name]
+    pulled = RatFunc.zero()
+    for e, c in fam.relation().term_items():
+        rest = {n: k for n, k in zip(VARIABLES, e) if k and n not in fam.base_vars}
+        term = RatFunc.from_poly(MPoly.monomial(rest, c))
+        pulled = pulled + term * y_image ** e[VARIABLES.index(y_name)] * z_image ** e[
+            VARIABLES.index(z_name)
+        ]
+    return pulled
+
+
+def _quotient_ratio(fam, phi):
+    y_name, z_name = fam.base_vars
+    jac = jacobian_det2(phi.coords[y_name], phi.coords[z_name], y_name, z_name)
+    z_ratio = phi.coords[z_name] / RatFunc.var(z_name)
+    return z_ratio * jac * jac * RatFunc.from_poly(fam.relation()) / _pulled_relation(fam, phi)
+
+
+def _builtin_pairs():
+    flip = BirMap.from_strings(ENRIQUES_VARS, label="flip", w="-w", y="y", z="z")
+    maps = [family_automorphism(k) for k in (1, 2, 3)] + [BirMap.identity(), flip]
+    sigma = family_automorphism(2)
+    maps += [compose(sigma, sigma), compose(sigma, compose(sigma, sigma))]
+    return [(family(k), phi) for k in (1, 2, 3) for phi in maps]
+
+
+def _preserving(pairs):
+    return [(fam, phi) for fam, phi in pairs if check_equation_invariance(fam, phi).holds]
+
+
+@pytest.mark.parametrize(
+    "pairs, count",
+    [(_builtin_pairs, 13), (document_pairs, 36)],
+    ids=["builtin", "docgen-seeds-1-3"],
+)
+def test_bitwoform_ratio_equals_the_quotient_by_the_pulled_relation(pairs, count):
+    preserving = _preserving(pairs())
+    assert len(preserving) == count
+    for fam, phi in preserving:
+        quotient = _quotient_ratio(fam, phi)
+        ratio = biform(fam, phi)
+        assert quotient.as_constant() == ratio
+        assert quotient == RatFunc.const(ratio)

@@ -40,7 +40,9 @@ from enricert.maps import (
 from enricert.maps import _compose_forms, _exponent_form, _order_by_composition
 from enricert.poly import MPoly, RatFunc
 
-from _helpers import nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius
+from _helpers import (
+    document_pairs, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
+)
 
 
 def strings(label="m", **exprs):
@@ -321,6 +323,43 @@ def test_corrupted_map_fails_with_witness():
     res = check_equation_invariance(family(1), shift)
     assert not res.holds
     assert str(res.witness_even) == "y^2" and str(res.witness_odd) == "2*y"
+
+
+def _subtraction_verdict(fam, phi):
+    """Whether (phi*w)^2 = S(phi*y, phi*z) modulo w^2 = S, by subtracting
+    the cross-multiplied numerators of a^2 + b^2 S and S(phi*y, phi*z)."""
+    b1, b2 = fam.base_vars
+    relation = fam.relation()
+    pulled = relation.substitute({b1: phi.coords[b1], b2: phi.coords[b2]})
+    a, b = phi.cover_parts()
+    lhs = a * a + b * b * RatFunc.from_poly(relation)
+    even = lhs.num * pulled.den - pulled.num * lhs.den
+    return even.is_zero() and (a.num * b.num).is_zero()
+
+
+def _builtin_invariance_pairs():
+    enriques = [strings(label="shift", w="y + w", y="y", z="z"),
+                strings(label="bad", w="w/(y^2*z^3)", y="1/y", z="1/z")]
+    enriques += [family_automorphism(k) for k in (1, 2, 3)]
+    pairs = [(family(k), phi) for k in (1, 2, 3) for phi in enriques]
+    lifts = [k3_lift(k) for k in (1, 2)]
+    lifts += [deck_flip()] + [compose(deck_flip(), lift) for lift in lifts]
+    return pairs + [(k3_cover(family(k)), phi) for k in (1, 2, 3) for phi in lifts]
+
+
+@pytest.mark.parametrize(
+    "pairs, holding",
+    [(_builtin_invariance_pairs, 13), (document_pairs, 36)],
+    ids=["builtin", "docgen-seeds-1-3"],
+)
+def test_invariance_verdicts_equal_an_explicit_subtraction(pairs, holding):
+    verdicts = [
+        (check_equation_invariance(fam, phi).holds, _subtraction_verdict(fam, phi))
+        for fam, phi in pairs()
+    ]
+    assert all(engine == second for engine, second in verdicts)
+    # both verdicts occur: the decoy and the wrong-family maps fail
+    assert sum(engine for engine, _ in verdicts) == holding < len(verdicts)
 
 
 def test_invariance_rejects_mismatched_variables():
