@@ -71,22 +71,14 @@ the same way a RatFunc over the constant 1 is already simplified, so
 construction keeps it, and substituting into it substitutes the numerator
 alone.
 
-RatFunc arithmetic skips work whose result is already known, and returns
-the pair, term order included, that the general path returns.  Subtracting
-an identical simplified pair is zero: the general path would add num and
--num over the shared denominator and multiply nothing.  A zero summand or
-factor returns the other operand, or zero, at once.  Negation negates the
-numerator of a simplified pair, which changes no key and no divisibility,
-so it is simplified already.  The sum of two functions over single-term
-denominators x^D and x^E is built over their lcm x^L by key shifts:
-r.num * x^(L - D) + s.num * x^(L - E) is the general numerator divided by
-x^(D + E - L), so both simplify to the same pair.  Division by a single
-term x^f is one pass over the keys, largest first; its remainder, on
-failure, is the term x^f misses and every smaller one.  The cap guard:
-each fast path runs only where the general path's products provably stay
-under DEGREE_CAP and MAX_TERM_PAIRS.  Elsewhere the general path runs and
-raises its own error; the lcm sum, for one, checks the degrees of the
-general path's three products, not of the smaller lcm.
+RatFunc arithmetic skips two steps whose result is already known, and
+returns the pair, term order included, that the general path returns.
+Subtracting an identical simplified pair is zero: the general path would
+add num and -num over the shared denominator and multiply nothing.
+Negation negates the numerator of a simplified pair, which changes no key
+and no divisibility, so it is simplified already.  Neither skips a cap error: the general
+subtraction multiplies nothing, and the general negation repeats only the
+divisibility tests that simplified the pair when it was built.
 """
 
 from __future__ import annotations
@@ -592,20 +584,6 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     qc_inv = ONE if monic else qc.inverse()
     # the leading keys strictly decrease, so each quotient key is new
     quot: Dict[int, Cyclo] = {}
-    if len(qterms) == 1:
-        # Each step of the loop below cancels exactly the leading term, so
-        # one pass over the keys, largest first, is the whole division, and
-        # the remainder at the first key x^qe misses is that term and every
-        # smaller one, in p's order.
-        pterms = p.terms
-        for e in sorted(pterms, reverse=True):
-            if ((e | _GUARD) - qe) & _GUARD != _GUARD:
-                raise IndivisibleError(
-                    q, _wrap({k: c for k, c in pterms.items() if k <= e})
-                )
-            c = pterms[e]
-            quot[e - qe] = c if monic else c * qc_inv
-        return _wrap(quot)
     rem = p
     while rem.terms:
         e = max(rem.terms)
@@ -636,39 +614,6 @@ def _pair(num: MPoly, den: MPoly) -> "RatFunc":
     object.__setattr__(r, "num", num)
     object.__setattr__(r, "den", den)
     return r
-
-
-def _fits(r: "RatFunc") -> bool:
-    """Whether a product of r's num or den by one term is under MAX_TERM_PAIRS."""
-    return len(r.num.terms) <= MAX_TERM_PAIRS and len(r.den.terms) <= MAX_TERM_PAIRS
-
-
-def _over_lcm(r: "RatFunc", s: "RatFunc") -> Optional["RatFunc"]:
-    """r + s for single-term denominators x^D and x^E, or None where the
-    general sum could exceed a cap.
-
-    The general sum is (r.num * x^E + s.num * x^D) / x^(D + E).  With G and
-    L the slotwise minimum and maximum of D and E, that is x^G times
-    (r.num * x^(L - D) + s.num * x^(L - E)) / x^L, the same terms in the
-    same order, so simplifying either cancels the same content.
-    """
-    n1, n2 = r.num.terms, s.num.terms
-    (k1,), (k2,) = r.den.terms, s.den.terms
-    deg1, deg2 = k1 >> _DEG, k2 >> _DEG
-    # the general path's three products, num * x^E, num * x^D and x^D * x^E
-    if (
-        deg1 + deg2 > DEGREE_CAP
-        or (max(n1, default=0) >> _DEG) + deg2 > DEGREE_CAP
-        or (max(n2, default=0) >> _DEG) + deg1 > DEGREE_CAP
-        or len(n1) > MAX_TERM_PAIRS
-        or len(n2) > MAX_TERM_PAIRS
-    ):
-        return None
-    d1, d2 = k1 & _LANES, k2 & _LANES
-    lcm = _with_degree(d1 + d2 - _lane_min((k2,), d1))
-    # a shift down by key(D) - key(L) <= 0 multiplies by x^(L - D)
-    num = _shift_down(r.num, k1 - lcm) + _shift_down(s.num, k2 - lcm)
-    return RatFunc(num, _wrap({lcm: ONE}))
 
 
 class RatFunc:
@@ -780,16 +725,8 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = self._coerce(other)
-        if not other.num.terms and _fits(self):
-            return self
-        if not self.num.terms and _fits(other):
-            return other
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
-        if len(self.den.terms) == 1 and len(other.den.terms) == 1:
-            total = _over_lcm(self, other)
-            if total is not None:
-                return total
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -812,10 +749,6 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = self._coerce(other)
-        if not other.num.terms and len(self.den.terms) <= MAX_TERM_PAIRS:
-            return other
-        if not self.num.terms and len(other.den.terms) <= MAX_TERM_PAIRS:
-            return self
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -6,24 +6,16 @@ returns the verdict and value it expects for every custom record.  The
 generator is imported from its directory and only read.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
 from enricert.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from _helpers import load_docgen
 
 
 @pytest.fixture(scope="module")
 def docgen():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import docgen
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return docgen
+    return load_docgen()
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -4,6 +4,7 @@ import pytest
 
 from enricert.cover import SurfaceFamily, family, k3_cover
 from enricert.errors import (
+    DegreeCapError,
     NonConstantRatioError,
     NotRootOfUnityError,
     PreconditionError,
@@ -237,3 +238,20 @@ def test_bitwoform_ratio_equals_the_quotient_by_the_pulled_relation(pairs, count
         ratio = biform(fam, phi)
         assert quotient.as_constant() == ratio
         assert quotient == RatFunc.const(ratio)
+
+
+def test_a_ratio_whose_quotient_passes_the_degree_cap():
+    # y -> z^6 / y^5, z -> z^7 / y^6 has an exponent matrix of determinant 1
+    # and takes S = z * (y*z^3 + z^4) to b^2 * S with b^2 = z^30 / y^30.  For
+    # a monomial map J = det * (phi*y * phi*z) / (y*z), so the ratio is
+    # (z^6 / y^6) * (z^24 / y^24) / b^2 = 1.  The old quotient by the pulled
+    # relation multiplies S by its denominator, past the cap; that record
+    # read "product term of total degree 65 exceeds cap 64".
+    fam = SurfaceFamily("t", "enriques_horikawa", parse_expression("y*z^3 + z^4").as_poly(), ())
+    phi = BirMap.from_strings(
+        ENRIQUES_VARS, label="m", w="w * z^15 / y^15", y="z^6 / y^5", z="z^7 / y^6"
+    )
+    assert check_equation_invariance(fam, phi).holds
+    assert biform(fam, phi) == ONE
+    with pytest.raises(DegreeCapError, match="total degree 65 exceeds cap 64"):
+        _quotient_ratio(fam, phi)

@@ -2,7 +2,6 @@
 
 import copy
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,8 +25,9 @@ from enricert.maps import deck_flip, family_automorphism, k3_lift
 from enricert.moduli import diagonal_base_scaling, homothety
 from enricert.poly import MPoly
 
+from _helpers import load_docgen
+
 FIXTURE = Path(enricert.__file__).parent / "fixtures" / "families.json"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def base_doc():
@@ -375,12 +375,7 @@ def _assert_branches_are_summed(doc):
 
 @pytest.fixture(scope="module")
 def docgen():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import docgen
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return docgen
+    return load_docgen()
 
 
 def test_branches_of_generated_documents_are_the_summed_products(docgen):
