@@ -190,9 +190,10 @@ def family(k: int) -> SurfaceFamily:
     """
     if k not in _FAMILY_ROWS:
         raise ValueError(f"no built-in family {k}; choose 1, 2 or 3")
-    branch = MPoly.zero()
-    for i, j, param, scalar in _FAMILY_ROWS[k]:
-        branch = branch + MPoly.monomial({"y": i, "z": j, param: 1}, scalar)
+    branch = MPoly.sum_monomials(
+        ({"y": i, "z": j, param: 1}, scalar)
+        for i, j, param, scalar in _FAMILY_ROWS[k]
+    )
     return SurfaceFamily(f"family{k}", _ENRIQUES, branch, _FAMILY_PARAMS[k])
 
 

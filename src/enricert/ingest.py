@@ -120,9 +120,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
 
     base1, base2 = ("y", "z") if kind == "enriques_horikawa" else ("Y", "Z")
     support = horikawa_support()
-    # the branch's packed terms, summed in one dict: the terms and their
-    # order are those of adding each entry's monomial to a running sum
-    terms: Dict[int, Cyclo] = {}
+    entries = []
     for idx, mono in enumerate(monomials):
         mwhere = f"{where}.monomials[{idx}]"
         _expect(isinstance(mono, Mapping), mwhere, "must be an object")
@@ -163,16 +161,11 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
                 f"coeff names undeclared parameter {p!r}",
             )
             exponents[p] = 1
-        for key, c in MPoly.monomial(exponents, scalar).terms.items():
-            prev = terms.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                del terms[key]
-            else:
-                terms[key] = c
+        entries.append((exponents, scalar))
 
+    branch = MPoly.sum_monomials(entries)
     try:
-        fam = SurfaceFamily(name, kind, MPoly(terms), tuple(params))
+        fam = SurfaceFamily(name, kind, branch, tuple(params))
     except InvariantError as exc:
         raise InvariantError(f"{where} {name!r}: {exc}") from exc
 

@@ -17,10 +17,8 @@ c * y^i * z^j * w).  So it is a pair (c, M) of a scalar vector and an
 integer matrix, an element of (Q(zeta_8)^*)^3 x| GL3(Z) as a toric
 morphism, where composition is (c, M) . (d, N) = (c * d^M, M N) with
 (d^M)_v = prod_u d_u^(M_vu), and the identity is ((1, 1, 1), 1).  Powers
-are taken there, with no RatFunc, compose or BirMap per power.  Where a
-step could take composing the maps, or comparing a power with the
-identity, past DEGREE_CAP, the order is computed again by composing the
-maps, so the answer and any DegreeCapError are those of composition.
+are taken there, with no RatFunc, compose or BirMap per power.  Maps with
+no exponent form are composed, one compose and is_identity per power.
 
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
@@ -34,10 +32,9 @@ matrices and exponents of zeta_8, not on these matrices.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvariantError, PreconditionError
+from .errors import DegreeCapError, InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, slot
@@ -157,13 +154,10 @@ def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
     A monomial phi, x_v -> c_v * x^(M_v) over its own variables, is taken
     as (c, M), and its powers as (c, M) . (d, N) = (c * d^M, M N); a power
     is the identity when every c_v is 1 and every row M_v is the unit
-    vector of v.  Before each step the degrees that compose(phi, power)
-    would reach are checked (the monomial substitution path's bound for the
-    numerator and the denominator of each coordinate, and the division's
-    two single-term products), and so are the products of the identity
-    test.  Where one of them could exceed DEGREE_CAP, or phi is not
-    monomial, the order is computed again from n = 1 by composing the maps,
-    which returns the same value or raises the same DegreeCapError.
+    vector of v.  A power that could not be stored as a map, with a
+    coordinate whose numerator or denominator is over DEGREE_CAP, raises
+    DegreeCapError.  That bounds the exponents, and so the work, of every
+    step.  A phi with no exponent form is composed with its powers instead.
     """
     power = form = _exponent_form(phi)
     if form is None:
@@ -173,8 +167,12 @@ def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
             return n
         if n < max_n:
             power = _compose_forms(form, power)
-            if power is None:
-                return _order_by_composition(phi, max_n)
+            degree = max(max(_degrees(row)) for _, row in power)
+            if degree > DEGREE_CAP:
+                raise DegreeCapError(
+                    f"power {n + 1} of {phi.label}: coordinate of total "
+                    f"degree {degree} exceeds cap {DEGREE_CAP}"
+                )
     return None
 
 
@@ -200,16 +198,9 @@ def _degrees(row: Tuple[int, ...]) -> Tuple[int, int]:
     return (size + total) // 2, (size - total) // 2
 
 
-def _testable(row: Tuple[int, ...]) -> bool:
-    """Whether is_identity's products num * 1 and x_v * den stay under the cap."""
-    num, den = _degrees(row)
-    return num <= DEGREE_CAP and den + 1 <= DEGREE_CAP
-
-
 def _exponent_form(phi: BirMap):
     """phi in exponent form, or None when some coordinate is not a single
-    term over a single term in phi's own variables, or is too large for
-    the identity test."""
+    term over a single term in phi's own variables."""
     slots = [slot(v) for v in phi.variables]
     form = []
     for v in phi.variables:
@@ -217,15 +208,13 @@ def _exponent_form(phi: BirMap):
         num, den = r.num.term_items(), r.den.term_items()
         if len(num) != 1 or len(den) != 1:
             return None
-        (a, c), (b, lead) = num[0], den[0]
-        # exponents are nonnegative, so equal sums leave no other variable
+        # den is monic (RatFunc._simplify); exponents are nonnegative, so
+        # equal sums leave no other variable
+        (a, c), (b, _) = num[0], den[0]
         own = sum(a[s] + b[s] for s in slots)
-        if lead != ONE or own != sum(a) + sum(b):
+        if own != sum(a) + sum(b):
             return None
-        row = tuple(a[s] - b[s] for s in slots)
-        if not _testable(row):
-            return None
-        form.append((c, row))
+        form.append((c, tuple(a[s] - b[s] for s in slots)))
     return tuple(form)
 
 
@@ -240,38 +229,14 @@ def _row_times(vector, rows) -> Tuple[int, int, int]:
 
 
 def _compose_forms(outer, inner):
-    """outer after inner, (c * d^M, M N), or None where compose(outer, inner)
-    or the identity test of the result could exceed DEGREE_CAP.
-
-    compose substitutes inner into x^a and x^b, the positive and negative
-    parts of each row of outer.  The monomial path bounds x^a by
-    sum(a_u * (|num_u| + 2 |den_u|)) over inner's coordinates u, and
-    likewise x^b; over the bound the term-by-term path would run.  For
-    b != 0 the quotient x^E / x^F multiplies num(E) by den(F) and den(E)
-    by num(F).
-    """
+    """outer after inner in exponent form: (c * d^M, M N)."""
     rows = [row for _, row in inner]
-    cost = [num + 2 * den for num, den in map(_degrees, rows)]
     out = []
     for c, row in outer:
-        a = [k if k > 0 else 0 for k in row]
-        b = [-k if k < 0 else 0 for k in row]
-        if sum(map(operator.mul, a, cost)) > DEGREE_CAP:
-            return None
-        if any(b):
-            if sum(map(operator.mul, b, cost)) > DEGREE_CAP:
-                return None
-            e_num, e_den = _degrees(_row_times(a, rows))
-            f_num, f_den = _degrees(_row_times(b, rows))
-            if e_num + f_den > DEGREE_CAP or e_den + f_num > DEGREE_CAP:
-                return None
-        new_row = _row_times(row, rows)
-        if not _testable(new_row):
-            return None
         for (d, _), k in zip(inner, row):
             if k and d != ONE:
                 c = c * d ** k
-        out.append((c, new_row))
+        out.append((c, _row_times(row, rows)))
     return tuple(out)
 
 

@@ -23,8 +23,9 @@ the lane's guard: (e | GUARD) - f borrows within each lane and never across
 lanes, and leaves the guard of lane i set exactly when e_i >= f_i.  One
 subtraction thus tests whether x^f divides x^e (exact division) and selects
 the smaller lane of two keys (the monomial content).  Only this module
-knows the layout: exponent tuples come in through const, var and monomial,
-and go out through support, leading_term, term_items and monomial_content.
+knows the layout: exponent tuples come in through const, var, monomial and
+sum_monomials, and go out through support, leading_term, term_items and
+monomial_content.
 
 Terms are ordered graded-lexicographically for display and for the
 exact-division algorithm.
@@ -33,10 +34,11 @@ Rational functions are held as numerator/denominator pairs.  Simplification
 is deliberately modest: common monomial content is cancelled, the denominator
 is scaled to have leading coefficient 1, and full cancellation is attempted
 only through exact division (which either succeeds completely or leaves the
-pair untouched).  Equality is decided by cross-multiplication, so it never
-depends on how much simplification happened.  A polynomial over a monomial
-has one simplified form, with no common monomial content and denominator
-coefficient 1, so no division is attempted for it.
+pair untouched).  A polynomial over a monomial has one simplified form, with
+no common monomial content and denominator coefficient 1, so no division is
+attempted for it, and two such pairs are equal exactly when they are the
+same pair.  Any other equality is decided by cross-multiplication, so it
+never depends on how much simplification happened.
 
 Substitution has two paths that return the same pair.  When every assigned
 value is c * (Laurent monomial), as for the monomial automorphisms, lifts
@@ -219,18 +221,36 @@ class MPoly:
     @staticmethod
     def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "MPoly":
         """coeff times the product of name^k; a lane holds at most DEGREE_CAP."""
-        key = degree = 0
-        for name, k in exponents.items():
-            i = slot(name)
-            if k < 0:
-                raise ValueError(f"negative exponent {k} of {name}")
-            key += k * _UNITS[i]
-            degree += k
-        if degree > DEGREE_CAP:
-            raise DegreeCapError(
-                f"monomial of total degree {degree} exceeds cap {DEGREE_CAP}"
-            )
-        return MPoly({key: Cyclo.coerce(coeff)})
+        return MPoly.sum_monomials([(exponents, coeff)])
+
+    @staticmethod
+    def sum_monomials(
+        entries: Iterable[Tuple[Mapping[str, int], Scalar]]
+    ) -> "MPoly":
+        """The sum of monomial(exponents, coeff) over ``entries``, in one dict,
+        with the terms and term order of adding each to a running sum."""
+        terms: Dict[int, Cyclo] = {}
+        for exponents, coeff in entries:
+            key = degree = 0
+            for name, k in exponents.items():
+                i = slot(name)
+                if k < 0:
+                    raise ValueError(f"negative exponent {k} of {name}")
+                key += k * _UNITS[i]
+                degree += k
+            if degree > DEGREE_CAP:
+                raise DegreeCapError(
+                    f"monomial of total degree {degree} exceeds cap {DEGREE_CAP}"
+                )
+            c = Cyclo.coerce(coeff)
+            prev = terms.get(key)
+            if prev is not None:
+                c = prev + c
+            if c.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = c
+        return _wrap(terms)
 
     def _coerce(self, x) -> "MPoly":
         if isinstance(x, MPoly):
@@ -791,6 +811,9 @@ class RatFunc:
             other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if len(self.den.terms) == len(other.den.terms) == 1:
+            # a polynomial over a monomial has one simplified form
+            return self.num == other.num and self.den == other.den
         return (self.num * other.den) == (other.num * self.den)
 
     def __str__(self) -> str:

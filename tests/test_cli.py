@@ -89,6 +89,25 @@ def test_verify_failure_exit_and_witness(tmp_path, capsys):
     assert out.index("custom-invariance-aut_4_2") < out.index("custom-moduli-family3")
 
 
+def test_verify_order_past_the_cap_names_the_power(tmp_path, capsys):
+    # y -> y^2 preserves w^2 = A*z^3, but its seventh power sends y to y^128
+    doc = {
+        "schema": "enricert-input/1",
+        "families": [{
+            "name": "c", "kind": "enriques_horikawa", "parameters": ["A"],
+            "monomials": [{"i": 0, "j": 2, "coeff": {"param": "A", "scalar": "1,0,0,0"}}],
+        }],
+        "maps": [{"name": "grow", "coords": {"w": "w", "y": "y^2", "z": "z"}}],
+    }
+    assert main(["verify", "--input", write_doc(tmp_path, doc)]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] custom-invariance-grow: c" in out
+    assert (
+        "[FAIL] custom-order-grow\n       witness: DegreeCapError: power 7 of "
+        "grow: coordinate of total degree 128 exceeds cap 64\n"
+    ) in out
+
+
 def test_verify_out_writes_certificate(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     assert main(["verify", "--family", "1", "--out", str(out_path)]) == 0

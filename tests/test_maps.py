@@ -38,7 +38,7 @@ from enricert.maps import (
     swap_root,
 )
 from enricert.maps import _compose_forms, _exponent_form, _order_by_composition
-from enricert.poly import MPoly, RatFunc
+from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 
 from _helpers import (
     document_pairs, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
@@ -86,6 +86,13 @@ def test_identity_map():
     ident = BirMap.identity()
     assert is_identity(ident)
     assert map_order(ident) == 1
+
+
+def test_identity_test_at_the_cap_multiplies_nothing():
+    # y against (1 + y)/y^64: cross-multiplying would build y^65
+    grow = strings(w="w", y="(1+y)/y^64", z="z")
+    assert not is_identity(grow)
+    assert map_order(grow, 1) is None
 
 
 # -- built-in automorphisms ---------------------------------------------------
@@ -179,28 +186,50 @@ _VARIABLE_TRIPLES = st.sampled_from((ENRIQUES_VARS, K3_VARS))
     max_n=st.one_of(st.just(16), st.integers(1, 16)),
 )
 def test_map_order_matches_composition_on_monomial_maps(phi, max_n):
+    # exponent form gives the loop's order wherever the loop returns; where
+    # the loop hits the cap, exponent form may still answer
     assert _exponent_form(phi) is not None
-    assert _outcome(map_order, phi, max_n) == _outcome(_order_by_composition, phi, max_n)
+    fast = _outcome(map_order, phi, max_n)
+    loop = _outcome(_order_by_composition, phi, max_n)
+    if isinstance(loop, tuple):
+        assert not isinstance(fast, tuple) or fast[0] is DegreeCapError
+    else:
+        assert fast == loop
+
+
+def _at(form, point):
+    """The coordinates of a map in exponent form at ``point``."""
+    values = []
+    for c, row in form:
+        for x, k in zip(point, row):
+            c = c * x ** k
+        values.append(c)
+    return tuple(values)
+
+
+_POINT = tuple(Cyclo.from_rational(p) for p in (2, 3, 5))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(pair=_VARIABLE_TRIPLES.flatmap(
     lambda vs: st.tuples(_monomial_maps(vs), _monomial_maps(vs))
 ))
-# y/z after (y^64, y^20/z^20) is y^44*z^20, but the quotient's product
-# y^64 * z^20 is over the cap
+# y/z after (y^64, y^20/z^20) is y^44*z^20, but composing the maps takes the
+# product y^64 * z^20, which is over the cap
 @example(pair=(strings(w="w", y="y/z", z="z"), strings(w="w", y="y^64", z="y^20/z^20")))
 def test_exponent_forms_compose_like_the_maps(pair):
     # (c, M) . (d, N) = (c * d^M, M N) for two different maps, which need
-    # not commute; None only where composing the maps may hit the cap
+    # not commute: it is outer after inner at a point, and it is the
+    # composed map wherever composing the maps stays under the cap
     outer, inner = pair
-    form = _compose_forms(_exponent_form(outer), _exponent_form(inner))
+    f, g = _exponent_form(outer), _exponent_form(inner)
+    form = _compose_forms(f, g)
+    assert _at(form, _POINT) == _at(f, _at(g, _POINT))
     try:
         composed = compose(outer, inner)
     except DegreeCapError:
-        assert form is None
-    else:
-        assert form is None or form == _exponent_form(composed)
+        return
+    assert form == _exponent_form(composed)
 
 
 @pytest.mark.parametrize("phi, expected", [
@@ -228,28 +257,35 @@ def test_map_order_of_monomial_maps_composes_nothing(monkeypatch, phi, expected)
     assert _order_by_composition(phi, 16) == expected
 
 
-@pytest.mark.parametrize("coords, max_n, below", [
-    # y^(2^n) outgrows the substitution bound
-    ({"w": "w", "y": "y^2", "z": "z"}, 16, 4),
-    # the third power sends y to 1/y^64, so is_identity's product y * y^64
-    # is over the cap although composing stayed under it
-    ({"w": "w", "y": "1/y^4", "z": "1/y^4"}, 3, 2),
+def _cap_error(power, degree):
+    return DegreeCapError, (
+        f"power {power} of grow: coordinate of total degree {degree} "
+        f"exceeds cap {DEGREE_CAP}"
+    )
+
+
+@pytest.mark.parametrize("coords, outcomes", [
+    # y^(2^n): the seventh power y^128 cannot be stored
+    ({"w": "w", "y": "y^2", "z": "z"}, {6: None, 16: _cap_error(7, 128)}),
+    # the third power sends y to 1/y^64, which the identity test compares
+    # with y without a product
+    ({"w": "w", "y": "1/y^4", "z": "1/y^4"}, {3: None, 4: _cap_error(4, 256)}),
     # the square is under the cap, but substituting z^3/y^4 into y^5*z^6
     # takes the term-by-term path, whose products are not
-    ({"w": "w", "y": "y^5*z^6", "z": "z^3/y^4"}, 2, 1),
+    ({"w": "w", "y": "y^5*z^6", "z": "z^3/y^4"}, {2: None}),
     # the same for the denominator y^2 of the cover coordinate
-    ({"w": "w/y^2", "y": "1/(y^5*z^5)", "z": "z^5/y^3"}, 2, 1),
-    # the map itself fails the identity test
-    ({"w": "w", "y": "1/y^64", "z": "z"}, 1, 0),
+    ({"w": "w/y^2", "y": "1/(y^5*z^5)", "z": "z^5/y^3"}, {2: None}),
+    # the map itself is stored; its square y^4096 is not
+    ({"w": "w", "y": "1/y^64", "z": "z"}, {1: None, 16: _cap_error(2, 4096)}),
 ], ids=["substitution", "identity-test", "term-by-term", "denominator", "first-power"])
-def test_map_order_past_the_cap_raises_the_loops_error(coords, max_n, below):
+def test_map_order_past_the_cap_raises_the_loops_error(coords, outcomes):
+    # composing the maps raises DegreeCapError on each of these maps;
+    # map_order raises its own error only at a power it cannot store
     grow = strings(label="grow", **coords)
-    with pytest.raises(DegreeCapError) as fast:
-        map_order(grow, max_n)
-    with pytest.raises(DegreeCapError) as loop:
-        _order_by_composition(grow, max_n)
-    assert str(fast.value) == str(loop.value)
-    assert map_order(grow, below) is _order_by_composition(grow, below) is None
+    for max_n, expected in outcomes.items():
+        assert _outcome(map_order, grow, max_n) == expected
+    with pytest.raises(DegreeCapError, match="product term"):
+        _order_by_composition(grow, 16)
 
 
 @pytest.mark.parametrize("phi, expected", [

@@ -1,13 +1,16 @@
 """Sparse multivariate polynomials and rational functions."""
 
+import ast
 import copy
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enricert
 from enricert import (
     Cyclo, MPoly, ONE, RatFunc, SQRT_M1, ZERO, ZETA8, exact_divide, jacobian_det2,
 )
@@ -901,3 +904,66 @@ def test_fast_paths_on_pairs_that_differ(left, right):
         assert _same_pair(-a, _general_neg(a))
         assert _same_pair(a - b, _general_sub(a, b))
         assert not (a - b).is_zero()
+
+
+# -- equality of pairs over single-term denominators ------------------------------
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_ratfuncs, _ratfuncs, _nonzero_cyclos)
+def test_ratfunc_equality_matches_cross_multiplication(r, s, c):
+    # pairs over single-term denominators are compared as pairs
+    twin = RatFunc(r.num * V("y") ** 2 * c, r.den * V("y") ** 2 * c)
+    for a, b in ((r, s), (s, r), (r, twin), (twin, r)):
+        assert (a == b) == (a.num * b.den == b.num * a.den)
+    assert r == twin
+
+
+def test_equality_at_the_cap_multiplies_nothing():
+    # cross-multiplying either pair with y would build y^65
+    for text in ("(1 + y) / y^64", "1 / y^64"):
+        r = parse_expression(text)
+        assert r != RatFunc.var("y")
+        assert r == parse_expression(text)
+
+
+# -- summing monomials in one dict ------------------------------------------------
+
+
+_ENTRY_EXPONENTS = ({}, {"y": 1}, {"y": 1, "A": 1}, {"z": 2}, {"y": 64})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(_ENTRY_EXPONENTS), st.sampled_from((-2, -1, 0, 1, 2))
+), max_size=8))
+def test_sum_monomials_matches_a_running_sum(entries):
+    running = MPoly.zero()
+    for exponents, coeff in entries:
+        running = running + MPoly.monomial(exponents, coeff)
+    summed = MPoly.sum_monomials(entries)
+    assert list(summed.terms.items()) == list(running.terms.items())
+
+
+def test_sum_monomials_refuses_what_monomial_refuses():
+    with pytest.raises(DegreeCapError, match="total degree 65"):
+        MPoly.sum_monomials([({"y": 1}, 1), ({"y": 64, "z": 1}, 1)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        MPoly.sum_monomials([({"y": -1}, 1)])
+
+
+def test_only_poly_reads_the_packed_terms():
+    # poly.py owns the packed key layout; every other module goes through
+    # its constructors and read-outs, never an MPoly's .terms dict
+    package = Path(enricert.__file__).parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        reads += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"
+        ]
+    assert reads == []
