@@ -25,7 +25,6 @@ from .poly import MPoly, RatFunc, TABLE, exact_divide, jacobian_det2
 from .parsing import parse_expression
 from .cover import (
     SurfaceFamily,
-    check_bis_condition,
     epsilon_fixed_point_free,
     family,
     horikawa_support,

@@ -23,7 +23,6 @@ from . import __version__
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
 from .cover import (
     SurfaceFamily,
-    check_bis_condition,
     epsilon_fixed_point_free,
     family,
     horikawa_support,
@@ -423,10 +422,13 @@ def _k3_cover(ctx, k) -> Outcome:
 
 
 def _bis_condition(ctx, k) -> Outcome:
-    """Condition k on the cover of family k."""
+    """Condition k on the cover of family k: the given lift of the k-th
+    automorphism preserves W^2 = g, which is the condition once (phi*W)^2
+    is multiplied out."""
     cov = ctx.cover(ctx.family(k))
-    holds, witness = check_bis_condition(cov, k)
-    return _verdict(holds), {"cover": cov.name}, None, None if holds else str(witness)
+    res = ctx.invariance(cov, ctx.lift(k))
+    witness = None if res.holds else _invariance_witness(res)
+    return _verdict(res.holds), {"cover": cov.name}, None, witness
 
 
 def _freeness(ctx, k) -> Outcome:
@@ -789,8 +791,7 @@ def builtin_records(ctx: Optional[_Context] = None) -> List[CheckRecord]:
 # -- checks for user-supplied families and maps ------------------------------
 
 def _matching_families(phi: BirMap, families):
-    kind = "enriques_horikawa" if phi.variables == ("w", "y", "z") else "k3_cover"
-    return [fam for fam in families if fam.kind == kind]
+    return [fam for fam in families if fam.variables == phi.variables]
 
 
 def _custom_construction(ctx, fam) -> Outcome:

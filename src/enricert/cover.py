@@ -23,7 +23,6 @@ from .field import ONE, SQRT_M1
 from .poly import (
     MPoly,
     PARAMETERS,
-    RatFunc,
     as_ratfunc,
     exact_divide,
     slot,
@@ -42,6 +41,7 @@ def horikawa_support() -> frozenset:
 
 _ENRIQUES = "enriques_horikawa"
 _K3 = "k3_cover"
+_VARIABLES = {_ENRIQUES: ("w", "y", "z"), _K3: ("W", "Y", "Z")}
 
 
 _PARAMETER_SLOTS = tuple(slot(p) for p in PARAMETERS)
@@ -73,12 +73,18 @@ class SurfaceFamily:
     # -- structure -----------------------------------------------------------
 
     @property
+    def variables(self) -> Tuple[str, str, str]:
+        """The surface's coordinates, cover variable first: the variables
+        of a map that acts on it."""
+        return _VARIABLES[self.kind]
+
+    @property
     def cover_var(self) -> str:
-        return "w" if self.kind == _ENRIQUES else "W"
+        return self.variables[0]
 
     @property
     def base_vars(self) -> Tuple[str, str]:
-        return ("y", "z") if self.kind == _ENRIQUES else ("Y", "Z")
+        return self.variables[1:]
 
     def relation(self) -> MPoly:
         """The polynomial S with cover equation (cover_var)^2 = S."""
@@ -260,34 +266,6 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     pulled = fam.branch.substitute_poly({"y": y_image, "z": z_image})
     g = exact_divide(pulled, MPoly.var("Z") ** 4)
     return SurfaceFamily(f"{fam.name}_cover", _K3, g, fam.parameters)
-
-
-def check_bis_condition(cover: SurfaceFamily, which: int):
-    """Anti/skew symmetry of the cover branch g under the lifted base maps.
-
-    Condition 1:  Y^4 Z^4 g(1/Y, 1/Z) = -g(Y, Z)
-    Condition 2:  Z^4 g(1/Z, Y) = sqrt(-1) * g(Y, Z)
-
-    Returns (holds, witness) where witness is the numerator of the
-    difference (zero polynomial when the condition holds).
-    """
-    if cover.kind != _K3:
-        raise PreconditionError("bis conditions apply to k3_cover families")
-    g = RatFunc.from_poly(cover.branch)
-    yv = RatFunc.var("Y")
-    zv = RatFunc.var("Z")
-    if which == 1:
-        lhs = (yv ** 4) * (zv ** 4) * g.substitute(
-            {"Y": yv.inverse(), "Z": zv.inverse()}
-        )
-        rhs = -g
-    elif which == 2:
-        lhs = (zv ** 4) * g.substitute({"Y": zv.inverse(), "Z": yv})
-        rhs = RatFunc.const(SQRT_M1) * g
-    else:
-        raise ValueError("which must be 1 or 2")
-    diff = lhs - rhs
-    return diff.is_zero(), diff.num
 
 
 class FreenessResult:

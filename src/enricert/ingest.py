@@ -37,13 +37,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .cover import SurfaceFamily, horikawa_support
 from .errors import InvariantError, ParseError, SchemaError
 from .field import Cyclo, parse_cyclo
-from .maps import BirMap
+from .maps import ENRIQUES_VARS, K3_VARS, BirMap
 from .moduli import ParameterAction
 from .parsing import parse_expression
 from .poly import MPoly, PARAMETERS, RatFunc, VARIABLES
 
-_ENRIQUES_COORDS = ("w", "y", "z")
-_K3_COORDS = ("W", "Y", "Z")
 _KINDS = ("enriques_horikawa", "k3_cover")
 
 #: Largest input file, in bytes.
@@ -226,14 +224,13 @@ def _load_map(entry: Mapping, where: str) -> BirMap:
     coords = entry.get("coords")
     _expect(isinstance(coords, Mapping), where, "'coords' must be an object")
     keys = set(coords)
-    if keys == set(_ENRIQUES_COORDS):
-        variables = _ENRIQUES_COORDS
-    elif keys == set(_K3_COORDS):
-        variables = _K3_COORDS
+    for variables in (ENRIQUES_VARS, K3_VARS):
+        if keys == set(variables):
+            break
     else:
         raise SchemaError(
-            f"{where}: coords keys must be exactly {set(_ENRIQUES_COORDS)} "
-            f"or {set(_K3_COORDS)}, got {sorted(keys)}"
+            f"{where}: coords keys must be exactly {list(ENRIQUES_VARS)} "
+            f"or {list(K3_VARS)}, got {sorted(keys)}"
         )
     parsed = {
         v: _expression(_str_field(coords, v, f"{where}.coords"), f"{where}.coords.{v}")

@@ -24,8 +24,7 @@ lanes, and leaves the guard of lane i set exactly when e_i >= f_i.  One
 subtraction thus tests whether x^f divides x^e (exact division) and selects
 the smaller lane of two keys (the monomial content).  Only this module
 knows the layout: exponent tuples come in through const, var, monomial and
-sum_monomials, and go out through support, leading_term, term_items and
-monomial_content.
+sum_monomials, and go out through support and term_items.
 
 Terms are ordered graded-lexicographically for display and for the
 exact-division algorithm.
@@ -48,11 +47,11 @@ each term's key and sums the terms in one dict, then builds one polynomial
 over one monomial.  Any other value, such as the affine parameter
 substitution of a specialization or w -> y + w, takes the term-by-term path,
 one RatFunc product per factor and one RatFunc sum per term.  The monomial
-path first checks a degree bound that is conservative: it assumes no
-cancellation and bounds the lcm of the term denominators by per-slot maxima,
-so where the bound passes, the term-by-term path provably stays under
-DEGREE_CAP.  Where it fails, the term-by-term path runs and raises its own
-DegreeCapError if it must.
+path decides from its own result: it hands over to the term-by-term path
+only where an exponent could leave its lane, or where the result cannot be
+stored because P or x^M is over DEGREE_CAP.  The term-by-term path stores
+every polynomial it builds, so on such a result it raises its own
+DegreeCapError.
 
 A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
 with a diagnostic error instead of letting a buggy reduction loop spin
@@ -286,12 +285,6 @@ class MPoly:
         terms = self.terms
         return tuple((_unpack(e), terms[e]) for e in sorted(terms, reverse=True))
 
-    def leading_term(self) -> Tuple[Exponents, Cyclo]:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return _unpack(e), self.terms[e]
-
     def coefficient(self, exponents: Mapping[str, int]) -> "MPoly":
         """The coefficient of the given geometric monomial, itself an MPoly.
 
@@ -412,11 +405,8 @@ class MPoly:
         multiplies its coefficient by cached powers of the c's and sums the
         terms into one polynomial over one monomial.  Every other assignment
         takes the term-by-term path, which multiplies and adds one RatFunc
-        per term.  The monomial path also hands over to the term-by-term
-        path when a conservative degree bound cannot show that the
-        term-by-term path stays under DEGREE_CAP, so an input over the cap
-        raises the same DegreeCapError whichever path it would suit.  Both
-        paths return the same num/den pair: see _substitute_monomials.
+        per term.  Both paths return the same num/den pair: see
+        _substitute_monomials, which also names the two cases it hands over.
         """
         values = self._values(assignment)
         result = self._substitute_monomials(values)
@@ -443,8 +433,14 @@ class MPoly:
         The key is linear, so key(E) is key(e) plus e_i times
         key(a) - key(b) - key(x_i) for each assigned slot i.  Negative
         entries borrow from the lanes above, so a key of E is read only
-        after adding den_top to every lane: no entry of E is below
-        -den_top, and under the degree bound no biased lane exceeds 64.
+        after adding den_top to every lane.  Every entry of E lies in
+        [-den_top, num_top], the largest degrees of a term's image before
+        cancellation, |e| + sum e_i (|a_i| - 1) and sum e_i |b_i|.  The
+        path hands over to _substitute_terms in two cases only: when
+        num_top + den_top reaches a lane's guard bit (128), where a biased
+        entry could leave its lane and distinct E could share a key, and
+        when P or x^M has a total degree over DEGREE_CAP, where the other
+        path, which stores every polynomial it builds, raises.
         """
         # (slot, lane shift, scalar or None for 1, key move, |a|, |b|);
         # _simplify leaves a monic denominator, so b carries coefficient 1
@@ -461,7 +457,6 @@ class MPoly:
             )
         sums: Dict[int, Cyclo] = {}
         powers: Dict[Tuple[int, int], Cyclo] = {}
-        top = dict.fromkeys(values, 0)
         num_top = den_top = 0
         for e, c in self.terms.items():
             out = e
@@ -473,8 +468,6 @@ class MPoly:
                 out += k * move
                 num_deg += k * (na - 1)
                 den_deg += k * nb
-                if k > top[i]:
-                    top[i] = k
                 if ci is not None:
                     p = powers.get((i, k))
                     if p is None:
@@ -486,29 +479,20 @@ class MPoly:
                 den_top = den_deg
             prev = sums.get(out)
             sums[out] = c if prev is None else prev + c
-        # The term-by-term path raises DegreeCapError when one of its products
-        # exceeds the cap.  There a term c0 * x^e becomes c * x^U / x^V with
-        # |U| = num_deg and |V| = den_deg before cancellation, so its own
-        # products stay within max(|U|, |V|).  The running sum is P / x^M
-        # with M at most L, the slotwise maximum of the V's, and every term
-        # of P of degree at most max|U| + |L|; so the products of adding a
-        # term stay within max|U| + |L| + max|V|, and simplifying a
-        # polynomial over a monomial divides nothing.  |L| is at most the
-        # sum over assigned slots of the largest exponent there times |b|.
-        # Cancellation only lowers degrees, so the bound is conservative:
-        # over the cap, the term-by-term path decides and raises its own
-        # error if it must.  Each entry of E lies in [-den_top, num_top], so
-        # under the bound distinct E have distinct keys.
-        lcm_top = sum(top[i] * nb for i, _, _, _, _, nb in monomials)
-        if num_top + lcm_top + den_top > DEGREE_CAP:
+        if num_top + den_top >= 1 << (_BITS - 1):
             return None
         terms = {e: c for e, c in sums.items() if not c.is_zero()}
         if not terms:
             return RatFunc.zero()
         # min(den_top, den_top + E_j) per slot, whence M = den_top - that
         bias = den_top * _ONES
-        low = _lane_min((e + bias for e in terms), bias)
-        den_key = _with_degree(bias - low)
+        lanes = bias - _lane_min((e + bias for e in terms), bias)
+        # |M| can pass 254 before the cap test, beyond _with_degree
+        den_key = lanes + (sum(_unpack(lanes)) << _DEG)
+        # adding den_key keeps the order of the keys, so the largest term of
+        # P is the largest key shifted
+        if den_key >> _DEG > DEGREE_CAP or (max(terms) + den_key) >> _DEG > DEGREE_CAP:
+            return None
         if den_key:
             terms = {e + den_key: c for e, c in terms.items()}
         return RatFunc(MPoly(terms), _wrap({den_key: ONE}))
@@ -615,13 +599,6 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         quot[e - qe] = coeff
         rem = rem + _wrap({e - qe: -coeff}) * q
     return _wrap(quot)
-
-
-def monomial_content(p: MPoly) -> Exponents:
-    """Componentwise minimum exponent vector over all terms."""
-    if p.is_zero():
-        return (0,) * _NVARS
-    return _unpack(_lane_min(p.terms))
 
 
 def _shift_down(p: MPoly, shift: int) -> MPoly:

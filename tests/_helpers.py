@@ -9,8 +9,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from enricert import Cyclo, MPoly, Mobius, RatFunc
+from enricert import SQRT_M1, Cyclo, MPoly, Mobius, RatFunc
 from enricert.ingest import load_document
+from enricert.poly import slot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -101,13 +102,45 @@ def load_docgen():
     return docgen
 
 
+def _documents(seeds, indices):
+    docgen = load_docgen()
+    return [
+        load_document(json.loads(docgen.generate(seed, index)[0]))
+        for seed in seeds
+        for index in indices
+    ]
+
+
 def document_pairs(seeds=(1, 2, 3), indices=(0, 1, 2)):
     """Every (family, map) pair of the generated documents of the given
     seeds and indices, the failing decoy map included."""
-    docgen = load_docgen()
-    pairs = []
-    for seed in seeds:
-        for index in indices:
-            doc = load_document(json.loads(docgen.generate(seed, index)[0]))
-            pairs += [(fam, phi) for fam in doc.families for phi in doc.maps]
-    return pairs
+    return [
+        (fam, phi)
+        for doc in _documents(seeds, indices)
+        for fam in doc.families
+        for phi in doc.maps
+    ]
+
+
+def document_families(seeds=(1, 2, 3), indices=(0, 1, 2)):
+    """Every family of the generated documents of the given seeds and
+    indices."""
+    return [fam for doc in _documents(seeds, indices) for fam in doc.families]
+
+
+def bis_condition(cover, which):
+    """Whether the branch g of a K3 cover satisfies condition 1,
+    Y^4 Z^4 g(1/Y, 1/Z) = -g, or condition 2, Z^4 g(1/Z, Y) = i*g.
+
+    Read term by term, with no substitution: the left side sends
+    c * Y^i Z^j to c * Y^(4-i) Z^(4-j), or to c * Y^j Z^(4-i).
+    """
+    iy, iz = slot("Y"), slot("Z")
+    lhs, rhs = {}, {}
+    for e, c in cover.branch.term_items():
+        i, j = e[iy], e[iz]
+        moved = list(e)
+        moved[iy], moved[iz] = (4 - i, 4 - j) if which == 1 else (j, 4 - i)
+        lhs[tuple(moved)] = c
+        rhs[e] = -c if which == 1 else SQRT_M1 * c
+    return lhs == rhs

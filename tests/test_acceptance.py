@@ -13,7 +13,6 @@ import enricert
 from enricert.certificate import verify_all
 from enricert.classify import admissible_pairs, allowed_orders
 from enricert.cover import (
-    check_bis_condition,
     epsilon_fixed_point_free,
     family,
     k3_cover,
@@ -61,6 +60,7 @@ from enricert.poly import (
 )
 
 from _helpers import (
+    bis_condition,
     nonzero_cyclo,
     nonzero_mpoly,
     rand_cyclo,
@@ -168,8 +168,8 @@ def test_criterion_05_k3_covers():
             assert cov.branch.degree_in("Z") <= 4
             for i, j in cov.geometric_support():
                 assert (i + j) % 2 == 0
-        assert check_bis_condition(k3_cover(family(1)), 1)[0]
-        assert check_bis_condition(k3_cover(family(2)), 2)[0]
+        assert bis_condition(k3_cover(family(1)), 1)
+        assert bis_condition(k3_cover(family(2)), 2)
         free1 = epsilon_fixed_point_free(k3_cover(family(1)))
         assert free1.free
         a = MPoly.var("A")

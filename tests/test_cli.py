@@ -108,6 +108,42 @@ def test_verify_order_past_the_cap_names_the_power(tmp_path, capsys):
     ) in out
 
 
+def test_verify_a_storable_pullback_near_the_cap(tmp_path, capsys):
+    # y -> 1/y^10 pulls family 1's relation back to a polynomial over y^40,
+    # which can be stored, so the invariance record fails with its even
+    # part as witness; summed term by term, the pullback would pass the cap
+    # (DegreeCapError at degree 74) on the way
+    doc = fixture_doc()
+    doc["maps"].append({"name": "near", "coords": {"w": "w", "y": "1/y^10", "z": "z"}})
+    assert main(["verify", "--input", write_doc(tmp_path, doc)]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "[FAIL] custom-invariance-near\n       witness: "
+        "family1: even part y^44*z^3*A + y^44*z^2*B + y^43*z^3*D"
+        " - y^42*z^4*F + y^44*z*C + y^43*z^2*E - y^41*z^4*E + y^42*z^2*F"
+        " - y^41*z^3*D + y^30*z^4*E + y^30*z^3*D + y^20*z^4*F - y^20*z^2*F"
+        " - y^10*z^3*D - y^10*z^2*E - z^3*A - z^2*B - z*C; odd part 0"
+        "\n"
+    ) in out
+
+
+def test_schema_errors_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # the coordinate triples are printed in their order, not as sets
+    doc = fixture_doc()
+    doc["maps"][0]["coords"] = {"w": "w", "y": "y"}
+    path = write_doc(tmp_path, doc)
+    errors = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_cli("verify", "--input", path)
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1] == (
+        "schema violation: maps[0]: coords keys must be exactly "
+        "['w', 'y', 'z'] or ['W', 'Y', 'Z'], got ['w', 'y']\n"
+    )
+
+
 def test_verify_out_writes_certificate(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     assert main(["verify", "--family", "1", "--out", str(out_path)]) == 0

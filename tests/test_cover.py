@@ -4,7 +4,6 @@ import pytest
 
 from enricert.cover import (
     SurfaceFamily,
-    check_bis_condition,
     epsilon_fixed_point_free,
     family,
     horikawa_support,
@@ -15,7 +14,10 @@ from enricert.cover import (
 )
 from enricert.errors import InvariantError, PreconditionError
 from enricert.field import SQRT_M1
+from enricert.maps import check_equation_invariance, k3_lift
 from enricert.poly import MPoly, RatFunc
+
+from _helpers import bis_condition, document_families
 
 
 def mono(exps, scalar=1):
@@ -229,24 +231,45 @@ def test_cover_of_cover_rejected():
 # -- bis conditions and freeness ---------------------------------------------
 
 
+# Condition k is the invariance of W^2 = g under the k-th given lift, which
+# is how the certificate checks it; bis_condition reads the condition off
+# the terms of g instead.
+
+
 def test_bis_conditions_hold_on_matching_covers():
-    holds, witness = check_bis_condition(k3_cover(family(1)), 1)
-    assert holds and witness.is_zero()
-    holds, witness = check_bis_condition(k3_cover(family(2)), 2)
-    assert holds and witness.is_zero()
+    for k in (1, 2):
+        cover = k3_cover(family(k))
+        res = check_equation_invariance(cover, k3_lift(k))
+        assert res.holds and res.witness_even.is_zero() and res.witness_odd.is_zero()
+        assert bis_condition(cover, k)
 
 
 def test_bis_condition_failure_reports_witness():
     # family 3's cover satisfies neither symmetry
-    holds, witness = check_bis_condition(k3_cover(family(3)), 1)
-    assert not holds and not witness.is_zero()
+    cover = k3_cover(family(3))
+    res = check_equation_invariance(cover, k3_lift(1))
+    assert not res.holds and not res.witness_even.is_zero()
+    assert not bis_condition(cover, 1)
 
 
 def test_bis_condition_argument_validation():
+    # a lift acts on covers only, and only two lifts are given
     with pytest.raises(PreconditionError):
-        check_bis_condition(family(1), 1)
+        check_equation_invariance(family(1), k3_lift(1))
     with pytest.raises(ValueError):
-        check_bis_condition(k3_cover(family(1)), 3)
+        k3_lift(3)
+
+
+def test_lift_invariance_is_the_bis_condition_on_every_cover():
+    covers = [k3_cover(fam) for fam in [family(k) for k in (1, 2, 3)] + document_families()]
+    assert len(covers) == 30
+    verdicts = []
+    for cover in covers:
+        for k in (1, 2):
+            verdicts.append(bis_condition(cover, k))
+            assert check_equation_invariance(cover, k3_lift(k)).holds == verdicts[-1]
+    # both outcomes occur
+    assert True in verdicts and False in verdicts
 
 
 def test_epsilon_freeness_corner_values():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import enricert
 from enricert import (
@@ -18,7 +18,7 @@ from enricert.cover import family
 from enricert.errors import DegreeCapError, IndivisibleError, SizeCapError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
-from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, monomial_content, slot
+from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, slot
 
 from _helpers import nonzero_cyclo, nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
 
@@ -117,12 +117,12 @@ def test_exact_divide_remainder_witness():
 
 
 def test_monomial_content():
+    # the content y^2*z of p cancels against the denominator
     y, z = V("y"), V("z")
     p = y ** 2 * z ** 3 + y ** 4 * z
-    content = monomial_content(p)
-    assert content[slot("y")] == 2
-    assert content[slot("z")] == 1
-    assert sum(content) == 3
+    r = RatFunc(p, y ** 5 * z ** 5)
+    assert r.num == z ** 2 + y ** 2
+    assert r.den.term_items() == ((_exponent_tuple(("y", "z"), (3, 4)), ONE),)
 
 
 def test_ratfunc_cancellation():
@@ -138,7 +138,7 @@ def test_ratfunc_cancellation():
 def test_ratfunc_normalizes_leading_denominator_coefficient():
     y = V("y")
     r = RatFunc(y, MPoly.const(2) * y ** 2)
-    assert r.den.leading_term()[1] == ONE
+    assert r.den.term_items()[0][1] == ONE
 
 
 def test_ratfunc_arithmetic():
@@ -259,7 +259,7 @@ def test_jacobian_multiplicativity_random_monomial_maps():
 # -- the two substitution paths ----------------------------------------------
 #
 # substitute takes the monomial path whenever every value is c * (Laurent
-# monomial) and its degree bound allows; the term-by-term path must agree
+# monomial), short of its two hand-overs; the term-by-term path must agree
 # with it on the num/den pair, so every such substitution has a second,
 # independent computation here.
 
@@ -278,7 +278,8 @@ def _monomial_case(seed):
     """(p, assignment) with a random subset of _SLOTS assigned.
 
     Exponents stay at most 2 per slot and values at most degree 2, so the
-    monomial path's degree bound (at most 48 here) never exceeds the cap.
+    images stay far inside the lane guard and the cap, and the monomial
+    path answers.
     Many cases add q * (x - g) to p, where g has the same image as the
     assigned slot x: another assigned slot given x's value, or c * u^k for
     an unassigned slot u that x is sent to.  Those terms all cancel.
@@ -349,15 +350,30 @@ def test_non_monomial_values_take_the_term_by_term_path():
     assert (y ** 2 + z)._substitute_monomials(values) is None
 
 
-def test_fallback_is_taken_under_the_cap_when_the_bound_is_loose():
-    # y -> 1/y^10 on y^4: the bound counts the denominator twice (80 > 64),
-    # but the term-by-term path only reaches y^40 and succeeds
+def test_a_storable_result_is_answered_by_the_monomial_path():
+    # y -> 1/y^10 on y^4 is 1 / y^40, which can be stored, so the monomial
+    # path answers it, with the pair the term-by-term path reaches
     y = V("y")
-    values = (y ** 4)._values({"y": RatFunc(MPoly.const(1), y ** 10)})
-    assert (y ** 4)._substitute_monomials(values) is None
-    assert (y ** 4).substitute({"y": RatFunc(MPoly.const(1), y ** 10)}) == RatFunc(
-        MPoly.const(1), y ** 40
-    )
+    value = RatFunc(MPoly.const(1), y ** 10)
+    fast, slow = _both_paths(y ** 4, {"y": value})
+    assert fast is not None
+    assert (fast.num, fast.den) == (slow.num, slow.den) == (MPoly.const(1), y ** 40)
+
+
+@pytest.mark.parametrize(
+    "value,answered,text",
+    [("1 / y^64", True, "z^63 / y^64"), ("w / y^64", False, "w*z^63 / y^64")],
+)
+def test_the_lane_guard_sits_between_127_and_128(value, answered, text):
+    # on y*z^63 the largest image degrees before cancellation are 63 and 64
+    # under y -> 1/y^64 (127), and 64 and 64 under y -> w/y^64 (128)
+    p = parse_expression("y*z^63").as_poly()
+    assignment = {"y": parse_expression(value)}
+    fast, slow = _both_paths(p, assignment)
+    assert (fast is not None) is answered
+    result = p.substitute(assignment)
+    assert (result.num, result.den) == (slow.num, slow.den)
+    assert str(result) == text
 
 
 @pytest.mark.parametrize(
@@ -365,12 +381,13 @@ def test_fallback_is_taken_under_the_cap_when_the_bound_is_loose():
     [
         ("y^2 + z", {"y": "y^40"}),
         ("y^4*z", {"y": "1 / y^20"}),
-        # each term stays at degree 40; adding them cross-multiplies the
-        # denominators into y^40*z^40
+        # each term stays at degree 40, but the sum is over y^40*z^40
         ("y^4 + z^4", {"y": "1 / y^10", "z": "1 / z^10"}),
     ],
 )
 def test_over_the_bound_falls_back_and_raises_the_cap_error(poly_text, values):
+    # the result's numerator or denominator is over the cap, so it cannot be
+    # stored; the term-by-term path raises its own error
     p = parse_expression(poly_text).as_poly()
     assignment = {name: parse_expression(text) for name, text in values.items()}
     assert p._substitute_monomials(p._values(assignment)) is None
@@ -641,8 +658,13 @@ def test_packed_ring_operations_match_the_tuple_reference(a, b):
     assert str(p) == _ref_str(a)
     assert str(p * q) == _ref_str(_ref_mul(a, b))
     if a:
-        assert monomial_content(p) == _ref_content(a)
-        assert p.leading_term() == _ref_lead(a)
+        assert p.term_items()[0] == _ref_lead(a)
+        # over x^top, top the slotwise maximum, the content of p cancels
+        top = tuple(map(max, zip(*a)))
+        r = RatFunc(p, _from_ref({top: ONE}))
+        content = _ref_content(a)
+        assert _same(r.den, {tuple(t - m for t, m in zip(top, content)): ONE})
+        assert _same(r.num, {tuple(x - m for x, m in zip(e, content)): c for e, c in a.items()})
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,7 +716,7 @@ def _laurent_assignment(spec):
 @given(_ref_polys(1), _laurent_specs)
 def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
     # name -> c * x^v with v in {-1, 0, 1} on y, Z, alpha: negative Laurent
-    # exponents on the packed keys, within the monomial path's degree bound
+    # exponents on the packed keys, far inside the lane guard and the cap
     assignment = _laurent_assignment(spec)
     p = _from_ref(a)
     ref_num, ref_den = _ref_substitute(a, spec)
@@ -704,6 +726,114 @@ def test_packed_substitution_paths_match_the_tuple_reference(a, spec):
         assert _same(r.num, ref_num) and _same(r.den, ref_den)
         assert str(r.num) == _ref_str(ref_num)
         assert str(r.den) == _ref_str(ref_den)
+
+
+# Up to the cap, the monomial path answers everywhere except at its two
+# hand-overs: the lane guard, num_top + den_top over 127, and a result P / x^M
+# whose P or x^M is over the cap.  Where it answers, num / den is checked at
+# a point against p evaluated at the values there, in Cyclo arithmetic only.
+
+
+def _capped(ks):
+    """``ks`` with each entry lowered so that the running total stays at
+    most the cap."""
+    out, room = [], DEGREE_CAP
+    for k in ks:
+        out.append(min(k, room))
+        room -= out[-1]
+    return tuple(out)
+
+
+def _signed_capped(vs):
+    """``vs`` with its positive and its negative parts each capped."""
+    up = _capped([max(v, 0) for v in vs])
+    down = _capped([max(-v, 0) for v in vs])
+    return tuple(u - d for u, d in zip(up, down))
+
+
+_big = st.sampled_from((0, 0, 1, 2, 3, 7, 16, 31, 40, 64))
+_big_refs = st.dictionaries(
+    st.tuples(*[_big] * len(_DIFF_NAMES)).map(
+        lambda ks: _exponent_tuple(_DIFF_NAMES, _capped(ks))
+    ),
+    _nonzero_cyclos, min_size=1, max_size=4,
+)
+_signed = st.sampled_from((-64, -40, -16, -7, -2, -1, 0, 0, 1, 2, 7, 16, 40, 64))
+_big_specs = st.dictionaries(
+    st.sampled_from(_DIFF_NAMES),
+    st.tuples(
+        st.tuples(*[_signed] * len(_MOVE_NAMES)).map(_signed_capped), _nonzero_cyclos
+    ),
+    max_size=3,
+)
+_points = st.tuples(
+    *[st.sampled_from((2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)))]
+    * len(_DIFF_NAMES)
+)
+
+
+def _ref_tops(a, spec):
+    """The largest degrees of a term's image before cancellation: of its
+    numerator, |e| + sum e_i (|a_i| - 1), and of its denominator,
+    sum e_i |b_i|."""
+    num_top = den_top = 0
+    for e in a:
+        num, den = sum(e), 0
+        for name, (v, _) in spec.items():
+            k = e[slot(name)]
+            num += k * (sum(d for d in v if d > 0) - 1)
+            den += k * sum(-d for d in v if d < 0)
+        num_top, den_top = max(num_top, num), max(den_top, den)
+    return num_top, den_top
+
+
+def _evaluate(term_items, at):
+    """The sum of c * prod x_j^e_j, x_j = at[j] (a Cyclo per slot)."""
+    total = ZERO
+    for e, c in term_items:
+        for j, k in enumerate(e):
+            if k:
+                c = c * at[j] ** k
+        total = total + c
+    return total
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_big_refs, _big_specs, _points)
+# y^4*Z under y -> 1/y^20: within the guard (1 + 80), but x^M = y^80
+@example(
+    {_exponent_tuple(("y", "Z"), (4, 1)): ONE}, {"y": ((-20, 0, 0), ONE)}, (2,) * 5
+)
+# Z^40 + y^30 under y -> 1/y: (Z^40*y^30 + 1) / y^30, a numerator over the cap
+@example(
+    {_exponent_tuple(("Z",), (40,)): ONE, _exponent_tuple(("y",), (30,)): ONE},
+    {"y": ((-1, 0, 0), ONE)}, (2,) * 5,
+)
+# y*Z^63 under y -> alpha/y^64: past the guard (64 + 64), but storable
+@example(
+    {_exponent_tuple(("y", "Z"), (1, 63)): ONE}, {"y": ((-64, 0, 1), ONE)}, (2,) * 5
+)
+def test_the_monomial_path_hands_over_only_at_its_two_limits(a, spec, point):
+    p = _from_ref(a)
+    fast = p._substitute_monomials(p._values(_laurent_assignment(spec)))
+    num_top, den_top = _ref_tops(a, spec)
+    ref_num, ref_den = _ref_substitute(a, spec)
+    storable = max(map(sum, ref_num), default=0) <= DEGREE_CAP and sum(*ref_den) <= DEGREE_CAP
+    assert (fast is not None) is (num_top + den_top <= 127 and storable)
+    if fast is None:
+        return
+    at = [ONE] * len(VARIABLES)
+    for name, x in zip(_DIFF_NAMES, point):
+        at[slot(name)] = Cyclo.from_rational(x)
+    # p at the values: c * x^v at the point for each assigned slot
+    values = list(at)
+    for name, (v, cv) in spec.items():
+        value = cv
+        for target, d in zip(_MOVE_NAMES, v):
+            value = value * at[slot(target)] ** d
+        values[slot(name)] = value
+    expected = _evaluate(a.items(), values)
+    assert _evaluate(fast.num.term_items(), at) == expected * _evaluate(fast.den.term_items(), at)
 
 
 def test_a_slot_holds_exactly_the_cap():
@@ -717,7 +847,13 @@ def test_a_slot_holds_exactly_the_cap():
         assert exact_divide(top, x ** 63) == x.scale(3)
         with pytest.raises(IndivisibleError):
             exact_divide(x ** 63, top)
-        assert monomial_content(top + x) == _exponent_tuple((name,), (1,))
+        # the content x of top + x cancels; both lanes at 64 enter the minimum
+        r = RatFunc(top + x, x ** 32 * x ** 32)
+        assert r.num.term_items() == (
+            (_exponent_tuple((name,), (DEGREE_CAP - 1,)), Cyclo(3)),
+            (_ZERO_EXP, ONE),
+        )
+        assert r.den.term_items() == ((_exponent_tuple((name,), (DEGREE_CAP - 1,)), ONE),)
         assert RatFunc(top, x ** 60) == RatFunc.from_poly(x ** 4 * 3)
 
 
