@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import __version__
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
 from .cover import (
+    ENRIQUES,
     SurfaceFamily,
     epsilon_fixed_point_free,
     family,
@@ -226,8 +227,7 @@ class _Context:
     def ratio(self, fam: SurfaceFamily, phi: BirMap) -> Cyclo:
         """The constant phi multiplies the bi-2-form of an Enriques family,
         or the 2-form of a K3 cover, by."""
-        form = (bitwoform_pullback_ratio if fam.kind == "enriques_horikawa"
-                else k3_twoform_ratio)
+        form = bitwoform_pullback_ratio if fam.kind == ENRIQUES else k3_twoform_ratio
         return self._once(form, fam, phi, self.invariance(fam, phi))
 
     def biform(self, k: int) -> Cyclo:
@@ -285,7 +285,6 @@ _DIMENSION_TABLE = {1: (12, 4, 5), 2: (12, 8, 2), 3: (6, 4, 2)}
 _ACTION_NAMES = {1: ("homothety",), 2: ("homothety",),
                  3: ("homothety", "diagonal_base_scaling")}
 _FAMILY1_CORNERS = ("-A", "C", "-C", "A")
-_CORNER_KEYS = ("(0,0)", "(inf,0)", "(0,inf)", "(inf,inf)")
 
 
 def _builtin_actions(fam: SurfaceFamily, k: int) -> List[ParameterAction]:
@@ -308,7 +307,7 @@ def _invariance_witness(res) -> str:
 def _corner_witness(res) -> Optional[str]:
     if res.free:
         return None
-    zero = [key for key in _CORNER_KEYS if res.corners[key].is_zero()]
+    zero = [key for key, c in res.corners.items() if c.is_zero()]
     return f"vanishing corner coefficient at {', '.join(zero)}"
 
 
@@ -353,7 +352,7 @@ def _support(ctx) -> Outcome:
 def _construction(ctx, k) -> Outcome:
     fam = ctx.family(k)
     ok = (
-        fam.kind == "enriques_horikawa"
+        fam.kind == ENRIQUES
         and len(fam.geometric_support()) == _EXPECTED_SUPPORT[k]
     )
     return _verdict(ok), {"family": fam.name}, _construction_value(fam), None
@@ -434,9 +433,9 @@ def _bis_condition(ctx, k) -> Outcome:
 def _freeness(ctx, k) -> Outcome:
     fam = ctx.family(k)
     res = epsilon_fixed_point_free(ctx.cover(fam))
-    corners = tuple(str(res.corners[key]) for key in _CORNER_KEYS)
+    corners = tuple(str(c) for c in res.corners.values())
     ok = res.free and (k != 1 or corners == _FAMILY1_CORNERS)
-    value = "; ".join(f"{key} = {c}" for key, c in zip(_CORNER_KEYS, corners))
+    value = "; ".join(f"{key} = {c}" for key, c in res.corners.items())
     return _verdict(ok), {"family": fam.name}, value, _corner_witness(res)
 
 
@@ -862,7 +861,7 @@ def _document_rows(families, maps, actions) -> List[_Row]:
             "declared parameters, and supported inside the bounds of its "
             "kind.",
             partial(_custom_construction, fam=fam)))
-        if fam.kind == "enriques_horikawa":
+        if fam.kind == ENRIQUES:
             rows.append(_Row(
                 f"custom-{fam.name}-cover", "cover", None,
                 "The double cover substitution divides exactly by Z^4 and "
@@ -899,7 +898,7 @@ def _document_rows(families, maps, actions) -> List[_Row]:
                 "itself at the rescaled parameters.",
                 partial(_action, fam=fam, action=action,
                         inputs={"family": fam.name, "action": action.name})))
-        if fam.kind == "enriques_horikawa":
+        if fam.kind == ENRIQUES:
             rows.append(_Row(
                 f"custom-moduli-{fam.name}", "moduli", None,
                 "Effective parameter count of the supplied family under its "

@@ -12,6 +12,9 @@ and introduces W = w / Z^3, producing W^2 = g(Y, Z) with g of bidegree at most
 A family only defines its relation polynomial S (z*f downstairs, g upstairs);
 maps act on the covers through the a + b*w form of their cover coordinate,
 which lives in the maps module.
+
+This module owns the two surface kinds: their names (ENRIQUES, K3),
+coordinates (KIND_VARIABLES) and branch support (BRANCH_SUPPORT).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .field import ONE, SQRT_M1
 from .poly import (
     MPoly,
     PARAMETERS,
+    RatFunc,
     as_ratfunc,
-    exact_divide,
     slot,
 )
 
@@ -39,9 +42,18 @@ def horikawa_support() -> frozenset:
     )
 
 
-_ENRIQUES = "enriques_horikawa"
-_K3 = "k3_cover"
-_VARIABLES = {_ENRIQUES: ("w", "y", "z"), _K3: ("W", "Y", "Z")}
+ENRIQUES = "enriques_horikawa"
+K3 = "k3_cover"
+#: Each kind's coordinates, cover variable first.
+ENRIQUES_VARS = ("w", "y", "z")
+K3_VARS = ("W", "Y", "Z")
+KIND_VARIABLES = {ENRIQUES: ENRIQUES_VARS, K3: K3_VARS}
+#: Each kind's admissible exponents (i, j) of a branch monomial in its two
+#: base coordinates, and the bound as messages print it.
+BRANCH_SUPPORT = {
+    ENRIQUES: (horikawa_support(), "4 <= i+2j <= 8"),
+    K3: (frozenset((i, j) for i in range(5) for j in range(5)), "bidegree (4, 4)"),
+}
 
 
 _PARAMETER_SLOTS = tuple(slot(p) for p in PARAMETERS)
@@ -62,7 +74,7 @@ class SurfaceFamily:
     """
 
     def __init__(self, name: str, kind: str, branch: MPoly, parameters: Tuple[str, ...]):
-        if kind not in (_ENRIQUES, _K3):
+        if kind not in KIND_VARIABLES:
             raise InvariantError(f"unknown family kind {kind!r}")
         self.name = name
         self.kind = kind
@@ -76,7 +88,7 @@ class SurfaceFamily:
     def variables(self) -> Tuple[str, str, str]:
         """The surface's coordinates, cover variable first: the variables
         of a map that acts on it."""
-        return _VARIABLES[self.kind]
+        return KIND_VARIABLES[self.kind]
 
     @property
     def cover_var(self) -> str:
@@ -88,7 +100,7 @@ class SurfaceFamily:
 
     def relation(self) -> MPoly:
         """The polynomial S with cover equation (cover_var)^2 = S."""
-        if self.kind == _ENRIQUES:
+        if self.kind == ENRIQUES:
             return MPoly.var("z") * self.branch
         return self.branch
 
@@ -111,23 +123,13 @@ class SurfaceFamily:
             )
         if _param_degree(self.branch) > 1:
             raise InvariantError("branch is not affine-linear in the parameters")
-        vy, vz = self.base_vars
-        iy, iz = slot(vy), slot(vz)
-        if self.kind == _ENRIQUES:
-            support = {(e[iy], e[iz]) for e in self.branch.support()}
-            bad = support - horikawa_support()
-            if bad:
-                raise InvariantError(
-                    f"branch support {sorted(bad)} outside the admissible set"
-                )
-        else:
-            for e in self.branch.support():
-                if e[iy] > 4 or e[iz] > 4:
-                    raise InvariantError("cover branch exceeds bidegree (4, 4)")
-                if (e[iy] + e[iz]) % 2 != 0:
-                    raise InvariantError(
-                        "cover branch is not invariant under (Y,Z) -> (-Y,-Z)"
-                    )
+        admissible, bound = BRANCH_SUPPORT[self.kind]
+        support = self.geometric_support()
+        bad = set(support) - admissible
+        if bad:
+            raise InvariantError(f"branch support {sorted(bad)} outside {bound}")
+        if self.kind == K3 and any((i + j) % 2 for i, j in support):
+            raise InvariantError("cover branch is not invariant under (Y,Z) -> (-Y,-Z)")
 
     def geometric_support(self) -> Tuple[Tuple[int, int], ...]:
         iy, iz = (slot(v) for v in self.base_vars)
@@ -200,7 +202,7 @@ def family(k: int) -> SurfaceFamily:
         ({"y": i, "z": j, param: 1}, scalar)
         for i, j, param, scalar in _FAMILY_ROWS[k]
     )
-    return SurfaceFamily(f"family{k}", _ENRIQUES, branch, _FAMILY_PARAMS[k])
+    return SurfaceFamily(f"family{k}", ENRIQUES, branch, _FAMILY_PARAMS[k])
 
 
 def specialization_to_family2() -> Dict[str, MPoly]:
@@ -259,17 +261,22 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     every branch monomial satisfies i + 2j >= 4; the quotient maps y^i z^j to
     Y^i Z^(i+2j-4).
     """
-    if fam.kind != _ENRIQUES:
+    if fam.kind != ENRIQUES:
         raise PreconditionError("k3_cover expects an enriques_horikawa family")
     y_image = MPoly.var("Y") * MPoly.var("Z")
     z_image = MPoly.var("Z") ** 2
     pulled = fam.branch.substitute_poly({"y": y_image, "z": z_image})
-    g = exact_divide(pulled, MPoly.var("Z") ** 4)
-    return SurfaceFamily(f"{fam.name}_cover", _K3, g, fam.parameters)
+    # RatFunc shifts out the common monomial content Z^4 and keeps g
+    g = RatFunc(pulled, MPoly.var("Z") ** 4).as_poly()
+    return SurfaceFamily(f"{fam.name}_cover", K3, g, fam.parameters)
 
 
 class FreenessResult:
-    """Outcome of the corner-point fixed-point-freeness check."""
+    """Outcome of the corner-point fixed-point-freeness check.
+
+    corners maps each corner point, in the order (0,0), (inf,0), (0,inf),
+    (inf,inf), to its coefficient.
+    """
 
     def __init__(self, free: bool, corners: Dict[str, MPoly]):
         self.free = free
@@ -293,7 +300,7 @@ def epsilon_fixed_point_free(cover: SurfaceFamily) -> FreenessResult:
     (of 1, Y^4, Z^4, Y^4 Z^4) are returned as the witness; freeness holds for
     parameter values avoiding their common zero locus.
     """
-    if cover.kind != _K3:
+    if cover.kind != K3:
         raise PreconditionError("epsilon_fixed_point_free expects a k3_cover family")
     g = cover.branch
     corners = {

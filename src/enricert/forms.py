@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import Cyclo, root_of_unity_order
 from .poly import RatFunc, jacobian_det2
-from .cover import SurfaceFamily
+from .cover import ENRIQUES, K3, SurfaceFamily
 from .maps import BirMap, InvarianceResult
 
 
@@ -56,7 +56,7 @@ def bitwoform_pullback_ratio(
     ratio is then a root of unity whose order is the index of the
     automorphism.
     """
-    if fam.kind != "enriques_horikawa":
+    if fam.kind != ENRIQUES:
         raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
@@ -77,7 +77,7 @@ def k3_twoform_ratio(
 ) -> Cyclo:
     """The constant multiplying dY ^ dZ / W under a lift to the K3 cover,
     given phi's certified preservation of the cover equation."""
-    if fam.kind != "k3_cover":
+    if fam.kind != K3:
         raise PreconditionError("2-form ratios live on k3_cover families")
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")

@@ -34,15 +34,13 @@ import io
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .cover import SurfaceFamily, horikawa_support
+from .cover import BRANCH_SUPPORT, KIND_VARIABLES, SurfaceFamily
 from .errors import InvariantError, ParseError, SchemaError
 from .field import Cyclo, parse_cyclo
-from .maps import ENRIQUES_VARS, K3_VARS, BirMap
+from .maps import BirMap
 from .moduli import ParameterAction
 from .parsing import parse_expression
 from .poly import MPoly, PARAMETERS, RatFunc, VARIABLES
-
-_KINDS = ("enriques_horikawa", "k3_cover")
 
 #: Largest input file, in bytes.
 MAX_DOCUMENT_BYTES = 2 ** 20
@@ -103,7 +101,8 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
     _expect(isinstance(entry, Mapping), where, "family entry must be an object")
     name = _str_field(entry, "name", where)
     kind = _str_field(entry, "kind", where)
-    _expect(kind in _KINDS, where, f"kind must be one of {_KINDS}, got {kind!r}")
+    kinds = tuple(KIND_VARIABLES)
+    _expect(kind in kinds, where, f"kind must be one of {kinds}, got {kind!r}")
     params = entry.get("parameters", [])
     _expect(isinstance(params, list), where, "'parameters' must be a list")
     for p in params:
@@ -116,8 +115,8 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
     _expect(isinstance(monomials, list) and monomials, where,
             "'monomials' must be a non-empty list")
 
-    base1, base2 = ("y", "z") if kind == "enriques_horikawa" else ("Y", "Z")
-    support = horikawa_support()
+    base1, base2 = KIND_VARIABLES[kind][1:]
+    support, bound = BRANCH_SUPPORT[kind]
     entries = []
     for idx, mono in enumerate(monomials):
         mwhere = f"{where}.monomials[{idx}]"
@@ -130,18 +129,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
                 f"{key!r} must be an integer",
             )
         i, j = mono["i"], mono["j"]
-        if kind == "enriques_horikawa":
-            _expect(
-                (i, j) in support,
-                mwhere,
-                f"support outside 4 <= i+2j <= 8: ({i}, {j})",
-            )
-        else:
-            _expect(
-                0 <= i <= 4 and 0 <= j <= 4,
-                mwhere,
-                f"support outside bidegree (4, 4): ({i}, {j})",
-            )
+        _expect((i, j) in support, mwhere, f"support outside {bound}: ({i}, {j})")
         coeff = mono.get("coeff")
         _expect(isinstance(coeff, Mapping), mwhere, "'coeff' must be an object")
         _expect(
@@ -224,13 +212,13 @@ def _load_map(entry: Mapping, where: str) -> BirMap:
     coords = entry.get("coords")
     _expect(isinstance(coords, Mapping), where, "'coords' must be an object")
     keys = set(coords)
-    for variables in (ENRIQUES_VARS, K3_VARS):
+    for variables in KIND_VARIABLES.values():
         if keys == set(variables):
             break
     else:
+        triples = " or ".join(str(list(v)) for v in KIND_VARIABLES.values())
         raise SchemaError(
-            f"{where}: coords keys must be exactly {list(ENRIQUES_VARS)} "
-            f"or {list(K3_VARS)}, got {sorted(keys)}"
+            f"{where}: coords keys must be exactly {triples}, got {sorted(keys)}"
         )
     parsed = {
         v: _expression(_str_field(coords, v, f"{where}.coords"), f"{where}.coords.{v}")

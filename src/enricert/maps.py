@@ -38,10 +38,7 @@ from .errors import DegreeCapError, InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, slot
-from .cover import SurfaceFamily
-
-ENRIQUES_VARS = ("w", "y", "z")
-K3_VARS = ("W", "Y", "Z")
+from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily
 
 
 class BirMap:

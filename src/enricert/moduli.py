@@ -4,12 +4,14 @@ A parameter action is a diagonal substitution P -> alpha^k(P) * P on the
 parameters together with a geometric coordinate change and an integer telling
 how w^2 rescales.  check_parameter_action certifies the defining identity
 
-    gamma_z * f(gamma(y, z); P) = alpha^s * z * f(y, z; rho(P))
+    S(gamma(y, z); P) = alpha^s * S(y, z; rho(P))
 
-exactly, with alpha a formal variable.  When s is odd the w-rescaling needs a
-square root of alpha; that exists over the complex numbers and is recorded,
-never constructed.  The number of moduli of a family is its parameter count
-minus the rank of the integer matrix of action weights.
+exactly, with alpha a formal variable and S the family's relation: z * f on
+an Enriques family, g on a K3 cover W^2 = g (in Y, Z).  When s is odd the
+w-rescaling needs a square root of alpha; that exists over the complex
+numbers and is recorded, never constructed.  The number of moduli of a
+family is its parameter count minus the rank of the integer matrix of
+action weights.
 """
 
 from __future__ import annotations
@@ -107,12 +109,10 @@ def check_parameter_action(
 ) -> ActionCheckResult:
     """Certify that the action maps the family to itself.
 
-    Substitutes the geometric change into z * f, the weight rescaling into
-    the parameters, and compares after multiplying by alpha^s.  The witness
-    is the numerator of the difference.
+    Substitutes the geometric change into the family's relation, the weight
+    rescaling into the parameters, and compares after multiplying by
+    alpha^s.  The witness is the numerator of the difference.
     """
-    if fam.kind != "enriques_horikawa":
-        raise PreconditionError("parameter actions act on enriques_horikawa families")
     missing = set(fam.parameters) - set(action.weights)
     if missing:
         raise PreconditionError(

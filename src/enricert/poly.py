@@ -500,7 +500,8 @@ class MPoly:
     def _substitute_terms(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """The term-by-term path of substitute: one RatFunc product per factor."""
         total = RatFunc.zero()
-        cache: Dict[Tuple[int, int], RatFunc] = {}
+        # powers[i][k] = values[i] ** k, each the one before times values[i]
+        powers = {i: [RatFunc.const(1)] for i in values}
         for e, c in self.terms.items():
             term = RatFunc.from_poly(MPoly.const(c))
             for i, s in enumerate(_SHIFTS):
@@ -508,10 +509,10 @@ class MPoly:
                 if k == 0:
                     continue
                 if i in values:
-                    key = (i, k)
-                    if key not in cache:
-                        cache[key] = values[i] ** k
-                    factor = cache[key]
+                    cached = powers[i]
+                    while len(cached) <= k:
+                        cached.append(cached[-1] * values[i])
+                    factor = cached[k]
                 else:
                     factor = RatFunc.from_poly(_wrap({k * _UNITS[i]: ONE}))
                 term = term * factor

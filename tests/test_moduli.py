@@ -2,7 +2,8 @@
 
 import pytest
 
-from enricert.cover import family, k3_cover, specialize
+from enricert.certificate import document_records
+from enricert.cover import K3, SurfaceFamily, family, specialize
 from enricert.errors import InvariantError, PreconditionError
 from enricert.moduli import (
     ParameterAction,
@@ -12,7 +13,8 @@ from enricert.moduli import (
     moduli_number,
     weight_matrix,
 )
-from enricert.poly import RatFunc
+from enricert.ingest import load_document, serialize_document
+from enricert.poly import MPoly, RatFunc
 
 
 def test_homothety_shape():
@@ -78,9 +80,30 @@ def test_action_requires_full_weight_cover():
         check_parameter_action(family(1), homothety(family(2)))
 
 
-def test_action_requires_enriques_family():
-    with pytest.raises(PreconditionError):
-        check_parameter_action(k3_cover(family(1)), homothety(family(1)))
+def _cover_family():
+    """W^2 = A*Y^4 + A*Z^4, a k3_cover family with one parameter."""
+    branch = MPoly.var("A") * (MPoly.var("Y") ** 4 + MPoly.var("Z") ** 4)
+    return SurfaceFamily("c", K3, branch, ("A",))
+
+
+def test_action_on_a_cover_family_is_certified():
+    # A -> alpha*A rescales g by alpha, so W^2 rescales by alpha^(-1)
+    fam = _cover_family()
+    result = check_parameter_action(fam, ParameterAction("h", {"A": 1}, {}, -1))
+    assert result.holds and result.witness.is_zero()
+    wrong = check_parameter_action(fam, ParameterAction("h", {"A": 1}, {}, 1))
+    assert not wrong.holds
+    assert set(wrong.witness.variables()) == {"A", "alpha", "Y", "Z"}
+
+
+def test_cover_action_gets_an_action_record_and_no_moduli_record():
+    action = ParameterAction("h", {"A": 1}, {}, -1)
+    doc = serialize_document([_cover_family()], actions={"c": (action,)})
+    ingested = load_document(doc)
+    records = document_records(ingested.families, ingested.maps, ingested.actions)
+    by_id = {r.id: r for r in records}
+    assert by_id["custom-action-c-h"].result == "pass"
+    assert not any(r.id.startswith("custom-moduli-") for r in records)
 
 
 def test_weight_matrix_layout():

@@ -396,6 +396,27 @@ def test_over_the_bound_falls_back_and_raises_the_cap_error(poly_text, values):
     assert str(err.value) == "product term of total degree 80 exceeds cap 64"
 
 
+def test_term_by_term_builds_each_power_from_the_one_before(monkeypatch):
+    # y + y^2 + ... + y^d at a two-term value Q: the powers Q, ..., Q^d cost
+    # one product by Q each, not k products for the k-th
+    d = 6
+    p = MPoly.sum_monomials(({"y": k}, 1) for k in range(1, d + 1))
+    value = RatFunc.var("y") + RatFunc.var("z")
+    expected = sum((value ** k for k in range(1, d + 1)), RatFunc.zero())
+    mul = RatFunc.__mul__
+    by_value = []
+
+    def counting(self, other):
+        if other is value:
+            by_value.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    result = p.substitute({"y": value})
+    assert len(by_value) == d
+    assert result == expected
+
+
 # -- failed divisions and constant denominators -------------------------------
 
 
@@ -1103,3 +1124,28 @@ def test_only_poly_reads_the_packed_terms():
             if isinstance(node, ast.Attribute) and node.attr == "terms"
         ]
     assert reads == []
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_only_cover_spells_the_surface_kinds():
+    # cover.py owns the kind names and coordinate triples; every other
+    # module reads its constants
+    package = Path(enricert.__file__).parent
+    spelled = ("enriques_horikawa", "k3_cover", ("w", "y", "z"), ("W", "Y", "Z"))
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cover.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Constant, ast.Tuple)) and _literal(node) in spelled
+        ]
+    assert found == []
