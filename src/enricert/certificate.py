@@ -195,8 +195,10 @@ class _Context:
 
     Entries are keyed by the computing function and the identities of its
     arguments; an entry keeps its arguments alive, so no identity is reused
-    within the run.  Package functions are looked up when called, never
-    captured, so a rebinding of the module's names takes effect.
+    within the run.  A computation that raises is not retried: its entry
+    holds the exception, which every later use raises again.  Package
+    functions are looked up when called, never captured, so a rebinding of
+    the module's names takes effect.
     """
 
     def __init__(self):
@@ -205,8 +207,16 @@ class _Context:
     def _once(self, fn, *args):
         key = (fn,) + tuple(map(id, args))
         if key not in self._memo:
-            self._memo[key] = (args, fn(*args))
-        return self._memo[key][1]
+            try:
+                self._memo[key] = (args, fn(*args), None)
+            except Exception as exc:
+                # without its traceback the entry keeps none of the failed
+                # computation's frames, or their intermediate values, alive
+                self._memo[key] = (args, None, exc.with_traceback(None))
+        _, value, failure = self._memo[key]
+        if failure is not None:
+            raise failure
+        return value
 
     def family(self, k: int) -> SurfaceFamily:
         return self._once(family, k)

@@ -11,7 +11,7 @@ why every rejected candidate dies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 Pair = Tuple[int, int]
 
@@ -70,13 +70,9 @@ class PruneRecord:
         return f"PruneRecord({self.pair}, rule={self.rule})"
 
 
-class ClassificationOutcome:
-    def __init__(self, pairs: List[Pair], trace: List[PruneRecord]):
-        self.pairs = pairs
-        self.trace = trace
-
-    def __repr__(self) -> str:
-        return f"ClassificationOutcome(pairs={self.pairs})"
+class ClassificationOutcome(NamedTuple):
+    pairs: List[Pair]
+    trace: List[PruneRecord]
 
 
 def _prune_rule(n: int, index: int, survivors: Set[Pair]) -> Optional[str]:

@@ -19,7 +19,7 @@ coordinates (KIND_VARIABLES) and branch support (BRANCH_SUPPORT).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .field import ONE, SQRT_M1
@@ -271,16 +271,18 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     return SurfaceFamily(f"{fam.name}_cover", K3, g, fam.parameters)
 
 
-class FreenessResult:
+class FreenessResult(NamedTuple):
     """Outcome of the corner-point fixed-point-freeness check.
 
     corners maps each corner point, in the order (0,0), (inf,0), (0,inf),
-    (inf,inf), to its coefficient.
+    (inf,inf), to its coefficient; the involution is free when none is zero.
     """
 
-    def __init__(self, free: bool, corners: Dict[str, MPoly]):
-        self.free = free
-        self.corners = corners
+    corners: Dict[str, MPoly]
+
+    @property
+    def free(self) -> bool:
+        return all(not c.is_zero() for c in self.corners.values())
 
     def __bool__(self) -> bool:
         return self.free
@@ -309,6 +311,5 @@ def epsilon_fixed_point_free(cover: SurfaceFamily) -> FreenessResult:
         "(0,inf)": g.coefficient({"Y": 0, "Z": 4}),
         "(inf,inf)": g.coefficient({"Y": 4, "Z": 4}),
     }
-    free = all(not c.is_zero() for c in corners.values())
-    return FreenessResult(free, corners)
+    return FreenessResult(corners)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .cover import BRANCH_SUPPORT, KIND_VARIABLES, SurfaceFamily
 from .errors import InvariantError, ParseError, SchemaError
@@ -50,18 +50,12 @@ MAX_MAPS = 64
 MAX_ACTIONS = 32
 
 
-class IngestResult:
+class IngestResult(NamedTuple):
     """Parsed document: families, maps, and actions keyed by family name."""
 
-    def __init__(
-        self,
-        families: Tuple[SurfaceFamily, ...],
-        maps: Tuple[BirMap, ...],
-        actions: Dict[str, Tuple[ParameterAction, ...]],
-    ):
-        self.families = families
-        self.maps = maps
-        self.actions = actions
+    families: Tuple[SurfaceFamily, ...]
+    maps: Tuple[BirMap, ...]
+    actions: Dict[str, Tuple[ParameterAction, ...]]
 
     def __repr__(self) -> str:
         return (

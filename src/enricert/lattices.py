@@ -10,6 +10,7 @@ ranks into moduli dimensions.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -195,13 +196,7 @@ def topological_lefschetz_count(trace_h2: int) -> int:
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs a positive integer")
-    count = 0
-    for k in range(1, n + 1):
-        a, b = k, n
-        while b:
-            a, b = b, a % b
-        count += a == 1
-    return count
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def moduli_dimension(rank_t: int, n: int) -> int:

@@ -32,7 +32,7 @@ matrices and exponents of zeta_8, not on these matrices.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeCapError, InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8
@@ -237,13 +237,16 @@ def _compose_forms(outer, inner):
     return tuple(out)
 
 
-class InvarianceResult:
-    """Verdict of an equation-invariance check, with a remainder witness."""
+class InvarianceResult(NamedTuple):
+    """Remainder witness of an equation-invariance check; it holds when the
+    even and odd parts are both zero."""
 
-    def __init__(self, holds: bool, witness_even: MPoly, witness_odd: MPoly):
-        self.holds = holds
-        self.witness_even = witness_even
-        self.witness_odd = witness_odd
+    witness_even: MPoly
+    witness_odd: MPoly
+
+    @property
+    def holds(self) -> bool:
+        return self.witness_even.is_zero() and self.witness_odd.is_zero()
 
     def __bool__(self) -> bool:
         return self.holds
@@ -277,7 +280,7 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
     a, b = phi.cover_parts()
     even = a * a + b * b * RatFunc.from_poly(relation) - pulled
     odd = 2 * a * b
-    return InvarianceResult(even.is_zero() and odd.is_zero(), even.num, odd.num)
+    return InvarianceResult(even.num, odd.num)
 
 
 # -- built-in automorphisms ---------------------------------------------------
@@ -481,15 +484,11 @@ class QAut:
         return f"QAut({self.shape}, {self.m1}, {self.m2})"
 
 
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """Fixed-point count of a QAut, with the parabolic flag."""
 
-    def __init__(self, count: int, parabolic: bool):
-        self.count = count
-        self.parabolic = parabolic
-
-    def __repr__(self) -> str:
-        return f"FixedPointData(count={self.count}, parabolic={self.parabolic})"
+    count: int
+    parabolic: bool
 
 
 def qaut_fixed_points(g: QAut) -> FixedPointData:
@@ -617,24 +616,26 @@ def monomial_square_roots(target: QAut) -> List[QAut]:
     return roots
 
 
-class K4CheckResult:
+class K4CheckResult(NamedTuple):
     """Outcome of the Klein-four normal form verification."""
 
-    def __init__(
-        self,
-        ok: bool,
-        klein_ok: bool,
-        candidates_ok: bool,
-        roots: List[QAut],
-        direct_roots: List[QAut],
-        up_to_inverse_ok: bool,
-    ):
-        self.ok = ok
-        self.klein_ok = klein_ok
-        self.candidates_ok = candidates_ok
-        self.roots = roots
-        self.direct_roots = direct_roots
-        self.up_to_inverse_ok = up_to_inverse_ok
+    klein_ok: bool
+    candidates_ok: bool
+    roots: List[QAut]
+    up_to_inverse_ok: bool
+
+    @property
+    def direct_roots(self) -> List[QAut]:
+        return [g for g in self.roots if g.shape == DIRECT]
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.klein_ok
+            and self.candidates_ok
+            and not self.direct_roots
+            and self.up_to_inverse_ok
+        )
 
     def __bool__(self) -> bool:
         return self.ok
@@ -669,11 +670,7 @@ def k4_normal_form_check() -> K4CheckResult:
         and minus.order() == 4
     )
     roots = monomial_square_roots(phi1)
-    direct_roots = [g for g in roots if g.shape == DIRECT]
     expected = {plus, minus, plus.inverse(), minus.inverse()}
     # every root is then a candidate or the inverse of one
     up_to_inverse_ok = set(roots) == expected
-    ok = klein_ok and candidates_ok and not direct_roots and up_to_inverse_ok
-    return K4CheckResult(
-        ok, klein_ok, candidates_ok, roots, direct_roots, up_to_inverse_ok
-    )
+    return K4CheckResult(klein_ok, candidates_ok, roots, up_to_inverse_ok)

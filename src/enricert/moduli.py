@@ -16,7 +16,7 @@ action weights.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .lattices import row_reduce
@@ -90,15 +90,19 @@ def diagonal_base_scaling() -> ParameterAction:
     )
 
 
-class ActionCheckResult:
-    """Verdict of a parameter-action identity check."""
+class ActionCheckResult(NamedTuple):
+    """Witness of a parameter-action identity check; zero when it holds."""
 
-    def __init__(self, holds: bool, witness: MPoly, action: ParameterAction):
-        self.holds = holds
-        self.witness = witness
-        self.action = action
-        self.w_square_scale = action.w_square_scale
-        self.needs_square_root = action.needs_square_root()
+    witness: MPoly
+    action: ParameterAction
+
+    @property
+    def holds(self) -> bool:
+        return self.witness.is_zero()
+
+    @property
+    def needs_square_root(self) -> bool:
+        return self.action.needs_square_root()
 
     def __bool__(self) -> bool:
         return self.holds
@@ -131,7 +135,7 @@ def check_parameter_action(
     }
     rhs = (alpha ** action.w_square_scale) * relation.substitute(rho)
     diff = lhs - rhs
-    return ActionCheckResult(diff.is_zero(), diff.num, action)
+    return ActionCheckResult(diff.num, action)
 
 
 def weight_matrix(

@@ -374,6 +374,39 @@ def test_escaping_exception_becomes_failure_record():
     assert moduli.witness.startswith("PreconditionError:")
 
 
+def test_a_check_that_raises_runs_once(monkeypatch):
+    # The cube's pulled-back relation exceeds the product size cap, and the
+    # action's y^40 exceeds the degree cap.  The invariance failure is also
+    # what drops the cube's order and ratio rows, and the action failure is
+    # also the moduli row's; neither check is computed again for them.
+    import enricert.certificate as certificate
+
+    calls = []
+    for name in ("check_equation_invariance", "check_parameter_action"):
+        def counted(*args, real=getattr(certificate, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(certificate, name, counted)
+    raw, _ = _fixture_doc_dict()
+    fam = raw["families"][0]
+    fam["actions"] = [{
+        "name": "big", "weights": {p: 1 for p in fam["parameters"]},
+        "geometric": {"y": "y^40"}, "w_square_scale": 0,
+    }]
+    cube = {"w": "w", "y": "(y+z+A+B+C+D+E+F)^3", "z": "z"}
+    doc = load_document({"families": [fam], "maps": [{"name": "cube", "coords": cube}]})
+    records = document_records(doc.families, doc.maps, doc.actions)
+    assert [(r.id, r.witness) for r in records if r.failed] == [
+        ("custom-invariance-cube",
+         "SizeCapError: product of 1716 by 120 terms exceeds cap 65536 term pairs"),
+        ("custom-action-family1-big",
+         "DegreeCapError: product term of total degree 80 exceeds cap 64"),
+        ("custom-moduli-family1",
+         "DegreeCapError: product term of total degree 80 exceeds cap 64"),
+    ]
+    assert calls == ["check_equation_invariance", "check_parameter_action"]
+
+
 _PINNED_DOCUMENTS = {
     "two-broken-maps": _two_broken_maps_doc,
     "one-broken-map": _one_broken_map_doc,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from enricert.certificate import _corner_witness
 from enricert.cover import (
     SurfaceFamily,
     epsilon_fixed_point_free,
@@ -295,8 +296,11 @@ def test_epsilon_freeness_corner_values():
 
 def test_epsilon_freeness_fails_on_vanishing_corner():
     res = epsilon_fixed_point_free(k3_cover(specialize(family(3), {"D": 0})))
-    assert not res.free
+    assert not res.free and not bool(res)
     assert res.corners["(0,0)"].is_zero()
+    # exactly one corner vanishes, and the witness names only that one
+    assert sum(c.is_zero() for c in res.corners.values()) == 1
+    assert _corner_witness(res) == "vanishing corner coefficient at (0,0)"
 
 
 def test_epsilon_freeness_rejects_enriques_input():

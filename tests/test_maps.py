@@ -359,6 +359,9 @@ def test_corrupted_map_fails_with_witness():
     res = check_equation_invariance(family(1), shift)
     assert not res.holds
     assert str(res.witness_even) == "y^2" and str(res.witness_odd) == "2*y"
+    # the verdict reads both parts: a zero even part alone does not hold
+    odd_only = maps.InvarianceResult(MPoly.zero(), res.witness_odd)
+    assert not odd_only.holds and not bool(odd_only)
 
 
 def _subtraction_verdict(fam, phi):
@@ -645,6 +648,11 @@ def test_k4_normal_form():
     assert result.klein_ok and result.candidates_ok and result.up_to_inverse_ok
     assert result.direct_roots == []
     assert len(result.roots) == 4
+    # a ruling-preserving root fails the check, whatever the stored flags
+    direct = next(g for g in monomial_square_roots(neg_both()) if g.shape == DIRECT)
+    spoiled = maps.K4CheckResult(True, True, result.roots + [direct], True)
+    assert spoiled.direct_roots == [direct]
+    assert not spoiled.ok and not bool(spoiled)
 
 
 def _unit_mobius(k, inverted):

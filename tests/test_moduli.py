@@ -73,6 +73,8 @@ def test_failed_action_witness_is_the_defect():
     result = check_parameter_action(family(3), action)
     assert not result.holds
     assert "alpha" in (result.witness.variables())
+    # an even rescaling of w^2 needs no square root of alpha
+    assert not result.needs_square_root
 
 
 def test_action_requires_full_weight_cover():
@@ -137,7 +139,8 @@ def test_dependent_actions_do_not_overcount():
         {},
         w_square_scale=-2,
     )
-    assert check_parameter_action(fam, doubled).holds
+    result = check_parameter_action(fam, doubled)
+    assert result.holds and not result.needs_square_root
     assert count(fam, [action, doubled]) == 2
 
 
