@@ -5,6 +5,16 @@ to one family or one check group, optionally extended by a JSON input file
 of extra families and maps), ``classify`` prints the finite classification
 with its pruning trace, and ``report`` writes the full certificate.
 
+``parse_args`` reads the command line from a table of this fixed grammar
+(``_OPTIONS``) instead of argparse, whose import, parser construction and
+first message lookup (which imports ``locale``) cost a filtered run more
+than its arithmetic.  It reads what argparse read: ``--name value`` and
+``--name=value``, unique prefixes such as ``--fam 3``, the last of a
+repeated option.  ``-h``/``--help`` and ``--version`` print to standard
+output and exit 0; a usage error prints the usage line and an ``error:``
+line to standard error and exits 2.  The help texts are constants in
+argparse's 80-column layout, so they do not re-wrap to the terminal.
+
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 the input could not be used (malformed expression, schema violation, or
 an object breaking a structural invariant) or the certificate could not be
@@ -15,9 +25,9 @@ every record.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
-from typing import Optional
+from typing import NamedTuple, NoReturn, Optional, Tuple
 
 from . import __version__
 from .certificate import Certificate, FILTERABLE_GROUPS, run_checks, verify_all
@@ -94,55 +104,185 @@ def _cmd_report(args) -> int:
     return 0 if cert.overall == "pass" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enricert",
-        description="exact certification of the double-plane automorphism "
-        "families and their classification",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command line's grammar ----------------------------------------------
 
-    verify = sub.add_parser(
-        "verify", help="run checks and print one line per record"
-    )
-    verify.add_argument(
-        "--family", choices=("1", "2", "3", "all"), default="all",
-        help="restrict to the checks tagged with one built-in family",
-    )
-    verify.add_argument(
-        "--check", choices=FILTERABLE_GROUPS + ("all",), default="all",
-        help="restrict to one check group",
-    )
-    verify.add_argument(
-        "--input", metavar="FILE", default=None,
-        help="JSON document of extra families and maps to check",
-    )
-    verify.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="also write the certificate JSON here",
-    )
-    verify.set_defaults(fn=_cmd_verify)
+_HELP_NAMES = ("-h", "--help")
+_TOP_NAMES = _HELP_NAMES + ("--version",)
 
-    classify = sub.add_parser(
-        "classify", help="print admissible pairs, allowed orders, pruning trace"
-    )
-    classify.set_defaults(fn=_cmd_classify)
+# Each subcommand's options and the values each takes (None: any FILE).  A
+# choice option defaults to "all", a FILE option to None; _REQUIRED lists the
+# options a subcommand cannot go without.
+_OPTIONS = {
+    "verify": {
+        "--family": ("1", "2", "3", "all"),
+        "--check": FILTERABLE_GROUPS + ("all",),
+        "--input": None,
+        "--out": None,
+    },
+    "classify": {},
+    "report": {"--out": None},
+}
+_REQUIRED = {"report": ("--out",)}
 
-    report = sub.add_parser("report", help="write the full certificate JSON")
-    report.add_argument("--out", metavar="FILE", required=True)
-    report.set_defaults(fn=_cmd_report)
+# Usage lines and help texts, keyed by subcommand ("" for the top level), as
+# argparse laid them out for an 80-column terminal.
+_USAGE = {
+    "": "usage: enricert [-h] [--version] {verify,classify,report} ...\n",
+    "verify": (
+        "usage: enricert verify [-h] [--family {1,2,3,all}]\n"
+        "                       [--check {invariance,order,index,cover,moduli,all}]\n"
+        "                       [--input FILE] [--out FILE]\n"
+    ),
+    "classify": "usage: enricert classify [-h]\n",
+    "report": "usage: enricert report [-h] --out FILE\n",
+}
+_HELP = {
+    "": """
+exact certification of the double-plane automorphism families and their
+classification
 
-    return parser
+positional arguments:
+  {verify,classify,report}
+    verify              run checks and print one line per record
+    classify            print admissible pairs, allowed orders, pruning trace
+    report              write the full certificate JSON
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "verify": """
+options:
+  -h, --help            show this help message and exit
+  --family {1,2,3,all}  restrict to the checks tagged with one built-in family
+  --check {invariance,order,index,cover,moduli,all}
+                        restrict to one check group
+  --input FILE          JSON document of extra families and maps to check
+  --out FILE            also write the certificate JSON here
+""",
+    "classify": """
+options:
+  -h, --help  show this help message and exit
+""",
+    "report": """
+options:
+  -h, --help  show this help message and exit
+  --out FILE
+""",
+}
+
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+class Args(NamedTuple):
+    """A parsed command line; an option its subcommand lacks is None."""
+
+    command: str
+    family: Optional[str] = None
+    check: Optional[str] = None
+    input: Optional[str] = None
+    out: Optional[str] = None
+
+
+def _fail(command: str, message: str) -> NoReturn:
+    prog = f"enricert {command}".rstrip()
+    sys.stderr.write(f"{_USAGE[command]}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(token: str, names) -> Optional[Tuple[str, Optional[str]]]:
+    """Read ``token`` (not "--") as argparse would among the option
+    ``names``: (name, attached value or None) for an option, ("", None)
+    for an unknown option, None for a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    if token[1] != "-":
+        if token[:2] in names:  # -hx: -h with x attached
+            return token[:2], token[2:]
+    else:
+        head, eq, value = token.partition("=")
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) == 1:
+            return matches[0], value if eq else None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def parse_args(argv) -> Args:
+    """Read a command line, as argparse would have read this grammar.
+
+    ``--help`` and ``--version`` print to standard output and raise
+    ``SystemExit(0)``; a usage error prints the usage line and the error to
+    standard error and raises ``SystemExit(2)``.  Tokens that fit nowhere
+    are reported together at the end, as argparse did.
+    """
+    argv = list(argv)
+    command, options, names = "", {}, _TOP_NAMES
+    given, extras = {}, []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and command:
+            extras += argv[i - 1:]
+            break
+        read = None if token == "--" else _read(token, names)
+        if read is None:
+            if command:
+                extras.append(token)
+            elif token in _OPTIONS:
+                command, options = token, _OPTIONS[token]
+                names = _HELP_NAMES + tuple(options)
+            else:
+                listed = ", ".join(map(repr, _OPTIONS))
+                _fail("", f"argument command: invalid choice: {token!r} (choose from {listed})")
+            continue
+        name, value = read
+        if not name:
+            extras.append(token)
+            continue
+        if name not in options:  # -h, --help or --version
+            if value is not None:
+                shown = "-h/--help" if name in _HELP_NAMES else name
+                _fail(command, f"argument {shown}: ignored explicit argument {value!r}")
+            if name == "--version":
+                sys.stdout.write(f"enricert {__version__}\n")
+            else:
+                sys.stdout.write(_USAGE[command] + _HELP[command])
+            raise SystemExit(0)
+        if value is None:
+            if i == len(argv) or argv[i] == "--" or _read(argv[i], names):
+                _fail(command, f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        choices = options[name]
+        if choices is not None and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+        given[name] = value
+    if not command:
+        _fail("", "the following arguments are required: command")
+    missing = [name for name in _REQUIRED.get(command, ()) if name not in given]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail("", "unrecognized arguments: " + " ".join(extras))
+    return Args(command, **{
+        name[2:]: given.get(name, "all" if choices else None)
+        for name, choices in options.items()
+    })
+
+
+_COMMANDS = {"verify": _cmd_verify, "classify": _cmd_classify, "report": _cmd_report}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

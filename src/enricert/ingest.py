@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cover import BRANCH_SUPPORT, KIND_VARIABLES, SurfaceFamily
 from .errors import InvariantError, ParseError, SchemaError

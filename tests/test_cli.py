@@ -1,5 +1,6 @@
 """Command line behaviour: output shapes and the exit code contract."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import enricert
-from enricert.cli import main
+from enricert.certificate import FILTERABLE_GROUPS
+from enricert.cli import main, parse_args
 from enricert.ingest import MAX_MAPS
 
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
+PINNED_OUTPUTS = Path(__file__).parent / "data" / "pinned_cli_outputs.json"
 
 
 def fixture_doc():
@@ -30,8 +33,8 @@ def write_doc(tmp_path, doc, name="input.json"):
     return str(path)
 
 
-def run_cli(*args, **kwargs):
-    """Run ``python -m enricert.cli`` in a child process.
+def run_python(*args, **kwargs):
+    """Run ``python *args`` in a child process.
 
     The child imports the same package as this process, also when pytest
     put it on sys.path through its pythonpath setting rather than the
@@ -41,9 +44,13 @@ def run_cli(*args, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "enricert.cli", *args],
-        capture_output=True, text=True, env=env, **kwargs,
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs,
     )
+
+
+def run_cli(*args, **kwargs):
+    """Run ``python -m enricert.cli`` in a child process."""
+    return run_python("-m", "enricert.cli", *args, **kwargs)
 
 
 # -- verify -------------------------------------------------------------------
@@ -528,3 +535,139 @@ def test_installed_entry_point():
     proc = run_cli("classify")
     assert proc.returncode == 0
     assert "admissible (order, index) pairs:" in proc.stdout
+
+
+def test_parse_args_reads_values_prefixes_and_the_last_repeat():
+    assert parse_args(["verify"]) == ("verify", "all", "all", None, None)
+    assert parse_args(
+        ["verify", "--fam=3", "--check", "order", "--family", "2", "--in", "-", "--o=-x"]
+    ) == ("verify", "2", "order", "-", "-x")
+    assert parse_args(("report", "--out", "-1")) == ("report", None, None, None, "-1")
+    assert parse_args(["classify"]).command == "classify"
+
+
+# Each case was captured from the argparse parser the command line used to be
+# read with, under COLUMNS=80; the bytes are the same on Python 3.10 to 3.13.
+_PINNED = json.loads(PINNED_OUTPUTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", _PINNED, ids=[" ".join(case["argv"]) or "no-arguments" for case in _PINNED]
+)
+def test_parser_output_is_pinned(capsys, case):
+    with pytest.raises(SystemExit) as info:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == (
+        case["exit_code"], case["stdout"], case["stderr"]
+    )
+
+
+def test_a_request_loads_no_argument_parsing_modules():
+    # argparse pulls in gettext, whose first message lookup imports locale
+    code = (
+        "import contextlib, io, sys\n"
+        "from enricert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--family', '3', '--check', 'order']) == 0\n"
+        f"    assert main(['verify', '--input', {str(FIXTURES / 'families.json')!r}]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+# -- the parser against its argparse reference --------------------------------
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before
+    ``parse_args`` replaced it (its subcommand dispatch left out)."""
+    parser = argparse.ArgumentParser(
+        prog="enricert",
+        description="exact certification of the double-plane automorphism "
+        "families and their classification",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {enricert.__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser(
+        "verify", help="run checks and print one line per record"
+    )
+    verify.add_argument(
+        "--family", choices=("1", "2", "3", "all"), default="all",
+        help="restrict to the checks tagged with one built-in family",
+    )
+    verify.add_argument(
+        "--check", choices=FILTERABLE_GROUPS + ("all",), default="all",
+        help="restrict to one check group",
+    )
+    verify.add_argument(
+        "--input", metavar="FILE", default=None,
+        help="JSON document of extra families and maps to check",
+    )
+    verify.add_argument(
+        "--out", metavar="FILE", default=None,
+        help="also write the certificate JSON here",
+    )
+
+    sub.add_parser(
+        "classify", help="print admissible pairs, allowed orders, pruning trace"
+    )
+
+    report = sub.add_parser("report", help="write the full certificate JSON")
+    report.add_argument("--out", metavar="FILE", required=True)
+
+    return parser
+
+
+COMMANDS = ("verify", "classify", "report")
+_ARGV_TOKENS = (
+    *COMMANDS,
+    "--family", "--check", "--input", "--out", "--help", "--version",
+    "--fam", "--ch", "--in", "--o", "--he", "--ver",
+    "--family=3", "--check=order", "--input=doc.json", "--out=cert.json", "--fam=all",
+    "-h", "--", "-", "-1", "-x", "-x y",
+    "1", "2", "3", "all", "invariance", "moduli", "9", "bogus", "classification",
+    "extra",
+)
+
+
+def _command_follows_double_dash(argv):
+    # "-- verify": Python 3.13 drops the "--" and reads verify, 3.10 and 3.11
+    # read "--" as the command and reject it
+    for token in argv:
+        if token in COMMANDS:
+            return False
+        if token == "--":
+            return True
+    return False
+
+
+def _outcome(parse, argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+    return tuple(
+        getattr(args, name, None) for name in ("command", "family", "check", "input", "out")
+    )
+
+
+@settings(max_examples=400, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6).filter(
+        lambda argv: not _command_follows_double_dash(argv)
+    )
+)
+@example(["verify", "-h", "--check", "bogus"])
+@example(["verify", "--check", "bogus", "-h"])
+@example(["verify", "--", "-h"])
+@example(["-x", "verify", "--in", "-1", "--o", "-"])
+@example(["report", "--o=cert.json", "--out", "extra"])
+def test_parser_matches_its_argparse_reference(argv):
+    assert _outcome(parse_args, argv) == _outcome(reference_parser().parse_args, argv)
