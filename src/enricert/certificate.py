@@ -11,12 +11,15 @@ builds each family, map, cover, invariance result, action check and form
 ratio once.  A failing check never stops the run, whatever it raises.
 Serialization is plain JSON with no timestamps, so identical inputs give
 byte-identical certificates; the shipped golden file pins the built-in run.
+The record shape is fixed, so to_json writes it directly, byte-identical to
+json.dumps(as_dict(), indent=2), whose indented form runs the pure-Python
+encoder.
 """
 
 from __future__ import annotations
 
-import json
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
@@ -136,8 +139,26 @@ class CheckRecord:
             "statement": self.statement,
         }
 
+    def _json(self) -> str:
+        """as_dict() as json.dumps(..., indent=2) writes it in the records
+        array."""
+        inputs = ",\n".join(f"        {_quote(k)}: {_quote(v)}" for k, v in self.inputs.items())
+        inputs = f"{{\n{inputs}\n      }}" if inputs else "{}"
+        family = "null" if self.family is None else self.family
+        return (
+            f'    {{\n      "id": {_quote(self.id)},\n      "group": {_quote(self.group)},\n'
+            f'      "family": {family},\n      "result": {_quote(self.result)},\n'
+            f'      "inputs": {inputs},\n      "value": {_null_or_quote(self.value)},\n'
+            f'      "witness": {_null_or_quote(self.witness)},\n'
+            f'      "statement": {_quote(self.statement)}\n    }}'
+        )
+
     def __repr__(self) -> str:
         return f"CheckRecord({self.id}: {self.result})"
+
+
+def _null_or_quote(text: Optional[str]) -> str:
+    return "null" if text is None else _quote(text)
 
 
 class Certificate:
@@ -166,7 +187,14 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        """json.dumps(self.as_dict(), indent=2) plus a newline, written
+        directly: every string is quoted by the encoder json.dumps uses."""
+        records = ",\n".join(r._json() for r in self.records)
+        records = f"[\n{records}\n  ]" if records else "[]"
+        return (
+            f'{{\n  "schema": {_quote(SCHEMA)},\n  "engine_version": {_quote(__version__)},\n'
+            f'  "overall": {_quote(self.overall)},\n  "records": {records}\n}}\n'
+        )
 
     def __repr__(self) -> str:
         return f"Certificate({len(self.records)} records, {self.overall})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import InvariantError, PreconditionError
@@ -85,9 +86,14 @@ def isometries_with_trace(
     lattice: GramLattice, trace: int, bound: int
 ) -> List[IntMatrix]:
     """All integer matrices M with |entries| <= bound, M^T G M = G and the
-    given trace, by exhaustive enumeration.
+    given trace, sorted, which is the order of enumerating all n^2 entries.
 
-    Feasible only for tiny ranks; rank above 3 is rejected outright.
+    M^T G M = G says that the columns v_i of M satisfy v_i^T G v_j = G_ij.
+    So the search lists, for each j, the vectors v with v^T G v = G_jj,
+    extends a choice of the first columns one column at a time by the
+    vectors that pair with each chosen v_i to G_ij, and filters the full
+    matrices by trace.  Feasible only for tiny ranks; rank above 3 is
+    rejected outright.
     """
     n = lattice.rank
     if n > 3:
@@ -96,32 +102,27 @@ def isometries_with_trace(
         # the empty matrix, an isometry of trace 0
         return [()] if trace == 0 else []
     g = lattice.rows
-    values = range(-bound, bound + 1)
-    found: List[IntMatrix] = []
-    # The last entry is the last diagonal entry, which the trace fixes, so
-    # the matrices come in the order of enumerating all n^2 entries.
-    for head in itertools.product(values, repeat=n * n - 1):
-        last = trace - sum(head[i * (n + 1)] for i in range(n - 1))
-        if last not in values:
-            continue
-        flat = head + (last,)
-        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        ok = True
-        for i in range(n):
-            for j in range(i, n):
-                s = sum(
-                    m[k][i] * g[k][l] * m[l][j]
-                    for k in range(n)
-                    for l in range(n)
-                )
-                if s != g[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(m)
-    return found
+    # G v for each vector v, so that u^T G v is a dot product
+    gram = {
+        v: tuple(_dot(row, v) for row in g)
+        for v in itertools.product(range(-bound, bound + 1), repeat=n)
+    }
+    columns = [[v for v, gv in gram.items() if _dot(v, gv) == g[j][j]] for j in range(n)]
+    chosen = [()]
+    for j in range(n):
+        chosen = [
+            cols + (v,)
+            for cols in chosen
+            for v in columns[j]
+            if all(_dot(u, gram[v]) == g[i][j] for i, u in enumerate(cols))
+        ]
+    return sorted(
+        tuple(zip(*cols)) for cols in chosen if sum(cols[i][i] for i in range(n)) == trace
+    )
+
+
+def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
+    return sum(map(mul, u, v))
 
 
 class FixedCurveData:

@@ -25,8 +25,9 @@ rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
 a shape flag ("direct" preserves the rulings, "swap" exchanges them).  Fixed
 points are counted, not solved for: the quadratic c x^2 + (d - a) x - b = 0
 of each Moebius factor has one root or two, as its discriminant decides.
-The search for monomial square roots runs in exponent form, on integer
-matrices and exponents of zeta_8, not on these matrices.
+The Klein-four normal form check and the search for monomial square roots
+run in exponent form, on integer matrices and exponents of zeta_8, not on
+these matrices; a QAut is built only for a root found.
 """
 
 from __future__ import annotations
@@ -518,23 +519,20 @@ def qaut_fixed_points(g: QAut) -> FixedPointData:
 
 def neg_both() -> QAut:
     """(Y, Z) -> (-Y, -Z), the residual deck map on the quadric."""
-    m = Mobius(-ONE, ZERO, ZERO, ONE)
-    return QAut(DIRECT, m, m)
+    return _qaut_of_form(_NEG_BOTH)
 
 
 def inv_both() -> QAut:
     """(Y, Z) -> (1/Y, 1/Z), the base of the order-4 automorphism's lift."""
-    m = Mobius(ZERO, ONE, ONE, ZERO)
-    return QAut(DIRECT, m, m)
+    return _qaut_of_form(_INV_BOTH)
 
 
 def swap_root(sign: int) -> QAut:
     """(Y, Z) -> (sign/Z, sign*Y): the ruling-swapping square roots of
     the double inversion (sign in {1, -1})."""
-    if sign not in (1, -1):
+    if sign not in _SWAP_ROOTS:
         raise ValueError("sign must be 1 or -1")
-    s = ONE if sign == 1 else -ONE
-    return QAut(SWAP, Mobius(ZERO, s, ONE, ZERO), Mobius(s, ZERO, ZERO, ONE))
+    return _qaut_of_form(_SWAP_ROOTS[sign])
 
 
 # A monomial QAut (Y, Z) -> (zeta8^k1 * V1^e1, zeta8^k2 * V2^e2), with
@@ -546,12 +544,18 @@ def swap_root(sign: int) -> QAut:
 _UNITS = tuple(ZETA8 ** k for k in range(8))
 _UNIT_EXPONENT = {u: k for k, u in enumerate(_UNITS)}
 
+# neg_both, inv_both and swap_root in exponent form
+_NEG_BOTH = ((1, 0, 0, 1), (4, 4))
+_INV_BOTH = ((-1, 0, 0, -1), (0, 0))
+_SWAP_ROOTS = {1: ((0, -1, 1, 0), (0, 0)), -1: ((0, -1, 1, 0), (4, 4))}
+
 
 def _monomial_mobius(e: int, k: int) -> Mobius:
-    """x -> zeta8^k * x^e for e in {1, -1}."""
+    """x -> zeta8^k * x^e for e in {1, -1}, entered with leading entry 1 so
+    that Mobius has no scale to divide out."""
     if e == -1:
-        return Mobius(ZERO, _UNITS[k], ONE, ZERO)
-    return Mobius(_UNITS[k], ZERO, ZERO, ONE)
+        return Mobius(ZERO, ONE, _UNITS[-k % 8], ZERO)
+    return Mobius(ONE, ZERO, ZERO, _UNITS[-k % 8])
 
 
 def _monomial_factor(m: Mobius) -> Optional[Tuple[int, int]]:
@@ -573,15 +577,60 @@ def _exponent_matrix(shape: str, e1: int, e2: int) -> Tuple[int, int, int, int]:
     return (0, e1, e2, 0)
 
 
-def _square(m: Tuple[int, int, int, int], k: Tuple[int, int]):
-    """(M, k) . (M, k) = (M^2, k + M k mod 8)."""
-    m11, m12, m21, m22 = m
-    k1, k2 = k
+def _compose_monomial(g, h):
+    """g after h in exponent form: (M, k) . (M', k') = (M M', k + M k' mod 8)."""
+    (m11, m12, m21, m22), (k1, k2) = g
+    (n11, n12, n21, n22), (j1, j2) = h
     return (
-        (m11 * m11 + m12 * m21, m11 * m12 + m12 * m22,
-         m21 * m11 + m22 * m21, m21 * m12 + m22 * m22),
-        ((k1 + m11 * k1 + m12 * k2) % 8, (k2 + m21 * k1 + m22 * k2) % 8),
+        (m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+         m21 * n11 + m22 * n21, m21 * n12 + m22 * n22),
+        ((k1 + m11 * j1 + m12 * j2) % 8, (k2 + m21 * j1 + m22 * j2) % 8),
     )
+
+
+def _inverse_monomial(g):
+    """(M, k)^-1 = (M^-1, -M^-1 k mod 8); M is a signed permutation, so
+    M^-1 is its transpose."""
+    (m11, m12, m21, m22), (k1, k2) = g
+    return (m11, m21, m12, m22), (-(m11 * k1 + m21 * k2) % 8, -(m12 * k1 + m22 * k2) % 8)
+
+
+_IDENTITY_FORM = ((1, 0, 0, 1), (0, 0))
+
+
+def _monomial_order(g, max_n: int = 16) -> Optional[int]:
+    """QAut.order of the monomial map with exponent form ``g``."""
+    power = g
+    for n in range(1, max_n + 1):
+        if power == _IDENTITY_FORM:
+            return n
+        power = _compose_monomial(g, power)
+    return None
+
+
+def _qaut_of_form(form) -> QAut:
+    """The monomial QAut with exponent form ``form``."""
+    (m11, m12, m21, m22), (k1, k2) = form
+    if m12 == 0:
+        return QAut(DIRECT, _monomial_mobius(m11, k1), _monomial_mobius(m22, k2))
+    return QAut(SWAP, _monomial_mobius(m12, k1), _monomial_mobius(m21, k2))
+
+
+def _square_roots(wanted):
+    """The exponent forms whose square is ``wanted``, in the order of
+    enumerating shape, inversion pattern and unit pair.  The matrix part of
+    a square is M^2 whatever k is, so the 64 unit pairs are tried only for
+    the matrices M whose square is the wanted matrix."""
+    roots = []
+    for shape in (DIRECT, SWAP):
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            m = _exponent_matrix(shape, e1, e2)
+            if _compose_monomial((m, (0, 0)), (m, (0, 0)))[0] == wanted[0]:
+                roots += [
+                    (m, k) for k in itertools.product(range(8), repeat=2)
+                    if _compose_monomial((m, k), (m, k)) == wanted
+                ]
+    return roots
 
 
 def monomial_square_roots(target: QAut) -> List[QAut]:
@@ -593,27 +642,17 @@ def monomial_square_roots(target: QAut) -> List[QAut]:
     512 pairwise distinct candidates, searched exhaustively.  The search
     runs in exponent form, where composition is
     (M, k) . (M', k') = (M M', k + M k' mod 8), and builds a QAut only for
-    a match.  The square of a monomial map is monomial, so a target with a
-    factor that is neither diagonal nor antidiagonal with an 8th-root-of-
-    unity ratio has no root.
+    a match; a candidate whose matrix does not square to the target's is
+    ruled out with its 64 unit pairs at once.  The square of a monomial map
+    is monomial, so a target with a factor that is neither diagonal nor
+    antidiagonal with an 8th-root-of-unity ratio has no root.
     """
     factors = (_monomial_factor(target.m1), _monomial_factor(target.m2))
     if None in factors:
         return []
     (t1, j1), (t2, j2) = factors
     wanted = (_exponent_matrix(target.shape, t1, t2), (j1, j2))
-    roots = []
-    for shape in (DIRECT, SWAP):
-        for e1, e2 in itertools.product((1, -1), repeat=2):
-            m = _exponent_matrix(shape, e1, e2)
-            for k in itertools.product(range(8), repeat=2):
-                if _square(m, k) == wanted:
-                    roots.append(QAut(
-                        shape,
-                        _monomial_mobius(e1, k[0]),
-                        _monomial_mobius(e2, k[1]),
-                    ))
-    return roots
+    return [_qaut_of_form(root) for root in _square_roots(wanted)]
 
 
 class K4CheckResult(NamedTuple):
@@ -652,25 +691,25 @@ def k4_normal_form_check() -> K4CheckResult:
     subgroup cannot act through one ruling factor), and every root it finds
     is one of the two swap candidates or an inverse of one.
     """
-    iota = neg_both()
-    phi1 = inv_both()
-    prod = iota.compose(phi1)
+    iota, phi1 = _NEG_BOTH, _INV_BOTH
+    plus, minus = _SWAP_ROOTS[1], _SWAP_ROOTS[-1]
+    prod = _compose_monomial(iota, phi1)
     klein_ok = (
-        iota.order() == 2
-        and phi1.order() == 2
+        _monomial_order(iota) == 2
+        and _monomial_order(phi1) == 2
         and iota != phi1
-        and prod == phi1.compose(iota)
-        and prod.order() == 2
+        and prod == _compose_monomial(phi1, iota)
+        and _monomial_order(prod) == 2
     )
-    plus, minus = swap_root(1), swap_root(-1)
     candidates_ok = (
-        plus.compose(plus) == phi1
-        and minus.compose(minus) == phi1
-        and plus.order() == 4
-        and minus.order() == 4
+        _compose_monomial(plus, plus) == phi1
+        and _compose_monomial(minus, minus) == phi1
+        and _monomial_order(plus) == 4
+        and _monomial_order(minus) == 4
     )
-    roots = monomial_square_roots(phi1)
-    expected = {plus, minus, plus.inverse(), minus.inverse()}
+    found = _square_roots(phi1)
+    expected = {plus, minus, _inverse_monomial(plus), _inverse_monomial(minus)}
     # every root is then a candidate or the inverse of one
-    up_to_inverse_ok = set(roots) == expected
+    up_to_inverse_ok = set(found) == expected
+    roots = [_qaut_of_form(root) for root in found]
     return K4CheckResult(klein_ok, candidates_ok, roots, up_to_inverse_ok)

@@ -12,27 +12,37 @@ Grammar (usual precedence, ^ binds tightest, left-assoc * and /):
 Variables are the names of poly's one fixed layout, poly.VARIABLES (w, y, z,
 W, Y, Z, A..F, alpha), so the parser takes no variable table.  Exponents are
 integer literals, optionally negative, of absolute value at most
-poly.DEGREE_CAP.  An integer literal longer than the interpreter's int
-string-conversion limit is an error too.  Parentheses and unary signs
-nest at most MAX_NESTING deep, so a deeply nested input is a ParseError and
-never exhausts the interpreter's recursion limit.  Errors carry the character
-position.
+poly.DEGREE_CAP.  Digits are the ASCII digits 0-9 only, as in scalars; any
+other digit character is an unexpected character.  An integer literal
+longer than the interpreter's int string-conversion limit is an error too.
+Parentheses and unary signs nest at most MAX_NESTING deep, so a deeply
+nested input is a ParseError and never exhausts the interpreter's recursion
+limit.  Errors carry the character position.
+
+Constants, variables and their products, quotients and powers are parsed as
+poly.LaurentTerms, which hand over to RatFunc arithmetic at a sum, at a
+RatFunc operand, and at a step that RatFunc arithmetic would refuse, so
+every value and error is the one RatFunc arithmetic gives.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from .errors import ParseError
-from .field import SQRT_M1, ZETA8, int_literal
-from .poly import DEGREE_CAP, RatFunc, VARIABLES
+from .field import Cyclo, SQRT_M1, ZETA8, int_literal
+from .poly import DEGREE_CAP, LaurentTerm, RatFunc, VARIABLES, as_ratfunc
 
 _SYMBOLS = set("+-*/^()")
+# ASCII only: str.isdigit also holds for other digits, such as "²" or "٣"
+_DIGITS = "0123456789"
 
 #: Deepest nesting of parentheses and unary signs together.  Each level of
 #: parentheses costs five frames of recursion (expr, term, factor, power,
 #: atom), so this stays far below the default recursion limit of 1000.
 MAX_NESTING = 100
+
+_Value = Union[LaurentTerm, RatFunc]
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -47,15 +57,17 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             tokens.append(("sym", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue
         if ch.isalpha():
             start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            while pos < len(text) and (
+                text[pos].isalpha() or text[pos] in _DIGITS or text[pos] == "_"
+            ):
                 pos += 1
             tokens.append(("name", text[start:pos], start))
             continue
@@ -95,20 +107,21 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
-        return value
+        return as_ratfunc(value)
 
-    def expr(self) -> RatFunc:
+    def expr(self) -> _Value:
         value = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "sym" and text in "+-":
                 self.advance()
                 rhs = self.term()
+                value = as_ratfunc(value)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
-    def term(self) -> RatFunc:
+    def term(self) -> _Value:
         value = self.factor()
         while True:
             kind, text, pos = self.peek()
@@ -124,7 +137,7 @@ class _Parser:
             else:
                 return value
 
-    def factor(self) -> RatFunc:
+    def factor(self) -> _Value:
         kind, text, pos = self.peek()
         if kind == "sym" and text in "+-":
             self.advance()
@@ -134,7 +147,7 @@ class _Parser:
             return inner if text == "+" else -inner
         return self.power()
 
-    def power(self) -> RatFunc:
+    def power(self) -> _Value:
         base = self.atom()
         kind, text, _ = self.peek()
         if kind == "sym" and text == "^":
@@ -163,17 +176,17 @@ class _Parser:
             raise ParseError(f"exponent exceeds the degree cap {DEGREE_CAP}", start)
         return sign * int(digits)
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> _Value:
         kind, text, pos = self.advance()
         if kind == "int":
-            return RatFunc.const(int_literal(text, pos))
+            return LaurentTerm(Cyclo.coerce(int_literal(text, pos)))
         if kind == "name":
             if text == "i":
-                return RatFunc.const(SQRT_M1)
+                return LaurentTerm(SQRT_M1)
             if text == "zeta8":
-                return RatFunc.const(ZETA8)
+                return LaurentTerm(ZETA8)
             if text in VARIABLES:
-                return RatFunc.var(text)
+                return LaurentTerm.var(text)
             raise ParseError(f"unknown variable {text!r}", pos)
         if kind == "sym" and text == "(":
             self.nest(pos)

@@ -44,14 +44,20 @@ value is c * (Laurent monomial), as for the monomial automorphisms, lifts
 and covers of the Horikawa models, the substitution is a toric morphism: an
 integer exponent matrix and a vector of scalars.  The monomial path maps
 each term's key and sums the terms in one dict, then builds one polynomial
-over one monomial.  Any other value, such as the affine parameter
-substitution of a specialization or w -> y + w, takes the term-by-term path,
-one RatFunc product per factor and one RatFunc sum per term.  The monomial
-path decides from its own result: it hands over to the term-by-term path
-only where an exponent could leave its lane, or where the result cannot be
-stored because P or x^M is over DEGREE_CAP.  The term-by-term path stores
-every polynomial it builds, so on such a result it raises its own
-DegreeCapError.
+over one monomial.  It takes any value over a monomial, P / x^b, the same
+way, with cached powers of P as factors of each term: the affine parameter
+substitution of a specialization, or w -> y + w.  Only a value with a
+non-monomial denominator takes the term-by-term path, one RatFunc product
+per factor and one RatFunc sum per term.  The monomial path decides from
+its own result: it hands over to the term-by-term path where an exponent
+could leave its lane, where the result cannot be stored because P or x^M is
+over DEGREE_CAP, or where a power or product of polynomial values passes a
+cap.  The term-by-term path stores every polynomial it builds, so on such a
+result it raises its own DegreeCapError.
+
+The parser's products of constants, variables and powers are LaurentTerms,
+c * x^n / x^d as two keys, which fall back to RatFunc arithmetic wherever
+that would raise.
 
 A fixed total-degree cap of DEGREE_CAP halts runaway intermediate growth
 with a diagnostic error instead of letting a buggy reduction loop spin
@@ -399,14 +405,13 @@ class MPoly:
         untouched slots.  The substitution is a ring homomorphism; the result
         is a RatFunc because assigned values may have denominators.
 
-        Two paths compute it.  When every assigned value is a nonzero
-        c * (Laurent monomial), a RatFunc whose numerator and denominator are
-        single terms, the monomial path maps each term's key linearly,
-        multiplies its coefficient by cached powers of the c's and sums the
-        terms into one polynomial over one monomial.  Every other assignment
-        takes the term-by-term path, which multiplies and adds one RatFunc
-        per term.  Both paths return the same num/den pair: see
-        _substitute_monomials, which also names the two cases it hands over.
+        Two paths compute it.  When every assigned value has a monomial
+        denominator, the monomial path maps each term's key linearly,
+        multiplies its coefficient by cached powers of the values and sums
+        the terms into one polynomial over one monomial.  Every other
+        assignment takes the term-by-term path, which multiplies and adds
+        one RatFunc per term.  Both paths return the same num/den pair: see
+        _substitute_monomials, which also names the cases it hands over.
         """
         values = self._values(assignment)
         result = self._substitute_monomials(values)
@@ -421,64 +426,82 @@ class MPoly:
     ) -> Optional["RatFunc"]:
         """The monomial path of substitute, or None where it does not apply.
 
-        A value c * x^a / x^b moves the exponent of its slot i onto a - b.
-        So a term c0 * x^e maps to c0 * prod(c_i^e_i) * x^E, where E is e
-        with each assigned slot's exponent moved along its value's a - b.  E
-        may have negative entries; the sum of all terms is P / x^M with M the
-        most negative entry per slot (or 0), and P without common monomial
-        content in any slot of M.  _simplify keeps such a pair as it is (a
-        polynomial over a monomial has one simplified form), so it equals
-        the pair the term-by-term path returns.
+        It applies when every value has a monomial denominator, P_i / x^b_i.
+        A single-term value c * x^a / x^b moves the exponent of its slot i
+        onto a - b, and any other value's P_i enters as a factor: a term
+        c0 * x^e maps to c0 * prod(c_i^e_i) * prod(P_i^e_i) * x^E, where E
+        is e with each assigned slot's exponent moved along a - b, or along
+        -b for a polynomial value.  The powers are cached per (slot, e_i)
+        and each term's product is summed into one dict, with no RatFunc per
+        term.  E may have negative entries; the sum of all terms is P / x^M
+        with M the most negative entry per slot (or 0), and P without common
+        monomial content in any slot of M.  _simplify keeps such a pair as
+        it is (a polynomial over a monomial has one simplified form), so it
+        equals the pair the term-by-term path returns.
 
-        The key is linear, so key(E) is key(e) plus e_i times
-        key(a) - key(b) - key(x_i) for each assigned slot i.  Negative
-        entries borrow from the lanes above, so a key of E is read only
-        after adding den_top to every lane.  Every entry of E lies in
-        [-den_top, num_top], the largest degrees of a term's image before
-        cancellation, |e| + sum e_i (|a_i| - 1) and sum e_i |b_i|.  The
-        path hands over to _substitute_terms in two cases only: when
-        num_top + den_top reaches a lane's guard bit (128), where a biased
-        entry could leave its lane and distinct E could share a key, and
-        when P or x^M has a total degree over DEGREE_CAP, where the other
-        path, which stores every polynomial it builds, raises.
+        The key is linear, so key(E) is key(e) plus e_i times the key move
+        of each assigned slot i.  Negative entries borrow from the lanes
+        above, so a key is read only after adding den_top to every lane.
+        Every entry of a term's image lies in [-den_top, num_top], the
+        largest degrees of an image before cancellation,
+        |e| + sum e_i (deg P_i - 1) and sum e_i |b_i|.  The path hands over
+        to _substitute_terms when num_top + den_top reaches a lane's guard
+        bit (128), where a biased entry could leave its lane and distinct
+        exponents could share a key, and when P or x^M has a total degree
+        over DEGREE_CAP, where the other path, which stores every
+        polynomial it builds, raises.  A power or product of polynomial
+        values over a cap hands over too, so the other path meets it first.
         """
-        # (slot, lane shift, scalar or None for 1, key move, |a|, |b|);
+        # (slot, lane shift, factor, key move, deg P, |b|): the factor is P,
+        # or for a single term c * x^a the scalar c, or None for 1;
         # _simplify leaves a monic denominator, so b carries coefficient 1
         monomials = []
         for i, v in values.items():
             num, den = v.num.terms, v.den.terms
-            if len(num) != 1 or len(den) != 1:
+            if len(den) != 1:
                 return None
-            ((a, c),) = num.items()
             (b,) = den
-            monomials.append(
-                (i, _SHIFTS[i], None if c == ONE else c, a - b - _UNITS[i],
-                 a >> _DEG, b >> _DEG)
-            )
+            a, factor = 0, v.num
+            if len(num) == 1:
+                ((a, c),) = num.items()
+                factor = None if c == ONE else c
+            monomials.append((i, _SHIFTS[i], factor, a - b - _UNITS[i],
+                              max(num, default=0) >> _DEG, b >> _DEG))
         sums: Dict[int, Cyclo] = {}
-        powers: Dict[Tuple[int, int], Cyclo] = {}
+        # powers[(i, k)] is the factor of value i to the k
+        powers: Dict[Tuple[int, int], Union[Cyclo, MPoly]] = {}
         num_top = den_top = 0
-        for e, c in self.terms.items():
-            out = e
-            num_deg, den_deg = e >> _DEG, 0
-            for i, s, ci, move, na, nb in monomials:
-                k = (e >> s) & _LANE
-                if not k:
-                    continue
-                out += k * move
-                num_deg += k * (na - 1)
-                den_deg += k * nb
-                if ci is not None:
+        try:
+            for e, c in self.terms.items():
+                out = e
+                num_deg, den_deg = e >> _DEG, 0
+                product = None
+                for i, s, factor, move, na, nb in monomials:
+                    k = (e >> s) & _LANE
+                    if not k:
+                        continue
+                    out += k * move
+                    num_deg += k * (na - 1)
+                    den_deg += k * nb
+                    if factor is None:
+                        continue
                     p = powers.get((i, k))
                     if p is None:
-                        p = powers[(i, k)] = ci ** k
-                    c = c * p
-            if num_deg > num_top:
-                num_top = num_deg
-            if den_deg > den_top:
-                den_top = den_deg
-            prev = sums.get(out)
-            sums[out] = c if prev is None else prev + c
+                        p = powers[(i, k)] = factor ** k
+                    if type(p) is MPoly:
+                        product = p if product is None else product * p
+                    else:
+                        c = c * p
+                if num_deg > num_top:
+                    num_top = num_deg
+                if den_deg > den_top:
+                    den_top = den_deg
+                image = ((0, c),) if product is None else product.scale(c).terms.items()
+                for t, v in image:
+                    prev = sums.get(out + t)
+                    sums[out + t] = v if prev is None else prev + v
+        except (DegreeCapError, SizeCapError):
+            return None
         if num_top + den_top >= 1 << (_BITS - 1):
             return None
         terms = {e: c for e, c in sums.items() if not c.is_zero()}
@@ -821,7 +844,63 @@ def as_ratfunc(x) -> RatFunc:
         return RatFunc.from_poly(x)
     if isinstance(x, (Cyclo, Fraction, int)):
         return RatFunc.const(x)
+    if isinstance(x, LaurentTerm):
+        return x.ratfunc()
     raise TypeError(f"cannot coerce {type(x).__name__} to RatFunc")
+
+
+class LaurentTerm:
+    """c * x^n / x^d held as the keys n and d: the value of a run of
+    constants, variables and integer powers in the parser.
+
+    A product, quotient or power of LaurentTerms stays one when each
+    product the RatFunc operation would form stays under DEGREE_CAP, and
+    the common content is cancelled after each step as _simplify cancels
+    it, so the next check sees the degrees RatFunc arithmetic sees.  Any
+    other operand or step goes to RatFunc, which gives the same value or
+    raises its own DegreeCapError, and ratfunc() is the pair RatFunc
+    arithmetic reaches.  A zero c may keep its keys; ratfunc() is zero.
+    """
+
+    __slots__ = ("c", "n", "d")
+
+    def __init__(self, c: Cyclo, n: int = 0, d: int = 0):
+        self.c, self.n, self.d = c, n, d
+
+    @staticmethod
+    def var(name: str) -> "LaurentTerm":
+        return LaurentTerm(ONE, _UNITS[slot(name)])
+
+    def ratfunc(self) -> RatFunc:
+        return RatFunc(MPoly({self.n: self.c}), _wrap({self.d: ONE}))
+
+    def is_zero(self) -> bool:
+        return self.c.is_zero()
+
+    def __neg__(self) -> "LaurentTerm":
+        return LaurentTerm(-self.c, self.n, self.d)
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentTerm):
+            return self.ratfunc() * other
+        n, d = self.n + other.n, self.d + other.d
+        # keys order by degree first
+        if max(n, d) >> _DEG > DEGREE_CAP:
+            return self.ratfunc() * other.ratfunc()
+        shift = _with_degree(_lane_min((d,), n & _LANES))
+        return LaurentTerm(self.c * other.c, n - shift, d - shift)
+
+    def inverse(self) -> "LaurentTerm":
+        return LaurentTerm(self.c.inverse(), self.d, self.n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, k: int):
+        base, m = (self, k) if k >= 0 else (self.inverse(), -k)
+        if m * (max(base.n, base.d) >> _DEG) > DEGREE_CAP:
+            return self.ratfunc() ** k
+        return LaurentTerm(base.c ** m, m * base.n, m * base.d)
 
 
 def jacobian_det2(fy: RatFunc, fz: RatFunc, vy: str = "y", vz: str = "z") -> RatFunc:

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from enricert import SQRT_M1, Cyclo, MPoly, Mobius, RatFunc
 from enricert.ingest import load_document
 from enricert.poly import slot
@@ -35,6 +37,21 @@ def nonzero_cyclo(rng, span=3):
         c = rand_cyclo(rng, span)
         if not c.is_zero():
             return c
+
+
+#: Expressions of the coordinate grammar: atoms, parenthesized sums,
+#: differences, products and quotients of two expressions, and powers with
+#: exponents from -3 to 70 (those over the degree cap are parse errors).
+WELL_FORMED_EXPRESSIONS = st.recursive(
+    st.sampled_from(["w", "y", "z", "A", "i", "zeta8", "0", "1", "3/2"]),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})"
+    )
+    | st.tuples(inner, st.integers(min_value=-3, max_value=70)).map(
+        lambda t: f"{t[0]}^{t[1]}"
+    ),
+    max_leaves=6,
+)
 
 
 def rand_mpoly(rng, names=("y", "z"), max_terms=3, max_exp=3, span=3):

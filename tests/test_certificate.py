@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import enricert
 from enricert.certificate import (
@@ -124,6 +125,32 @@ def test_golden_certificate_is_byte_identical():
     assert verify_all().to_json() == golden
     # a second run reproduces the bytes: no clocks, no iteration-order leaks
     assert verify_all().to_json() == golden
+
+
+# any text: non-ASCII, control characters, quotes, backslashes and lone
+# surrogates included
+_texts = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f\x7f", "\ud800", "\udfff\u00e9\u2028", "\U0001f600"]
+)
+_records = st.builds(
+    CheckRecord,
+    id=_texts,
+    group=st.sampled_from(CHECK_GROUPS),
+    family=st.none() | st.integers(),
+    result=st.sampled_from(["pass", "fail", "info"]),
+    inputs=st.dictionaries(_texts, _texts, max_size=3),
+    value=st.none() | _texts,
+    witness=st.none() | _texts,
+    statement=_texts.filter(bool),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(_records, max_size=4))
+@example([])
+def test_to_json_is_json_dumps_of_the_dict(records):
+    cert = Certificate(records)
+    assert cert.to_json() == json.dumps(cert.as_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

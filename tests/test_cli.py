@@ -19,6 +19,8 @@ from enricert.certificate import FILTERABLE_GROUPS
 from enricert.cli import main, parse_args
 from enricert.ingest import MAX_MAPS
 
+from _helpers import WELL_FORMED_EXPRESSIONS
+
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 PINNED_OUTPUTS = Path(__file__).parent / "data" / "pinned_cli_outputs.json"
 
@@ -406,21 +408,12 @@ def test_verify_term_count_bomb_hits_the_size_cap(tmp_path):
 
 # -- fuzzing ingest through the command line ----------------------------------
 
+# "²" and "٣" are digits to str.isdigit, but not ASCII digits
 _EXPRESSION_TOKENS = (
-    "w", "y", "z", "A", "B", "i", "zeta8", "0", "1", "2", "8",
+    "w", "y", "z", "A", "B", "i", "zeta8", "0", "1", "2", "8", "²", "٣",
     "+", "-", "*", "/", "^", "(", ")", " ",
 )
-_well_formed = st.recursive(
-    st.sampled_from(["w", "y", "z", "A", "i", "zeta8", "0", "1", "3/2"]),
-    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
-        lambda t: f"({t[0]}{t[1]}{t[2]})"
-    )
-    | st.tuples(inner, st.integers(min_value=-3, max_value=70)).map(
-        lambda t: f"{t[0]}^{t[1]}"
-    ),
-    max_leaves=6,
-)
-_expressions = _well_formed | st.lists(
+_expressions = WELL_FORMED_EXPRESSIONS | st.lists(
     st.sampled_from(_EXPRESSION_TOKENS), max_size=14
 ).map("".join)
 _json_values = st.recursive(
@@ -460,6 +453,7 @@ _documents = st.one_of(
 @given(_documents)
 @example(json.dumps(_with_map({"w": "w", "y": "y^40", "z": "z"})).encode())
 @example(json.dumps(_with_map({"w": "w", "y": "1 / y^20", "z": "z^3"})).encode())
+@example(json.dumps(_with_map({"w": "w", "y": "y^²", "z": "z"})).encode())
 @example(json.dumps(TERM_COUNT_BOMB).encode())
 @example(NON_UTF8_BYTES)
 @example(HUGE_NUMBER_BYTES)

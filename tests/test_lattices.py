@@ -125,6 +125,60 @@ def test_isometry_search_equals_brute_force_in_order(rows, bounds):
             assert isometries_with_trace(lattice, trace, bound) == want
 
 
+def _isometries_entry_by_entry(lattice, trace, bound):
+    """The isometry search over all n^2 entries in row-major order, the last
+    diagonal entry fixed by the trace: the reference for the column-by-column
+    search."""
+    n = lattice.rank
+    if n == 0:
+        return [()] if trace == 0 else []
+    g = lattice.rows
+    values = range(-bound, bound + 1)
+    found = []
+    for head in itertools.product(values, repeat=n * n - 1):
+        last = trace - sum(head[i * (n + 1)] for i in range(n - 1))
+        if last not in values:
+            continue
+        flat = head + (last,)
+        m = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        if all(
+            sum(m[k][i] * g[k][l] * m[l][j] for k in range(n) for l in range(n)) == g[i][j]
+            for i in range(n)
+            for j in range(i, n)
+        ):
+            found.append(m)
+    return found
+
+
+_REFERENCE_LATTICES = [
+    (),
+    ((2,),),
+    ((-2,),),
+    ((0, 1), (1, 0)),
+    ((0, 2), (2, 0)),
+    ((2, 1), (1, 2)),
+    ((2, 0), (0, -2)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, -2)),
+    ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("rows", _REFERENCE_LATTICES, ids=[
+    "rank0", "A1", "A1(-1)", "U", "U(2)", "A2", "A1+A1(-1)", "U+A1(-1)", "A3", "3A1",
+])
+def test_isometry_search_equals_the_entry_by_entry_search(rows):
+    # bounds 1 and 2 up to rank 2, bound 1 at rank 3, and every trace the
+    # entries allow
+    lattice = GramLattice(rows)
+    n = lattice.rank
+    for bound in (1,) if n == 3 else (1, 2):
+        for trace in range(-n * bound - 1, n * bound + 2):
+            assert isometries_with_trace(lattice, trace, bound) == (
+                _isometries_entry_by_entry(lattice, trace, bound)
+            )
+
+
 def test_isometry_search_of_rank_zero():
     # the empty matrix is the one isometry, of trace 0, whatever the bound
     for bound in (-1, 0, 2):

@@ -37,7 +37,10 @@ from enricert.maps import (
     qaut_fixed_points,
     swap_root,
 )
-from enricert.maps import _compose_forms, _exponent_form, _order_by_composition
+from enricert.maps import (
+    _compose_forms, _compose_monomial, _exponent_form, _exponent_matrix, _inverse_monomial,
+    _monomial_factor, _monomial_mobius, _monomial_order, _order_by_composition, _qaut_of_form,
+)
 from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 
 from _helpers import (
@@ -690,6 +693,72 @@ def test_monomial_square_roots_match_the_brute_force_search(target):
     assert monomial_square_roots(target) == _brute_force_square_roots(target)
 
 
+def _square_of_form(m, k):
+    """(M, k) . (M, k) = (M^2, k + M k mod 8), written out."""
+    m11, m12, m21, m22 = m
+    k1, k2 = k
+    return (
+        (m11 * m11 + m12 * m21, m11 * m12 + m12 * m22,
+         m21 * m11 + m22 * m21, m21 * m12 + m22 * m22),
+        ((k1 + m11 * k1 + m12 * k2) % 8, (k2 + m21 * k1 + m22 * k2) % 8),
+    )
+
+
+def _square_roots_over_all_candidates(target):
+    """The square-root search that squares all 512 candidates in exponent
+    form, matrix and unit pair alike: the reference for the search that
+    tries the unit pairs only for a matrix whose square is the target's."""
+    factors = (_monomial_factor(target.m1), _monomial_factor(target.m2))
+    if None in factors:
+        return []
+    (t1, j1), (t2, j2) = factors
+    wanted = (_exponent_matrix(target.shape, t1, t2), (j1, j2))
+    roots = []
+    for shape in (DIRECT, SWAP):
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            m = _exponent_matrix(shape, e1, e2)
+            for k in itertools.product(range(8), repeat=2):
+                if _square_of_form(m, k) == wanted:
+                    roots.append(QAut(
+                        shape, _monomial_mobius(e1, k[0]), _monomial_mobius(e2, k[1])
+                    ))
+    return roots
+
+
+def test_square_roots_of_every_monomial_target_match_the_search_over_all_candidates():
+    targets = list(_monomial_candidates())
+    assert len(targets) == 512
+    found = 0
+    for target in targets:
+        roots = monomial_square_roots(target)
+        assert roots == _square_roots_over_all_candidates(target)
+        found += len(roots)
+    # every candidate is the root of its own square, and of that square only
+    assert found == 512
+
+
+def _form_of(g):
+    """The exponent form (M, k) of a monomial QAut, read off its Mobius
+    factors."""
+    (e1, k1), (e2, k2) = _monomial_factor(g.m1), _monomial_factor(g.m2)
+    return _exponent_matrix(g.shape, e1, e2), (k1, k2)
+
+
+def test_exponent_forms_follow_the_qaut_operations():
+    # every monomial candidate: its form builds it back, and the form's
+    # inverse and order are the QAut's; composition on a sample of pairs
+    candidates = list(_monomial_candidates())
+    for g in candidates:
+        form = _form_of(g)
+        assert _qaut_of_form(form) == g
+        assert _inverse_monomial(form) == _form_of(g.inverse())
+        assert _monomial_order(form) == g.order()
+    rng = random.Random(20261019)
+    for _ in range(300):
+        g, h = rng.choice(candidates), rng.choice(candidates)
+        assert _compose_monomial(_form_of(g), _form_of(h)) == _form_of(g.compose(h))
+
+
 def test_monomial_candidates_are_pairwise_distinct():
     candidates = list(_monomial_candidates())
     assert len(candidates) == len(set(candidates)) == 512
@@ -710,8 +779,8 @@ def test_square_roots_of_squares_match_the_brute_force_search(shape, inverted, u
 
 
 def test_k4_check_stays_off_the_mobius_path(monkeypatch):
-    # the square-root search squares its 512 candidates in exponent form;
-    # only the Klein-four checks and the matching roots build Mobius matrices
+    # the Klein-four checks and the square-root search run in exponent form;
+    # only the four roots found build Mobius matrices, two each
     calls = []
     real = Mobius.__init__
 
@@ -721,7 +790,7 @@ def test_k4_check_stays_off_the_mobius_path(monkeypatch):
 
     monkeypatch.setattr(Mobius, "__init__", counted)
     assert k4_normal_form_check().ok
-    assert len(calls) <= 64
+    assert len(calls) == 8
 
 
 # -- compatibility between surface maps and quadric maps ----------------------

@@ -5,15 +5,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from enricert.errors import ParseError
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
-from enricert.parsing import MAX_NESTING, parse_expression
-from enricert.poly import MPoly, RatFunc
+from enricert.parsing import MAX_NESTING, _Parser, parse_expression
+from enricert.poly import MPoly, RatFunc, as_ratfunc
 
-from _helpers import rand_cyclo, rand_mpoly, nonzero_mpoly
+from _helpers import WELL_FORMED_EXPRESSIONS, rand_cyclo, rand_mpoly, nonzero_mpoly
 
 
 def const(value):
@@ -141,6 +141,10 @@ def test_fractional_coefficients():
         ("2 $ 3", "unexpected character '$'", 2),
         ("2 3", "trailing input", 2),
         ("", "expected a value", 0),
+        # str.isdigit holds for these, but literals are ASCII digits only
+        ("y^\u00b2", "unexpected character '\u00b2'", 2),
+        ("\u00b2", "unexpected character '\u00b2'", 0),
+        ("\u0663*y", "unexpected character '\u0663'", 0),
     ],
 )
 def test_errors_carry_positions(text, fragment, position):
@@ -201,3 +205,55 @@ def test_rational_round_trip(seed):
     den = nonzero_mpoly(rng, names=("y", "z"), max_terms=2, max_exp=2, span=3)
     r = RatFunc(num, den)
     assert parse_expression(str(r)) == r
+
+
+class _RatFuncParser(_Parser):
+    """The grammar with every atom a RatFunc, so that every operation is
+    RatFunc arithmetic: the reference for the parser's LaurentTerm path."""
+
+    def atom(self):
+        return as_ratfunc(super().atom())
+
+
+def _outcome(parser, text):
+    try:
+        value = parser(text).parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value.num, value.den
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(WELL_FORMED_EXPRESSIONS)
+# products, quotients and powers just over the degree cap, in the numerator
+# and in the denominator, and the zero divisors
+@example("y^40*y^25")
+@example("y^40*y^24")
+@example("1/y^40/z^25")
+@example("(y^2/z)^33")
+@example("(y^2/z)^-33")
+@example("(y/z^2)^-32")
+@example("(0*y^64)^64*y^64")
+@example("w/(0*y)")
+@example("(y-y)^-1")
+@example("0^-2")
+@example("0^0")
+@example("(i*w/(y^2*z^3))^-8*(y^2*z^3)^8")
+def test_the_laurent_term_path_matches_the_ratfunc_evaluator(text):
+    # the same pair, or the same exception with the same text
+    assert _outcome(_Parser, text) == _outcome(_RatFuncParser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "i*w/(y^2*z^3)", "zeta8*y^3*w/z^4", "w*y^3/z^3", "i*W/(Y^2*Z^2)", "-W",
+    # cancelled before the next product, so no intermediate passes the cap
+    "y^64/y^64*y^64", "(y*z/y)^64", "(z^2/(y*z))^-64",
+])
+def test_a_monomial_expression_takes_no_ratfunc_product(monkeypatch, text):
+    expected = _outcome(_RatFuncParser, text)
+
+    def refuse(self, other):
+        raise AssertionError(f"RatFunc product while parsing {text!r}")
+
+    monkeypatch.setattr(RatFunc, "__mul__", refuse)
+    assert _outcome(_Parser, text) == expected

@@ -20,7 +20,9 @@ from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
 from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, slot
 
-from _helpers import nonzero_cyclo, nonzero_mpoly, rand_mpoly, rand_monomial_plane_map
+from _helpers import (
+    nonzero_cyclo, nonzero_mpoly, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
+)
 
 
 def V(name):
@@ -258,8 +260,8 @@ def test_jacobian_multiplicativity_random_monomial_maps():
 
 # -- the two substitution paths ----------------------------------------------
 #
-# substitute takes the monomial path whenever every value is c * (Laurent
-# monomial), short of its two hand-overs; the term-by-term path must agree
+# substitute takes the monomial path whenever every value has a monomial
+# denominator, short of its hand-overs; the term-by-term path must agree
 # with it on the num/den pair, so every such substitution has a second,
 # independent computation here.
 
@@ -319,6 +321,79 @@ def test_monomial_path_matches_term_by_term(seed):
     assert str(p.substitute(assignment)) == str(slow)
 
 
+def _polynomial_value(rng):
+    """A value with a monomial denominator and a numerator of other than
+    one term: zero, affine in the parameters B and C (as specialize
+    assigns), or up to three terms in y, z and A over y^a * z^b."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return RatFunc.zero()
+    if kind == 1:
+        return RatFunc.from_poly(MPoly.sum_monomials(
+            [({}, rand_cyclo(rng, span=2)), ({"B": 1}, nonzero_cyclo(rng, span=2)),
+             ({"C": 1}, rand_cyclo(rng, span=2))]
+        ))
+    num = nonzero_mpoly(rng, names=("y", "z", "A"), max_terms=3, max_exp=1, span=2)
+    return RatFunc(num, V("y") ** rng.randint(0, 1) * V("z") ** rng.randint(0, 2))
+
+
+def _polynomial_case(seed):
+    """(p, assignment) with a random nonempty subset of _SLOTS assigned, at
+    least one slot to a polynomial value and the others to Laurent
+    monomials.  Exponents stay at most 2 per slot and values at most degree
+    3, far inside the lane guard and the cap."""
+    rng = random.Random(seed)
+    p = rand_mpoly(rng, names=_SLOTS, max_terms=4, max_exp=2)
+    assigned = rng.sample(_SLOTS, rng.randint(1, len(_SLOTS)))
+    assignment = {n: _laurent_value(rng) for n in assigned}
+    for n in rng.sample(assigned, rng.randint(1, len(assigned))):
+        assignment[n] = _polynomial_value(rng)
+    return p, assignment
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.builds(_polynomial_case, st.integers(min_value=0, max_value=10 ** 9)))
+# the maps whose invariance records pin a DegreeCapError witness: the
+# monomial path hands over, and the term-by-term path raises
+@example((family(1).relation(), {"y": parse_expression("y^40"), "z": parse_expression("z")}))
+@example((family(1).relation(), {"y": parse_expression("1 / y^20"), "z": parse_expression("z^3")}))
+def test_the_monomial_path_matches_term_by_term_on_polynomial_values(case):
+    p, assignment = case
+    values = p._values(assignment)
+    fast = p._substitute_monomials(values)
+    try:
+        slow = p._substitute_terms(values)
+    except DegreeCapError as exc:
+        assert fast is None
+        with pytest.raises(DegreeCapError) as err:
+            p.substitute(assignment)
+        assert str(err.value) == str(exc)
+        return
+    assert fast is not None
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+    assert str(p.substitute(assignment)) == str(slow)
+
+
+def test_a_storable_result_with_a_polynomial_value_is_answered():
+    # the term-by-term path meets y^44 * (A + 1)^22 on the way and raises;
+    # the monomial path moves y^44 out before it multiplies and answers
+    p = parse_expression("y^22*z^22").as_poly()
+    assignment = {"y": parse_expression("y^2"), "z": parse_expression("(A+1)/y^2")}
+    with pytest.raises(DegreeCapError, match="total degree 66"):
+        p._substitute_terms(p._values(assignment))
+    result = p.substitute(assignment)
+    expected = parse_expression("(A+1)^22")
+    assert (result.num, result.den) == (expected.num, expected.den)
+
+
+def test_specialize_takes_the_monomial_path():
+    # an affine parameter substitution is a polynomial value over 1
+    branch = family(1).branch
+    values = branch._values({"A": 1, "B": -V("C") - 1, "D": 0, "E": 0, "F": 1 - V("C")})
+    fast = branch._substitute_monomials(values)
+    assert fast is not None and fast == branch._substitute_terms(values)
+
+
 def test_monomial_path_cancels_to_zero():
     c = Cyclo(0, 1, 0, 2)
     p = (V("y") - MPoly.const(c) * V("z")) * (V("w") + V("A") ** 2)
@@ -345,8 +420,10 @@ def test_monomial_path_keeps_a_monomial_denominator():
 
 
 def test_non_monomial_values_take_the_term_by_term_path():
+    # a value over a polynomial denominator; a polynomial value such as
+    # y + z takes the monomial path
     y, z = V("y"), V("z")
-    values = (y ** 2 + z)._values({"y": y + z})
+    values = (y ** 2 + z)._values({"y": RatFunc(MPoly.const(1), y + z)})
     assert (y ** 2 + z)._substitute_monomials(values) is None
 
 
@@ -397,11 +474,11 @@ def test_over_the_bound_falls_back_and_raises_the_cap_error(poly_text, values):
 
 
 def test_term_by_term_builds_each_power_from_the_one_before(monkeypatch):
-    # y + y^2 + ... + y^d at a two-term value Q: the powers Q, ..., Q^d cost
-    # one product by Q each, not k products for the k-th
+    # y + y^2 + ... + y^d at a value Q over a two-term denominator: the
+    # powers Q, ..., Q^d cost one product by Q each, not k products for the k-th
     d = 6
     p = MPoly.sum_monomials(({"y": k}, 1) for k in range(1, d + 1))
-    value = RatFunc.var("y") + RatFunc.var("z")
+    value = RatFunc.var("y") / (RatFunc.var("y") + RatFunc.var("z"))
     expected = sum((value ** k for k in range(1, d + 1)), RatFunc.zero())
     mul = RatFunc.__mul__
     by_value = []
