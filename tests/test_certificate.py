@@ -358,6 +358,25 @@ def _monomial_denominator_map_doc():
     return doc
 
 
+def _polynomial_value_map_doc():
+    # y -> y + z substitutes a polynomial value at powers up to 4
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append({"name": "sum", "coords": {"w": "w", "y": "y + z", "z": "z"}})
+    return doc
+
+
+def _rational_value_map_doc():
+    # y -> (y+1)/(y-1) has a non-monomial denominator, so it substitutes
+    # term by term
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append(
+        {"name": "cayley", "coords": {"w": "w", "y": "(y+1)/(y-1)", "z": "z"}}
+    )
+    return doc
+
+
 def test_checks_never_short_circuit():
     cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
@@ -440,6 +459,8 @@ _PINNED_DOCUMENTS = {
     "shift-map": _shift_map_doc,
     "big-power-map": _big_power_map_doc,
     "monomial-denominator-map": _monomial_denominator_map_doc,
+    "polynomial-value-map": _polynomial_value_map_doc,
+    "rational-value-map": _rational_value_map_doc,
 }
 
 
