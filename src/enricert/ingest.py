@@ -50,6 +50,9 @@ MAX_FAMILIES = 32
 MAX_MAPS = 64
 MAX_ACTIONS = 32
 
+# The format this module reads and writes; a document may also omit it.
+_SCHEMA = "enricert-input/1"
+
 
 class IngestResult(NamedTuple):
     """Parsed document: families, maps, and actions keyed by family name."""
@@ -230,6 +233,9 @@ def load_document(document: Mapping) -> IngestResult:
     _expect(isinstance(document, Mapping), "document", "top level must be an object")
     unknown = set(document) - {"schema", "families", "maps"}
     _expect(not unknown, "document", f"unknown keys {sorted(unknown)}")
+    _expect(
+        document.get("schema", _SCHEMA) == _SCHEMA, "document", f"'schema' must be {_SCHEMA!r}"
+    )
     families: List[SurfaceFamily] = []
     actions: Dict[str, Tuple[ParameterAction, ...]] = {}
     raw_families = document.get("families", [])
@@ -351,7 +357,7 @@ def serialize_document(
 ) -> Dict[str, object]:
     actions = actions or {}
     return {
-        "schema": "enricert-input/1",
+        "schema": _SCHEMA,
         "families": [
             serialize_family(fam, tuple(actions.get(fam.name, ()))) for fam in families
         ],

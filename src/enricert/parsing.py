@@ -19,19 +19,18 @@ Parentheses and unary signs nest at most MAX_NESTING deep, so a deeply
 nested input is a ParseError and never exhausts the interpreter's recursion
 limit.  Errors carry the character position.
 
-Constants, variables and their products, quotients and powers are parsed as
-poly.LaurentTerms, which hand over to RatFunc arithmetic at a sum, at a
-RatFunc operand, and at a step that RatFunc arithmetic would refuse, so
-every value and error is the one RatFunc arithmetic gives.
+Every value is a RatFunc, and every operation is RatFunc arithmetic.  A
+product, quotient or power of constants, variables and their powers is one
+term over one term, which RatFunc builds from the exponent keys alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .errors import ParseError
-from .field import Cyclo, SQRT_M1, ZETA8, int_literal
-from .poly import DEGREE_CAP, LaurentTerm, RatFunc, VARIABLES, as_ratfunc
+from .field import SQRT_M1, ZETA8, int_literal
+from .poly import DEGREE_CAP, RatFunc, VARIABLES
 
 _SYMBOLS = set("+-*/^()")
 # ASCII only: str.isdigit also holds for other digits, such as "²" or "٣"
@@ -41,8 +40,6 @@ _DIGITS = "0123456789"
 #: parentheses costs five frames of recursion (expr, term, factor, power,
 #: atom), so this stays far below the default recursion limit of 1000.
 MAX_NESTING = 100
-
-_Value = Union[LaurentTerm, RatFunc]
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -107,21 +104,20 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
-        return as_ratfunc(value)
+        return value
 
-    def expr(self) -> _Value:
+    def expr(self) -> RatFunc:
         value = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "sym" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = as_ratfunc(value)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
-    def term(self) -> _Value:
+    def term(self) -> RatFunc:
         value = self.factor()
         while True:
             kind, text, pos = self.peek()
@@ -137,7 +133,7 @@ class _Parser:
             else:
                 return value
 
-    def factor(self) -> _Value:
+    def factor(self) -> RatFunc:
         kind, text, pos = self.peek()
         if kind == "sym" and text in "+-":
             self.advance()
@@ -147,7 +143,7 @@ class _Parser:
             return inner if text == "+" else -inner
         return self.power()
 
-    def power(self) -> _Value:
+    def power(self) -> RatFunc:
         base = self.atom()
         kind, text, _ = self.peek()
         if kind == "sym" and text == "^":
@@ -176,17 +172,17 @@ class _Parser:
             raise ParseError(f"exponent exceeds the degree cap {DEGREE_CAP}", start)
         return sign * int(digits)
 
-    def atom(self) -> _Value:
+    def atom(self) -> RatFunc:
         kind, text, pos = self.advance()
         if kind == "int":
-            return LaurentTerm(Cyclo.coerce(int_literal(text, pos)))
+            return RatFunc.const(int_literal(text, pos))
         if kind == "name":
             if text == "i":
-                return LaurentTerm(SQRT_M1)
+                return RatFunc.const(SQRT_M1)
             if text == "zeta8":
-                return LaurentTerm(ZETA8)
+                return RatFunc.const(ZETA8)
             if text in VARIABLES:
-                return LaurentTerm.var(text)
+                return RatFunc.var(text)
             raise ParseError(f"unknown variable {text!r}", pos)
         if kind == "sym" and text == "(":
             self.nest(pos)

@@ -1,9 +1,11 @@
-"""Shared random-instance generators for the property suites.
+"""Shared random-instance generators and reference bodies for the property
+suites.
 
 Everything takes an explicit random.Random so failures reproduce from the
 seed printed by the test that caught them.
 """
 
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from enricert import SQRT_M1, Cyclo, MPoly, Mobius, RatFunc
 from enricert.ingest import load_document
-from enricert.poly import slot
+from enricert.poly import as_ratfunc, slot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +54,76 @@ WELL_FORMED_EXPRESSIONS = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+# -- the general arithmetic that the single-term paths stand in for ---------
+#
+# RatFunc builds a product, inverse or power of single terms from the
+# exponent keys, and MPoly powers a polynomial as the chain P^k = P^(k-1)*P.
+# These are the bodies they replaced: the general product of pairs, which
+# _simplify reduces, and square-and-multiply.
+
+
+def general_ratfunc_mul(r, s):
+    s = as_ratfunc(s)
+    return RatFunc(r.num * s.num, r.den * s.den)
+
+
+def general_ratfunc_inverse(r):
+    if r.is_zero():
+        raise ZeroDivisionError("inverse of the zero rational function")
+    return RatFunc(r.den, r.num)
+
+
+def general_ratfunc_pow(r, n):
+    if not isinstance(n, int):
+        raise TypeError("exponent must be an integer")
+    base = r if n >= 0 else general_ratfunc_inverse(r)
+    result = RatFunc.const(1)
+    for _ in range(abs(n)):
+        result = general_ratfunc_mul(result, base)
+    return result
+
+
+def square_and_multiply_mpoly_pow(p, n):
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("MPoly exponent must be a nonnegative integer")
+    base, result = p, MPoly.const(1)
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@contextlib.contextmanager
+def general_ratfunc_arithmetic():
+    """RatFunc's product, inverse and power as the general bodies above,
+    while the block runs."""
+    names = ("__mul__", "__rmul__", "inverse", "__pow__")
+    saved = {name: RatFunc.__dict__[name] for name in names}
+    RatFunc.__mul__ = RatFunc.__rmul__ = general_ratfunc_mul
+    RatFunc.inverse = general_ratfunc_inverse
+    RatFunc.__pow__ = general_ratfunc_pow
+    try:
+        yield
+    finally:
+        for name, method in saved.items():
+            setattr(RatFunc, name, method)
+
+
+def outcome(compute, *args):
+    """The num/den pair or polynomial terms ``compute(*args)`` returns, or
+    the type and text of the exception it raises."""
+    try:
+        value = compute(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, MPoly):
+        return list(value.terms.items())
+    return list(value.num.terms.items()), list(value.den.terms.items())
 
 
 def rand_mpoly(rng, names=("y", "z"), max_terms=3, max_exp=3, span=3):

@@ -174,6 +174,16 @@ def test_verify_schema_violation_exits_2(tmp_path, capsys):
     assert "support outside 4 <= i+2j <= 8: (0, 1)" in err
 
 
+def test_verify_another_schema_version_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, {"schema": "enricert-input/2", "families": [], "maps": []})
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "schema violation: document: 'schema' must be 'enricert-input/1'\n"
+    )
+
+
 def test_verify_repeated_parameter_exits_2(tmp_path, capsys):
     # the repeated name used to pass with moduli count 6 over 7 parameters;
     # family1 has 5 moduli

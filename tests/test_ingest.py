@@ -120,6 +120,10 @@ def test_repeated_support_pairs_accumulate():
     "mutate,fragment",
     [
         (lambda d: d.__setitem__("extra", 1), "unknown keys ['extra']"),
+        (lambda d: d.__setitem__("schema", "enricert-input/2"),
+         "document: 'schema' must be 'enricert-input/1'"),
+        (lambda d: d.__setitem__("schema", 5), "'schema' must be 'enricert-input/1'"),
+        (lambda d: d.__setitem__("schema", None), "'schema' must be 'enricert-input/1'"),
         (lambda d: d.__setitem__("families", {}), "'families' must be a list"),
         (lambda d: d.__setitem__("maps", "x"), "'maps' must be a list"),
         (lambda d: d["families"][0].pop("name"), "missing key 'name'"),
@@ -180,6 +184,14 @@ def test_schema_violations(mutate, fragment):
     with pytest.raises(SchemaError) as info:
         load_document(doc)
     assert fragment in str(info.value)
+
+
+def test_the_schema_key_may_be_absent():
+    doc = base_doc()
+    assert "schema" not in doc
+    without = load_document(doc)
+    doc["schema"] = "enricert-input/1"
+    assert serialize_document(*load_document(doc)) == serialize_document(*without)
 
 
 def test_schema_violation_names_location():

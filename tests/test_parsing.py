@@ -10,10 +10,13 @@ import hypothesis.strategies as st
 
 from enricert.errors import ParseError
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
-from enricert.parsing import MAX_NESTING, _Parser, parse_expression
-from enricert.poly import MPoly, RatFunc, as_ratfunc
+from enricert.parsing import MAX_NESTING, parse_expression
+from enricert.poly import MPoly, RatFunc
 
-from _helpers import WELL_FORMED_EXPRESSIONS, rand_cyclo, rand_mpoly, nonzero_mpoly
+from _helpers import (
+    WELL_FORMED_EXPRESSIONS, general_ratfunc_arithmetic, nonzero_mpoly, outcome, rand_cyclo,
+    rand_mpoly,
+)
 
 
 def const(value):
@@ -207,20 +210,15 @@ def test_rational_round_trip(seed):
     assert parse_expression(str(r)) == r
 
 
-class _RatFuncParser(_Parser):
-    """The grammar with every atom a RatFunc, so that every operation is
-    RatFunc arithmetic: the reference for the parser's LaurentTerm path."""
-
-    def atom(self):
-        return as_ratfunc(super().atom())
+def _outcome(text):
+    return outcome(parse_expression, text)
 
 
-def _outcome(parser, text):
-    try:
-        value = parser(text).parse()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return value.num, value.den
+def _general_outcome(text):
+    """The outcome with every product, inverse and power the general RatFunc
+    body: the reference for the single-term (Laurent-term) path."""
+    with general_ratfunc_arithmetic():
+        return _outcome(text)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -241,7 +239,7 @@ def _outcome(parser, text):
 @example("(i*w/(y^2*z^3))^-8*(y^2*z^3)^8")
 def test_the_laurent_term_path_matches_the_ratfunc_evaluator(text):
     # the same pair, or the same exception with the same text
-    assert _outcome(_Parser, text) == _outcome(_RatFuncParser, text)
+    assert _outcome(text) == _general_outcome(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -250,10 +248,11 @@ def test_the_laurent_term_path_matches_the_ratfunc_evaluator(text):
     "y^64/y^64*y^64", "(y*z/y)^64", "(z^2/(y*z))^-64",
 ])
 def test_a_monomial_expression_takes_no_ratfunc_product(monkeypatch, text):
-    expected = _outcome(_RatFuncParser, text)
+    # no product of polynomials: RatFunc multiplies single terms by their keys
+    expected = _general_outcome(text)
 
     def refuse(self, other):
-        raise AssertionError(f"RatFunc product while parsing {text!r}")
+        raise AssertionError(f"MPoly product while parsing {text!r}")
 
-    monkeypatch.setattr(RatFunc, "__mul__", refuse)
-    assert _outcome(_Parser, text) == expected
+    monkeypatch.setattr(MPoly, "__mul__", refuse)
+    assert _outcome(text) == expected

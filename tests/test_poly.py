@@ -21,7 +21,9 @@ from enricert.parsing import parse_expression
 from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, slot
 
 from _helpers import (
-    nonzero_cyclo, nonzero_mpoly, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
+    general_ratfunc_inverse, general_ratfunc_mul, general_ratfunc_pow, nonzero_cyclo,
+    nonzero_mpoly, outcome, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
+    square_and_multiply_mpoly_pow,
 )
 
 
@@ -340,10 +342,11 @@ def _polynomial_value(rng):
 def _polynomial_case(seed):
     """(p, assignment) with a random nonempty subset of _SLOTS assigned, at
     least one slot to a polynomial value and the others to Laurent
-    monomials.  Exponents stay at most 2 per slot and values at most degree
-    3, far inside the lane guard and the cap."""
+    monomials.  Exponents reach 5 per slot, so a polynomial value enters at
+    powers up to 5.  Values stay at most degree 3, so the image degrees stay
+    under 64 and the lane guard and the cap are never reached."""
     rng = random.Random(seed)
-    p = rand_mpoly(rng, names=_SLOTS, max_terms=4, max_exp=2)
+    p = rand_mpoly(rng, names=_SLOTS, max_terms=4, max_exp=5)
     assigned = rng.sample(_SLOTS, rng.randint(1, len(_SLOTS)))
     assignment = {n: _laurent_value(rng) for n in assigned}
     for n in rng.sample(assigned, rng.randint(1, len(assigned))):
@@ -471,6 +474,20 @@ def test_over_the_bound_falls_back_and_raises_the_cap_error(poly_text, values):
     with pytest.raises(DegreeCapError) as err:
         p.substitute(assignment)
     assert str(err.value) == "product term of total degree 80 exceeds cap 64"
+
+
+def test_a_cap_error_of_the_monomial_path_hands_over():
+    # both paths build P^4 and Q^4, 330 terms each; the monomial path then
+    # multiplies them (SizeCapError), the term-by-term path multiplies
+    # w^56 * P^4 by Q^4 (DegreeCapError), and the error is the latter's
+    p = parse_expression("w^56*y^4*z^4").as_poly()
+    squares = " + ".join(f"{n}^2" for n in ("A", "B", "C", "D", "E", "F", "alpha", "Y"))
+    assignment = {"y": parse_expression(squares), "z": parse_expression(squares)}
+    values = p._values(assignment)
+    assert p._substitute_monomials(values) is None
+    with pytest.raises(DegreeCapError) as err:
+        p.substitute(assignment)
+    assert str(err.value) == "product term of total degree 72 exceeds cap 64"
 
 
 def test_term_by_term_builds_each_power_from_the_one_before(monkeypatch):
@@ -1138,6 +1155,126 @@ def test_fast_paths_on_pairs_that_differ(left, right):
         assert _same_pair(-a, _general_neg(a))
         assert _same_pair(a - b, _general_sub(a, b))
         assert not (a - b).is_zero()
+
+
+# -- single-term RatFunc arithmetic and MPoly powers against the general bodies ---
+#
+# A product, inverse or power of RatFuncs that are one term over one term is
+# built from the keys, and MPoly powers a polynomial as the chain
+# P^k = P^(k-1) * P.  The bodies they replaced are in _helpers.  The results
+# must be the same pairs, term order included, or the same exception text.
+
+_CAP_NAMES = ("w", "y", "alpha")  # the top, a middle and the bottom lane
+
+
+def _capped_exponents(top):
+    """Exponents of w, y and alpha of total degree at most ``top``."""
+    return st.integers(0, top).flatmap(
+        lambda t: st.tuples(st.integers(0, t), st.integers(0, t)).map(
+            lambda ab: dict(zip(_CAP_NAMES, (min(ab), max(ab) - min(ab), t - max(ab))))
+        )
+    )
+
+
+_single_ratfuncs = st.builds(
+    lambda e, f, c, d: RatFunc(MPoly.monomial(e, c), MPoly.monomial(f, d)),
+    _capped_exponents(DEGREE_CAP), _capped_exponents(DEGREE_CAP),
+    _nonzero_cyclos, st.sampled_from((ONE, Cyclo(2), SQRT_M1)),
+)
+_operands = st.one_of(_single_ratfuncs, _ratfuncs, st.just(RatFunc.zero()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_operands, _operands, st.integers(-8, 8))
+# the parser's cap edges: products, quotients and powers just over or at the
+# degree cap, in the numerator and in the denominator, and the zero divisors
+@example(parse_expression("y^40"), parse_expression("y^25"), 1)
+@example(parse_expression("y^40"), parse_expression("y^24"), 2)
+@example(parse_expression("1/y^40"), parse_expression("1/z^25"), -1)
+@example(parse_expression("y^2/z"), parse_expression("y/z^2"), 33)
+@example(parse_expression("y^2/z"), parse_expression("y/z^2"), -33)
+@example(parse_expression("y/z^2"), parse_expression("z"), -32)
+@example(RatFunc.zero(), parse_expression("y^64"), 64)
+@example(RatFunc.zero(), parse_expression("w"), -2)
+@example(RatFunc.zero(), RatFunc.const(1), 0)
+@example(parse_expression("i*w/(y^2*z^3)"), parse_expression("(y^2*z^3)^8"), -8)
+def test_single_term_ratfunc_arithmetic_matches_the_general_bodies(r, s, n):
+    assert outcome(RatFunc.__mul__, r, s) == outcome(general_ratfunc_mul, r, s)
+    assert outcome(RatFunc.__mul__, s, r) == outcome(general_ratfunc_mul, s, r)
+    for a in (r, s):
+        assert outcome(RatFunc.inverse, a) == outcome(general_ratfunc_inverse, a)
+        assert outcome(pow, a, n) == outcome(general_ratfunc_pow, a, n)
+
+
+_mpoly_operands = st.one_of(
+    st.builds(MPoly.monomial, _capped_exponents(DEGREE_CAP), _nonzero_cyclos),
+    _refs.map(_from_ref),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_mpoly_operands, st.integers(0, 8))
+@example(MPoly.monomial({"y": 8}), 8)
+@example(MPoly.monomial({"y": 13}), 5)
+@example(V("y") + V("z"), 64)
+@example(V("y") + V("z"), 65)
+@example(MPoly.zero(), 0)
+@example(MPoly.zero(), 3)
+def test_mpoly_power_matches_square_and_multiply(p, n):
+    # the same terms; over the cap, a DegreeCapError from both, whose degree
+    # may differ (see the next test)
+    try:
+        want = square_and_multiply_mpoly_pow(p, n)
+    except DegreeCapError:
+        with pytest.raises(DegreeCapError):
+            p ** n
+        return
+    got = p ** n
+    assert got == want and str(got) == str(want)
+
+
+def test_an_mpoly_power_over_the_cap_names_the_first_chain_product():
+    # square-and-multiply squares y^40 first; the chain stops at y^60 * y^10
+    y10 = MPoly.monomial({"y": 10})
+    with pytest.raises(DegreeCapError, match="total degree 80 exceeds"):
+        square_and_multiply_mpoly_pow(y10, 8)
+    with pytest.raises(DegreeCapError, match="total degree 70 exceeds"):
+        y10 ** 8
+
+
+def _products_by(monkeypatch, factor):
+    """The left operand of each MPoly product by ``factor`` from now on."""
+    mul = MPoly.__mul__
+    lefts = []
+
+    def counting(self, other):
+        if other is factor:
+            lefts.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    return lefts
+
+
+def test_an_mpoly_power_multiplies_by_the_base_each_step(monkeypatch):
+    p = V("y") + V("z").scale(SQRT_M1) - 1
+    want = square_and_multiply_mpoly_pow(p, 6)
+    lefts = _products_by(monkeypatch, p)
+    assert p ** 6 == want
+    assert [len(left.terms) for left in lefts] == [1, 3, 6, 10, 15, 21]
+
+
+def test_the_monomial_path_builds_each_power_from_the_one_before(monkeypatch):
+    # y + y^2 + ... + y^d at y -> y + z: P^2, ..., P^d cost one product by P
+    # each, as in the term-by-term path
+    d = 6
+    p = MPoly.sum_monomials(({"y": k}, 1) for k in range(1, d + 1))
+    value = parse_expression("y + z")
+    expected = p._substitute_terms(p._values({"y": value}))
+    lefts = _products_by(monkeypatch, value.num)
+    fast = p._substitute_monomials(p._values({"y": value}))
+    assert [len(left.terms) for left in lefts] == list(range(2, d + 1))
+    assert (fast.num, fast.den) == (expected.num, expected.den)
 
 
 # -- equality of pairs over single-term denominators ------------------------------
