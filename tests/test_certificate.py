@@ -25,7 +25,8 @@ from enricert.certificate import (
     verify_all,
 )
 from enricert.cli import main
-from enricert.ingest import ingest, load_document, serialize_document
+from enricert.cover import family, k3_cover
+from enricert.ingest import ingest, load_document, serialize_document, serialize_family
 
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 PINNED_RUNS = Path(__file__).parent / "data" / "pinned_document_runs.json"
@@ -377,6 +378,34 @@ def _rational_value_map_doc():
     return doc
 
 
+def _k3_cover_families_doc():
+    # with the K3 covers of families 1 and 2 in the document, the fixture's
+    # lifts and deck_flip get invariance, order and 2-form ratio records
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["families"] += [serialize_family(k3_cover(family(k))) for k in (1, 2)]
+    return doc
+
+
+def _nonconstant_ratio_map_doc():
+    # y -> z/y preserves A*z^2 + B*z^3 but its bi-2-form ratio is not
+    # constant; y -> y*z, z -> y*z does not preserve it
+    return {
+        "schema": "enricert-input/1",
+        "families": [{
+            "name": "zonly", "kind": "enriques_horikawa", "parameters": ["A", "B"],
+            "monomials": [
+                {"i": 0, "j": 2, "coeff": {"param": "A", "scalar": "1,0,0,0"}},
+                {"i": 0, "j": 3, "coeff": {"param": "B", "scalar": "1,0,0,0"}},
+            ],
+        }],
+        "maps": [
+            {"name": "flip", "coords": {"w": "w", "y": "z/y", "z": "z"}},
+            {"name": "singular", "coords": {"w": "w", "y": "y*z", "z": "y*z"}},
+        ],
+    }
+
+
 def test_checks_never_short_circuit():
     cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
@@ -461,6 +490,8 @@ _PINNED_DOCUMENTS = {
     "monomial-denominator-map": _monomial_denominator_map_doc,
     "polynomial-value-map": _polynomial_value_map_doc,
     "rational-value-map": _rational_value_map_doc,
+    "k3-cover-families": _k3_cover_families_doc,
+    "nonconstant-ratio-map": _nonconstant_ratio_map_doc,
 }
 
 
