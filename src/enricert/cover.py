@@ -56,15 +56,6 @@ BRANCH_SUPPORT = {
 }
 
 
-_PARAMETER_SLOTS = tuple(slot(p) for p in PARAMETERS)
-
-
-def _param_degree(poly: MPoly) -> int:
-    if poly.is_zero():
-        return 0
-    return max(sum(e[i] for i in _PARAMETER_SLOTS) for e in poly.support())
-
-
 class SurfaceFamily:
     """A parameter family w^2 = z*f(y,z) (kind enriques_horikawa) or
     W^2 = g(Y,Z) (kind k3_cover).
@@ -121,7 +112,7 @@ class SurfaceFamily:
                 f"branch uses variables {sorted(used - allowed)} outside "
                 f"{sorted(allowed)}"
             )
-        if _param_degree(self.branch) > 1:
+        if self.branch.parameter_degree() > 1:
             raise InvariantError("branch is not affine-linear in the parameters")
         admissible, bound = BRANCH_SUPPORT[self.kind]
         support = self.geometric_support()
@@ -243,7 +234,7 @@ def specialize(fam: SurfaceFamily, substitution: Mapping[str, object]) -> Surfac
             raise InvariantError(
                 f"substitution for {name} uses geometric variables {sorted(geometric)}"
             )
-        if _param_degree(p) > 1:
+        if p.parameter_degree() > 1:
             raise InvariantError(
                 f"substitution for {name} is not affine-linear in the parameters"
             )

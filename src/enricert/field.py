@@ -141,7 +141,15 @@ class Cyclo:
         return _raw((-n0, -n1, -n2, -n3, d))
 
     def __sub__(self, other) -> "Cyclo":
-        return self + (-Cyclo.coerce(other))
+        # self + (-other) in one step
+        a0, a1, a2, a3, ad = self._q
+        b0, b1, b2, b3, bd = (other if type(other) is Cyclo else Cyclo.coerce(other))._q
+        if ad == bd:
+            return _reduced(a0 - b0, a1 - b1, a2 - b2, a3 - b3, ad)
+        return _reduced(
+            a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, a3 * bd - b3 * ad,
+            ad * bd,
+        )
 
     def __rsub__(self, other) -> "Cyclo":
         return Cyclo.coerce(other) + (-self)

@@ -20,6 +20,16 @@ and returns the constant, whose multiplicative order is the index of the
 automorphism.  Each ratio takes the InvarianceResult already certified for
 (fam, phi) rather than certifying it again; a result that does not hold
 raises PreconditionError.
+
+A monomial map with a = 0, x_v -> c_v * x^(M_v), has the one-term Jacobian
+J = det(M) * c_y * c_z * x^(M_y + M_z - e_y - e_z), so each ratio is one
+term, read from the map's exponent form (BirMap.exponent_form).  When its
+exponent is zero the ratio is the constant c_z * (det * c_y * c_z)^2 / c_w^2
+for the bi-2-form and det * c_y * c_z / c_w for the K3 2-form.  Any other
+map, a non-constant ratio, det = 0, or a map whose general products could
+pass DEGREE_CAP takes the RatFunc bodies, _bitwoform_by_ratfuncs and
+_k3_twoform_by_ratfuncs, which return the same value or raise their own
+error text.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .field import Cyclo, root_of_unity_order
-from .poly import RatFunc, jacobian_det2
+from .poly import DEGREE_CAP, RatFunc, jacobian_det2
 from .cover import ENRIQUES, K3, SurfaceFamily
 from .maps import BirMap, InvarianceResult
 
@@ -47,6 +57,33 @@ def _jacobian(fam: SurfaceFamily, phi: BirMap) -> RatFunc:
     return jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
 
 
+def _monomial_parts(fam: SurfaceFamily, phi: BirMap):
+    """J, b and phi*z / z for a monomial phi with a = 0, each as (scalar,
+    exponent over the base variables), or None.
+
+    With phi*y = c_y * x^(M_y), phi*z = c_z * x^(M_z) and phi*w =
+    c_w * x^(M_w) * w, the Jacobian J = det(M) * c_y * c_z *
+    x^(M_y + M_z - e_y - e_z) is one term, where M is the base block of
+    the exponent matrix, so each ratio is one term too.  None where phi is
+    not of this form, where det(M) = 0, or where a product of the general
+    body could pass DEGREE_CAP: each of its products is at most the sum of
+    its factors' |exponents|, and their largest sum is
+    |M_z| + 1 + 2 * (|M_y| + |M_z| + 2) + 2 * |M_w| (phi*z / z * J^2 / b^2).
+    """
+    form = phi.exponent_form
+    if form is None or phi.variables != fam.variables:
+        return None
+    (cw, (kw, *mw)), (cy, (_, *my)), (cz, (_, *mz)) = form
+    det = my[0] * mz[1] - my[1] * mz[0]
+    if kw != 1 or det == 0:
+        return None
+    size_y, size_z, size_w = (sum(map(abs, row)) for row in (my, mz, mw))
+    if size_z + 1 + 2 * (size_y + size_z + 2) + 2 * size_w > DEGREE_CAP:
+        return None
+    jacobian = (cy * cz * det, (my[0] + mz[0] - 1, my[1] + mz[1] - 1))
+    return jacobian, (cw, tuple(mw)), (cz, (mz[0], mz[1] - 1))
+
+
 def bitwoform_pullback_ratio(
     fam: SurfaceFamily, phi: BirMap, invariance: InvarianceResult
 ) -> Cyclo:
@@ -60,6 +97,17 @@ def bitwoform_pullback_ratio(
         raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
+    parts = _monomial_parts(fam, phi)
+    if parts is not None:
+        (jc, je), (bc, be), (zc, ze) = parts
+        # (phi*z / z) * J^2 / b^2
+        if all(z + 2 * (j - b) == 0 for z, j, b in zip(ze, je, be)):
+            return zc * jc * jc / (bc * bc)
+    return _bitwoform_by_ratfuncs(fam, phi)
+
+
+def _bitwoform_by_ratfuncs(fam: SurfaceFamily, phi: BirMap) -> Cyclo:
+    """bitwoform_pullback_ratio in RatFunc arithmetic, for any map."""
     jac = _jacobian(fam, phi)
     b2 = fam.base_vars[1]
     scale = phi.coords[b2] / RatFunc.var(b2) * jac * jac
@@ -81,6 +129,17 @@ def k3_twoform_ratio(
         raise PreconditionError("2-form ratios live on k3_cover families")
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
+    parts = _monomial_parts(fam, phi)
+    if parts is not None:
+        (jc, je), (bc, be), _ = parts
+        # J / b
+        if je == be:
+            return jc / bc
+    return _k3_twoform_by_ratfuncs(fam, phi)
+
+
+def _k3_twoform_by_ratfuncs(fam: SurfaceFamily, phi: BirMap) -> Cyclo:
+    """k3_twoform_ratio in RatFunc arithmetic, for any map."""
     jac = _jacobian(fam, phi)
     a, b = phi.cover_parts()
     what = f"2-form ratio of {phi.label}"

@@ -19,6 +19,16 @@ morphism, where composition is (c, M) . (d, N) = (c * d^M, M N) with
 (d^M)_v = prod_u d_u^(M_vu), and the identity is ((1, 1, 1), 1).  Powers
 are taken there, with no RatFunc, compose or BirMap per power.  Maps with
 no exponent form are composed, one compose and is_identity per power.
+BirMap.exponent_form computes a map's form once; the form ratios in the
+forms module read it too.
+
+check_equation_invariance has a short path for a single-term cover
+coordinate, c * x^m * w or c * x^m: one of a and b is zero, so the odd part
+2ab is zero with no product, and the even part is one Laurent sum
+(poly.laurent_difference).  Any other map, or one whose RatFunc arithmetic
+could pass a cap, takes that arithmetic, _invariance_by_ratfuncs, the way
+map_order falls back to _order_by_composition; both return the same
+witness.
 
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
@@ -32,13 +42,14 @@ these matrices; a QAut is built only for a root found.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeCapError, InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
-from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, slot
+from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily
 
 
@@ -91,6 +102,13 @@ class BirMap:
         r = self.coords[self.cover_var]
         a, b = (r.num.coefficient({self.cover_var: k}) for k in (0, 1))
         return RatFunc(a, r.den), RatFunc(b, r.den)
+
+    @functools.cached_property
+    def exponent_form(self):
+        """The map as (c, M), the pairs (c_v, M_v) of x_v -> c_v * x^(M_v)
+        in the order of its variables, or None when it is not monomial; see
+        the module docstring.  Computed once per map."""
+        return _exponent_form(self)
 
     @staticmethod
     def identity(variables: Sequence[str] = ENRIQUES_VARS) -> "BirMap":
@@ -157,7 +175,7 @@ def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
     DegreeCapError.  That bounds the exponents, and so the work, of every
     step.  A phi with no exponent form is composed with its powers instead.
     """
-    power = form = _exponent_form(phi)
+    power = form = phi.exponent_form
     if form is None:
         return _order_by_composition(phi, max_n)
     for n in range(1, max_n + 1):
@@ -270,7 +288,30 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
     denominators it amounts to the antisymmetry identity of the branch
     polynomial.  On failure the numerators of the even and odd parts are the
     witness.
+
+    A single-term cover coordinate is c * x^m * w or c * x^m, so one of a
+    and b is zero, and with it the odd part.  The even part is then
+    t * S - S(phi*y, phi*z) with t = b^2, or t = a^2 with 1 in place of S,
+    and poly.laurent_difference sums it in one pass when the pulled-back
+    relation has a monomial denominator, as it has for monomial maps.  Every
+    other map, and any whose RatFunc arithmetic could pass a cap, takes that
+    arithmetic, _invariance_by_ratfuncs, which returns the same witness.
     """
+    relation, pulled, a, b = pullback = _pullback(fam, phi)
+    if a.is_zero() or b.is_zero():
+        # a^2 or b^2 as the general body forms it, cap error included
+        t, p = (b * b, relation) if a.is_zero() else (a * a, _ONE)
+        even = laurent_difference(t, p, pulled)
+        if even is not None:
+            return InvarianceResult(even, MPoly.zero())
+    return _invariance_by_ratfuncs(*pullback)
+
+
+_ONE = MPoly.const(1)
+
+
+def _pullback(fam: SurfaceFamily, phi: BirMap):
+    """(S, S(phi*y, phi*z), a, b) for phi*w = a + b*w."""
     if phi.variables != fam.variables:
         raise PreconditionError(
             f"map over {phi.variables} cannot act on a family over {fam.variables}"
@@ -279,6 +320,11 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
     relation = fam.relation()
     pulled = relation.substitute({b1: phi.coords[b1], b2: phi.coords[b2]})
     a, b = phi.cover_parts()
+    return relation, pulled, a, b
+
+
+def _invariance_by_ratfuncs(relation, pulled, a, b) -> InvarianceResult:
+    """check_equation_invariance in RatFunc arithmetic, for any map."""
     even = a * a + b * b * RatFunc.from_poly(relation) - pulled
     odd = 2 * a * b
     return InvarianceResult(even.num, odd.num)

@@ -24,7 +24,8 @@ lanes, and leaves the guard of lane i set exactly when e_i >= f_i.  One
 subtraction thus tests whether x^f divides x^e (exact division) and selects
 the smaller lane of two keys (the monomial content).  Only this module
 knows the layout: exponent tuples come in through const, var, monomial and
-sum_monomials, and go out through support and term_items.
+sum_monomials, and go out through support and term_items.  The read-outs
+parameter_degree and laurent_difference work on the keys themselves.
 
 Terms are ordered graded-lexicographically for display and for the
 exact-division algorithm.
@@ -88,8 +89,11 @@ alone.
 
 RatFunc arithmetic skips steps whose result is already known, and returns
 the pair, term order included, that the general path returns.
-Subtracting an identical simplified pair is zero: the general path would
-add num and -num over the shared denominator and multiply nothing.
+Subtraction is one pass, in MPoly and in RatFunc's general path: it
+subtracts b's coefficients where a + (-b) would first build a negated copy
+of b, with the same products, cap tests and term order.  Subtracting an
+identical simplified pair is zero: the general path would subtract num
+from num over the shared denominator and multiply nothing.
 Negation negates the numerator of a simplified pair, which changes no key
 and no divisibility, so it is simplified already.  Neither skips a cap
 error: the general subtraction multiplies nothing, and the general negation
@@ -103,6 +107,12 @@ power multiplies the keys by k.  The denominator keeps coefficient 1.  The
 product and power first take the test the general path's products take,
 each total degree at most DEGREE_CAP (for a power, the last product's);
 over it they take the general path, which raises its own error.
+
+One difference has a path of its own: t * p - q for t one term over one
+term and q over a monomial, the even part of an invariance check of a
+monomial map.  laurent_difference sums it over one common monomial
+denominator and cancels the content once, and hands back None wherever a
+product of the general arithmetic could pass a cap.
 """
 
 from __future__ import annotations
@@ -150,6 +160,8 @@ _GUARD = _ONES << (_BITS - 1)
 _LANES = (1 << _DEG) - 1
 # Every lane at 127, above any stored exponent: the start of a minimum.
 _LANE_TOP = _GUARD - _ONES
+# The lanes of the PARAMETERS, the lowest ones.
+_PARAMETER_LANES = (1 << _BITS * len(PARAMETERS)) - 1
 
 
 def slot(name: str) -> int:
@@ -293,6 +305,14 @@ class MPoly:
         s = _SHIFTS[slot(name)]
         return max(((e >> s) & _LANE for e in self.terms), default=0)
 
+    def parameter_degree(self) -> int:
+        """The largest total degree of a term in the PARAMETERS.
+
+        They are the seven lowest lanes, which total at most DEGREE_CAP,
+        so a term's lane sum is its masked key modulo 255 (see _with_degree).
+        """
+        return max(((e & _PARAMETER_LANES) % _LANE for e in self.terms), default=0)
+
     def variables(self) -> Tuple[str, ...]:
         used = 0
         for e in self.terms:
@@ -343,10 +363,16 @@ class MPoly:
         return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        return self + (-self._coerce(other))
+        # one pass, with the terms and term order of self + (-other)
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = out.get(e)
+            out[e] = -c if prev is None else prev - c
+        return MPoly(out)
 
     def __rsub__(self, other) -> "MPoly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
@@ -779,9 +805,15 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         other = self._coerce(other)
         if self.den.terms == other.den.terms and self.num.terms == other.num.terms:
-            # the general path adds num and -num over the shared den
+            # the general path subtracts num from num over the shared den
             return RatFunc.zero()
-        return self + (-other)
+        # self + (-other) in one pass: the same products, cap tests and
+        # term order, with other's coefficients subtracted, not negated
+        if self.den == other.den:
+            return RatFunc(self.num - other.num, self.den)
+        return RatFunc(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __rsub__(self, other) -> "RatFunc":
         return self._coerce(other) - self
@@ -889,6 +921,60 @@ def as_ratfunc(x) -> RatFunc:
     if isinstance(x, (Cyclo, Fraction, int)):
         return RatFunc.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to RatFunc")
+
+
+def laurent_difference(t: RatFunc, p: MPoly, q: RatFunc) -> Optional[MPoly]:
+    """The numerator of t * p - q, or None where it does not apply.
+
+    It applies when t is one term over one term, c * x^n / x^d, and q has a
+    monomial denominator, Q / x^M.  Over the lane-wise maximum L of d and M,
+    t * p - q is then one Laurent sum,
+
+        (c * x^(n + L - d) * p - x^(L - M) * Q) / x^L,
+
+    and one _lane_min cancels the content common to its numerator and x^L.
+    A polynomial over a monomial has one simplified form, so the numerator
+    left is that of t * RatFunc.from_poly(p) - q.  That general arithmetic
+    multiplies c * x^n by p and, to subtract, each numerator by the other
+    denominator and x^d by x^M.  Where one of those products could pass
+    DEGREE_CAP or MAX_TERM_PAIRS, bounded by the operands' top degrees and
+    term counts before any cancellation, this returns None, so the caller's
+    general arithmetic raises its own error.  Within the bound every key of
+    the sum has a total degree under DEGREE_CAP.
+    """
+    tn, td, qd = t.num.terms, t.den.terms, q.den.terms
+    if len(tn) != 1 or len(td) != 1 or len(qd) != 1:
+        return None
+    ((n, c),) = tn.items()
+    (d,) = td
+    (m,) = qd
+    pterms, qterms = p.terms, q.num.terms
+    top_tp = (n >> _DEG) + (max(pterms, default=0) >> _DEG)
+    top_q = max(qterms, default=0) >> _DEG
+    deg_d, deg_m = d >> _DEG, m >> _DEG
+    if (
+        top_tp + deg_m > DEGREE_CAP
+        or top_q + deg_d > DEGREE_CAP
+        or deg_d + deg_m > DEGREE_CAP
+        or max(len(pterms), len(qterms)) > MAX_TERM_PAIRS
+    ):
+        return None
+    lcm = d + m - _with_degree(_lane_min((m,), d & _LANES))
+    # over x^lcm: p's terms move up by n + lcm - d, Q's by lcm - m
+    up = n + lcm - d
+    if c == ONE:
+        sums = {e + up: v for e, v in pterms.items()}
+    else:
+        sums = {e + up: v * c for e, v in pterms.items()}
+    up = lcm - m
+    for e, v in qterms.items():
+        prev = sums.get(e + up)
+        sums[e + up] = -v if prev is None else prev - v
+    terms = {e: v for e, v in sums.items() if not v.is_zero()}
+    content = _lane_min(terms, lcm & _LANES) if terms else 0
+    if content:
+        return _shift_down(_wrap(terms), _with_degree(content))
+    return _wrap(terms)
 
 
 def jacobian_det2(fy: RatFunc, fz: RatFunc, vy: str = "y", vz: str = "z") -> RatFunc:

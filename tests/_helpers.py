@@ -6,6 +6,8 @@ seed printed by the test that caught them.
 """
 
 import contextlib
+import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -13,7 +15,8 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from enricert import SQRT_M1, Cyclo, MPoly, Mobius, RatFunc
+from enricert import SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc
+from enricert.cover import family, k3_cover
 from enricert.ingest import load_document
 from enricert.poly import as_ratfunc, slot
 
@@ -180,6 +183,55 @@ def rand_monomial_plane_map(rng, span=2):
     return c1 * y ** a * z ** b, c2 * y ** c * z ** d
 
 
+def monomial_map(variables, scalars, rows):
+    """The map x_v -> scalars[v] * x^rows[v] over its own three variables."""
+    coords = {}
+    for v, c, row in zip(variables, scalars, rows):
+        num = MPoly.monomial({x: k for x, k in zip(variables, row) if k > 0}, c)
+        den = MPoly.monomial({x: -k for x, k in zip(variables, row) if k < 0})
+        coords[v] = RatFunc(num, den)
+    return BirMap(variables, coords, label="m")
+
+
+_SIGNED_PERMUTATIONS = [
+    tuple(tuple(s * (j == p) for j in range(2)) for p, s in zip(perm, signs))
+    for perm in itertools.permutations(range(2))
+    for signs in itertools.product((1, -1), repeat=2)
+]
+_EXPONENT = st.integers(-3, 3)
+ROOT_OF_UNITY = st.integers(0, 7).map(lambda k: ZETA8 ** k)
+_SCALAR = st.one_of(
+    ROOT_OF_UNITY,
+    st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    .filter(lambda q: q != 0).map(Cyclo.from_rational),
+)
+#: Base blocks of exponent matrices: signed permutations and any entries in
+#: -3..3.
+BASE_BLOCKS = st.one_of(
+    st.sampled_from(_SIGNED_PERMUTATIONS),
+    st.tuples(st.tuples(_EXPONENT, _EXPONENT), st.tuples(_EXPONENT, _EXPONENT)),
+)
+#: Base blocks of determinant 0: the second row a multiple of the first.
+SINGULAR_BLOCKS = st.tuples(_EXPONENT, _EXPONENT).flatmap(
+    lambda row: st.integers(-2, 2).map(lambda k: (row, (k * row[0], k * row[1])))
+)
+
+
+@st.composite
+def monomial_maps(draw, variables, blocks=BASE_BLOCKS):
+    """Monomial maps whose exponent rows have entries in -3..3, with the
+    cover coordinate c * x^m * w or c * x^m and the base block drawn from
+    ``blocks``."""
+    base = draw(blocks)
+    cover_row = draw(st.one_of(
+        st.just((1, 0, 0)), st.tuples(st.integers(0, 1), _EXPONENT, _EXPONENT)
+    ))
+    rows = (cover_row,) + tuple((0,) + row for row in base)
+    # maps of finite order need roots of unity in every coordinate
+    scalar = ROOT_OF_UNITY if draw(st.booleans()) else _SCALAR
+    return monomial_map(variables, draw(st.tuples(scalar, scalar, scalar)), rows)
+
+
 def load_docgen():
     """``perfbench/docgen.py``, the benchmark's document generator, imported
     from its directory and only read."""
@@ -215,6 +267,14 @@ def document_families(seeds=(1, 2, 3), indices=(0, 1, 2)):
     """Every family of the generated documents of the given seeds and
     indices."""
     return [fam for doc in _documents(seeds, indices) for fam in doc.families]
+
+
+@functools.lru_cache(maxsize=1)
+def builtin_and_document_families():
+    """The built-in families, their K3 covers and the families of the
+    generated documents of seed 1."""
+    families = [family(k) for k in (1, 2, 3)]
+    return tuple(families + [k3_cover(f) for f in families] + document_families(seeds=(1,)))
 
 
 def bis_condition(cover, which):

@@ -28,6 +28,8 @@ from enricert.cli import main
 from enricert.cover import family, k3_cover
 from enricert.ingest import ingest, load_document, serialize_document, serialize_family
 
+from _helpers import load_docgen
+
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 PINNED_RUNS = Path(__file__).parent / "data" / "pinned_document_runs.json"
 
@@ -193,6 +195,24 @@ def test_a_run_certifies_each_pair_once_and_builds_each_cover_once(monkeypatch):
     assert verify_all().overall == "pass"
     assert len(pairs) == len(set(pairs)) == 8
     assert len(covers) == len(set(covers)) == 3
+
+
+def test_builtin_and_generated_runs_never_reach_the_ratfunc_bodies(monkeypatch):
+    # every invariance check and form ratio of these runs is of a monomial
+    # map, so each takes its short path; the RatFunc bodies are fallbacks
+    import enricert.forms as forms
+    import enricert.maps as maps
+
+    doc = load_document(json.loads(load_docgen().generate(1, 0)[0]))
+    want = [verify_all().to_json(), verify_all(document=doc).to_json()]
+
+    def refuse(*args):
+        raise AssertionError("a RatFunc body ran")
+
+    monkeypatch.setattr(maps, "_invariance_by_ratfuncs", refuse)
+    monkeypatch.setattr(forms, "_bitwoform_by_ratfuncs", refuse)
+    monkeypatch.setattr(forms, "_k3_twoform_by_ratfuncs", refuse)
+    assert [verify_all().to_json(), verify_all(document=doc).to_json()] == want
 
 
 def test_certificate_envelope():

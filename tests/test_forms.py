@@ -1,8 +1,10 @@
 """Pullback ratios of the canonical forms and the derived indices."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from enricert.cover import SurfaceFamily, family, k3_cover
+from enricert import forms
+from enricert.cover import ENRIQUES, SurfaceFamily, family, k3_cover
 from enricert.errors import (
     DegreeCapError,
     NonConstantRatioError,
@@ -18,6 +20,7 @@ from enricert.forms import (
 from enricert.maps import (
     BirMap,
     ENRIQUES_VARS,
+    InvarianceResult,
     K3_VARS,
     check_equation_invariance,
     compose,
@@ -28,7 +31,9 @@ from enricert.maps import (
 from enricert.parsing import parse_expression
 from enricert.poly import VARIABLES, MPoly, RatFunc, jacobian_det2
 
-from _helpers import document_pairs
+from _helpers import (
+    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs, monomial_maps,
+)
 
 I = SQRT_M1
 
@@ -255,3 +260,70 @@ def test_a_ratio_whose_quotient_passes_the_degree_cap():
     assert biform(fam, phi) == ONE
     with pytest.raises(DegreeCapError, match="total degree 65 exceeds cap 64"):
         _quotient_ratio(fam, phi)
+
+
+# -- ratios of monomial maps against the RatFunc bodies -------------------------
+#
+# A monomial map with a = 0 has a one-term Jacobian, so both ratios are read
+# from its exponent form.  _bitwoform_by_ratfuncs and _k3_twoform_by_ratfuncs
+# are the RatFunc bodies they stand in for; both must give the same ratio or
+# raise the same exception with the same text.  The ratios trust the
+# invariance result they are handed, so any map can be compared.
+
+_HOLDS = InvarianceResult(MPoly.zero(), MPoly.zero())
+
+
+def _ratio_outcome(compute, fam, phi):
+    try:
+        value = compute(fam, phi)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, str(value)
+
+
+def _fast_ratio(fam, phi):
+    ratio = bitwoform_pullback_ratio if fam.kind == ENRIQUES else k3_twoform_ratio
+    return ratio(fam, phi, _HOLDS)
+
+
+def _general_ratio(fam, phi):
+    if fam.kind == ENRIQUES:
+        return forms._bitwoform_by_ratfuncs(fam, phi)
+    return forms._k3_twoform_by_ratfuncs(fam, phi)
+
+
+def _maps(variables, **exprs):
+    return BirMap.from_strings(variables, label="m", **exprs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(builtin_and_document_families()).flatmap(lambda fam: st.tuples(
+    st.just(fam),
+    monomial_maps(fam.variables, st.one_of(BASE_BLOCKS, SINGULAR_BLOCKS)),
+)))
+# (phi*z / z) * J^2 / b^2 = 121: the general body's largest product has
+# degree 62 at most by the bound; at 144 the bound is 66 and it hands over
+@example((family(1), _maps(ENRIQUES_VARS, w="w * y^13", y="y^11", z="y^2 * z")))
+@example((family(1), _maps(ENRIQUES_VARS, w="w * y^14", y="y^12", z="y^2 * z")))
+# J / b = 14 with bound 62, and 15 with bound 66
+@example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^13", Y="Y^14", Z="Z")))
+@example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^14", Y="Y^15", Z="Z")))
+# a constant ratio, 961, whose b^2 = y^66 is over the cap: the general body
+# raises, and the bound hands over to it
+@example((family(1), _maps(ENRIQUES_VARS, w="w * y^33", y="y^31", z="y^2 * z")))
+# b^2 = y^66 is over the cap: the general body raises
+# constant ratios with scalars: c_z * (det * c_y * c_z)^2 / c_w^2 = 8 and
+# -8/9, and J / b = 2 * i / 3
+@example((family(1), _maps(ENRIQUES_VARS, w="w", y="y", z="2*z")))
+@example((family(1), _maps(ENRIQUES_VARS, w="3*w", y="i*y", z="2*z")))
+@example((k3_cover(family(1)), _maps(K3_VARS, W="3*W", Y="i*Y", Z="2*Z")))
+@example((family(1), _maps(ENRIQUES_VARS, w="w * y^33", y="y", z="z")))
+@example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^33", Y="Y", Z="Z")))
+# a non-constant ratio, a singular base, and a = b * w with a != 0
+@example((family(1), _maps(ENRIQUES_VARS, w="w", y="z / y", z="z")))
+@example((family(1), _maps(ENRIQUES_VARS, w="w", y="y * z", z="y * z")))
+@example((family(1), _maps(ENRIQUES_VARS, w="y^2 * z", y="y", z="z")))
+@example((k3_cover(family(1)), _maps(K3_VARS, W="Y^2", Y="Y", Z="Z")))
+def test_monomial_ratios_match_the_ratfunc_bodies(case):
+    fam, phi = case
+    assert _ratio_outcome(_fast_ratio, fam, phi) == _ratio_outcome(_general_ratio, fam, phi)

@@ -8,10 +8,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enricert import maps
-from enricert.cover import family, k3_cover
+from enricert import maps, poly
+from enricert.cover import SurfaceFamily, family, k3_cover
 from enricert.errors import (
-    DegreeCapError, EngineError, InvariantError, PreconditionError,
+    DegreeCapError, EngineError, InvariantError, PreconditionError, SizeCapError,
 )
 from enricert.field import Cyclo, ONE, SQRT_M1, ZERO, ZETA8
 from enricert.maps import (
@@ -43,8 +43,11 @@ from enricert.maps import (
 )
 from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 
+from enricert.parsing import parse_expression
+
 from _helpers import (
-    document_pairs, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
+    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs,
+    monomial_maps, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
 )
 
 
@@ -140,55 +143,15 @@ def _outcome(order_fn, phi, max_n):
         return type(exc), str(exc)
 
 
-def _monomial_map(variables, scalars, rows):
-    """The map x_v -> scalars[v] * x^rows[v] over its own three variables."""
-    coords = {}
-    for v, c, row in zip(variables, scalars, rows):
-        num = MPoly.monomial({x: k for x, k in zip(variables, row) if k > 0}, c)
-        den = MPoly.monomial({x: -k for x, k in zip(variables, row) if k < 0})
-        coords[v] = RatFunc(num, den)
-    return BirMap(variables, coords, label="m")
-
-
-_SIGNED_PERMUTATIONS = [
-    tuple(tuple(s * (j == p) for j in range(2)) for p, s in zip(perm, signs))
-    for perm in itertools.permutations(range(2))
-    for signs in itertools.product((1, -1), repeat=2)
-]
-_EXPONENT = st.integers(-3, 3)
-_ROOT_OF_UNITY = st.integers(0, 7).map(lambda k: ZETA8 ** k)
-_SCALAR = st.one_of(
-    _ROOT_OF_UNITY,
-    st.fractions(min_value=-9, max_value=9, max_denominator=9)
-    .filter(lambda q: q != 0).map(Cyclo.from_rational),
-)
-
-
-@st.composite
-def _monomial_maps(draw, variables):
-    """Monomial maps whose exponent rows have entries in -3..3."""
-    base = draw(st.one_of(
-        st.sampled_from(_SIGNED_PERMUTATIONS),
-        st.tuples(st.tuples(_EXPONENT, _EXPONENT), st.tuples(_EXPONENT, _EXPONENT)),
-    ))
-    cover_row = draw(st.one_of(
-        st.just((1, 0, 0)), st.tuples(st.integers(0, 1), _EXPONENT, _EXPONENT)
-    ))
-    rows = (cover_row,) + tuple((0,) + row for row in base)
-    # maps of finite order need roots of unity in every coordinate
-    scalar = _ROOT_OF_UNITY if draw(st.booleans()) else _SCALAR
-    return _monomial_map(variables, draw(st.tuples(scalar, scalar, scalar)), rows)
-
-
 _VARIABLE_TRIPLES = st.sampled_from((ENRIQUES_VARS, K3_VARS))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
-    phi=_VARIABLE_TRIPLES.flatmap(_monomial_maps),
+    phi=_VARIABLE_TRIPLES.flatmap(monomial_maps),
     max_n=st.one_of(st.just(16), st.integers(1, 16)),
 )
-def test_map_order_matches_composition_on_monomial_maps(phi, max_n):
+def test_map_order_matches_composition_onmonomial_maps(phi, max_n):
     # exponent form gives the loop's order wherever the loop returns; where
     # the loop hits the cap, exponent form may still answer
     assert _exponent_form(phi) is not None
@@ -215,7 +178,7 @@ _POINT = tuple(Cyclo.from_rational(p) for p in (2, 3, 5))
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(pair=_VARIABLE_TRIPLES.flatmap(
-    lambda vs: st.tuples(_monomial_maps(vs), _monomial_maps(vs))
+    lambda vs: st.tuples(monomial_maps(vs), monomial_maps(vs))
 ))
 # y/z after (y^64, y^20/z^20) is y^44*z^20, but composing the maps takes the
 # product y^64 * z^20, which is over the cap
@@ -251,7 +214,7 @@ def test_exponent_forms_compose_like_the_maps(pair):
     "identity", "k3-identity", "deck-flip", "aut-4-2", "aut-8-4", "aut-8-2",
     "lift-4-2", "lift-8-4", "scaling", "zeta8-scaling", "cover-twist",
 ])
-def test_map_order_of_monomial_maps_composes_nothing(monkeypatch, phi, expected):
+def test_map_order_ofmonomial_maps_composes_nothing(monkeypatch, phi, expected):
     calls = []
     monkeypatch.setattr(maps, "compose", lambda *args: calls.append(args))
     assert map_order(phi) == expected
@@ -409,6 +372,73 @@ def test_invariance_rejects_mismatched_variables():
         check_equation_invariance(family(1), deck_flip())
     with pytest.raises(PreconditionError):
         check_equation_invariance(k3_cover(family(1)), family_automorphism(1))
+
+
+# -- invariance of monomial maps against the RatFunc body --------------------
+#
+# check_equation_invariance sums the even part of a map with a single-term
+# cover coordinate as one Laurent sum.  _invariance_by_ratfuncs is the RatFunc
+# arithmetic it stands in for; both must give the same witness terms and
+# text, or raise the same exception with the same text.
+
+
+def _invariance_outcome(compute, fam, phi):
+    try:
+        res = compute(fam, phi)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return res.witness_even.terms, res.witness_odd.terms, repr(res)
+
+
+def _general_invariance(fam, phi):
+    return maps._invariance_by_ratfuncs(*maps._pullback(fam, phi))
+
+
+def _family(text):
+    """An enriques_horikawa family without parameters with branch ``text``."""
+    return SurfaceFamily("t", family(1).kind, parse_expression(text).as_poly(), ())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(builtin_and_document_families()).flatmap(lambda fam: st.tuples(
+    st.just(fam),
+    monomial_maps(fam.variables, st.one_of(BASE_BLOCKS, SINGULAR_BLOCKS)),
+)))
+# S = z^3, t = b^2 = y^60: t * S has degree 63; at y^62 its product is over
+# the cap, and the RatFunc body raises
+@example((_family("z^2"), strings(w="w * y^30", y="y", z="z")))
+@example((_family("z^2"), strings(w="w * y^31", y="y", z="z")))
+# t = 1 / y^62: S times t's denominator is the product over the cap
+@example((_family("z^2"), strings(w="w / y^30", y="y", z="z")))
+@example((_family("z^2"), strings(w="w / y^31", y="y", z="z")))
+# S = y^4 * z pulls back to z / y^4; at z^-62 the RatFunc body's product
+# of the two reduced denominators, z^61 * y^4, is over the cap
+@example((_family("y^4"), strings(w="w / z^30", y="1 / y", z="z")))
+@example((_family("y^4"), strings(w="w / z^31", y="1 / y", z="z")))
+# a = y^32: a^2 is at the cap; a = y^33: a^2 is past it, and forming it
+# raises the RatFunc body's error
+@example((_family("z^2"), strings(w="y^32", y="y", z="z")))
+@example((_family("z^2"), strings(w="y^33", y="y", z="z")))
+# the pulled-back relation is over the cap: both raise the substitution's error
+@example((family(1), strings(w="w", y="y^40", z="z")))
+@example((family(1), strings(w="w", y="1 / y^20", z="z^3")))
+def test_monomial_invariance_matches_the_ratfunc_body(case):
+    fam, phi = case
+    fast = _invariance_outcome(check_equation_invariance, fam, phi)
+    assert fast == _invariance_outcome(_general_invariance, fam, phi)
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_monomial_invariance_at_the_size_cap(monkeypatch, spare):
+    # b^2 * g visits 1 x |g| term pairs; one pair over the cap, the RatFunc
+    # body raises SizeCapError, and so does the Laurent sum by handing over.
+    # On a K3 cover the relation is the branch g itself, and the lift's
+    # substitution multiplies nothing, so the cap is first met there.
+    fam, phi = k3_cover(family(1)), k3_lift(1)
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", len(fam.relation().terms) + spare)
+    fast = _invariance_outcome(check_equation_invariance, fam, phi)
+    assert fast == _invariance_outcome(_general_invariance, fam, phi)
+    assert (fast[0] is SizeCapError) == (spare < 0)
 
 
 # -- Moebius transformations --------------------------------------------------

@@ -18,7 +18,9 @@ from enricert.cover import family
 from enricert.errors import DegreeCapError, IndivisibleError, SizeCapError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
-from enricert.poly import DEGREE_CAP, MAX_TERM_PAIRS, VARIABLES, slot
+from enricert.poly import (
+    DEGREE_CAP, MAX_TERM_PAIRS, PARAMETERS, VARIABLES, laurent_difference, slot,
+)
 
 from _helpers import (
     general_ratfunc_inverse, general_ratfunc_mul, general_ratfunc_pow, nonzero_cyclo,
@@ -1340,6 +1342,25 @@ def test_only_poly_reads_the_packed_terms():
     assert reads == []
 
 
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a module reaches another's internals only through its public names,
+    # so `from .poly import _wrap` in maps.py would hand it the key layout
+    package = Path(enricert.__file__).parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imports += [
+            f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("enricert"))
+            for alias in node.names
+            # a dunder such as __version__ is public
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+    assert imports == []
+
+
 def _literal(node):
     try:
         return ast.literal_eval(node)
@@ -1363,3 +1384,70 @@ def test_only_cover_spells_the_surface_kinds():
             if isinstance(node, (ast.Constant, ast.Tuple)) and _literal(node) in spelled
         ]
     assert found == []
+
+
+# -- the Laurent difference against the RatFunc arithmetic --------------------------
+#
+# laurent_difference(t, p, q) sums t * p - q in one pass when t is one term
+# over one term and q has a monomial denominator.  It must return the
+# numerator of t * RatFunc.from_poly(p) - q, and None wherever that
+# arithmetic raises a cap error.
+
+
+def _difference_outcome(t, p, q):
+    try:
+        return (t * RatFunc.from_poly(p) - q).num.terms
+    except (DegreeCapError, SizeCapError) as exc:
+        return type(exc), str(exc)
+
+
+P = parse_expression
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_operands, _mpoly_operands, _operands)
+# top degree of t * p at the cap, and one past it
+@example(P("y^60"), P("z^4").num, P("z^4"))
+@example(P("y^61"), P("z^4").num, P("z^4"))
+# the product of the two denominators at the cap, and one past it
+@example(P("1 / y^62"), P("z^2").num, P("1 / z^2"))
+@example(P("1 / y^63"), P("z^2").num, P("1 / z^2"))
+# the difference cancels, to zero or down to a monomial content
+@example(P("i / y^2"), P("y^2 * z").num, P("i * z"))
+@example(P("y / z"), P("y + z").num, P("y^2 / z"))
+def test_laurent_difference_matches_the_ratfunc_arithmetic(t, p, q):
+    fast = laurent_difference(t, p, q)
+    shaped = len(t.num.terms) == len(t.den.terms) == len(q.den.terms) == 1
+    assert fast is None or shaped
+    if fast is not None:
+        assert fast.terms == _difference_outcome(t, p, q)
+        assert str(fast) == str((t * RatFunc.from_poly(p) - q).num)
+
+
+def test_laurent_difference_applies_at_the_cap_and_hands_over_past_it():
+    assert laurent_difference(P("y^60"), P("z^4").num, P("z^4")) is not None
+    assert laurent_difference(P("y^61"), P("z^4").num, P("z^4")) is None
+    assert laurent_difference(P("1 / y^62"), P("z^2").num, P("1 / z^2")) is not None
+    assert laurent_difference(P("1 / y^63"), P("z^2").num, P("1 / z^2")) is None
+    # shapes it does not take: a two-term t, a non-monomial denominator
+    assert laurent_difference(P("y + z"), P("z").num, P("z")) is None
+    assert laurent_difference(P("y"), P("z").num, P("1 / (y + z)")) is None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_mpoly_operands, _mpoly_operands)
+def test_mpoly_subtraction_is_adding_the_negation(p, q):
+    # the terms and term order of p + (-q): p's keys, then q's new ones
+    assert list((p - q).terms.items()) == list((p + (-q)).terms.items())
+    assert list((1 - q).terms.items()) == list((MPoly.const(1) + (-q)).terms.items())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_mpoly_operands)
+@example(MPoly.monomial({"A": 64}))
+@example(MPoly.monomial({"F": 32, "alpha": 32}))
+@example(MPoly.monomial({"w": 30, "Z": 30, "A": 1}))
+def test_parameter_degree_sums_the_parameter_slots(p):
+    slots = [slot(name) for name in sorted(PARAMETERS)]
+    want = max((sum(e[i] for i in slots) for e in p.support()), default=0)
+    assert p.parameter_degree() == want
