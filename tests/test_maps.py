@@ -151,7 +151,7 @@ _VARIABLE_TRIPLES = st.sampled_from((ENRIQUES_VARS, K3_VARS))
     phi=_VARIABLE_TRIPLES.flatmap(monomial_maps),
     max_n=st.one_of(st.just(16), st.integers(1, 16)),
 )
-def test_map_order_matches_composition_onmonomial_maps(phi, max_n):
+def test_map_order_matches_composition_on_monomial_maps(phi, max_n):
     # exponent form gives the loop's order wherever the loop returns; where
     # the loop hits the cap, exponent form may still answer
     assert _exponent_form(phi) is not None
@@ -214,7 +214,7 @@ def test_exponent_forms_compose_like_the_maps(pair):
     "identity", "k3-identity", "deck-flip", "aut-4-2", "aut-8-4", "aut-8-2",
     "lift-4-2", "lift-8-4", "scaling", "zeta8-scaling", "cover-twist",
 ])
-def test_map_order_ofmonomial_maps_composes_nothing(monkeypatch, phi, expected):
+def test_map_order_of_monomial_maps_composes_nothing(monkeypatch, phi, expected):
     calls = []
     monkeypatch.setattr(maps, "compose", lambda *args: calls.append(args))
     assert map_order(phi) == expected
