@@ -426,6 +426,19 @@ def _nonconstant_ratio_map_doc():
     }
 
 
+def _square_sum_map_doc():
+    # y -> (y + z + A + ... + F + 1)^2 is a 45-term value; the pulled-back
+    # relation passes the product size cap, so its invariance record is a
+    # SizeCapError
+    raw, _ = _fixture_doc_dict()
+    doc = copy.deepcopy(raw)
+    doc["maps"].append({
+        "name": "square_sum",
+        "coords": {"w": "w", "y": "(y + z + A + B + C + D + E + F + 1)^2", "z": "z"},
+    })
+    return doc
+
+
 def test_checks_never_short_circuit():
     cert = verify_all(document=load_document(_two_broken_maps_doc()))
     assert cert.overall == "fail"
@@ -512,6 +525,7 @@ _PINNED_DOCUMENTS = {
     "rational-value-map": _rational_value_map_doc,
     "k3-cover-families": _k3_cover_families_doc,
     "nonconstant-ratio-map": _nonconstant_ratio_map_doc,
+    "square-sum-map": _square_sum_map_doc,
 }
 
 
