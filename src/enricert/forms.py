@@ -25,11 +25,11 @@ A monomial map with a = 0, x_v -> c_v * x^(M_v), has the one-term Jacobian
 J = det(M) * c_y * c_z * x^(M_y + M_z - e_y - e_z), so each ratio is one
 term, read from the map's exponent form (BirMap.exponent_form).  When its
 exponent is zero the ratio is the constant c_z * (det * c_y * c_z)^2 / c_w^2
-for the bi-2-form and det * c_y * c_z / c_w for the K3 2-form.  Any other
-map, a non-constant ratio, det = 0, or a map whose general products could
-pass DEGREE_CAP takes the RatFunc bodies, _bitwoform_by_ratfuncs and
-_k3_twoform_by_ratfuncs, which return the same value or raise their own
-error text.
+for the bi-2-form and det * c_y * c_z / c_w for the K3 2-form.  A monomial
+short path hands over only where it would form a key over DEGREE_CAP, and
+this one forms none, so near the caps it returns a ratio where the RatFunc
+bodies, _bitwoform_by_ratfuncs and _k3_twoform_by_ratfuncs, would raise.
+They take a map with no exponent form, a != 0 or a non-constant ratio.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .errors import (
     PreconditionError,
 )
 from .field import Cyclo, root_of_unity_order
-from .poly import DEGREE_CAP, RatFunc, jacobian_det2
+from .poly import RatFunc, jacobian_det2
 from .cover import ENRIQUES, K3, SurfaceFamily
-from .maps import BirMap, InvarianceResult
+from .maps import BirMap, InvarianceResult, require_acts_on
 
 
 def _constant_of(ratio: RatFunc, what: str) -> Cyclo:
@@ -57,29 +57,24 @@ def _jacobian(fam: SurfaceFamily, phi: BirMap) -> RatFunc:
     return jacobian_det2(phi.coords[b1], phi.coords[b2], b1, b2)
 
 
-def _monomial_parts(fam: SurfaceFamily, phi: BirMap):
+def _monomial_parts(phi: BirMap):
     """J, b and phi*z / z for a monomial phi with a = 0, each as (scalar,
     exponent over the base variables), or None.
 
     With phi*y = c_y * x^(M_y), phi*z = c_z * x^(M_z) and phi*w =
     c_w * x^(M_w) * w, the Jacobian J = det(M) * c_y * c_z *
     x^(M_y + M_z - e_y - e_z) is one term, where M is the base block of
-    the exponent matrix, so each ratio is one term too.  None where phi is
-    not of this form, where det(M) = 0, or where a product of the general
-    body could pass DEGREE_CAP: each of its products is at most the sum of
-    its factors' |exponents|, and their largest sum is
-    |M_z| + 1 + 2 * (|M_y| + |M_z| + 2) + 2 * |M_w| (phi*z / z * J^2 / b^2).
+    the exponent matrix, so each ratio is one term too (J = 0 when
+    det(M) = 0, as in the RatFunc bodies).  None where phi is not of this
+    form; it forms no polynomial, so it takes no cap test.
     """
     form = phi.exponent_form
-    if form is None or phi.variables != fam.variables:
+    if form is None:
         return None
     (cw, (kw, *mw)), (cy, (_, *my)), (cz, (_, *mz)) = form
+    if kw != 1:
+        return None
     det = my[0] * mz[1] - my[1] * mz[0]
-    if kw != 1 or det == 0:
-        return None
-    size_y, size_z, size_w = (sum(map(abs, row)) for row in (my, mz, mw))
-    if size_z + 1 + 2 * (size_y + size_z + 2) + 2 * size_w > DEGREE_CAP:
-        return None
     jacobian = (cy * cz * det, (my[0] + mz[0] - 1, my[1] + mz[1] - 1))
     return jacobian, (cw, tuple(mw)), (cz, (mz[0], mz[1] - 1))
 
@@ -95,9 +90,10 @@ def bitwoform_pullback_ratio(
     """
     if fam.kind != ENRIQUES:
         raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
+    require_acts_on(fam, phi)
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
-    parts = _monomial_parts(fam, phi)
+    parts = _monomial_parts(phi)
     if parts is not None:
         (jc, je), (bc, be), (zc, ze) = parts
         # (phi*z / z) * J^2 / b^2
@@ -127,9 +123,10 @@ def k3_twoform_ratio(
     given phi's certified preservation of the cover equation."""
     if fam.kind != K3:
         raise PreconditionError("2-form ratios live on k3_cover families")
+    require_acts_on(fam, phi)
     if not invariance:
         raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
-    parts = _monomial_parts(fam, phi)
+    parts = _monomial_parts(phi)
     if parts is not None:
         (jc, je), (bc, be), _ = parts
         # J / b

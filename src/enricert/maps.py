@@ -25,10 +25,10 @@ forms module read it too.
 check_equation_invariance has a short path for a single-term cover
 coordinate, c * x^m * w or c * x^m: one of a and b is zero, so the odd part
 2ab is zero with no product, and the even part is one Laurent sum
-(poly.laurent_difference).  Any other map, or one whose RatFunc arithmetic
-could pass a cap, takes that arithmetic, _invariance_by_ratfuncs, the way
-map_order falls back to _order_by_composition; both return the same
-witness.
+(poly.laurent_difference), which, like every monomial short path, hands
+over only where it would form a key over DEGREE_CAP.  Other maps take the
+RatFunc arithmetic, _invariance_by_ratfuncs, the way map_order falls back
+to _order_by_composition; where both return, the witness is the same.
 
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
@@ -293,9 +293,10 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
     and b is zero, and with it the odd part.  The even part is then
     t * S - S(phi*y, phi*z) with t = b^2, or t = a^2 with 1 in place of S,
     and poly.laurent_difference sums it in one pass when the pulled-back
-    relation has a monomial denominator, as it has for monomial maps.  Every
-    other map, and any whose RatFunc arithmetic could pass a cap, takes that
-    arithmetic, _invariance_by_ratfuncs, which returns the same witness.
+    relation has a monomial denominator, as for monomial maps, and no key
+    of the sum is over DEGREE_CAP.  Every other map takes the RatFunc
+    arithmetic, _invariance_by_ratfuncs, which may raise near the caps where
+    the sum answers, and otherwise returns the same witness.
     """
     relation, pulled, a, b = pullback = _pullback(fam, phi)
     if a.is_zero() or b.is_zero():
@@ -310,12 +311,17 @@ def check_equation_invariance(fam: SurfaceFamily, phi: BirMap) -> InvarianceResu
 _ONE = MPoly.const(1)
 
 
-def _pullback(fam: SurfaceFamily, phi: BirMap):
-    """(S, S(phi*y, phi*z), a, b) for phi*w = a + b*w."""
+def require_acts_on(fam: SurfaceFamily, phi: BirMap) -> None:
+    """Raise PreconditionError unless phi is a map over fam's variables."""
     if phi.variables != fam.variables:
         raise PreconditionError(
             f"map over {phi.variables} cannot act on a family over {fam.variables}"
         )
+
+
+def _pullback(fam: SurfaceFamily, phi: BirMap):
+    """(S, S(phi*y, phi*z), a, b) for phi*w = a + b*w."""
+    require_acts_on(fam, phi)
     b1, b2 = fam.base_vars
     relation = fam.relation()
     pulled = relation.substitute({b1: phi.coords[b1], b2: phi.coords[b2]})

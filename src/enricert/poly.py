@@ -111,8 +111,10 @@ over it they take the general path, which raises its own error.
 One difference has a path of its own: t * p - q for t one term over one
 term and q over a monomial, the even part of an invariance check of a
 monomial map.  laurent_difference sums it over one common monomial
-denominator and cancels the content once, and hands back None wherever a
-product of the general arithmetic could pass a cap.
+denominator and cancels the content once.  Like every monomial short path,
+it hands over only where a key it forms, the common denominator or one of
+the sum, would pass DEGREE_CAP, so it may answer where the general
+arithmetic's products pass a cap on the way.
 """
 
 from __future__ import annotations
@@ -934,13 +936,12 @@ def laurent_difference(t: RatFunc, p: MPoly, q: RatFunc) -> Optional[MPoly]:
 
     and one _lane_min cancels the content common to its numerator and x^L.
     A polynomial over a monomial has one simplified form, so the numerator
-    left is that of t * RatFunc.from_poly(p) - q.  That general arithmetic
-    multiplies c * x^n by p and, to subtract, each numerator by the other
-    denominator and x^d by x^M.  Where one of those products could pass
-    DEGREE_CAP or MAX_TERM_PAIRS, bounded by the operands' top degrees and
-    term counts before any cancellation, this returns None, so the caller's
-    general arithmetic raises its own error.  Within the bound every key of
-    the sum has a total degree under DEGREE_CAP.
+    left is that of t * RatFunc.from_poly(p) - q.  This decides from the
+    keys it forms itself: it returns None only where x^L or a key of the sum
+    before cancellation would pass DEGREE_CAP, so every lane stays under its
+    guard bit.  It multiplies nothing, so it takes no size test.  Within the
+    cap it returns the numerator even where the general arithmetic would
+    pass a cap on the way.
     """
     tn, td, qd = t.num.terms, t.den.terms, q.den.terms
     if len(tn) != 1 or len(td) != 1 or len(qd) != 1:
@@ -948,28 +949,23 @@ def laurent_difference(t: RatFunc, p: MPoly, q: RatFunc) -> Optional[MPoly]:
     ((n, c),) = tn.items()
     (d,) = td
     (m,) = qd
-    pterms, qterms = p.terms, q.num.terms
-    top_tp = (n >> _DEG) + (max(pterms, default=0) >> _DEG)
-    top_q = max(qterms, default=0) >> _DEG
-    deg_d, deg_m = d >> _DEG, m >> _DEG
-    if (
-        top_tp + deg_m > DEGREE_CAP
-        or top_q + deg_d > DEGREE_CAP
-        or deg_d + deg_m > DEGREE_CAP
-        or max(len(pterms), len(qterms)) > MAX_TERM_PAIRS
-    ):
-        return None
     lcm = d + m - _with_degree(_lane_min((m,), d & _LANES))
     # over x^lcm: p's terms move up by n + lcm - d, Q's by lcm - m
-    up = n + lcm - d
+    up_p, up_q = n + lcm - d, lcm - m
+    pterms, qterms = p.terms, q.num.terms
+    if (
+        lcm >> _DEG > DEGREE_CAP
+        or pterms and (max(pterms) + up_p) >> _DEG > DEGREE_CAP
+        or qterms and (max(qterms) + up_q) >> _DEG > DEGREE_CAP
+    ):
+        return None
     if c == ONE:
-        sums = {e + up: v for e, v in pterms.items()}
+        sums = {e + up_p: v for e, v in pterms.items()}
     else:
-        sums = {e + up: v * c for e, v in pterms.items()}
-    up = lcm - m
+        sums = {e + up_p: v * c for e, v in pterms.items()}
     for e, v in qterms.items():
-        prev = sums.get(e + up)
-        sums[e + up] = -v if prev is None else prev - v
+        prev = sums.get(e + up_q)
+        sums[e + up_q] = -v if prev is None else prev - v
     terms = {e: v for e, v in sums.items() if not v.is_zero()}
     content = _lane_min(terms, lcm & _LANES) if terms else 0
     if content:

@@ -13,9 +13,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
-from enricert import SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc
+from enricert import SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc, poly
 from enricert.cover import family, k3_cover
 from enricert.ingest import load_document
 from enricert.poly import as_ratfunc, slot
@@ -115,6 +116,16 @@ def general_ratfunc_arithmetic():
     finally:
         for name, method in saved.items():
             setattr(RatFunc, name, method)
+
+
+@contextlib.contextmanager
+def raised_degree_cap():
+    """poly.DEGREE_CAP at 96 while the block runs.  Every lane stays under
+    its guard bit, so RatFunc arithmetic that passes the default cap on
+    the way to a result under it returns that result here."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "DEGREE_CAP", 96)
+        yield
 
 
 def outcome(compute, *args):

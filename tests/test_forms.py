@@ -10,6 +10,7 @@ from enricert.errors import (
     NonConstantRatioError,
     NotRootOfUnityError,
     PreconditionError,
+    SizeCapError,
 )
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
 from enricert.forms import (
@@ -33,6 +34,7 @@ from enricert.poly import VARIABLES, MPoly, RatFunc, jacobian_det2
 
 from _helpers import (
     BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs, monomial_maps,
+    raised_degree_cap,
 )
 
 I = SQRT_M1
@@ -44,6 +46,9 @@ def biform(fam, phi):
 
 def twoform(cov, phi):
     return k3_twoform_ratio(cov, phi, check_equation_invariance(cov, phi))
+
+
+_HOLDS = InvarianceResult(MPoly.zero(), MPoly.zero())
 
 
 def test_builtin_ratios_and_indices():
@@ -126,6 +131,21 @@ def test_ratio_on_wrong_family_is_rejected_not_computed():
     # the order-8 map does not preserve family 1, so no ratio exists
     with pytest.raises(PreconditionError):
         biform(family(1), family_automorphism(2))
+
+
+def test_ratios_reject_a_map_of_the_other_kind():
+    # any invariance result that holds: the map's variables are checked
+    # first, with the text check_equation_invariance raises
+    cases = [
+        (bitwoform_pullback_ratio, family(1), k3_lift(1)),
+        (k3_twoform_ratio, k3_cover(family(1)), family_automorphism(1)),
+    ]
+    for ratio, fam, phi in cases:
+        with pytest.raises(PreconditionError) as invariance:
+            check_equation_invariance(fam, phi)
+        with pytest.raises(PreconditionError, match="cannot act on a family over") as raised:
+            ratio(fam, phi, _HOLDS)
+        assert str(raised.value) == str(invariance.value)
 
 
 def test_index_of_non_root_of_unity():
@@ -262,15 +282,32 @@ def test_a_ratio_whose_quotient_passes_the_degree_cap():
         _quotient_ratio(fam, phi)
 
 
+def test_the_exponent_form_answers_a_map_with_large_exponents(monkeypatch):
+    # the map above has |exponents| up to 15, yet its ratio is one term
+    # read from the exponent form; no RatFunc body is called
+    fam = SurfaceFamily("t", "enriques_horikawa", parse_expression("y*z^3 + z^4").as_poly(), ())
+    phi = BirMap.from_strings(
+        ENRIQUES_VARS, label="m", w="w * z^15 / y^15", y="z^6 / y^5", z="z^7 / y^6"
+    )
+    invariance = check_equation_invariance(fam, phi)
+
+    def body(*args):
+        raise AssertionError("the RatFunc body was called")
+
+    monkeypatch.setattr(forms, "_bitwoform_by_ratfuncs", body)
+    assert bitwoform_pullback_ratio(fam, phi, invariance) == ONE
+
+
 # -- ratios of monomial maps against the RatFunc bodies -------------------------
 #
 # A monomial map with a = 0 has a one-term Jacobian, so both ratios are read
 # from its exponent form.  _bitwoform_by_ratfuncs and _k3_twoform_by_ratfuncs
-# are the RatFunc bodies they stand in for; both must give the same ratio or
-# raise the same exception with the same text.  The ratios trust the
-# invariance result they are handed, so any map can be compared.
-
-_HOLDS = InvarianceResult(MPoly.zero(), MPoly.zero())
+# are the RatFunc bodies they stand in for.  Where a body returns, the
+# exponent form gives the same ratio; where it raises, the short path
+# raises the same exception with the same text, or, where the body passes
+# a cap on the way, returns the ratio the body returns under a higher cap.
+# The ratios trust the invariance result they are handed, so any map of the
+# family's kind can be compared.
 
 
 def _ratio_outcome(compute, fam, phi):
@@ -301,22 +338,22 @@ def _maps(variables, **exprs):
     st.just(fam),
     monomial_maps(fam.variables, st.one_of(BASE_BLOCKS, SINGULAR_BLOCKS)),
 )))
-# (phi*z / z) * J^2 / b^2 = 121: the general body's largest product has
-# degree 62 at most by the bound; at 144 the bound is 66 and it hands over
+# constant ratios of maps with exponents up to 15: (phi*z / z) * J^2 / b^2
+# = 121 and 144, and J / b = 14 and 15
 @example((family(1), _maps(ENRIQUES_VARS, w="w * y^13", y="y^11", z="y^2 * z")))
 @example((family(1), _maps(ENRIQUES_VARS, w="w * y^14", y="y^12", z="y^2 * z")))
-# J / b = 14 with bound 62, and 15 with bound 66
 @example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^13", Y="Y^14", Z="Z")))
 @example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^14", Y="Y^15", Z="Z")))
 # a constant ratio, 961, whose b^2 = y^66 is over the cap: the general body
-# raises, and the bound hands over to it
+# raises DegreeCapError, and returns 961 under a cap of 96
 @example((family(1), _maps(ENRIQUES_VARS, w="w * y^33", y="y^31", z="y^2 * z")))
-# b^2 = y^66 is over the cap: the general body raises
 # constant ratios with scalars: c_z * (det * c_y * c_z)^2 / c_w^2 = 8 and
 # -8/9, and J / b = 2 * i / 3
 @example((family(1), _maps(ENRIQUES_VARS, w="w", y="y", z="2*z")))
 @example((family(1), _maps(ENRIQUES_VARS, w="3*w", y="i*y", z="2*z")))
 @example((k3_cover(family(1)), _maps(K3_VARS, W="3*W", Y="i*Y", Z="2*Z")))
+# non-constant ratios whose b^2 = y^66 is over the cap: both raise the
+# general body's DegreeCapError
 @example((family(1), _maps(ENRIQUES_VARS, w="w * y^33", y="y", z="z")))
 @example((k3_cover(family(1)), _maps(K3_VARS, W="W * Y^33", Y="Y", Z="Z")))
 # a non-constant ratio, a singular base, and a = b * w with a != 0
@@ -324,6 +361,16 @@ def _maps(variables, **exprs):
 @example((family(1), _maps(ENRIQUES_VARS, w="w", y="y * z", z="y * z")))
 @example((family(1), _maps(ENRIQUES_VARS, w="y^2 * z", y="y", z="z")))
 @example((k3_cover(family(1)), _maps(K3_VARS, W="Y^2", Y="Y", Z="Z")))
+# a = 1 has the exponents b = 1 would have: the ratio is not constant
+@example((family(1), _maps(ENRIQUES_VARS, w="1", y="y", z="z")))
+@example((k3_cover(family(1)), _maps(K3_VARS, W="1", Y="Y", Z="Z")))
 def test_monomial_ratios_match_the_ratfunc_bodies(case):
     fam, phi = case
-    assert _ratio_outcome(_fast_ratio, fam, phi) == _ratio_outcome(_general_ratio, fam, phi)
+    fast = _ratio_outcome(_fast_ratio, fam, phi)
+    general = _ratio_outcome(_general_ratio, fam, phi)
+    if general[0] in (DegreeCapError, SizeCapError) and isinstance(fast[0], Cyclo):
+        # the exponent form forms no polynomial, so it answers where the
+        # body passes a cap on the way
+        with raised_degree_cap():
+            general = _ratio_outcome(_general_ratio, fam, phi)
+    assert fast == general

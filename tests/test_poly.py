@@ -24,7 +24,7 @@ from enricert.poly import (
 
 from _helpers import (
     general_ratfunc_inverse, general_ratfunc_mul, general_ratfunc_pow, nonzero_cyclo,
-    nonzero_mpoly, outcome, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
+    nonzero_mpoly, outcome, raised_degree_cap, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
     square_and_multiply_mpoly_pow,
 )
 
@@ -1361,6 +1361,25 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert imports == []
 
 
+def test_only_the_cap_owners_import_the_caps():
+    # a short path decides from the keys it forms, not from a copy of
+    # another path's products, so only poly.py, map_order's power rule in
+    # maps.py and the input exponent bound in parsing.py read the caps
+    caps = ("DEGREE_CAP", "MAX_TERM_PAIRS")
+    package = Path(enricert.__file__).parent
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and any(alias.name in caps for alias in node.names)
+                or isinstance(node, ast.Attribute) and node.attr in caps
+            ):
+                readers.add(path.name)
+    assert readers == {"maps.py", "parsing.py"}
+
+
 def _literal(node):
     try:
         return ast.literal_eval(node)
@@ -1389,16 +1408,32 @@ def test_only_cover_spells_the_surface_kinds():
 # -- the Laurent difference against the RatFunc arithmetic --------------------------
 #
 # laurent_difference(t, p, q) sums t * p - q in one pass when t is one term
-# over one term and q has a monomial denominator.  It must return the
-# numerator of t * RatFunc.from_poly(p) - q, and None wherever that
-# arithmetic raises a cap error.
+# over one term and q has a monomial denominator.  It returns None exactly
+# where the common denominator or a key of the sum before cancellation is
+# over the cap, and otherwise the numerator of t * RatFunc.from_poly(p) - q:
+# where that arithmetic passes a cap on the way, the numerator it returns
+# under a higher cap.
 
 
 def _difference_outcome(t, p, q):
     try:
-        return (t * RatFunc.from_poly(p) - q).num.terms
+        return (t * RatFunc.from_poly(p) - q).num
     except (DegreeCapError, SizeCapError) as exc:
         return type(exc), str(exc)
+
+
+def _forms_a_key_over_the_cap(t, p, q):
+    """Whether x^L, L the slotwise maximum of the denominators d of t and M
+    of q, or a key of (c * x^(n + L - d) * p - x^(L - M) * Q) / x^L before
+    cancellation has a total degree over DEGREE_CAP, in exponent tuples."""
+    (((n, _),), ((d, _),), ((m, _),)) = (
+        t.num.term_items(), t.den.term_items(), q.den.term_items(),
+    )
+    lcm = tuple(map(max, d, m))
+    keys = [tuple(map(sum, zip(e, n, lcm))) for e in p.support()]
+    keys = [tuple(k - i for k, i in zip(key, d)) for key in keys]
+    keys += [tuple(f + k - i for f, k, i in zip(e, lcm, m)) for e in q.num.support()]
+    return any(sum(key) > DEGREE_CAP for key in [lcm, *keys])
 
 
 P = parse_expression
@@ -1409,19 +1444,29 @@ P = parse_expression
 # top degree of t * p at the cap, and one past it
 @example(P("y^60"), P("z^4").num, P("z^4"))
 @example(P("y^61"), P("z^4").num, P("z^4"))
-# the product of the two denominators at the cap, and one past it
+# the common denominator at the cap, and one past it
 @example(P("1 / y^62"), P("z^2").num, P("1 / z^2"))
 @example(P("1 / y^63"), P("z^2").num, P("1 / z^2"))
+# the general arithmetic's product of the denominators, y^65, is over the
+# cap, and the common denominator y^42 is not
+@example(P("1 / y^23"), P("1").num, P("1 / y^42"))
 # the difference cancels, to zero or down to a monomial content
 @example(P("i / y^2"), P("y^2 * z").num, P("i * z"))
 @example(P("y / z"), P("y + z").num, P("y^2 / z"))
 def test_laurent_difference_matches_the_ratfunc_arithmetic(t, p, q):
     fast = laurent_difference(t, p, q)
     shaped = len(t.num.terms) == len(t.den.terms) == len(q.den.terms) == 1
-    assert fast is None or shaped
+    assert (fast is None) == (not shaped or _forms_a_key_over_the_cap(t, p, q))
     if fast is not None:
-        assert fast.terms == _difference_outcome(t, p, q)
-        assert str(fast) == str((t * RatFunc.from_poly(p) - q).num)
+        general = _difference_outcome(t, p, q)
+        if not isinstance(general, MPoly):
+            # the sum multiplies nothing, so it answers where the general
+            # arithmetic passes a cap on the way
+            with raised_degree_cap():
+                general = _difference_outcome(t, p, q)
+        assert isinstance(general, MPoly)
+        assert fast.terms == general.terms
+        assert str(fast) == str(general)
 
 
 def test_laurent_difference_applies_at_the_cap_and_hands_over_past_it():
