@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import __version__
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
 from .cover import (
+    BUILTIN_FAMILIES,
     ENRIQUES,
     SurfaceFamily,
     epsilon_fixed_point_free,
@@ -35,6 +36,7 @@ from .cover import (
     specialization_to_family2,
     specialize,
 )
+from .errors import SchemaError
 from .field import Cyclo, ONE, SQRT_M1, root_of_unity_order
 from .forms import bitwoform_pullback_ratio, index_of, k3_twoform_ratio
 from .lattices import (
@@ -49,6 +51,7 @@ from .lattices import (
     topological_lefschetz_count,
 )
 from .maps import (
+    MAX_ORDER,
     BirMap,
     check_equation_invariance,
     compose,
@@ -61,6 +64,7 @@ from .maps import (
     maps_equal,
     neg_both,
     qaut_fixed_points,
+    same_triple,
     swap_root,
 )
 from .moduli import (
@@ -291,7 +295,14 @@ class _Context:
 
 def _run(rows, ctx: _Context) -> List[CheckRecord]:
     """Run the rows in the declared order; an exception a check raises
-    becomes its failure."""
+    becomes its failure.  Record ids are unique within a run: a repeated
+    row id, which document names can make, is a SchemaError before any
+    check runs."""
+    ids = set()
+    for row in rows:
+        if row.id in ids:
+            raise SchemaError(f"two records would share the id {row.id!r}")
+        ids.add(row.id)
     records = []
     for row in rows:
         if row.fn is None:
@@ -313,7 +324,6 @@ def _verdict(ok: bool) -> str:
 
 # -- frozen expectations for the built-in run --------------------------------
 
-_FAMILIES = (1, 2, 3)
 _EXPECTED_ORDERS = {1: 4, 2: 8, 3: 8}
 _EXPECTED_RATIOS = {1: -ONE, 2: -SQRT_M1, 3: -ONE}
 _EXPECTED_INDICES = {1: 2, 2: 4, 3: 2}
@@ -342,6 +352,10 @@ def _invariance_witness(res) -> str:
     return f"even part {res.witness_even}; odd part {res.witness_odd}"
 
 
+def _invariance(res, inputs) -> Outcome:
+    return _verdict(res.holds), inputs, None, None if res.holds else _invariance_witness(res)
+
+
 def _corner_witness(res) -> Optional[str]:
     if res.free:
         return None
@@ -350,10 +364,12 @@ def _corner_witness(res) -> Optional[str]:
 
 
 def _order(phi, inputs, expected: Optional[int] = None) -> Outcome:
-    """The exact order when one is expected, else finiteness within 16."""
+    """The exact order when one is expected, else finiteness within
+    MAX_ORDER."""
     order = map_order(phi)
     ok = order is not None if expected is None else order == expected
-    return _verdict(ok), inputs, "none within 16" if order is None else str(order), None
+    value = f"none within {MAX_ORDER}" if order is None else str(order)
+    return _verdict(ok), inputs, value, None
 
 
 def _ratio(ok: bool, ratio: Cyclo, inputs) -> Outcome:
@@ -396,11 +412,9 @@ def _construction(ctx, k) -> Outcome:
     return _verdict(ok), {"family": fam.name}, _construction_value(fam), None
 
 
-def _invariance(ctx, k) -> Outcome:
+def _equation_invariance(ctx, k) -> Outcome:
     fam, phi = ctx.family(k), ctx.automorphism(k)
-    res = ctx.invariance(fam, phi)
-    witness = None if res.holds else _invariance_witness(res)
-    return _verdict(res.holds), {"family": fam.name, "map": phi.label}, None, witness
+    return _invariance(ctx.invariance(fam, phi), {"family": fam.name, "map": phi.label})
 
 
 def _map_order(ctx, k) -> Outcome:
@@ -463,9 +477,7 @@ def _bis_condition(ctx, k) -> Outcome:
     automorphism preserves W^2 = g, which is the condition once (phi*W)^2
     is multiplied out."""
     cov = ctx.cover(ctx.family(k))
-    res = ctx.invariance(cov, ctx.lift(k))
-    witness = None if res.holds else _invariance_witness(res)
-    return _verdict(res.holds), {"cover": cov.name}, None, witness
+    return _invariance(ctx.invariance(cov, ctx.lift(k)), {"cover": cov.name})
 
 
 def _freeness(ctx, k) -> Outcome:
@@ -640,22 +652,22 @@ _BUILTIN_ROWS = (
            "The branch polynomial is nonzero, affine in its parameters, and "
            "supported inside the admissible exponent set.",
            partial(_construction, k=k))
-      for k in _FAMILIES),
+      for k in BUILTIN_FAMILIES),
     *(_Row(f"equation-invariance-{k}", "invariance", k,
            "Pulling w^2 - z*f back along the map and reducing modulo "
            "w^2 = z*f leaves zero, identically in the parameters.",
-           partial(_invariance, k=k))
-      for k in _FAMILIES),
+           partial(_equation_invariance, k=k))
+      for k in BUILTIN_FAMILIES),
     *(_Row(f"map-order-{k}", "order", k,
            f"The automorphism has exact order {_EXPECTED_ORDERS[k]} as a "
            "self-map of the family.",
            partial(_map_order, k=k))
-      for k in _FAMILIES),
+      for k in BUILTIN_FAMILIES),
     _Row("square-relation", "order", 2,
          "The square of the order-8 automorphism equals the order-4 "
          "automorphism inherited along the coefficient specialization.",
          _square_relation),
-    *(row for k in _FAMILIES for row in (
+    *(row for k in BUILTIN_FAMILIES for row in (
         _Row(f"biform-ratio-{k}", "index", k,
              "The automorphism rescales the square of the residue 2-form by "
              f"the constant {_EXPECTED_RATIOS[k]}, independently of all "
@@ -686,7 +698,7 @@ _BUILTIN_ROWS = (
            "has bidegree at most (4, 4) and only even-total-degree terms, "
            "so it is invariant under (Y, Z) -> (-Y, -Z).",
            partial(_k3_cover, k=k))
-      for k in _FAMILIES),
+      for k in BUILTIN_FAMILIES),
     *(_Row(f"bis-condition-{k}", "cover", k, statement, partial(_bis_condition, k=k))
       for k, statement in _BIS_STATEMENTS.items()),
     *(_Row(f"epsilon-freeness-{k}", "cover", k,
@@ -696,7 +708,7 @@ _BUILTIN_ROWS = (
            "generic members the involution (W, Y, Z) -> (-W, -Y, -Z) is "
            "fixed point free and the quotient is a surface.",
            partial(_freeness, k=k))
-      for k in _FAMILIES),
+      for k in BUILTIN_FAMILIES),
     _Row("k3-deck-ratio", "index", 1,
          "The deck involution multiplies the cover's residue 2-form by -1: "
          "the form is anti-invariant, as an Enriques quotient requires.  "
@@ -765,13 +777,13 @@ _BUILTIN_ROWS = (
            "alpha-power multiple of the relation at the rescaled "
            "parameters.",
            partial(_builtin_action, k=k, i=i))
-      for k in _FAMILIES for i, name in enumerate(_ACTION_NAMES[k])),
+      for k in BUILTIN_FAMILIES for i, name in enumerate(_ACTION_NAMES[k])),
     *(_Row(f"moduli-number-{k}", "moduli", k,
            "Parameter count minus the rank of the declared identification "
            f"weight matrix leaves {_EXPECTED_MODULI[k]} effective "
            "parameters.",
            partial(_moduli_number, k=k))
-      for k in _FAMILIES),
+      for k in BUILTIN_FAMILIES),
     _Row("side-condition-square-root", "moduli", None,
          "Every declared identification rescales w^2 by an odd power of "
          "alpha, so rescaling w itself requires a square root of alpha; the "
@@ -826,10 +838,6 @@ def builtin_records(ctx: Optional[_Context] = None) -> List[CheckRecord]:
 
 
 # -- checks for user-supplied families and maps ------------------------------
-
-def _matching_families(phi: BirMap, families):
-    return [fam for fam in families if fam.variables == phi.variables]
-
 
 def _custom_construction(ctx, fam) -> Outcome:
     return "pass", {"family": fam.name, "kind": fam.kind}, _construction_value(fam), None
@@ -906,7 +914,7 @@ def _document_rows(families, maps, actions) -> List[_Row]:
                 "the deck involution acts freely on generic members: all "
                 "four corner coefficients are nonzero.",
                 partial(_custom_cover, fam=fam)))
-    checked = [(phi, _matching_families(phi, families)) for phi in maps]
+    checked = [(phi, [fam for fam in families if same_triple(fam, phi)]) for phi in maps]
     checked = [(phi, candidates) for phi, candidates in checked if candidates]
     for phi, candidates in checked:
         rows.append(_Row(
@@ -918,8 +926,8 @@ def _document_rows(families, maps, actions) -> List[_Row]:
     for phi, candidates in checked:
         rows.append(_Row(
             f"custom-order-{phi.label}", "order", None,
-            "The supplied map has finite order at most 16 as a self-map of "
-            "the first family it preserves.",
+            f"The supplied map has finite order at most {MAX_ORDER} as a "
+            "self-map of the first family it preserves.",
             partial(_custom_order, phi=phi, candidates=candidates)))
         rows.append(_Row(
             f"custom-ratio-{phi.label}", "index", None,
@@ -957,20 +965,23 @@ def filter_records(
     records: List[CheckRecord], family: str = "all", check: str = "all"
 ) -> List[CheckRecord]:
     """Subset selection used by the command line; built-in records carry a
-    family tag 1..3, custom and family-agnostic ones carry none and only
-    survive the 'all' family filter."""
+    family tag from BUILTIN_FAMILIES, custom and family-agnostic ones carry
+    none and only survive the 'all' family filter.  A family is given as a
+    tag or its text; any other family or check group is a ValueError."""
     out = records
-    if family != "all":
-        k = int(family)
-        out = [rec for rec in out if rec.family == k]
+    tag = str(family)
+    if tag != "all":
+        _require_choice("family", tag, tuple(map(str, BUILTIN_FAMILIES)))
+        out = [rec for rec in out if str(rec.family) == tag]
     if check != "all":
-        if check not in FILTERABLE_GROUPS:
-            raise ValueError(
-                f"unknown check group {check!r}; "
-                f"choose from {', '.join(FILTERABLE_GROUPS)} or all"
-            )
+        _require_choice("check group", check, FILTERABLE_GROUPS)
         out = [rec for rec in out if rec.group == check]
     return out
+
+
+def _require_choice(what: str, value: str, choices) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {', '.join(choices)} or all")
 
 
 def run_checks(

@@ -6,14 +6,14 @@ of extra families and maps), ``classify`` prints the finite classification
 with its pruning trace, and ``report`` writes the full certificate.
 
 ``parse_args`` reads the command line from a table of this fixed grammar
-(``_OPTIONS``) instead of argparse, whose import, parser construction and
-first message lookup (which imports ``locale``) cost a filtered run more
-than its arithmetic.  It reads what argparse read: ``--name value`` and
-``--name=value``, unique prefixes such as ``--fam 3``, the last of a
-repeated option.  ``-h``/``--help`` and ``--version`` print to standard
-output and exit 0; a usage error prints the usage line and an ``error:``
-line to standard error and exits 2.  The help texts are constants in
-argparse's 80-column layout, so they do not re-wrap to the terminal.
+(``_OPTIONS``, whose --family choices are cover.BUILTIN_FAMILIES) with no
+argparse import, which would cost a filtered run more than its arithmetic.
+It reads what argparse read: ``--name value`` and ``--name=value``, unique
+prefixes such as ``--fam 3``, the last of a repeated option.
+``-h``/``--help`` and ``--version`` print to standard output and exit 0; a
+usage error prints the usage line and an ``error:`` line to standard error
+and exits 2.  The help texts are constants in argparse's 80-column layout,
+so they do not re-wrap to the terminal.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 the input could not be used (malformed expression, schema violation, or
@@ -32,6 +32,7 @@ from typing import NamedTuple, NoReturn, Optional, Tuple
 from . import __version__
 from .certificate import Certificate, FILTERABLE_GROUPS, run_checks, verify_all
 from .classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
+from .cover import BUILTIN_FAMILIES
 from .errors import EngineError, InvariantError, ParseError, SchemaError
 from .ingest import ingest
 
@@ -114,7 +115,7 @@ _TOP_NAMES = _HELP_NAMES + ("--version",)
 # options a subcommand cannot go without.
 _OPTIONS = {
     "verify": {
-        "--family": ("1", "2", "3", "all"),
+        "--family": tuple(map(str, BUILTIN_FAMILIES)) + ("all",),
         "--check": FILTERABLE_GROUPS + ("all",),
         "--input": None,
         "--out": None,

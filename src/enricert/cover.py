@@ -14,7 +14,9 @@ maps act on the covers through the a + b*w form of their cover coordinate,
 which lives in the maps module.
 
 This module owns the two surface kinds: their names (ENRIQUES, K3),
-coordinates (KIND_VARIABLES) and branch support (BRANCH_SUPPORT).
+coordinates (KIND_VARIABLES) and branch support (BRANCH_SUPPORT).  It also
+owns the tags of the built-in families (BUILTIN_FAMILIES), which the
+certificate's family filter and the command line's --family read.
 """
 
 from __future__ import annotations
@@ -172,6 +174,9 @@ _FAMILY_ROWS = {
     ),
 }
 
+#: The built-in family tags, as family(k) takes them.
+BUILTIN_FAMILIES = tuple(_FAMILY_ROWS)
+
 _FAMILY_PARAMS = {
     1: ("A", "B", "C", "D", "E", "F"),
     2: ("A", "B", "D"),
@@ -188,7 +193,10 @@ def family(k: int) -> SurfaceFamily:
     4-parameter family invariant under the other order-8 automorphism.
     """
     if k not in _FAMILY_ROWS:
-        raise ValueError(f"no built-in family {k}; choose 1, 2 or 3")
+        *rest, last = BUILTIN_FAMILIES
+        raise ValueError(
+            f"no built-in family {k}; choose {', '.join(map(str, rest))} or {last}"
+        )
     branch = MPoly.sum_monomials(
         ({"y": i, "z": j, param: 1}, scalar)
         for i, j, param, scalar in _FAMILY_ROWS[k]
@@ -254,11 +262,10 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     """
     if fam.kind != ENRIQUES:
         raise PreconditionError("k3_cover expects an enriques_horikawa family")
-    y_image = MPoly.var("Y") * MPoly.var("Z")
-    z_image = MPoly.var("Z") ** 2
-    pulled = fam.branch.substitute_poly({"y": y_image, "z": z_image})
+    images = {"y": MPoly.monomial({"Y": 1, "Z": 1}), "z": MPoly.monomial({"Z": 2})}
+    pulled = fam.branch.substitute_poly(images)
     # RatFunc shifts out the common monomial content Z^4 and keeps g
-    g = RatFunc(pulled, MPoly.var("Z") ** 4).as_poly()
+    g = RatFunc(pulled, MPoly.monomial({"Z": 4})).as_poly()
     return SurfaceFamily(f"{fam.name}_cover", K3, g, fam.parameters)
 
 

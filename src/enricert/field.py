@@ -10,8 +10,7 @@ An element is four integer numerators over one positive common denominator,
 (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / den, reduced so that
 gcd(n0, n1, n2, n3, den) = 1.  Each value has exactly one such form, so
 equality is a tuple compare, and a product costs sixteen integer products and
-one gcd, where sixteen ``fractions.Fraction`` products would each take their
-own gcd.  ``coords`` gives the rational coordinates as Fractions.  Inversion
+one gcd.  ``coords`` gives the rational coordinates as Fractions.  Inversion
 uses the quadratic tower Q <= Q(i) <= Q(zeta_8): the automorphism
 zeta -> -zeta fixes Q(i), so multiplying by the conjugate lands in Q(i), where
 a Gaussian integer a + b*i is inverted by (a - b*i) / (a^2 + b^2).
@@ -194,10 +193,7 @@ class Cyclo:
         )
 
     def __truediv__(self, other) -> "Cyclo":
-        other = Cyclo.coerce(other)
-        if other._q == _ONE_Q:
-            return self
-        return self * other.inverse()
+        return self * Cyclo.coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "Cyclo":
         return Cyclo.coerce(other) * self.inverse()
@@ -273,7 +269,6 @@ class Cyclo:
 _new_cyclo = object.__new__
 _set_q = Cyclo._q.__set__
 _ZERO_Q = (0, 0, 0, 0, 1)
-_ONE_Q = (1, 0, 0, 0, 1)
 
 
 def _raw(q: Tuple[int, int, int, int, int]) -> Cyclo:

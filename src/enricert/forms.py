@@ -59,15 +59,9 @@ def _jacobian(fam: SurfaceFamily, phi: BirMap) -> RatFunc:
 
 def _monomial_parts(phi: BirMap):
     """J, b and phi*z / z for a monomial phi with a = 0, each as (scalar,
-    exponent over the base variables), or None.
-
-    With phi*y = c_y * x^(M_y), phi*z = c_z * x^(M_z) and phi*w =
-    c_w * x^(M_w) * w, the Jacobian J = det(M) * c_y * c_z *
-    x^(M_y + M_z - e_y - e_z) is one term, where M is the base block of
-    the exponent matrix, so each ratio is one term too (J = 0 when
-    det(M) = 0, as in the RatFunc bodies).  None where phi is not of this
-    form; it forms no polynomial, so it takes no cap test.
-    """
+    exponent over the base variables), or None; see the module docstring.
+    M is the base block of the exponent matrix, and J = 0 when det(M) = 0,
+    as in the RatFunc bodies."""
     form = phi.exponent_form
     if form is None:
         return None
@@ -79,6 +73,18 @@ def _monomial_parts(phi: BirMap):
     return jacobian, (cw, tuple(mw)), (cz, (mz[0], mz[1] - 1))
 
 
+def _require(
+    fam: SurfaceFamily, phi: BirMap, invariance: InvarianceResult, kind: str, form: str
+) -> None:
+    """The preconditions of both ratios: a family of the ratio's kind, a
+    map over its coordinates, and certified invariance."""
+    if fam.kind != kind:
+        raise PreconditionError(f"{form} ratios live on {kind} families")
+    require_acts_on(fam, phi)
+    if not invariance:
+        raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
+
+
 def bitwoform_pullback_ratio(
     fam: SurfaceFamily, phi: BirMap, invariance: InvarianceResult
 ) -> Cyclo:
@@ -88,11 +94,7 @@ def bitwoform_pullback_ratio(
     ratio is then a root of unity whose order is the index of the
     automorphism.
     """
-    if fam.kind != ENRIQUES:
-        raise PreconditionError("bi-2-form ratios live on enriques_horikawa families")
-    require_acts_on(fam, phi)
-    if not invariance:
-        raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
+    _require(fam, phi, invariance, ENRIQUES, "bi-2-form")
     parts = _monomial_parts(phi)
     if parts is not None:
         (jc, je), (bc, be), (zc, ze) = parts
@@ -121,11 +123,7 @@ def k3_twoform_ratio(
 ) -> Cyclo:
     """The constant multiplying dY ^ dZ / W under a lift to the K3 cover,
     given phi's certified preservation of the cover equation."""
-    if fam.kind != K3:
-        raise PreconditionError("2-form ratios live on k3_cover families")
-    require_acts_on(fam, phi)
-    if not invariance:
-        raise PreconditionError(f"{phi.label} does not preserve the equation of {fam.name}")
+    _require(fam, phi, invariance, K3, "2-form")
     parts = _monomial_parts(phi)
     if parts is not None:
         (jc, je), (bc, be), _ = parts

@@ -20,7 +20,9 @@ well-formed document describing an invalid object raises the object
 constructor's InvariantError.  Parse and invariant errors carry the
 document location; an invariant error also carries the entry's name, as in
 "families[0] 'c': ...".  A repeated family or map name, or action name
-within a family, is a wrong shape: record ids carry these names.
+within a family, is a wrong shape: record ids carry these names.  Names
+that collide only across kinds are refused by the certificate, which
+builds the ids.
 
 The document is bounded: a file over MAX_DOCUMENT_BYTES bytes (which also
 bounds its literal digits), more than MAX_FAMILIES families, more than

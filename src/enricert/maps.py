@@ -22,14 +22,6 @@ no exponent form are composed, one compose and is_identity per power.
 BirMap.exponent_form computes a map's form once; the form ratios in the
 forms module read it too.
 
-check_equation_invariance has a short path for a single-term cover
-coordinate, c * x^m * w or c * x^m: one of a and b is zero, so the odd part
-2ab is zero with no product, and the even part is one Laurent sum
-(poly.laurent_difference), which, like every monomial short path, hands
-over only where it would form a key over DEGREE_CAP.  Other maps take the
-RatFunc arithmetic, _invariance_by_ratfuncs, the way map_order falls back
-to _order_by_composition; where both return, the witness is the same.
-
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
 a shape flag ("direct" preserves the rulings, "swap" exchanges them).  Fixed
@@ -51,6 +43,14 @@ from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily
+
+#: The largest order map_order and QAut.order look for.
+MAX_ORDER = 16
+
+
+def same_triple(a, b) -> bool:
+    """Whether a and b, maps or families, have the same coordinate triple."""
+    return a.variables == b.variables
 
 
 class BirMap:
@@ -136,7 +136,7 @@ def compose(outer: BirMap, inner: BirMap) -> BirMap:
     Coordinates of the result are outer's expressions with inner's
     coordinates substituted in; the result is again of the shape a + b*w.
     """
-    if outer.variables != inner.variables:
+    if not same_triple(outer, inner):
         raise PreconditionError("composing maps over different coordinate triples")
     substitution = {v: inner.coords[v] for v in inner.variables}
     coords = {
@@ -153,12 +153,12 @@ def is_identity(phi: BirMap) -> bool:
 
 def maps_equal(phi: BirMap, psi: BirMap) -> bool:
     """Coordinatewise equality, which is equality on the surface."""
-    if phi.variables != psi.variables:
-        return False
-    return all(phi.coords[v] == psi.coords[v] for v in phi.variables)
+    return same_triple(phi, psi) and all(
+        phi.coords[v] == psi.coords[v] for v in phi.variables
+    )
 
 
-def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
+def map_order(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
     """Smallest n <= max_n with phi^n the identity, or None.
 
     Powers are compared with the identity coordinate by coordinate, with no
@@ -167,10 +167,9 @@ def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
     deck transformation (w -> -w over the identity on the base) counts as a
     nontrivial map.
 
-    A monomial phi, x_v -> c_v * x^(M_v) over its own variables, is taken
-    as (c, M), and its powers as (c, M) . (d, N) = (c * d^M, M N); a power
-    is the identity when every c_v is 1 and every row M_v is the unit
-    vector of v.  A power that could not be stored as a map, with a
+    A monomial phi is powered in exponent form (see the module docstring);
+    a power is the identity when every c_v is 1 and every row M_v is the
+    unit vector of v.  A power that could not be stored as a map, with a
     coordinate whose numerator or denominator is over DEGREE_CAP, raises
     DegreeCapError.  That bounds the exponents, and so the work, of every
     step.  A phi with no exponent form is composed with its powers instead.
@@ -192,7 +191,7 @@ def map_order(phi: BirMap, max_n: int = 16) -> Optional[int]:
     return None
 
 
-def _order_by_composition(phi: BirMap, max_n: int) -> Optional[int]:
+def _order_by_composition(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
     """map_order by composing the maps: one compose and is_identity per power."""
     current = phi
     for n in range(1, max_n + 1):
@@ -313,7 +312,7 @@ _ONE = MPoly.const(1)
 
 def require_acts_on(fam: SurfaceFamily, phi: BirMap) -> None:
     """Raise PreconditionError unless phi is a map over fam's variables."""
-    if phi.variables != fam.variables:
+    if not same_triple(phi, fam):
         raise PreconditionError(
             f"map over {phi.variables} cannot act on a family over {fam.variables}"
         )
@@ -520,7 +519,7 @@ class QAut:
     def __hash__(self):
         return hash((self.shape, self.m1, self.m2))
 
-    def order(self, max_n: int = 16) -> Optional[int]:
+    def order(self, max_n: int = MAX_ORDER) -> Optional[int]:
         current = self
         for n in range(1, max_n + 1):
             if current.is_identity():
@@ -650,7 +649,7 @@ def _inverse_monomial(g):
 _IDENTITY_FORM = ((1, 0, 0, 1), (0, 0))
 
 
-def _monomial_order(g, max_n: int = 16) -> Optional[int]:
+def _monomial_order(g, max_n: int = MAX_ORDER) -> Optional[int]:
     """QAut.order of the monomial map with exponent form ``g``."""
     power = g
     for n in range(1, max_n + 1):

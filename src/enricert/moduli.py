@@ -122,12 +122,8 @@ def check_parameter_action(
         raise PreconditionError(
             f"action {action.name!r} assigns no weight to {sorted(missing)}"
         )
-    b1, b2 = fam.base_vars
-    geometric = dict(action.geometric)
-    for v in (b1, b2):
-        geometric.setdefault(v, RatFunc.var(v))
     relation = RatFunc.from_poly(fam.relation())
-    lhs = relation.substitute(geometric)
+    lhs = relation.substitute(action.geometric)
     alpha = RatFunc.var("alpha")
     rho = {
         p: (alpha ** action.weights[p]) * RatFunc.var(p)

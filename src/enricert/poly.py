@@ -27,9 +27,6 @@ knows the layout: exponent tuples come in through const, var, monomial and
 sum_monomials, and go out through support and term_items.  The read-outs
 parameter_degree and laurent_difference work on the keys themselves.
 
-Terms are ordered graded-lexicographically for display and for the
-exact-division algorithm.
-
 Rational functions are held as numerator/denominator pairs.  Simplification
 is deliberately modest: common monomial content is cancelled, the denominator
 is scaled to have leading coefficient 1, and full cancellation is attempted
@@ -56,9 +53,9 @@ over DEGREE_CAP, or where a power or product of polynomial values passes a
 cap.  The term-by-term path stores every polynomial it builds, so on such a
 result it raises its own DegreeCapError.
 
-Powers.  A multi-term polynomial is powered one way everywhere, as the
-chain P^k = P^(k-1) * P: MPoly.__pow__, RatFunc.__pow__ and both
-substitution paths, which cache each value's chain.  Repeated
+Powers.  MPoly.__pow__ is the chain P^k = P^(k-1) * P, and a multi-term
+polynomial is powered that way everywhere: RatFunc.__pow__ and both
+substitution paths, which cache each value's chain, take it too.  Repeated
 multiplication suits sparse polynomials better than repeated squaring
 (Fateman, "On the computation of powers of sparse polynomials", 1974): for
 P = (y + z + A + ... + F)^2, 36 terms, P^4 = P^3 * P visits 61,776 term
@@ -88,33 +85,23 @@ construction keeps it, and substituting into it substitutes the numerator
 alone.
 
 RatFunc arithmetic skips steps whose result is already known, and returns
-the pair, term order included, that the general path returns.
-Subtraction is one pass, in MPoly and in RatFunc's general path: it
-subtracts b's coefficients where a + (-b) would first build a negated copy
-of b, with the same products, cap tests and term order.  Subtracting an
-identical simplified pair is zero: the general path would subtract num
-from num over the shared denominator and multiply nothing.
-Negation negates the numerator of a simplified pair, which changes no key
-and no divisibility, so it is simplified already.  Neither skips a cap
-error: the general subtraction multiplies nothing, and the general negation
-repeats only the divisibility tests that simplified the pair when it was
-built.  A product, inverse or power of values that are one term over one
-term, c * x^n / x^d, as the parser and the monomial maps make them, is
-built from the keys: the product adds keys and cancels the common content
-of the new pair with _lane_min, the inverse swaps the keys (a simplified
-pair has no common content) and moves 1/c to the numerator, and the k-th
-power multiplies the keys by k.  The denominator keeps coefficient 1.  The
-product and power first take the test the general path's products take,
-each total degree at most DEGREE_CAP (for a power, the last product's);
-over it they take the general path, which raises its own error.
-
-One difference has a path of its own: t * p - q for t one term over one
-term and q over a monomial, the even part of an invariance check of a
-monomial map.  laurent_difference sums it over one common monomial
-denominator and cancels the content once.  Like every monomial short path,
-it hands over only where a key it forms, the common denominator or one of
-the sum, would pass DEGREE_CAP, so it may answer where the general
-arithmetic's products pass a cap on the way.
+the pair, term order included, that the general path returns.  Subtraction is
+one pass in MPoly and in RatFunc's general path, with the products, cap
+tests and term order of a + (-b).  Subtracting an identical simplified pair
+is zero, as the general path finds by subtracting num from num over the
+shared denominator.  Negation negates the numerator of a simplified pair,
+which changes no key and no divisibility, so it is simplified already.
+Neither skips a cap error: the general subtraction multiplies nothing, and
+the general negation repeats only the divisibility tests that simplified the
+pair when it was built.  A product, inverse or power of values that are one
+term over one term, c * x^n / x^d, as the parser and the monomial maps make
+them, is built from the keys: the product adds keys and cancels the common
+content of the new pair with _lane_min, the inverse swaps the keys (a
+simplified pair has no common content) and moves 1/c to the numerator, and
+the k-th power multiplies the keys by k.  The denominator keeps coefficient
+1.  The product and power first take the test the general path's products
+take, each total degree at most DEGREE_CAP (for a power, the last
+product's); over it they take the general path, which raises its own error.
 """
 
 from __future__ import annotations
@@ -413,14 +400,9 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
-        """The chain P^k = P^(k-1) * P; a single term under DEGREE_CAP is
-        its key times n.  See the module docstring."""
+        """The chain P^k = P^(k-1) * P; see the module docstring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("MPoly exponent must be a nonnegative integer")
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            if n * (e >> _DEG) <= DEGREE_CAP:
-                return _wrap({n * e: c ** n})
         result = _ONE_POLY
         for _ in range(n):
             result = result * self
@@ -481,9 +463,9 @@ class MPoly:
         product is summed into one dict, with no RatFunc per term.  E may
         have negative entries; the sum of all terms is P / x^M with M the
         most negative entry per slot (or 0), and P without common
-        monomial content in any slot of M.  _simplify keeps such a pair as
-        it is (a polynomial over a monomial has one simplified form), so it
-        equals the pair the term-by-term path returns.
+        monomial content in any slot of M.  A polynomial over a monomial has
+        one simplified form, so this pair, returned as it is, equals the pair
+        the term-by-term path returns.
 
         The key is linear, so key(E) is key(e) plus e_i times the key move
         of each assigned slot i.  Negative entries borrow from the lanes
@@ -564,7 +546,8 @@ class MPoly:
             return None
         if den_key:
             terms = {e + den_key: c for e, c in terms.items()}
-        return RatFunc(MPoly(terms), _wrap({den_key: ONE}))
+        # P has no content in common with x^M, and x^M has coefficient 1
+        return _pair(_wrap(terms), _wrap({den_key: ONE}))
 
     def _substitute_terms(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """The term-by-term path of substitute: one RatFunc product per factor."""
@@ -652,10 +635,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     qterms = q.terms
     qe = max(qterms)
-    qc = qterms[qe]
-    # RatFunc._simplify hands over monic divisors; skip inverting 1.
-    monic = qc == ONE
-    qc_inv = ONE if monic else qc.inverse()
+    qc_inv = qterms[qe].inverse()
     # the leading keys strictly decrease, so each quotient key is new
     quot: Dict[int, Cyclo] = {}
     rem = p
@@ -664,8 +644,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
         # x^qe divides x^e: every lane keeps its guard bit
         if ((e | _GUARD) - qe) & _GUARD != _GUARD:
             raise IndivisibleError(q, rem)
-        c = rem.terms[e]
-        coeff = c if monic else c * qc_inv
+        coeff = rem.terms[e] * qc_inv
         quot[e - qe] = coeff
         rem = rem + _wrap({e - qe: -coeff}) * q
     return _wrap(quot)
@@ -809,8 +788,8 @@ class RatFunc:
         if self.den.terms == other.den.terms and self.num.terms == other.num.terms:
             # the general path subtracts num from num over the shared den
             return RatFunc.zero()
-        # self + (-other) in one pass: the same products, cap tests and
-        # term order, with other's coefficients subtracted, not negated
+        # one pass, with the products, cap tests and term order of
+        # self + (-other)
         if self.den == other.den:
             return RatFunc(self.num - other.num, self.den)
         return RatFunc(

@@ -26,6 +26,7 @@ from enricert.certificate import (
 )
 from enricert.cli import main
 from enricert.cover import family, k3_cover
+from enricert.errors import SchemaError
 from enricert.ingest import ingest, load_document, serialize_document, serialize_family
 
 from _helpers import load_docgen
@@ -271,6 +272,22 @@ def test_filter_combines_family_and_check():
 def test_filter_rejects_unfilterable_group():
     with pytest.raises(ValueError, match="unknown check group"):
         filter_records(list(shared_builtin_records()), check="classification")
+
+
+@pytest.mark.parametrize("tag", ["9", "x", "0", "", "1 "])
+def test_an_unknown_family_tag_is_an_error_not_an_empty_certificate(tag):
+    message = rf"^unknown family '{tag}'; choose from 1, 2, 3 or all$"
+    with pytest.raises(ValueError, match=message):
+        filter_records(list(shared_builtin_records()), family=tag)
+    with pytest.raises(ValueError, match=message):
+        run_checks(family=tag)
+
+
+def test_an_integer_family_tag_filters_as_its_text():
+    records = list(shared_builtin_records())
+    assert filter_records(records, family=2) == filter_records(records, family="2")
+    with pytest.raises(ValueError, match=r"^unknown family '9'"):
+        filter_records(records, family=9)
 
 
 def test_run_checks_applies_filters():
@@ -568,6 +585,62 @@ def test_map_with_no_matching_families_is_skipped():
     ids = {r.id for r in cert.records if r.id.startswith("custom-invariance")}
     assert ids == set()
     assert cert.overall == "pass"
+
+
+def _colliding_ids_doc():
+    # family f's action "construction" and family action-f's construction
+    # check would both be custom-action-f-construction
+    raw, _ = _fixture_doc_dict()
+    f, action_f = copy.deepcopy(raw["families"][:2])
+    f["name"] = "f"
+    f["actions"][0]["name"] = "construction"
+    action_f["name"] = "action-f"
+    return {"families": [f, action_f]}
+
+
+def test_a_repeated_record_id_is_a_schema_error_before_any_check(monkeypatch):
+    import enricert.certificate as certificate
+
+    ran = []
+    monkeypatch.setattr(certificate, "_construction_value", ran.append)
+    doc = load_document(_colliding_ids_doc())
+    with pytest.raises(SchemaError, match=r"'custom-action-f-construction'$"):
+        document_records(doc.families, doc.maps, doc.actions)
+    assert ran == []
+
+
+def test_a_repeated_record_id_exits_2_and_prints_no_record(tmp_path, capsys):
+    path = tmp_path / "colliding.json"
+    path.write_text(json.dumps(_colliding_ids_doc()), encoding="utf-8")
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "schema violation: two records would share the id "
+        "'custom-action-f-construction'\n"
+    )
+
+
+_ID_RUNS = (
+    ["families.json"]
+    + [f"docgen-{seed}-{index}" for seed in (1, 2, 3) for index in (0, 1, 2)]
+    + sorted(_PINNED_DOCUMENTS)
+)
+
+
+@pytest.mark.parametrize("name", _ID_RUNS)
+def test_record_ids_are_unique_within_a_run(name):
+    if name == "families.json":
+        doc = ingest(str(FIXTURES / name))
+    elif name.startswith("docgen-"):
+        _, seed, index = name.split("-")
+        text = load_docgen().generate(int(seed), int(index))[0]
+        doc = load_document(json.loads(text))
+    else:
+        doc = load_document(_PINNED_DOCUMENTS[name]())
+    ids = [r.id for r in verify_all(document=doc).records]
+    assert len(ids) > len(BUILTIN_IDS)
+    assert len(set(ids)) == len(ids)
 
 
 @functools.lru_cache(maxsize=None)
