@@ -67,10 +67,10 @@ from .maps import (
     same_triple,
     swap_root,
 )
+from . import moduli
 from .moduli import (
     ParameterAction,
     check_parameter_action,
-    diagonal_base_scaling,
     homothety,
     moduli_number,
 )
@@ -293,16 +293,20 @@ class _Context:
         return self._once(check_parameter_action, fam, action)
 
 
-def _run(rows, ctx: _Context) -> List[CheckRecord]:
-    """Run the rows in the declared order; an exception a check raises
-    becomes its failure.  Record ids are unique within a run: a repeated
-    row id, which document names can make, is a SchemaError before any
-    check runs."""
+def _require_unique_ids(rows) -> None:
+    """Record ids are unique within a run: a repeated row id, which
+    document names can make, is a SchemaError."""
     ids = set()
     for row in rows:
         if row.id in ids:
             raise SchemaError(f"two records would share the id {row.id!r}")
         ids.add(row.id)
+
+
+def _run(rows, ctx: _Context) -> List[CheckRecord]:
+    """Run the rows in the declared order, once their ids are known to be
+    unique; an exception a check raises becomes its failure."""
+    _require_unique_ids(rows)
     records = []
     for row in rows:
         if row.fn is None:
@@ -330,16 +334,18 @@ _EXPECTED_INDICES = {1: 2, 2: 4, 3: 2}
 _EXPECTED_SUPPORT = {1: 12, 2: 12, 3: 6}
 _EXPECTED_MODULI = {1: 5, 2: 2, 3: 2}
 _DIMENSION_TABLE = {1: (12, 4, 5), 2: (12, 8, 2), 3: (6, 4, 2)}
+#: Each built-in family's actions, by the moduli function that builds each.
 _ACTION_NAMES = {1: ("homothety",), 2: ("homothety",),
                  3: ("homothety", "diagonal_base_scaling")}
 _FAMILY1_CORNERS = ("-A", "C", "-C", "A")
 
 
 def _builtin_actions(fam: SurfaceFamily, k: int) -> List[ParameterAction]:
-    actions = [homothety(fam)]
-    if k == 3:
-        actions.append(diagonal_base_scaling())
-    return actions
+    """The k-th family's actions; only the homothety reads the family."""
+    return [
+        homothety(fam) if name == "homothety" else getattr(moduli, name)()
+        for name in _ACTION_NAMES[k]
+    ]
 
 
 # -- check bodies shared by built-in and document records --------------------
@@ -968,19 +974,21 @@ def filter_records(
     family tag from BUILTIN_FAMILIES, custom and family-agnostic ones carry
     none and only survive the 'all' family filter.  A family is given as a
     tag or its text; any other family or check group is a ValueError."""
-    out = records
     tag = str(family)
-    if tag != "all":
-        _require_choice("family", tag, tuple(map(str, BUILTIN_FAMILIES)))
-        out = [rec for rec in out if str(rec.family) == tag]
-    if check != "all":
-        _require_choice("check group", check, FILTERABLE_GROUPS)
-        out = [rec for rec in out if rec.group == check]
-    return out
+    _require_filters(tag, check)
+    return [
+        rec for rec in records
+        if tag in ("all", str(rec.family)) and check in ("all", rec.group)
+    ]
+
+
+def _require_filters(family: str, check: str) -> None:
+    _require_choice("family", family, tuple(map(str, BUILTIN_FAMILIES)))
+    _require_choice("check group", check, FILTERABLE_GROUPS)
 
 
 def _require_choice(what: str, value: str, choices) -> None:
-    if value not in choices:
+    if value != "all" and value not in choices:
         raise ValueError(f"unknown {what} {value!r}; choose from {', '.join(choices)} or all")
 
 
@@ -990,7 +998,13 @@ def run_checks(
     document=None,
 ) -> Certificate:
     """Built-in checks, then checks for a parsed input document; the filters
-    keep a subset of the records of the full run."""
+    keep a subset of the records of the full run.  An unknown filter or a
+    repeated document record id is refused before any check runs."""
+    _require_filters(str(family), check)
+    if document is not None:
+        _require_unique_ids(
+            _document_rows(document.families, document.maps, document.actions)
+        )
     ctx = _Context()
     records = builtin_records(ctx)
     if document is not None:

@@ -37,6 +37,11 @@ from .errors import EngineError, InvariantError, ParseError, SchemaError
 from .ingest import ingest
 
 
+def _checks(cert: Certificate) -> int:
+    """The number of records that are checks, not info notes."""
+    return sum(1 for rec in cert.records if rec.result != "info")
+
+
 def _print_certificate(cert: Certificate, stream) -> None:
     for rec in cert.records:
         tag = {"pass": "PASS", "fail": "FAIL", "info": "info"}[rec.result]
@@ -46,7 +51,7 @@ def _print_certificate(cert: Certificate, stream) -> None:
         print(line, file=stream)
         if rec.failed and rec.witness:
             print(f"       witness: {rec.witness}", file=stream)
-    checked = sum(1 for rec in cert.records if rec.result != "info")
+    checked = _checks(cert)
     noted = len(cert.records) - checked
     summary = f"overall: {cert.overall} ({checked} checks"
     summary += f", {noted} notes)" if noted else ")"
@@ -100,8 +105,7 @@ def _cmd_report(args) -> int:
     cert = verify_all()
     if not _write_out(cert, args.out):
         return 2
-    checked = sum(1 for rec in cert.records if rec.result != "info")
-    print(f"wrote {args.out}: overall {cert.overall} ({checked} checks)")
+    print(f"wrote {args.out}: overall {cert.overall} ({_checks(cert)} checks)")
     return 0 if cert.overall == "pass" else 1
 
 

@@ -16,7 +16,9 @@ which lives in the maps module.
 This module owns the two surface kinds: their names (ENRIQUES, K3),
 coordinates (KIND_VARIABLES) and branch support (BRANCH_SUPPORT).  It also
 owns the tags of the built-in families (BUILTIN_FAMILIES), which the
-certificate's family filter and the command line's --family read.
+certificate's family filter and the command line's --family read; the
+unknown-tag rule of every built-in table (builtin_entry); and a family's
+parameters, the ones its branch uses (branch_parameters).
 """
 
 from __future__ import annotations
@@ -177,11 +179,21 @@ _FAMILY_ROWS = {
 #: The built-in family tags, as family(k) takes them.
 BUILTIN_FAMILIES = tuple(_FAMILY_ROWS)
 
-_FAMILY_PARAMS = {
-    1: ("A", "B", "C", "D", "E", "F"),
-    2: ("A", "B", "D"),
-    3: ("A", "B", "C", "D"),
-}
+
+def builtin_entry(table: Mapping, k, what: str):
+    """The entry of a built-in table under tag k; an unknown tag is a
+    ValueError that names the table's tags."""
+    if k not in table:
+        *rest, last = table
+        raise ValueError(
+            f"no built-in {what} {k}; choose {', '.join(map(str, rest))} or {last}"
+        )
+    return table[k]
+
+
+def branch_parameters(branch: MPoly) -> Tuple[str, ...]:
+    """The parameters a branch polynomial uses, in layout order."""
+    return tuple(p for p in branch.variables() if p in PARAMETERS)
 
 
 def family(k: int) -> SurfaceFamily:
@@ -192,16 +204,11 @@ def family(k: int) -> SurfaceFamily:
     order-8 automorphism whose square is the order-4 one; family 3 is the
     4-parameter family invariant under the other order-8 automorphism.
     """
-    if k not in _FAMILY_ROWS:
-        *rest, last = BUILTIN_FAMILIES
-        raise ValueError(
-            f"no built-in family {k}; choose {', '.join(map(str, rest))} or {last}"
-        )
     branch = MPoly.sum_monomials(
         ({"y": i, "z": j, param: 1}, scalar)
-        for i, j, param, scalar in _FAMILY_ROWS[k]
+        for i, j, param, scalar in builtin_entry(_FAMILY_ROWS, k, "family")
     )
-    return SurfaceFamily(f"family{k}", ENRIQUES, branch, _FAMILY_PARAMS[k])
+    return SurfaceFamily(f"family{k}", ENRIQUES, branch, branch_parameters(branch))
 
 
 def specialization_to_family2() -> Dict[str, MPoly]:
@@ -248,9 +255,7 @@ def specialize(fam: SurfaceFamily, substitution: Mapping[str, object]) -> Surfac
             )
         assignment[name] = p
     branch = fam.branch.substitute_poly(assignment)
-    # variables() lists names in layout order
-    remaining = tuple(p for p in branch.variables() if p in PARAMETERS)
-    return SurfaceFamily(f"{fam.name}_special", fam.kind, branch, remaining)
+    return SurfaceFamily(f"{fam.name}_special", fam.kind, branch, branch_parameters(branch))
 
 
 def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:

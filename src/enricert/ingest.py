@@ -19,15 +19,16 @@ position), a document of the wrong shape raises SchemaError, and a
 well-formed document describing an invalid object raises the object
 constructor's InvariantError.  Parse and invariant errors carry the
 document location; an invariant error also carries the entry's name, as in
-"families[0] 'c': ...".  A repeated family or map name, or action name
-within a family, is a wrong shape: record ids carry these names.  Names
-that collide only across kinds are refused by the certificate, which
-builds the ids.
+"families[0] 'c': ...".
 
-The document is bounded: a file over MAX_DOCUMENT_BYTES bytes (which also
-bounds its literal digits), more than MAX_FAMILIES families, more than
-MAX_MAPS maps or more than MAX_ACTIONS actions in one family is a wrong
-shape whose message names the cap.
+The document's three lists (families, maps, and a family's actions) share
+one set of rules, stated once in _load_list: the value is a list, it holds
+at most its cap (MAX_FAMILIES, MAX_MAPS, MAX_ACTIONS), and no two entries
+share a name, since record ids carry the names; each breach is a wrong
+shape whose message names the list or the cap.  Names that collide only
+across kinds are refused by the certificate, which builds the ids.  A file
+over MAX_DOCUMENT_BYTES bytes, which also bounds its literal digits, is a
+wrong shape too.
 """
 
 from __future__ import annotations
@@ -75,6 +76,30 @@ def _expect(cond: bool, where: str, what: str) -> None:
         raise SchemaError(f"{where}: {what}")
 
 
+def _is_int(value) -> bool:
+    """An integer JSON number, not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_list(owner: Mapping, key: str, where: str, noun: str, load) -> Dict[str, object]:
+    """The entries of owner[key], loaded in order by load(entry, location)
+    into (name, item) pairs and keyed by name.  The value must be a list of
+    at most MAX_<KEY> entries, and no two entries may share a name."""
+    cap_name = f"MAX_{key.upper()}"
+    cap = globals()[cap_name]
+    raw = owner.get(key, [])
+    _expect(isinstance(raw, list), where, f"{key!r} must be a list")
+    _expect(len(raw) <= cap, where, f"{len(raw)} {key} exceed the cap {cap_name} = {cap}")
+    prefix = "" if where == "document" else f"{where}."
+    loaded = {}
+    for idx, entry in enumerate(raw):
+        at = f"{prefix}{key}[{idx}]"
+        name, item = load(entry, at)
+        _expect(name not in loaded, at, f"duplicate {noun} name {name!r}")
+        loaded[name] = item
+    return loaded
+
+
 def _str_field(entry: Mapping, key: str, where: str) -> str:
     _expect(key in entry, where, f"missing key {key!r}")
     value = entry[key]
@@ -97,7 +122,9 @@ def _expression(text: str, where: str) -> RatFunc:
         raise ParseError(f"{where}: {exc.message}", exc.position) from exc
 
 
-def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[ParameterAction, ...]]:
+def _load_family(
+    entry: Mapping, where: str
+) -> Tuple[str, Tuple[SurfaceFamily, Tuple[ParameterAction, ...]]]:
     _expect(isinstance(entry, Mapping), where, "family entry must be an object")
     name = _str_field(entry, "name", where)
     kind = _str_field(entry, "kind", where)
@@ -123,11 +150,7 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
         _expect(isinstance(mono, Mapping), mwhere, "must be an object")
         for key in ("i", "j"):
             _expect(key in mono, mwhere, f"missing key {key!r}")
-            _expect(
-                isinstance(mono[key], int) and not isinstance(mono[key], bool),
-                mwhere,
-                f"{key!r} must be an integer",
-            )
+            _expect(_is_int(mono[key]), mwhere, f"{key!r} must be an integer")
         i, j = mono["i"], mono["j"]
         _expect((i, j) in support, mwhere, f"support outside {bound}: ({i}, {j})")
         coeff = mono.get("coeff")
@@ -155,26 +178,16 @@ def _load_family(entry: Mapping, where: str) -> Tuple[SurfaceFamily, Tuple[Param
     except InvariantError as exc:
         raise InvariantError(f"{where} {name!r}: {exc}") from exc
 
-    actions: Dict[str, ParameterAction] = {}
-    raw_actions = entry.get("actions", [])
-    _expect(isinstance(raw_actions, list), where, "'actions' must be a list")
-    _expect(
-        len(raw_actions) <= MAX_ACTIONS,
-        where,
-        f"{len(raw_actions)} actions exceed the cap MAX_ACTIONS = {MAX_ACTIONS}",
+    actions = _load_list(
+        entry, "actions", where, "action",
+        lambda raw, at: _load_action(raw, at, (base1, base2)),
     )
-    for idx, raw in enumerate(raw_actions):
-        action = _load_action(raw, f"{where}.actions[{idx}]", (base1, base2))
-        _expect(
-            action.name not in actions,
-            f"{where}.actions[{idx}]",
-            f"duplicate action name {action.name!r}",
-        )
-        actions[action.name] = action
-    return fam, tuple(actions.values())
+    return name, (fam, tuple(actions.values()))
 
 
-def _load_action(entry: Mapping, where: str, bases: Tuple[str, str]) -> ParameterAction:
+def _load_action(
+    entry: Mapping, where: str, bases: Tuple[str, str]
+) -> Tuple[str, ParameterAction]:
     _expect(isinstance(entry, Mapping), where, "action entry must be an object")
     name = _str_field(entry, "name", where)
     weights = entry.get("weights")
@@ -185,11 +198,7 @@ def _load_action(entry: Mapping, where: str, bases: Tuple[str, str]) -> Paramete
             where,
             f"weight names unknown parameter {p!r}",
         )
-        _expect(
-            isinstance(wgt, int) and not isinstance(wgt, bool),
-            where,
-            f"weight of {p!r} must be an integer",
-        )
+        _expect(_is_int(wgt), where, f"weight of {p!r} must be an integer")
     geometric_raw = entry.get("geometric", {})
     _expect(isinstance(geometric_raw, Mapping), where, "'geometric' must be an object")
     geometric = {}
@@ -198,15 +207,11 @@ def _load_action(entry: Mapping, where: str, bases: Tuple[str, str]) -> Paramete
         _expect(isinstance(text, str), where, f"geometric[{var!r}] must be a string")
         geometric[var] = _expression(text, f"{where}.geometric.{var}")
     scale = entry.get("w_square_scale")
-    _expect(
-        isinstance(scale, int) and not isinstance(scale, bool),
-        where,
-        "'w_square_scale' must be an integer",
-    )
-    return ParameterAction(name, dict(weights), geometric, scale)
+    _expect(_is_int(scale), where, "'w_square_scale' must be an integer")
+    return name, ParameterAction(name, dict(weights), geometric, scale)
 
 
-def _load_map(entry: Mapping, where: str) -> BirMap:
+def _load_map(entry: Mapping, where: str) -> Tuple[str, BirMap]:
     _expect(isinstance(entry, Mapping), where, "map entry must be an object")
     name = _str_field(entry, "name", where)
     coords = entry.get("coords")
@@ -225,9 +230,11 @@ def _load_map(entry: Mapping, where: str) -> BirMap:
         for v in variables
     }
     try:
-        return BirMap(variables, parsed, label=name)
+        phi = BirMap(variables, parsed, label=name)
     except InvariantError as exc:
         raise InvariantError(f"{where} {name!r}: {exc}") from exc
+    # an empty name is labelled "map", and the label names the records
+    return phi.label, phi
 
 
 def load_document(document: Mapping) -> IngestResult:
@@ -238,37 +245,13 @@ def load_document(document: Mapping) -> IngestResult:
     _expect(
         document.get("schema", _SCHEMA) == _SCHEMA, "document", f"'schema' must be {_SCHEMA!r}"
     )
-    families: List[SurfaceFamily] = []
-    actions: Dict[str, Tuple[ParameterAction, ...]] = {}
-    raw_families = document.get("families", [])
-    _expect(isinstance(raw_families, list), "document", "'families' must be a list")
-    _expect(
-        len(raw_families) <= MAX_FAMILIES,
-        "document",
-        f"{len(raw_families)} families exceed the cap MAX_FAMILIES = {MAX_FAMILIES}",
+    families = _load_list(document, "families", "document", "family", _load_family)
+    maps = _load_list(document, "maps", "document", "map", _load_map)
+    return IngestResult(
+        tuple(fam for fam, _ in families.values()),
+        tuple(maps.values()),
+        {name: fam_actions for name, (_, fam_actions) in families.items()},
     )
-    for idx, entry in enumerate(raw_families):
-        fam, fam_actions = _load_family(entry, f"families[{idx}]")
-        _expect(
-            fam.name not in actions,
-            f"families[{idx}]",
-            f"duplicate family name {fam.name!r}",
-        )
-        families.append(fam)
-        actions[fam.name] = fam_actions
-    maps: Dict[str, BirMap] = {}
-    raw_maps = document.get("maps", [])
-    _expect(isinstance(raw_maps, list), "document", "'maps' must be a list")
-    _expect(
-        len(raw_maps) <= MAX_MAPS,
-        "document",
-        f"{len(raw_maps)} maps exceed the cap MAX_MAPS = {MAX_MAPS}",
-    )
-    for idx, entry in enumerate(raw_maps):
-        phi = _load_map(entry, f"maps[{idx}]")
-        _expect(phi.label not in maps, f"maps[{idx}]", f"duplicate map name {phi.label!r}")
-        maps[phi.label] = phi
-    return IngestResult(tuple(families), tuple(maps.values()), actions)
 
 
 def ingest(path: str) -> IngestResult:

@@ -30,6 +30,9 @@ of each Moebius factor has one root or two, as its discriminant decides.
 The Klein-four normal form check and the search for monomial square roots
 run in exponent form, on integer matrices and exponents of zeta_8, not on
 these matrices; a QAut is built only for a root found.
+
+The built-in automorphisms and K3 lifts are tables of labels and coordinate
+texts keyed by family tag; cover.builtin_entry refuses an unknown tag.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import DegreeCapError, InvariantError, PreconditionError
 from .field import Cyclo, ONE, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
-from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily
+from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily, builtin_entry
 
 #: The largest order map_order and QAut.order look for.
 MAX_ORDER = 16
@@ -336,6 +339,23 @@ def _invariance_by_ratfuncs(relation, pulled, a, b) -> InvarianceResult:
 
 
 # -- built-in automorphisms ---------------------------------------------------
+#
+# Each built-in map by tag: its label and its w, y, z (or W, Y, Z) texts.
+
+_AUTOMORPHISMS = {
+    1: ("aut_4_2", "i*w/(y^2*z^3)", "1/y", "1/z"),
+    2: ("aut_8_4", "zeta8*y^3*w/z^4", "y/z", "y^2/z"),
+    3: ("aut_8_2", "w*y^3/z^3", "i*y", "y^2/z"),
+}
+_LIFTS = {
+    1: ("lift_4_2", "i*W/(Y^2*Z^2)", "1/Y", "1/Z"),
+    2: ("lift_8_4", "zeta8*W/Z^2", "1/Z", "Y"),
+}
+
+
+def _builtin_map(variables, table, k, what: str) -> BirMap:
+    label, *texts = builtin_entry(table, k, what)
+    return BirMap.from_strings(variables, label, **dict(zip(variables, texts)))
 
 
 def family_automorphism(k: int) -> BirMap:
@@ -346,22 +366,7 @@ def family_automorphism(k: int) -> BirMap:
          is the k=1 map.
     k=3: order 8, negates the bi-2-form (index 2).
     """
-    if k == 1:
-        return BirMap.from_strings(
-            ENRIQUES_VARS, label="aut_4_2",
-            w="i*w/(y^2*z^3)", y="1/y", z="1/z",
-        )
-    if k == 2:
-        return BirMap.from_strings(
-            ENRIQUES_VARS, label="aut_8_4",
-            w="zeta8*y^3*w/z^4", y="y/z", z="y^2/z",
-        )
-    if k == 3:
-        return BirMap.from_strings(
-            ENRIQUES_VARS, label="aut_8_2",
-            w="w*y^3/z^3", y="i*y", z="y^2/z",
-        )
-    raise ValueError(f"no built-in automorphism {k}; choose 1, 2 or 3")
+    return _builtin_map(ENRIQUES_VARS, _AUTOMORPHISMS, k, "automorphism")
 
 
 def k3_lift(k: int) -> BirMap:
@@ -370,17 +375,7 @@ def k3_lift(k: int) -> BirMap:
     The other lift is the composition with the deck flip; both are evaluated
     when two-form ratios are certified.
     """
-    if k == 1:
-        return BirMap.from_strings(
-            K3_VARS, label="lift_4_2",
-            W="i*W/(Y^2*Z^2)", Y="1/Y", Z="1/Z",
-        )
-    if k == 2:
-        return BirMap.from_strings(
-            K3_VARS, label="lift_8_4",
-            W="zeta8*W/Z^2", Y="1/Z", Z="Y",
-        )
-    raise ValueError(f"no built-in lift {k}; choose 1 or 2")
+    return _builtin_map(K3_VARS, _LIFTS, k, "lift")
 
 
 def deck_flip() -> BirMap:
@@ -389,6 +384,13 @@ def deck_flip() -> BirMap:
 
 
 # -- automorphisms of the quadric P1 x P1 -------------------------------------
+
+
+class FixedPointData(NamedTuple):
+    """Fixed-point count of a Mobius map or a QAut, with the parabolic flag."""
+
+    count: int
+    parabolic: bool
 
 
 class Mobius:
@@ -444,8 +446,8 @@ class Mobius:
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 
-    def fixed_points(self) -> Tuple[int, bool]:
-        """(count, parabolic flag) for the action on P1.
+    def fixed_points(self) -> FixedPointData:
+        """Fixed-point count and parabolic flag of the action on P1.
 
         Fixed points solve c x^2 + (d - a) x - b = 0, with infinity fixed
         exactly when c = 0.  There is one, and the map is parabolic, exactly
@@ -456,7 +458,7 @@ class Mobius:
             raise ValueError("the identity fixes everything")
         a, b, c, d = self.a, self.b, self.c, self.d
         parabolic = ((d - a) * (d - a) + 4 * b * c).is_zero()
-        return (1 if parabolic else 2), parabolic
+        return FixedPointData(1 if parabolic else 2, parabolic)
 
     def __repr__(self) -> str:
         return f"Mobius(({self.a}, {self.b}), ({self.c}, {self.d}))"
@@ -536,13 +538,6 @@ class QAut:
         return f"QAut({self.shape}, {self.m1}, {self.m2})"
 
 
-class FixedPointData(NamedTuple):
-    """Fixed-point count of a QAut, with the parabolic flag."""
-
-    count: int
-    parabolic: bool
-
-
 def qaut_fixed_points(g: QAut) -> FixedPointData:
     """Fixed-point count of a non-identity QAut on the quadric.
 
@@ -562,7 +557,7 @@ def qaut_fixed_points(g: QAut) -> FixedPointData:
     h = g.m1 @ g.m2
     if h.is_identity():
         raise ValueError("this ruling swap fixes a curve, not isolated points")
-    return FixedPointData(*h.fixed_points())
+    return h.fixed_points()
 
 
 # -- the Klein-four normal form and square roots of the double inversion ------

@@ -738,9 +738,6 @@ class RatFunc:
     def var(name: str) -> "RatFunc":
         return RatFunc.from_poly(MPoly.var(name))
 
-    def _coerce(self, x) -> "RatFunc":
-        return as_ratfunc(x)
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -770,7 +767,7 @@ class RatFunc:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
+        other = as_ratfunc(other)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
@@ -784,7 +781,7 @@ class RatFunc:
         return _pair(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        other = self._coerce(other)
+        other = as_ratfunc(other)
         if self.den.terms == other.den.terms and self.num.terms == other.num.terms:
             # the general path subtracts num from num over the shared den
             return RatFunc.zero()
@@ -797,10 +794,10 @@ class RatFunc:
         )
 
     def __rsub__(self, other) -> "RatFunc":
-        return self._coerce(other) - self
+        return as_ratfunc(other) - self
 
     def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
+        other = as_ratfunc(other)
         a, b = self.num.terms, other.num.terms
         da, db = self.den.terms, other.den.terms
         if len(a) == len(b) == len(da) == len(db) == 1:
@@ -828,10 +825,10 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __truediv__(self, other) -> "RatFunc":
-        return self * self._coerce(other).inverse()
+        return self * as_ratfunc(other).inverse()
 
     def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other) * self.inverse()
+        return as_ratfunc(other) * self.inverse()
 
     def __pow__(self, n: int) -> "RatFunc":
         if not isinstance(n, int):
@@ -866,7 +863,7 @@ class RatFunc:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Cyclo, Fraction, int, MPoly)):
-            other = self._coerce(other)
+            other = as_ratfunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         if len(self.den.terms) == len(other.den.terms) == 1:

@@ -25,7 +25,7 @@ from enricert.certificate import (
     verify_all,
 )
 from enricert.cli import main
-from enricert.cover import family, k3_cover
+from enricert.cover import BUILTIN_FAMILIES, family, k3_cover
 from enricert.errors import SchemaError
 from enricert.ingest import ingest, load_document, serialize_document, serialize_family
 
@@ -609,7 +609,46 @@ def test_a_repeated_record_id_is_a_schema_error_before_any_check(monkeypatch):
     assert ran == []
 
 
-def test_a_repeated_record_id_exits_2_and_prints_no_record(tmp_path, capsys):
+def _counting_family(monkeypatch):
+    import enricert.certificate as certificate
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return family(k)
+
+    monkeypatch.setattr(certificate, "family", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"family": "9"}, ValueError),
+    ({"check": "bogus"}, ValueError),
+    ({"document": "colliding"}, SchemaError),
+], ids=["family", "check", "colliding-ids"])
+def test_bad_run_inputs_are_refused_before_any_check(monkeypatch, kwargs, error):
+    if kwargs.get("document") == "colliding":
+        kwargs = {"document": load_document(_colliding_ids_doc())}
+    calls = _counting_family(monkeypatch)
+    with pytest.raises(error):
+        run_checks(**kwargs)
+    assert calls == []
+    # the counter sees the built-in families of a good run
+    run_checks(family="1", check="order")
+    assert sorted(set(calls)) == [1, 2, 3]
+
+
+def test_builtin_actions_are_built_from_their_names():
+    import enricert.certificate as certificate
+
+    for k in BUILTIN_FAMILIES:
+        actions = certificate._builtin_actions(family(k), k)
+        assert tuple(a.name for a in actions) == certificate._ACTION_NAMES[k]
+
+
+def test_a_repeated_record_id_exits_2_and_prints_no_record(monkeypatch, tmp_path, capsys):
+    calls = _counting_family(monkeypatch)
     path = tmp_path / "colliding.json"
     path.write_text(json.dumps(_colliding_ids_doc()), encoding="utf-8")
     assert main(["verify", "--input", str(path)]) == 2
@@ -619,6 +658,8 @@ def test_a_repeated_record_id_exits_2_and_prints_no_record(tmp_path, capsys):
         "schema violation: two records would share the id "
         "'custom-action-f-construction'\n"
     )
+    # refused before any built-in check ran
+    assert calls == []
 
 
 _ID_RUNS = (

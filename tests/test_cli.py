@@ -567,6 +567,18 @@ def test_parser_output_is_pinned(capsys, case):
     )
 
 
+def test_verify_usage_and_help_list_every_choice():
+    # the texts are argparse's fixed 80-column layout, so they stay
+    # constants; each must still spell the choices the parser accepts
+    from enricert import cli
+
+    for name, choices in cli._OPTIONS["verify"].items():
+        if choices is not None:
+            listed = "{" + ",".join(choices) + "}"
+            assert f"[{name} {listed}]" in cli._USAGE["verify"]
+            assert f"  {name} {listed}" in cli._HELP["verify"]
+
+
 def test_a_request_loads_no_argument_parsing_modules():
     # argparse pulls in gettext, whose first message lookup imports locale
     code = (

@@ -1,7 +1,10 @@
 """Branch families, K3 covers and freeness."""
 
+from pathlib import Path
+
 import pytest
 
+import enricert
 from enricert.certificate import _corner_witness
 from enricert.cover import (
     SurfaceFamily,
@@ -78,10 +81,23 @@ def test_family_relation_includes_extra_ruling_factor():
 
 
 def test_family_index_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no built-in family 0; choose 1, 2 or 3$"):
         family(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no built-in family 4; choose 1, 2 or 3$"):
         family(4)
+
+
+def test_no_source_file_spells_a_choice_of_builtin_tags():
+    # builtin_entry builds the unknown-tag text from its table's keys, so a
+    # new built-in family needs no second edit of a message
+    package = Path(enricert.__file__).parent
+    spelled = [
+        f"{path.name}: {text}"
+        for path in sorted(package.glob("*.py"))
+        for text in ("choose 1, 2 or 3", "choose 1 or 2")
+        if text in path.read_text(encoding="utf-8")
+    ]
+    assert spelled == []
 
 
 # -- construction validation -------------------------------------------------

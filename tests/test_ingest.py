@@ -176,6 +176,14 @@ def test_repeated_support_pairs_accumulate():
             lambda d: d["maps"].append(copy.deepcopy(d["maps"][0])),
             "maps[1]: duplicate map name 'm'",
         ),
+        (
+            lambda d: d["families"][0].__setitem__("actions", {}),
+            "families[0]: 'actions' must be a list",
+        ),
+        (
+            lambda d: d["families"].append(copy.deepcopy(d["families"][0])),
+            "families[1]: duplicate family name 't'",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):

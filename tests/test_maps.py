@@ -270,10 +270,20 @@ def test_compose_rejects_mixed_coordinate_triples():
 
 
 def test_builtin_index_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no built-in automorphism 4; choose 1, 2 or 3$"):
         family_automorphism(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no built-in lift 3; choose 1 or 2$"):
         k3_lift(3)
+
+
+def test_builtin_map_tables_have_the_tags_of_their_records():
+    # one automorphism per built-in family; a lift for each family whose
+    # cover carries a bis-condition record
+    from enricert.certificate import _BIS_STATEMENTS
+    from enricert.cover import BUILTIN_FAMILIES
+
+    assert tuple(maps._AUTOMORPHISMS) == BUILTIN_FAMILIES
+    assert tuple(maps._LIFTS) == tuple(_BIS_STATEMENTS)
 
 
 def test_deck_flip_is_not_the_identity_but_squares_to_it():
@@ -474,6 +484,13 @@ def test_mobius_group_laws():
 def test_fixed_points_of_identity_rejected():
     with pytest.raises(ValueError):
         Mobius.identity().fixed_points()
+
+
+def test_fixed_points_are_fixed_point_data_for_mobius_and_qaut():
+    data = Mobius(2, 0, 0, 1).fixed_points()
+    assert isinstance(data, maps.FixedPointData)
+    assert (data.count, data.parabolic) == (2, False)
+    assert isinstance(qaut_fixed_points(swap_root(1)), maps.FixedPointData)
 
 
 def test_fixed_points_translation_is_parabolic():
