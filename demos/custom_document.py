@@ -12,12 +12,12 @@ import tempfile
 from enricert import (
     family,
     family_automorphism,
-    ingest,
     run_checks,
     serialize_document,
     specialization_one_param,
     specialize,
 )
+from enricert.ingest import ingest
 
 narrow = specialize(family(1), specialization_one_param())
 document = serialize_document([narrow], [family_automorphism(1)])

@@ -82,4 +82,4 @@ from .moduli import (
     moduli_number,
 )
 from .certificate import Certificate, CheckRecord, run_checks, verify_all
-from .ingest import ingest, load_document, serialize_document
+from .ingest import load_document, serialize_document

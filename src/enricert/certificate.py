@@ -263,8 +263,20 @@ class _Context:
         return self._once(check_equation_invariance, fam, phi)
 
     def holders(self, phi: BirMap, families) -> List[SurfaceFamily]:
-        """The families whose defining relation phi preserves, in order."""
-        return [fam for fam in families if self.invariance(fam, phi).holds]
+        """The families whose defining relation phi preserves, in order.
+
+        This alone decides which families a map preserves.  A family whose
+        check raises is not a holder: the failure stays memoized, and the
+        families after it are still checked.
+        """
+        found = []
+        for fam in families:
+            try:
+                if self.invariance(fam, phi).holds:
+                    found.append(fam)
+            except Exception:
+                continue
+        return found
 
     def ratio(self, fam: SurfaceFamily, phi: BirMap) -> Cyclo:
         """The constant phi multiplies the bi-2-form of an Enriques family,
@@ -333,7 +345,11 @@ _EXPECTED_RATIOS = {1: -ONE, 2: -SQRT_M1, 3: -ONE}
 _EXPECTED_INDICES = {1: 2, 2: 4, 3: 2}
 _EXPECTED_SUPPORT = {1: 12, 2: 12, 3: 6}
 _EXPECTED_MODULI = {1: 5, 2: 2, 3: 2}
-_DIMENSION_TABLE = {1: (12, 4, 5), 2: (12, 8, 2), 3: (6, 4, 2)}
+#: The order of each given lift's K3 2-form constant (see _lift_ratio).
+_LIFT_ORDERS = {k: 2 * index for k, index in _EXPECTED_INDICES.items()}
+#: The transcendental lattice ranks, input facts about the three surfaces.
+_TRANSCENDENTAL_RANKS = {1: 12, 2: 12, 3: 6}
+_RANKS_TEXT = ", ".join(map(str, _TRANSCENDENTAL_RANKS.values()))
 #: Each built-in family's actions, by the moduli function that builds each.
 _ACTION_NAMES = {1: ("homothety",), 2: ("homothety",),
                  3: ("homothety", "diagonal_base_scaling")}
@@ -506,7 +522,7 @@ def _lift_ratio(ctx, k) -> Outcome:
     lift = ctx.lift(k)
     ratio = ctx.ratio(ctx.cover(ctx.family(k)), lift)
     down = ctx.biform(k)
-    ok = ratio ** 2 == down and root_of_unity_order(ratio) == 2 * _EXPECTED_INDICES[k]
+    ok = ratio ** 2 == down and root_of_unity_order(ratio) == _LIFT_ORDERS[k]
     return _ratio(ok, ratio, {"lift": lift.label, "square_target": down.encode()})
 
 
@@ -588,10 +604,10 @@ def _moduli_number(ctx, k) -> Outcome:
 
 
 def _moduli_dimension(ctx, k) -> Outcome:
-    rank_t, n, expected = _DIMENSION_TABLE[k]
+    rank_t, n = _TRANSCENDENTAL_RANKS[k], _LIFT_ORDERS[k]
     d = moduli_dimension(rank_t, n)
     inputs = {"rank_t": str(rank_t), "eigenvalue_order": str(n)}
-    return _verdict(d == expected), inputs, str(d), None
+    return _verdict(d == _EXPECTED_MODULI[k]), inputs, str(d), None
 
 
 def _picard(ctx) -> Outcome:
@@ -802,14 +818,15 @@ _BUILTIN_ROWS = (
          "families, not something this engine proves."),
     *(_Row(f"moduli-dimension-{k}", "moduli", k,
            f"A transcendental-type lattice of rank {rank_t} with a "
-           f"primitive order-{n} eigenvalue action gives moduli dimension "
-           f"{rank_t}/phi({n}) - 1 = {expected}.",
+           f"primitive order-{_LIFT_ORDERS[k]} eigenvalue action gives moduli "
+           f"dimension {rank_t}/phi({_LIFT_ORDERS[k]}) - 1 = "
+           f"{_EXPECTED_MODULI[k]}.",
            partial(_moduli_dimension, k=k))
-      for k, (rank_t, n, expected) in _DIMENSION_TABLE.items()),
+      for k, rank_t in _TRANSCENDENTAL_RANKS.items()),
     _Row("transcendental-rank-assumption", "moduli", None,
-         "The lattice ranks 12, 12, 6 feeding the dimension table are input "
+         f"The lattice ranks {_RANKS_TEXT} feeding the dimension table are input "
          "facts about the three surfaces, recorded rather than recomputed.",
-         inputs={"ranks": "12, 12, 6"}),
+         inputs={"ranks": _RANKS_TEXT}),
     _Row("picard-bound", "moduli", 3,
          "Four A3 configurations, two A1 configurations and the ample class "
          "force 4*3 + 2*1 + 1 = 15 independent algebraic classes on the K3 "
@@ -860,34 +877,26 @@ def _custom_invariance(ctx, phi, candidates) -> Outcome:
     holders = ctx.holders(phi, candidates)
     witness = None
     if not holders:
-        # every candidate failed; the first one is the witness
+        # no candidate holds; the first one's failure, or the exception its
+        # check raised, is the witness
         first = candidates[0]
         witness = f"{first.name}: {_invariance_witness(ctx.invariance(first, phi))}"
     inputs = {"map": phi.label, "candidates": ", ".join(f.name for f in candidates)}
     return _verdict(bool(holders)), inputs, ", ".join(f.name for f in holders) or None, witness
 
 
-def _preserved(ctx, phi, candidates) -> Optional[SurfaceFamily]:
-    """The first family phi preserves, or None when the map's invariance
-    record fails, whether by a verdict or by an exception."""
-    try:
-        holders = ctx.holders(phi, candidates)
-    except Exception:
-        return None
-    return holders[0] if holders else None
-
-
 def _custom_order(ctx, phi, candidates) -> Optional[Outcome]:
-    fam = _preserved(ctx, phi, candidates)
-    if fam is None:
+    holders = ctx.holders(phi, candidates)
+    if not holders:
         return None
-    return _order(phi, {"family": fam.name, "map": phi.label})
+    return _order(phi, {"family": holders[0].name, "map": phi.label})
 
 
 def _custom_ratio(ctx, phi, candidates) -> Optional[Outcome]:
-    fam = _preserved(ctx, phi, candidates)
-    if fam is None:
+    holders = ctx.holders(phi, candidates)
+    if not holders:
         return None
+    fam = holders[0]
     ratio = ctx.ratio(fam, phi)
     order = root_of_unity_order(ratio)
     inputs = {

@@ -254,7 +254,7 @@ def specialize(fam: SurfaceFamily, substitution: Mapping[str, object]) -> Surfac
                 f"substitution for {name} is not affine-linear in the parameters"
             )
         assignment[name] = p
-    branch = fam.branch.substitute_poly(assignment)
+    branch = fam.branch.substitute(assignment).as_poly()
     return SurfaceFamily(f"{fam.name}_special", fam.kind, branch, branch_parameters(branch))
 
 
@@ -268,7 +268,7 @@ def k3_cover(fam: SurfaceFamily) -> SurfaceFamily:
     if fam.kind != ENRIQUES:
         raise PreconditionError("k3_cover expects an enriques_horikawa family")
     images = {"y": MPoly.monomial({"Y": 1, "Z": 1}), "z": MPoly.monomial({"Z": 2})}
-    pulled = fam.branch.substitute_poly(images)
+    pulled = fam.branch.substitute(images).as_poly()
     # RatFunc shifts out the common monomial content Z^4 and keeps g
     g = RatFunc(pulled, MPoly.monomial({"Z": 4})).as_poly()
     return SurfaceFamily(f"{fam.name}_cover", K3, g, fam.parameters)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import io
 import json
 from collections.abc import Mapping
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .cover import BRANCH_SUPPORT, KIND_VARIABLES, SurfaceFamily
 from .errors import InvariantError, ParseError, SchemaError
@@ -44,7 +44,7 @@ from .field import Cyclo, parse_cyclo
 from .maps import BirMap
 from .moduli import ParameterAction
 from .parsing import parse_expression
-from .poly import MPoly, PARAMETERS, RatFunc, VARIABLES
+from .poly import MPoly, PARAMETERS, VARIABLES
 
 #: Largest input file, in bytes.
 MAX_DOCUMENT_BYTES = 2 ** 20
@@ -107,17 +107,13 @@ def _str_field(entry: Mapping, key: str, where: str) -> str:
     return value
 
 
-def _scalar(entry: Mapping, where: str) -> Cyclo:
-    text = _str_field(entry, "scalar", where)
-    try:
-        return parse_cyclo(text)
-    except ParseError as exc:
-        raise ParseError(f"{where}.scalar: {exc.message}", exc.position) from exc
+_T = TypeVar("_T")
 
 
-def _expression(text: str, where: str) -> RatFunc:
+def _parsed(parse: Callable[[str], _T], text: str, where: str) -> _T:
+    """parse(text), with the document location before a parse error."""
     try:
-        return parse_expression(text)
+        return parse(text)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc.message}", exc.position) from exc
 
@@ -160,7 +156,8 @@ def _load_family(
             mwhere,
             f"unknown coeff keys {sorted(set(coeff) - {'param', 'scalar'})}",
         )
-        scalar = _scalar(coeff, mwhere)
+        text = _str_field(coeff, "scalar", mwhere)
+        scalar = _parsed(parse_cyclo, text, f"{mwhere}.scalar")
         exponents = {base1: i, base2: j}
         if "param" in coeff:
             p = coeff["param"]
@@ -205,7 +202,7 @@ def _load_action(
     for var, text in geometric_raw.items():
         _expect(var in bases, where, f"geometric key {var!r} is not one of {bases}")
         _expect(isinstance(text, str), where, f"geometric[{var!r}] must be a string")
-        geometric[var] = _expression(text, f"{where}.geometric.{var}")
+        geometric[var] = _parsed(parse_expression, text, f"{where}.geometric.{var}")
     scale = entry.get("w_square_scale")
     _expect(_is_int(scale), where, "'w_square_scale' must be an integer")
     return name, ParameterAction(name, dict(weights), geometric, scale)
@@ -226,7 +223,8 @@ def _load_map(entry: Mapping, where: str) -> Tuple[str, BirMap]:
             f"{where}: coords keys must be exactly {triples}, got {sorted(keys)}"
         )
     parsed = {
-        v: _expression(_str_field(coords, v, f"{where}.coords"), f"{where}.coords.{v}")
+        v: _parsed(parse_expression, _str_field(coords, v, f"{where}.coords"),
+                   f"{where}.coords.{v}")
         for v in variables
     }
     try:

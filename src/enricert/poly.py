@@ -37,25 +37,9 @@ attempted for it, and two such pairs are equal exactly when they are the
 same pair.  Any other equality is decided by cross-multiplication, so it
 never depends on how much simplification happened.
 
-Substitution has two paths that return the same pair.  When every assigned
-value is c * (Laurent monomial), as for the monomial automorphisms, lifts
-and covers of the Horikawa models, the substitution is a toric morphism: an
-integer exponent matrix and a vector of scalars.  The monomial path maps
-each term's key and sums the terms in one dict, then builds one polynomial
-over one monomial.  It takes any value over a monomial, P / x^b, the same
-way, with powers of P as factors of each term: the affine parameter
-substitution of a specialization, or w -> y + w.  Only a value with a
-non-monomial denominator takes the term-by-term path, one RatFunc product
-per factor and one RatFunc sum per term.  The monomial path decides from
-its own result: it hands over to the term-by-term path where an exponent
-could leave its lane, where the result cannot be stored because P or x^M is
-over DEGREE_CAP, or where a power or product of polynomial values passes a
-cap.  The term-by-term path stores every polynomial it builds, so on such a
-result it raises its own DegreeCapError.
-
 Powers.  MPoly.__pow__ is the chain P^k = P^(k-1) * P, and a multi-term
-polynomial is powered that way everywhere: RatFunc.__pow__ and both
-substitution paths, which cache each value's chain, take it too.  Repeated
+polynomial is powered that way everywhere: RatFunc.__pow__ and both paths
+of MPoly.substitute, which cache each value's chain, take it too.  Repeated
 multiplication suits sparse polynomials better than repeated squaring
 (Fateman, "On the computation of powers of sparse polynomials", 1974): for
 P = (y + z + A + ... + F)^2, 36 terms, P^4 = P^3 * P visits 61,776 term
@@ -570,13 +554,6 @@ class MPoly:
                 term = term * factor
             total = total + term
         return total
-
-    def substitute_poly(self, assignment: Mapping[str, object]) -> "MPoly":
-        """Substitution that must produce a polynomial (denominator 1)."""
-        r = self.substitute(assignment)
-        if not r.is_polynomial():
-            raise ValueError("substitution produced a genuine denominator")
-        return r.num
 
     # -- comparison and display ----------------------------------------------
 

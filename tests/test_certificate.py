@@ -532,6 +532,46 @@ def test_a_check_that_raises_runs_once(monkeypatch):
     assert calls == ["check_equation_invariance", "check_parameter_action"]
 
 
+def _zonly_and_family1_doc(coords, zonly_first):
+    # zonly is A*z^2 + B*z^3; on family1 a y -> z^16/y map passes the degree
+    # cap, so its invariance check there raises DegreeCapError
+    raw, _ = _fixture_doc_dict()
+    family1 = next(f for f in raw["families"] if f["name"] == "family1")
+    zonly = {
+        "name": "zonly", "kind": "enriques_horikawa", "parameters": ["A", "B"],
+        "monomials": [
+            {"i": 0, "j": 2, "coeff": {"param": "A", "scalar": "1"}},
+            {"i": 0, "j": 3, "coeff": {"param": "B", "scalar": "1"}},
+        ],
+    }
+    families = [zonly, family1] if zonly_first else [family1, zonly]
+    doc = load_document({"families": families, "maps": [{"name": "m", "coords": coords}]})
+    records = document_records(doc.families, doc.maps, doc.actions)
+    return {r.id: r for r in records if r.id.endswith("-m")}
+
+
+@pytest.mark.parametrize("zonly_first", [True, False])
+def test_a_candidate_that_raises_does_not_hide_a_preserved_family(zonly_first):
+    by_id = _zonly_and_family1_doc({"w": "w", "y": "z^16/y", "z": "z"}, zonly_first)
+    invariance = by_id["custom-invariance-m"]
+    assert (invariance.result, invariance.value) == ("pass", "zonly")
+    order = by_id["custom-order-m"]
+    assert (order.result, order.value, order.inputs["family"]) == ("pass", "2", "zonly")
+    # the ratio is taken on zonly, where the map is a self-map
+    assert by_id["custom-ratio-m"].witness == (
+        "NonConstantRatioError: bi-2-form ratio of m is not constant: z^32 / y^4"
+    )
+
+
+def test_with_no_holder_the_first_candidate_is_the_witness():
+    # zonly fails by its verdict and family1, checked after it, raises
+    by_id = _zonly_and_family1_doc({"w": "w", "y": "z^16/y", "z": "2*z"}, True)
+    assert sorted(by_id) == ["custom-invariance-m"]
+    assert by_id["custom-invariance-m"].witness == (
+        "zonly: even part -15*z^4*B - 7*z^3*A; odd part 0"
+    )
+
+
 _PINNED_DOCUMENTS = {
     "two-broken-maps": _two_broken_maps_doc,
     "one-broken-map": _one_broken_map_doc,
