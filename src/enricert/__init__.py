@@ -47,7 +47,6 @@ from .maps import (
     k4_normal_form_check,
     map_order,
     maps_equal,
-    monomial_square_roots,
     neg_both,
     qaut_fixed_points,
     swap_root,

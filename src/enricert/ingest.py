@@ -82,9 +82,10 @@ def _is_int(value) -> bool:
 
 
 def _load_list(owner: Mapping, key: str, where: str, noun: str, load) -> Dict[str, object]:
-    """The entries of owner[key], loaded in order by load(entry, location)
-    into (name, item) pairs and keyed by name.  The value must be a list of
-    at most MAX_<KEY> entries, and no two entries may share a name."""
+    """The entries of owner[key], loaded in order by load(entry, name,
+    location) into (name, item) pairs and keyed by name.  The value must be
+    a list of at most MAX_<KEY> entries, each an object with a string
+    name, and no two entries may share a name."""
     cap_name = f"MAX_{key.upper()}"
     cap = globals()[cap_name]
     raw = owner.get(key, [])
@@ -94,7 +95,8 @@ def _load_list(owner: Mapping, key: str, where: str, noun: str, load) -> Dict[st
     loaded = {}
     for idx, entry in enumerate(raw):
         at = f"{prefix}{key}[{idx}]"
-        name, item = load(entry, at)
+        _expect(isinstance(entry, Mapping), at, f"{noun} entry must be an object")
+        name, item = load(entry, _str_field(entry, "name", at), at)
         _expect(name not in loaded, at, f"duplicate {noun} name {name!r}")
         loaded[name] = item
     return loaded
@@ -119,10 +121,8 @@ def _parsed(parse: Callable[[str], _T], text: str, where: str) -> _T:
 
 
 def _load_family(
-    entry: Mapping, where: str
+    entry: Mapping, name: str, where: str
 ) -> Tuple[str, Tuple[SurfaceFamily, Tuple[ParameterAction, ...]]]:
-    _expect(isinstance(entry, Mapping), where, "family entry must be an object")
-    name = _str_field(entry, "name", where)
     kind = _str_field(entry, "kind", where)
     kinds = tuple(KIND_VARIABLES)
     _expect(kind in kinds, where, f"kind must be one of {kinds}, got {kind!r}")
@@ -177,16 +177,14 @@ def _load_family(
 
     actions = _load_list(
         entry, "actions", where, "action",
-        lambda raw, at: _load_action(raw, at, (base1, base2)),
+        lambda raw, action, at: _load_action(raw, action, at, (base1, base2)),
     )
     return name, (fam, tuple(actions.values()))
 
 
 def _load_action(
-    entry: Mapping, where: str, bases: Tuple[str, str]
+    entry: Mapping, name: str, where: str, bases: Tuple[str, str]
 ) -> Tuple[str, ParameterAction]:
-    _expect(isinstance(entry, Mapping), where, "action entry must be an object")
-    name = _str_field(entry, "name", where)
     weights = entry.get("weights")
     _expect(isinstance(weights, Mapping), where, "'weights' must be an object")
     for p, wgt in weights.items():
@@ -208,9 +206,7 @@ def _load_action(
     return name, ParameterAction(name, dict(weights), geometric, scale)
 
 
-def _load_map(entry: Mapping, where: str) -> Tuple[str, BirMap]:
-    _expect(isinstance(entry, Mapping), where, "map entry must be an object")
-    name = _str_field(entry, "name", where)
+def _load_map(entry: Mapping, name: str, where: str) -> Tuple[str, BirMap]:
     coords = entry.get("coords")
     _expect(isinstance(coords, Mapping), where, "'coords' must be an object")
     keys = set(coords)

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import InvariantError, PreconditionError
 from .field import Cyclo, ONE, SQRT_M1
@@ -216,10 +216,7 @@ def moduli_dimension(rank_t: int, n: int) -> int:
 
 
 #: Ranks of the ADE root lattices the built-in Picard bound uses.
-ADE_RANK = {
-    "A1": 1, "A2": 2, "A3": 3, "A4": 4, "A5": 5,
-    "D4": 4, "D5": 5, "E6": 6, "E7": 7, "E8": 8,
-}
+ADE_RANK = {"A1": 1, "A3": 3}
 
 #: Second Betti number of a K3 surface.
 K3_B2 = 22

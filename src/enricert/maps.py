@@ -588,7 +588,6 @@ def swap_root(sign: int) -> QAut:
 # (Z/8)^2.
 
 _UNITS = tuple(ZETA8 ** k for k in range(8))
-_UNIT_EXPONENT = {u: k for k, u in enumerate(_UNITS)}
 
 # neg_both, inv_both and swap_root in exponent form
 _NEG_BOTH = ((1, 0, 0, 1), (4, 4))
@@ -602,18 +601,6 @@ def _monomial_mobius(e: int, k: int) -> Mobius:
     if e == -1:
         return Mobius(ZERO, ONE, _UNITS[-k % 8], ZERO)
     return Mobius(ONE, ZERO, ZERO, _UNITS[-k % 8])
-
-
-def _monomial_factor(m: Mobius) -> Optional[Tuple[int, int]]:
-    """(e, k) with m . x = zeta8^k * x^e, or None when m has no such form."""
-    if m.b.is_zero() and m.c.is_zero():
-        e, unit = 1, m.a / m.d
-    elif m.a.is_zero() and m.d.is_zero():
-        e, unit = -1, m.b / m.c
-    else:
-        return None
-    k = _UNIT_EXPONENT.get(unit)
-    return None if k is None else (e, k)
 
 
 def _exponent_matrix(shape: str, e1: int, e2: int) -> Tuple[int, int, int, int]:
@@ -663,10 +650,10 @@ def _qaut_of_form(form) -> QAut:
 
 
 def _square_roots(wanted):
-    """The exponent forms whose square is ``wanted``, in the order of
-    enumerating shape, inversion pattern and unit pair.  The matrix part of
-    a square is M^2 whatever k is, so the 64 unit pairs are tried only for
-    the matrices M whose square is the wanted matrix."""
+    """The exponent forms, of all 2 shapes * 4 inversion patterns * 64 unit
+    pairs, whose square is ``wanted``, in that order of enumeration.  The
+    matrix part of a square is M^2 whatever k is, so the 64 unit pairs are
+    tried only for the matrices M whose square is the wanted matrix."""
     roots = []
     for shape in (DIRECT, SWAP):
         for e1, e2 in itertools.product((1, -1), repeat=2):
@@ -677,28 +664,6 @@ def _square_roots(wanted):
                     if _compose_monomial((m, k), (m, k)) == wanted
                 ]
     return roots
-
-
-def monomial_square_roots(target: QAut) -> List[QAut]:
-    """All monomial-type QAuts g with g . g = target.
-
-    The candidates are the maps whose coordinates are u * V or u / V with u
-    an 8th root of unity, V1 = Y and V2 = Z (direct shape) or V1 = Z and
-    V2 = Y (swap shape): 2 shapes * 4 inversion patterns * 64 unit pairs =
-    512 pairwise distinct candidates, searched exhaustively.  The search
-    runs in exponent form, where composition is
-    (M, k) . (M', k') = (M M', k + M k' mod 8), and builds a QAut only for
-    a match; a candidate whose matrix does not square to the target's is
-    ruled out with its 64 unit pairs at once.  The square of a monomial map
-    is monomial, so a target with a factor that is neither diagonal nor
-    antidiagonal with an 8th-root-of-unity ratio has no root.
-    """
-    factors = (_monomial_factor(target.m1), _monomial_factor(target.m2))
-    if None in factors:
-        return []
-    (t1, j1), (t2, j2) = factors
-    wanted = (_exponent_matrix(target.shape, t1, t2), (j1, j2))
-    return [_qaut_of_form(root) for root in _square_roots(wanted)]
 
 
 class K4CheckResult(NamedTuple):

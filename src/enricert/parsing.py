@@ -19,6 +19,14 @@ Parentheses and unary signs nest at most MAX_NESTING deep, so a deeply
 nested input is a ParseError and never exhausts the interpreter's recursion
 limit.  Errors carry the character position.
 
+A resource cap is a parse error too.  A DegreeCapError or SizeCapError from
+one of the parser's own +, -, *, / or ^ becomes a ParseError at that
+operator, so the message, with its document location, names where the
+expression went over.  A power is refused before it is computed when its
+result could have a coefficient numerator or denominator of more than
+MAX_DIGITS decimal digits: a constant has degree 0, so without this bound
+each level of nested ^ could multiply a constant's size by 64.
+
 Every value is a RatFunc, and every operation is RatFunc arithmetic.  A
 product, quotient or power of constants, variables and their powers is one
 term over one term, which RatFunc builds from the exponent keys alone.
@@ -26,9 +34,10 @@ term over one term, which RatFunc builds from the exponent keys alone.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Tuple
 
-from .errors import ParseError
+from .errors import DegreeCapError, ParseError, SizeCapError
 from .field import SQRT_M1, ZETA8, int_literal
 from .poly import DEGREE_CAP, RatFunc, VARIABLES
 
@@ -40,6 +49,26 @@ _DIGITS = "0123456789"
 #: parentheses costs five frames of recursion (expr, term, factor, power,
 #: atom), so this stays far below the default recursion limit of 1000.
 MAX_NESTING = 100
+
+#: Most decimal digits a power may give a coefficient's numerator or
+#: denominator: the interpreter's default int string-conversion limit,
+#: which int_literal applies to literals.
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _too_long(base: RatFunc, m: int) -> bool:
+    """Whether base^m or base^-m could have a coefficient numerator or
+    denominator of more than MAX_DIGITS digits.  Over a common denominator
+    L of the coefficients of base's numerator and denominator, the m-th
+    power of either has denominator L^m and integer numerators of at most
+    S^m, S the sum of the absolute values of their numerators over L."""
+    coeffs = [c for p in (base.num, base.den) for _, c in p.term_items()]
+    den = lcm(*[c.den for c in coeffs])
+    h = max(den, sum(sum(map(abs, c.numerators)) * (den // c.den) for c in coeffs))
+    # h^m >= 2^(m * (bits - 1)); otherwise h^m is at most m bits longer
+    # than the limit and cheap to compute exactly
+    return m * (h.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or h ** m >= _DIGIT_LIMIT
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -78,6 +107,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
+        # the position of the operator being applied, for a cap error
+        self.at = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.k]
@@ -100,7 +131,10 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def parse(self) -> RatFunc:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except (DegreeCapError, SizeCapError) as exc:
+            raise ParseError(str(exc), self.at) from None
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
@@ -109,10 +143,11 @@ class _Parser:
     def expr(self) -> RatFunc:
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "sym" and text in "+-":
                 self.advance()
                 rhs = self.term()
+                self.at = pos
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
@@ -124,12 +159,10 @@ class _Parser:
             if kind == "sym" and text in "*/":
                 self.advance()
                 rhs = self.factor()
-                if text == "/":
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", pos)
-                    value = value / rhs
-                else:
-                    value = value * rhs
+                if text == "/" and rhs.is_zero():
+                    raise ParseError("division by zero", pos)
+                self.at = pos
+                value = value / rhs if text == "/" else value * rhs
             else:
                 return value
 
@@ -145,13 +178,18 @@ class _Parser:
 
     def power(self) -> RatFunc:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
         if kind == "sym" and text == "^":
             self.advance()
             n = self.exponent()
             if n < 0 and base.is_zero():
                 _, _, pos = self.peek()
                 raise ParseError("zero raised to a negative power", pos)
+            if _too_long(base, abs(n)):
+                raise ParseError(
+                    f"power would have a coefficient of more than {MAX_DIGITS} digits", at
+                )
+            self.at = at
             return base ** n
         return base
 

@@ -245,6 +245,26 @@ def test_verify_huge_integer_literal_exits_2(tmp_path, capsys):
     assert "(at position 0)" in err
 
 
+_OCTIC = "(y+z+A+B+C+D+E+F)^4"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y^40*y^40", "product term of total degree 80 exceeds cap 64 (at position 4)"),
+    (f"{_OCTIC}*{_OCTIC}",
+     "product of 330 by 330 terms exceeds cap 65536 term pairs (at position 19)"),
+    # 2^262144 would be built one ^ later; one more level would build a
+    # 6.9e10-bit integer
+    ("y*(((((2)^64)^64)^64)^64)^64",
+     "power would have a coefficient of more than 4300 digits (at position 17)"),
+], ids=["degree-cap", "size-cap", "constant-power-tower"])
+def test_verify_a_cap_while_parsing_is_a_located_parse_error(tmp_path, capsys, text, message):
+    path = write_doc(tmp_path, _with_coord("y", text))
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: maps[0].coords.y: {message}\n"
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 3000 + "y" + ")" * 3000, "-" * 5000 + "y"],

@@ -209,6 +209,35 @@ def test_schema_violation_names_location():
         load_document(doc)
 
 
+_ACTION = {"name": "a", "weights": {"A": 1}, "w_square_scale": 0}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["families"].__setitem__(0, ["t"]),
+     "families[0]: family entry must be an object"),
+    (lambda d: d["families"][0].__setitem__("actions", [3]),
+     "families[0].actions[0]: action entry must be an object"),
+    (lambda d: d["maps"].__setitem__(0, "m"), "maps[0]: map entry must be an object"),
+    (lambda d: d["families"][0].__setitem__("actions", [dict(_ACTION, name=None)]),
+     "families[0].actions[0]: 'name' must be a string"),
+    (lambda d: d["families"][0].__setitem__(
+        "actions", [{k: v for k, v in _ACTION.items() if k != "name"}]),
+     "families[0].actions[0]: missing key 'name'"),
+    (lambda d: d["maps"][0].__setitem__("name", 7), "maps[0]: 'name' must be a string"),
+    (lambda d: d["maps"][0].pop("name"), "maps[0]: missing key 'name'"),
+], ids=[
+    "family-not-an-object", "action-not-an-object", "map-not-an-object",
+    "action-name-not-a-string", "action-name-missing", "map-name-not-a-string",
+    "map-name-missing",
+])
+def test_every_list_entry_is_an_object_with_a_string_name(mutate, message):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        load_document(doc)
+    assert str(info.value) == message
+
+
 def test_duplicate_family_names_rejected():
     doc = base_doc()
     doc["families"].append(copy.deepcopy(doc["families"][0]))

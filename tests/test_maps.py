@@ -32,14 +32,13 @@ from enricert.maps import (
     k4_normal_form_check,
     map_order,
     maps_equal,
-    monomial_square_roots,
     neg_both,
     qaut_fixed_points,
     swap_root,
 )
 from enricert.maps import (
     _compose_forms, _compose_monomial, _exponent_form, _exponent_matrix, _inverse_monomial,
-    _monomial_factor, _monomial_mobius, _monomial_order, _order_by_composition, _qaut_of_form,
+    _monomial_mobius, _monomial_order, _order_by_composition, _qaut_of_form, _square_roots,
 )
 from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 
@@ -678,8 +677,18 @@ def test_swap_fixed_points_survive_irrational_coordinates():
 # -- square roots and the Klein-four normal form ------------------------------
 
 
+def _roots(target):
+    """The square roots of an exponent-form target, as QAuts."""
+    return [_qaut_of_form(root) for root in _square_roots(target)]
+
+
+_DOUBLE_INVERSION = (_exponent_matrix(DIRECT, -1, -1), (0, 0))
+_DOUBLE_NEGATION = (_exponent_matrix(DIRECT, 1, 1), (4, 4))
+
+
 def test_monomial_square_roots_of_double_inversion():
-    roots = monomial_square_roots(inv_both())
+    assert _qaut_of_form(_DOUBLE_INVERSION) == inv_both()
+    roots = _roots(_DOUBLE_INVERSION)
     assert len(roots) == 4
     assert all(g.shape == SWAP for g in roots)
     assert all(g.compose(g) == inv_both() for g in roots)
@@ -691,7 +700,8 @@ def test_monomial_square_roots_of_double_inversion():
 
 def test_monomial_square_roots_of_double_negation():
     # sanity check on a target that does admit ruling-preserving roots
-    roots = monomial_square_roots(neg_both())
+    assert _qaut_of_form(_DOUBLE_NEGATION) == neg_both()
+    roots = _roots(_DOUBLE_NEGATION)
     assert roots and all(g.compose(g) == neg_both() for g in roots)
     assert any(g.shape == DIRECT for g in roots)
 
@@ -703,7 +713,7 @@ def test_k4_normal_form():
     assert result.direct_roots == []
     assert len(result.roots) == 4
     # a ruling-preserving root fails the check, whatever the stored flags
-    direct = next(g for g in monomial_square_roots(neg_both()) if g.shape == DIRECT)
+    direct = next(g for g in _roots(_DOUBLE_NEGATION) if g.shape == DIRECT)
     spoiled = maps.K4CheckResult(True, True, result.roots + [direct], True)
     assert spoiled.direct_roots == [direct]
     assert not spoiled.ok and not bool(spoiled)
@@ -714,9 +724,18 @@ def _unit_mobius(k, inverted):
     return Mobius(ZERO, u, ONE, ZERO) if inverted else Mobius(u, ZERO, ZERO, ONE)
 
 
+def _monomial_forms():
+    """The exponent form (M, k) of every monomial QAut
+    (Y, Z) -> (u1 * V1^+-1, u2 * V2^+-1), in the order the search reports
+    roots."""
+    for shape in (DIRECT, SWAP):
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            for k in itertools.product(range(8), repeat=2):
+                yield _exponent_matrix(shape, e1, e2), k
+
+
 def _monomial_candidates():
-    """Every monomial QAut (Y, Z) -> (u1 * V1^+-1, u2 * V2^+-1), built
-    through Mobius normalisation, in the order the search reports roots."""
+    """The QAuts of _monomial_forms, built through Mobius normalisation."""
     for shape in (DIRECT, SWAP):
         for inv1, inv2 in itertools.product((False, True), repeat=2):
             for k1, k2 in itertools.product(range(8), repeat=2):
@@ -728,20 +747,13 @@ def _brute_force_square_roots(target):
 
 
 @pytest.mark.parametrize("target", [
-    inv_both(),
-    neg_both(),
-    QAut.identity(),
-    swap_root(1),
-    QAut(DIRECT, Mobius(1, 1, 0, 1), Mobius.identity()),
-    QAut(SWAP, Mobius.identity(), Mobius(1, 0, 1, 1)),
-    QAut(DIRECT, Mobius(2, 0, 0, 1), Mobius.identity()),
-    QAut(DIRECT, Mobius(ZERO, SQRT_M1, 3, ZERO), Mobius.identity()),
-], ids=[
-    "double-inversion", "double-negation", "identity", "swap-shaped",
-    "non-monomial", "non-monomial-swap", "unit-not-a-root", "inverted-unit-not-a-root",
-])
+    _DOUBLE_INVERSION,
+    _DOUBLE_NEGATION,
+    maps._IDENTITY_FORM,
+    (_exponent_matrix(SWAP, -1, 1), (0, 0)),
+], ids=["double-inversion", "double-negation", "identity", "swap-shaped"])
 def test_monomial_square_roots_match_the_brute_force_search(target):
-    assert monomial_square_roots(target) == _brute_force_square_roots(target)
+    assert _roots(target) == _brute_force_square_roots(_qaut_of_form(target))
 
 
 def _square_of_form(m, k):
@@ -759,55 +771,33 @@ def _square_roots_over_all_candidates(target):
     """The square-root search that squares all 512 candidates in exponent
     form, matrix and unit pair alike: the reference for the search that
     tries the unit pairs only for a matrix whose square is the target's."""
-    factors = (_monomial_factor(target.m1), _monomial_factor(target.m2))
-    if None in factors:
-        return []
-    (t1, j1), (t2, j2) = factors
-    wanted = (_exponent_matrix(target.shape, t1, t2), (j1, j2))
-    roots = []
-    for shape in (DIRECT, SWAP):
-        for e1, e2 in itertools.product((1, -1), repeat=2):
-            m = _exponent_matrix(shape, e1, e2)
-            for k in itertools.product(range(8), repeat=2):
-                if _square_of_form(m, k) == wanted:
-                    roots.append(QAut(
-                        shape, _monomial_mobius(e1, k[0]), _monomial_mobius(e2, k[1])
-                    ))
-    return roots
+    return [(m, k) for m, k in _monomial_forms() if _square_of_form(m, k) == target]
 
 
 def test_square_roots_of_every_monomial_target_match_the_search_over_all_candidates():
-    targets = list(_monomial_candidates())
+    targets = list(_monomial_forms())
     assert len(targets) == 512
     found = 0
     for target in targets:
-        roots = monomial_square_roots(target)
+        roots = _square_roots(target)
         assert roots == _square_roots_over_all_candidates(target)
         found += len(roots)
     # every candidate is the root of its own square, and of that square only
     assert found == 512
 
 
-def _form_of(g):
-    """The exponent form (M, k) of a monomial QAut, read off its Mobius
-    factors."""
-    (e1, k1), (e2, k2) = _monomial_factor(g.m1), _monomial_factor(g.m2)
-    return _exponent_matrix(g.shape, e1, e2), (k1, k2)
-
-
 def test_exponent_forms_follow_the_qaut_operations():
-    # every monomial candidate: its form builds it back, and the form's
-    # inverse and order are the QAut's; composition on a sample of pairs
-    candidates = list(_monomial_candidates())
-    for g in candidates:
-        form = _form_of(g)
+    # every monomial candidate: its form builds it, and the form's inverse
+    # and order are the QAut's; composition on a sample of pairs
+    forms = list(_monomial_forms())
+    for form, g in zip(forms, _monomial_candidates()):
         assert _qaut_of_form(form) == g
-        assert _inverse_monomial(form) == _form_of(g.inverse())
+        assert _qaut_of_form(_inverse_monomial(form)) == g.inverse()
         assert _monomial_order(form) == g.order()
     rng = random.Random(20261019)
     for _ in range(300):
-        g, h = rng.choice(candidates), rng.choice(candidates)
-        assert _compose_monomial(_form_of(g), _form_of(h)) == _form_of(g.compose(h))
+        f, h = rng.choice(forms), rng.choice(forms)
+        assert _qaut_of_form(_compose_monomial(f, h)) == _qaut_of_form(f).compose(_qaut_of_form(h))
 
 
 def test_monomial_candidates_are_pairwise_distinct():
@@ -818,15 +808,17 @@ def test_monomial_candidates_are_pairwise_distinct():
 @settings(max_examples=12, deadline=None)
 @given(
     shape=st.sampled_from((DIRECT, SWAP)),
-    inverted=st.tuples(st.booleans(), st.booleans()),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
     units=st.tuples(st.integers(0, 7), st.integers(0, 7)),
 )
-def test_square_roots_of_squares_match_the_brute_force_search(shape, inverted, units):
-    g = QAut(shape, _unit_mobius(units[0], inverted[0]), _unit_mobius(units[1], inverted[1]))
-    target = g.compose(g)
-    roots = monomial_square_roots(target)
+def test_square_roots_of_squares_match_the_brute_force_search(shape, signs, units):
+    form = (_exponent_matrix(shape, *signs), units)
+    target = _compose_monomial(form, form)
+    g = _qaut_of_form(form)
+    assert g.compose(g) == _qaut_of_form(target)
+    roots = _roots(target)
     assert g in roots
-    assert roots == _brute_force_square_roots(target)
+    assert roots == _brute_force_square_roots(_qaut_of_form(target))
 
 
 def test_k4_check_stays_off_the_mobius_path(monkeypatch):

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from enricert.errors import ParseError
 from enricert.field import Cyclo, ONE, SQRT_M1, ZETA8
-from enricert.parsing import MAX_NESTING, parse_expression
+from enricert.parsing import MAX_DIGITS, MAX_NESTING, parse_expression
 from enricert.poly import MPoly, RatFunc
 
 from _helpers import (
@@ -92,6 +92,26 @@ def test_huge_integer_literal_is_a_positioned_parse_error():
     with pytest.raises(ParseError, match="5000 digits is too long") as info:
         parse_expression("y + " + "7" * 5000 + "*w")
     assert info.value.position == 4
+
+
+@pytest.mark.parametrize("text, position", [
+    ("((10^64)^64)^2", 12),
+    (f"({10 ** 430})^10", 433),
+    ("(1/(10^64)^64)^2", 14),
+    (f"({10 ** 100}*y)^50", 105),
+    (f"({10 ** 100}*y)^-50", 105),
+], ids=["constant-square", "one-over", "denominator", "variable", "negative-exponent"])
+def test_a_power_with_a_coefficient_past_the_digit_bound_is_refused(text, position):
+    # refused at its ^ before it is computed; 10^4300 has one digit too many
+    with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits") as info:
+        parse_expression(text)
+    assert info.value.position == position
+
+
+def test_a_power_within_the_digit_bound_parses():
+    assert parse_expression("(10^64)^64") == const(10 ** 4096)
+    assert parse_expression(f"({10 ** 1433})^3") == const(10 ** 4299)
+    assert parse_expression("(1/2)^-64") == const(2 ** 64)
 
 
 def test_nesting_up_to_the_bound_parses():

@@ -1361,6 +1361,73 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert imports == []
 
 
+def _engine_modules():
+    """The parsed engine modules, without the package's re-exports."""
+    package = Path(enricert.__file__).parent
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
+def _references(tree):
+    """(name, line) of every name, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_public_engine_function_and_class_has_a_caller():
+    # a public name only the tests reach is dead API: an engine module, a
+    # demo or the benchmark must name it outside its own definition
+    engine = _engine_modules()
+    root = Path(__file__).resolve().parents[1]
+    others = [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for folder in ("demos", "perfbench")
+        for path in sorted((root / folder).glob("*.py"))
+    ]
+    references = [
+        (f"{folder}/{name}", ref, line)
+        for folder, trees in (("engine", engine), ("other", others))
+        for name, tree in trees
+        for ref, line in _references(tree)
+    ]
+    unused = []
+    for name, tree in engine:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ref == node.name and not (where == f"engine/{name}" and line in own)
+                for where, ref, line in references
+            ):
+                unused.append(f"{name}: {node.name}")
+    assert unused == []
+
+
+def test_no_engine_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in _engine_modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in used
+                ]
+    assert unused == []
+
+
 def test_only_the_cap_owners_import_the_caps():
     # a short path decides from the keys it forms, not from a copy of
     # another path's products, so only poly.py, map_order's power rule in
