@@ -400,7 +400,7 @@ def _ratio(ok: bool, ratio: Cyclo, inputs) -> Outcome:
 
 def _action(ctx, fam, action, inputs) -> Outcome:
     res = ctx.action(fam, action)
-    value = f"needs sqrt(alpha): {res.needs_square_root}"
+    value = f"needs sqrt(alpha): {action.needs_square_root()}"
     return _verdict(res.holds), inputs, value, None if res.holds else str(res.witness)
 
 

@@ -283,25 +283,19 @@ def parse_args(argv) -> Args:
 
 _COMMANDS = {"verify": _cmd_verify, "classify": _cmd_classify, "report": _cmd_report}
 
+_ERROR_PREFIXES = (  # an exit-2 error's stderr prefix; the first matching kind wins
+    (ParseError, "parse error"), (SchemaError, "schema violation"),
+    (InvariantError, "invariant violation"), (OSError, "input error"), (EngineError, "error"),
+)
+
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema violation: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EngineError, OSError) as exc:
+        prefix = next(text for kind, text in _ERROR_PREFIXES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -45,12 +45,28 @@ def _form(pairs) -> Tuple[int, int, int, int, int]:
     return tuple(n // g for n in nums) + (den // g,)
 
 
+def _int_text(n: int) -> str:
+    """``str(n)``; past the interpreter's int string-conversion limit,
+    ``<N-digit integer>`` with N exact, found without converting n."""
+    try:
+        return str(n)
+    except ValueError:
+        m = abs(n)
+        digits = int((m.bit_length() - 1) * 0.30102999566398120) + 1
+        # the float estimate may be one off; the loops make it exact
+        while 10 ** digits <= m:
+            digits += 1
+        while 10 ** (digits - 1) > m:
+            digits -= 1
+        return f"{'-' if n < 0 else ''}<{digits}-digit integer>"
+
+
 def _coord_text(n: int, d: int) -> str:
     """``str(Fraction(n, d))`` without building the Fraction."""
     g = gcd(n, d)
     if g != d:
-        return f"{n // g}/{d // g}"
-    return str(n // g)
+        return f"{_int_text(n // g)}/{_int_text(d // g)}"
+    return _int_text(n // g)
 
 
 class Cyclo:

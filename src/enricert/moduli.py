@@ -100,10 +100,6 @@ class ActionCheckResult(NamedTuple):
     def holds(self) -> bool:
         return self.witness.is_zero()
 
-    @property
-    def needs_square_root(self) -> bool:
-        return self.action.needs_square_root()
-
     def __bool__(self) -> bool:
         return self.holds
 

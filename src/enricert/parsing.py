@@ -25,7 +25,10 @@ operator, so the message, with its document location, names where the
 expression went over.  A power is refused before it is computed when its
 result could have a coefficient numerator or denominator of more than
 MAX_DIGITS decimal digits: a constant has degree 0, so without this bound
-each level of nested ^ could multiply a constant's size by 64.
+each level of nested ^ could multiply a constant's size by 64.  The result
+of a +, -, * or / is refused at its operator when it has such a
+coefficient, so a chain of products of large constants stops growing at
+that size instead of taking time quadratic in its length.
 
 Every value is a RatFunc, and every operation is RatFunc arithmetic.  A
 product, quotient or power of constants, variables and their powers is one
@@ -55,6 +58,8 @@ MAX_NESTING = 100
 #: which int_literal applies to literals.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
+# an integer below 2^(_LIMIT_BITS - 1) is below _DIGIT_LIMIT
+_LIMIT_BITS = _DIGIT_LIMIT.bit_length()
 
 
 def _too_long(base: RatFunc, m: int) -> bool:
@@ -68,7 +73,30 @@ def _too_long(base: RatFunc, m: int) -> bool:
     h = max(den, sum(sum(map(abs, c.numerators)) * (den // c.den) for c in coeffs))
     # h^m >= 2^(m * (bits - 1)); otherwise h^m is at most m bits longer
     # than the limit and cheap to compute exactly
-    return m * (h.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or h ** m >= _DIGIT_LIMIT
+    return m * (h.bit_length() - 1) >= _LIMIT_BITS or h ** m >= _DIGIT_LIMIT
+
+
+_RESULT_NAMES = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
+
+
+def _height(value: RatFunc) -> int:
+    """The largest absolute value of a coefficient numerator or denominator."""
+    return max(
+        max(c.den, *map(abs, c.numerators))
+        for p in (value.num, value.den)
+        for _, c in p.term_items()
+    )
+
+
+def _checked_bits(value: RatFunc, op: str, pos: int) -> int:
+    """The bit length of the height of ``value``, the result of the operator
+    ``op`` at ``pos``; refused there when it has more than MAX_DIGITS digits."""
+    h = _height(value)
+    if h >= _DIGIT_LIMIT:
+        raise ParseError(
+            f"{_RESULT_NAMES[op]} would have a coefficient of more than {MAX_DIGITS} digits", pos
+        )
+    return h.bit_length()
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -142,13 +170,25 @@ class _Parser:
 
     def expr(self) -> RatFunc:
         value = self.term()
+        # value's height is below 2^bits; _LIMIT_BITS means not yet read
+        bits = _LIMIT_BITS
         while True:
             kind, text, pos = self.peek()
             if kind == "sym" and text in "+-":
                 self.advance()
                 rhs = self.term()
                 self.at = pos
+                # Over the denominator 1, coefficients add key by key, and a
+                # sum of two of heights below 2^a and 2^b is below 2^(a+b+1).
+                # The sum is read only where this bound could pass the
+                # limit, so a long sum is not read in full at every term.
+                if bits < _LIMIT_BITS and value.is_polynomial() and rhs.is_polynomial():
+                    bits += _height(rhs).bit_length() + 1
+                else:
+                    bits = _LIMIT_BITS
                 value = value + rhs if text == "+" else value - rhs
+                if bits >= _LIMIT_BITS:
+                    bits = _checked_bits(value, text, pos)
             else:
                 return value
 
@@ -163,6 +203,7 @@ class _Parser:
                     raise ParseError("division by zero", pos)
                 self.at = pos
                 value = value / rhs if text == "/" else value * rhs
+                _checked_bits(value, text, pos)
             else:
                 return value
 

@@ -69,23 +69,22 @@ construction keeps it, and substituting into it substitutes the numerator
 alone.
 
 RatFunc arithmetic skips steps whose result is already known, and returns
-the pair, term order included, that the general path returns.  Subtraction is
-one pass in MPoly and in RatFunc's general path, with the products, cap
-tests and term order of a + (-b).  Subtracting an identical simplified pair
-is zero, as the general path finds by subtracting num from num over the
-shared denominator.  Negation negates the numerator of a simplified pair,
-which changes no key and no divisibility, so it is simplified already.
-Neither skips a cap error: the general subtraction multiplies nothing, and
-the general negation repeats only the divisibility tests that simplified the
-pair when it was built.  A product, inverse or power of values that are one
-term over one term, c * x^n / x^d, as the parser and the monomial maps make
-them, is built from the keys: the product adds keys and cancels the common
-content of the new pair with _lane_min, the inverse swaps the keys (a
-simplified pair has no common content) and moves 1/c to the numerator, and
-the k-th power multiplies the keys by k.  The denominator keeps coefficient
-1.  The product and power first take the test the general path's products
-take, each total degree at most DEGREE_CAP (for a power, the last
-product's); over it they take the general path, which raises its own error.
+the pair, term order included, that the general path returns.  Subtraction
+is a + (-b).  Subtracting an identical simplified pair is zero, as the
+general path finds by adding -num to num over the shared denominator.
+Negation negates the numerator of a simplified pair, which changes no key
+and no divisibility, so it is simplified already.  Neither skips a cap
+error: the general subtraction multiplies nothing, and the general negation
+repeats only the divisibility tests that simplified the pair when it was
+built.  A product, inverse or power of values that are one term over one
+term, c * x^n / x^d, as the parser and the monomial maps make them, is built
+from the keys: the product adds keys and cancels the common content of the
+new pair with _lane_min, the inverse swaps the keys (a simplified pair has
+no common content) and moves 1/c to the numerator, and the k-th power
+multiplies the keys by k.  The denominator keeps coefficient 1.  The product
+and power first take the test the general path's products take, each total
+degree at most DEGREE_CAP (for a power, the last product's); over it they
+take the general path, which raises its own error.
 """
 
 from __future__ import annotations
@@ -336,13 +335,7 @@ class MPoly:
         return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        # one pass, with the terms and term order of self + (-other)
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = -c if prev is None else prev - c
-        return MPoly(out)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "MPoly":
         return self._coerce(other) - self
@@ -760,15 +753,9 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
         if self.den.terms == other.den.terms and self.num.terms == other.num.terms:
-            # the general path subtracts num from num over the shared den
+            # the general path adds -num to num over the shared den
             return RatFunc.zero()
-        # one pass, with the products, cap tests and term order of
-        # self + (-other)
-        if self.den == other.den:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + (-other)
 
     def __rsub__(self, other) -> "RatFunc":
         return as_ratfunc(other) - self

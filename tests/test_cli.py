@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import enricert
 from enricert.certificate import FILTERABLE_GROUPS
+import enricert.cli
 from enricert.cli import main, parse_args
+from enricert.errors import PreconditionError
 from enricert.ingest import MAX_MAPS
 
 from _helpers import WELL_FORMED_EXPRESSIONS
@@ -256,13 +258,38 @@ _OCTIC = "(y+z+A+B+C+D+E+F)^4"
     # 6.9e10-bit integer
     ("y*(((((2)^64)^64)^64)^64)^64",
      "power would have a coefficient of more than 4300 digits (at position 17)"),
-], ids=["degree-cap", "size-cap", "constant-power-tower"])
+    # y times 800 factors of 1,039 digits; the fifth takes the product past
+    # 4,300 digits, where it once took time quadratic in the chain
+    ("y*" + "*".join(["((9^64)^17)"] * 800),
+     "product would have a coefficient of more than 4300 digits (at position 49)"),
+], ids=["degree-cap", "size-cap", "constant-power-tower", "product-chain"])
 def test_verify_a_cap_while_parsing_is_a_located_parse_error(tmp_path, capsys, text, message):
     path = write_doc(tmp_path, _with_coord("y", text))
     assert main(["verify", "--input", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parse error: maps[0].coords.y: {message}\n"
+
+
+def test_a_coefficient_past_the_digit_limit_keeps_its_witness(capsys):
+    # y -> c*y with c = 2^8192 (2,467 digits): the even part's coefficients
+    # are +-(c^k - 1), and c^4, c^3, c^2 have 9,865, 7,399 and 4,933 digits,
+    # past the interpreter's int string-conversion limit, so they print as
+    # their digit counts; the witness was a ValueError.
+    path = Path(__file__).parent / "data" / "big_constant_document.json"
+    assert main(["verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "ValueError" not in captured.out
+    c = 2 ** 8192
+    assert (
+        "[FAIL] custom-invariance-big-constant\n"
+        "       witness: family1: even part (-<9865-digit integer>)*y^4*z^3*A"
+        " + (-<9865-digit integer>)*y^4*z^2*B + (-<7399-digit integer>)*y^3*z^3*D"
+        " + (<4933-digit integer>)*y^2*z^4*F + (-<9865-digit integer>)*y^4*z*C"
+        " + (-<7399-digit integer>)*y^3*z^2*E + " + f"{c - 1}*y*z^4*E"
+        " + (-<4933-digit integer>)*y^2*z^2*F + " + f"{c - 1}*y*z^3*D; odd part 0\n"
+    ) in captured.out
 
 
 @pytest.mark.parametrize(
@@ -353,6 +380,17 @@ def test_verify_unwritable_out_is_an_output_error(tmp_path, capsys):
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "--input", "/nonexistent/input.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_verify_any_other_engine_error_exits_2(monkeypatch, capsys):
+    def boom(**kwargs):
+        raise PreconditionError("boom")
+
+    monkeypatch.setattr(enricert.cli, "run_checks", boom)
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
 
 
 def test_verify_unreadable_json_exits_2(tmp_path, capsys):

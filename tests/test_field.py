@@ -178,6 +178,20 @@ def test_parse_rejects_overlong_literals_at_their_position():
     assert parse_cyclo("9" * 4300) == Cyclo(int("9" * 4300))
 
 
+def test_an_integer_past_the_string_limit_prints_as_its_exact_digit_count():
+    # str() of an int over 4,300 digits raises ValueError; encode() and str()
+    # print it as its digit count instead, at both sides of each power of 10
+    big = 10 ** 5000
+    assert Cyclo(big - 1).encode() == "<5000-digit integer>,0,0,0"
+    assert Cyclo(big).encode() == "<5001-digit integer>,0,0,0"
+    assert Cyclo(0, -big).encode() == "0,-<5001-digit integer>,0,0"
+    assert Cyclo(Fraction(3, big + 1)).encode() == "3/<5001-digit integer>,0,0,0"
+    assert Cyclo(Fraction(-(2 ** 20000), 3)).encode() == "-<6021-digit integer>/3,0,0,0"
+    assert str(Cyclo(0, big)) == "<5001-digit integer>*zeta8"
+    # up to the limit, the digits themselves
+    assert Cyclo(10 ** 4299).encode() == str(10 ** 4299) + ",0,0,0"
+
+
 # -- differential tests against a plain Fraction 4-tuple reference --------------
 
 

@@ -45,7 +45,7 @@ def test_homothety_preserves_each_family():
         result = check_parameter_action(fam, homothety(fam))
         assert result.holds and bool(result)
         assert result.witness.is_zero()
-        assert result.needs_square_root
+        assert result.action.needs_square_root()
 
 
 def test_diagonal_scaling_preserves_family3_only():
@@ -74,7 +74,7 @@ def test_failed_action_witness_is_the_defect():
     assert not result.holds
     assert "alpha" in (result.witness.variables())
     # an even rescaling of w^2 needs no square root of alpha
-    assert not result.needs_square_root
+    assert not result.action.needs_square_root()
 
 
 def test_action_requires_full_weight_cover():
@@ -140,7 +140,7 @@ def test_dependent_actions_do_not_overcount():
         w_square_scale=-2,
     )
     result = check_parameter_action(fam, doubled)
-    assert result.holds and not result.needs_square_root
+    assert result.holds and not result.action.needs_square_root()
     assert count(fam, [action, doubled]) == 2
 
 

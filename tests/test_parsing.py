@@ -94,24 +94,66 @@ def test_huge_integer_literal_is_a_positioned_parse_error():
     assert info.value.position == 4
 
 
+def _product_chain(n):
+    # y times n factors 9^1088, of 1,039 digits each
+    return "y*" + "*".join(["((9^64)^17)"] * n)
+
+
 @pytest.mark.parametrize("text, position", [
     ("((10^64)^64)^2", 12),
     (f"({10 ** 430})^10", 433),
     ("(1/(10^64)^64)^2", 14),
     (f"({10 ** 100}*y)^50", 105),
     (f"({10 ** 100}*y)^-50", 105),
-], ids=["constant-square", "one-over", "denominator", "variable", "negative-exponent"])
+    (_product_chain(100), 49),
+    (_product_chain(200), 49),
+    (_product_chain(400), 49),
+    (_product_chain(800), 49),
+    (f"1/{10 ** 2200} + 1/{10 ** 2200 + 1}", 2204),
+    (f"1/{10 ** 2200} - 1/{10 ** 2200 + 1}", 2204),
+    (f"{10 ** 2200}/(1/{10 ** 2200})", 2201),
+    ("1 + 1 + 1 + " + "9" * 4300, 10),
+], ids=[
+    "constant-square", "one-over", "denominator", "variable", "negative-exponent",
+    "product-chain-100", "product-chain-200", "product-chain-400", "product-chain-800",
+    "sum", "difference", "quotient", "sum-after-small-terms",
+])
 def test_a_power_with_a_coefficient_past_the_digit_bound_is_refused(text, position):
-    # refused at its ^ before it is computed; 10^4300 has one digit too many
+    # A power is refused at its ^ before it is computed, and a +, -, * or /
+    # at its operator once computed; 10^4300 has one digit too many.  A
+    # chain of products stops at its fifth factor, 5,192 digits in.
     with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits") as info:
         parse_expression(text)
     assert info.value.position == position
+
+
+def test_a_long_sum_is_refused_at_its_first_term_past_the_digit_bound():
+    # y/d_1 + z + y/d_2 + z^2 + ...: the coefficient of y is the sum of the
+    # 1/d_k, whose denominator grows by about 200 digits a term; the z^k add
+    # distinct keys.  The reference finds the first + whose partial sum has
+    # a numerator or denominator of more than MAX_DIGITS digits.
+    dens = [10 ** 200 + 7 * k for k in range(1, 40)]
+    pieces, partial, first = [], Fraction(0), None
+    for k, d in enumerate(dens, start=1):
+        pieces.append(f"y/{d}")
+        partial += Fraction(1, d)
+        if first is None and max(abs(partial.numerator), partial.denominator) >= 10 ** MAX_DIGITS:
+            first = len(pieces) - 1
+        pieces.append(f"z^{k}")
+    text = " + ".join(pieces)
+    plus = [i for i, ch in enumerate(text) if ch == "+"]
+    assert first is not None and first >= 10
+    with pytest.raises(ParseError, match=f"sum would have a coefficient of more than {MAX_DIGITS}") as info:
+        parse_expression(text)
+    # the + before the piece whose sum first passes the bound
+    assert info.value.position == plus[first - 1]
 
 
 def test_a_power_within_the_digit_bound_parses():
     assert parse_expression("(10^64)^64") == const(10 ** 4096)
     assert parse_expression(f"({10 ** 1433})^3") == const(10 ** 4299)
     assert parse_expression("(1/2)^-64") == const(2 ** 64)
+    assert parse_expression("(10^64)^64*10") == const(10 ** 4097)
 
 
 def test_nesting_up_to_the_bound_parses():
