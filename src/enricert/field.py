@@ -137,6 +137,10 @@ class Cyclo:
     def is_integer(self) -> bool:
         return self.is_rational() and self._q[4] == 1
 
+    def height(self) -> int:
+        """The largest absolute value of a numerator or the denominator."""
+        return max(map(abs, self._q))
+
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Cyclo":
@@ -278,7 +282,9 @@ class Cyclo:
         return f"Cyclo({self})"
 
     def encode(self) -> str:
-        """Canonical textual form: four comma-separated rationals."""
+        """Canonical textual form: four comma-separated rationals, which
+        parse_cyclo reads back, except that an integer past the int
+        string-conversion limit is written as its digit count."""
         return ",".join(self._texts())
 
 

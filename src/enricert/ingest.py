@@ -43,7 +43,7 @@ from .errors import InvariantError, ParseError, SchemaError
 from .field import Cyclo, parse_cyclo
 from .maps import BirMap
 from .moduli import ParameterAction
-from .parsing import parse_expression
+from .parsing import MAX_DIGITS, parse_expression
 from .poly import MPoly, PARAMETERS, VARIABLES
 
 #: Largest input file, in bytes.
@@ -271,9 +271,25 @@ def ingest(path: str) -> IngestResult:
 
 # -- serialization -----------------------------------------------------------
 
+_READABLE = 10 ** MAX_DIGITS
+
+
+def _readable(value, where: str):
+    """``value``, refused with ValueError when it has a coefficient numerator
+    or denominator of more than MAX_DIGITS digits: its text would give the
+    digit count, which ingest cannot read back."""
+    if value.height() >= _READABLE:
+        raise ValueError(
+            f"{where}: a coefficient has more than {MAX_DIGITS} digits, "
+            "which ingest cannot read back"
+        )
+    return value
+
+
 def _coeff_entries(fam: SurfaceFamily, i: int, j: int) -> List[Dict[str, object]]:
     """Split the (i, j) coefficient into one entry per scalar / parameter part."""
-    coeff = fam.monomial_coefficient(i, j)
+    where = f"family {fam.name} monomial ({i}, {j})"
+    coeff = _readable(fam.monomial_coefficient(i, j), where)
     out: List[Dict[str, object]] = []
     const_term = None
     by_param: Dict[str, Cyclo] = {}
@@ -316,7 +332,8 @@ def serialize_action(action: ParameterAction) -> Dict[str, object]:
         "name": action.name,
         "weights": {p: action.weights[p] for p in sorted(action.weights)},
         "geometric": {
-            v: str(action.geometric[v]) for v in sorted(action.geometric)
+            v: str(_readable(action.geometric[v], f"action {action.name} geometric {v}"))
+            for v in sorted(action.geometric)
         },
         "w_square_scale": action.w_square_scale,
     }
@@ -325,7 +342,10 @@ def serialize_action(action: ParameterAction) -> Dict[str, object]:
 def serialize_map(phi: BirMap) -> Dict[str, object]:
     return {
         "name": phi.label,
-        "coords": {v: str(phi.coords[v]) for v in phi.variables},
+        "coords": {
+            v: str(_readable(phi.coords[v], f"map {phi.label} coordinate {v}"))
+            for v in phi.variables
+        },
     }
 
 

@@ -58,8 +58,6 @@ MAX_NESTING = 100
 #: which int_literal applies to literals.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
-# an integer below 2^(_LIMIT_BITS - 1) is below _DIGIT_LIMIT
-_LIMIT_BITS = _DIGIT_LIMIT.bit_length()
 
 
 def _too_long(base: RatFunc, m: int) -> bool:
@@ -68,35 +66,25 @@ def _too_long(base: RatFunc, m: int) -> bool:
     L of the coefficients of base's numerator and denominator, the m-th
     power of either has denominator L^m and integer numerators of at most
     S^m, S the sum of the absolute values of their numerators over L."""
-    coeffs = [c for p in (base.num, base.den) for _, c in p.term_items()]
+    coeffs = [*base.num.coefficients(), *base.den.coefficients()]
     den = lcm(*[c.den for c in coeffs])
     h = max(den, sum(sum(map(abs, c.numerators)) * (den // c.den) for c in coeffs))
     # h^m >= 2^(m * (bits - 1)); otherwise h^m is at most m bits longer
     # than the limit and cheap to compute exactly
-    return m * (h.bit_length() - 1) >= _LIMIT_BITS or h ** m >= _DIGIT_LIMIT
+    return m * (h.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or h ** m >= _DIGIT_LIMIT
 
 
 _RESULT_NAMES = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
 
 
-def _height(value: RatFunc) -> int:
-    """The largest absolute value of a coefficient numerator or denominator."""
-    return max(
-        max(c.den, *map(abs, c.numerators))
-        for p in (value.num, value.den)
-        for _, c in p.term_items()
-    )
-
-
-def _checked_bits(value: RatFunc, op: str, pos: int) -> int:
-    """The bit length of the height of ``value``, the result of the operator
-    ``op`` at ``pos``; refused there when it has more than MAX_DIGITS digits."""
-    h = _height(value)
-    if h >= _DIGIT_LIMIT:
+def _check_digits(height: int, op: str, pos: int) -> None:
+    """Refuse the result of the operator ``op`` at ``pos`` when ``height``,
+    that of a coefficient numerator or denominator, has more than
+    MAX_DIGITS digits."""
+    if height >= _DIGIT_LIMIT:
         raise ParseError(
             f"{_RESULT_NAMES[op]} would have a coefficient of more than {MAX_DIGITS} digits", pos
         )
-    return h.bit_length()
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -170,25 +158,20 @@ class _Parser:
 
     def expr(self) -> RatFunc:
         value = self.term()
-        # value's height is below 2^bits; _LIMIT_BITS means not yet read
-        bits = _LIMIT_BITS
         while True:
             kind, text, pos = self.peek()
             if kind == "sym" and text in "+-":
                 self.advance()
                 rhs = self.term()
                 self.at = pos
-                # Over the denominator 1, coefficients add key by key, and a
-                # sum of two of heights below 2^a and 2^b is below 2^(a+b+1).
-                # The sum is read only where this bound could pass the
-                # limit, so a long sum is not read in full at every term.
-                if bits < _LIMIT_BITS and value.is_polynomial() and rhs.is_polynomial():
-                    bits += _height(rhs).bit_length() + 1
-                else:
-                    bits = _LIMIT_BITS
+                polynomials = value.is_polynomial() and rhs.is_polynomial()
                 value = value + rhs if text == "+" else value - rhs
-                if bits >= _LIMIT_BITS:
-                    bits = _checked_bits(value, text, pos)
+                # A sum or difference of polynomials changes only the
+                # coefficients at the terms of rhs; the others were checked
+                # already, so a long sum is not read in full per term.
+                _check_digits(
+                    value.num.height(rhs.num) if polynomials else value.height(), text, pos
+                )
             else:
                 return value
 
@@ -203,7 +186,7 @@ class _Parser:
                     raise ParseError("division by zero", pos)
                 self.at = pos
                 value = value / rhs if text == "/" else value * rhs
-                _checked_bits(value, text, pos)
+                _check_digits(value.height(), text, pos)
             else:
                 return value
 

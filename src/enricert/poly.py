@@ -295,6 +295,23 @@ class MPoly:
         """The exponent vectors, leading term first."""
         return tuple(_unpack(e) for e in sorted(self.terms, reverse=True))
 
+    def coefficients(self) -> Iterable[Cyclo]:
+        """The coefficients, unsorted."""
+        return self.terms.values()
+
+    def height(self, at: Optional["MPoly"] = None) -> int:
+        """The largest absolute value of a coefficient's numerator or
+        denominator, 0 for zero; with ``at``, of the coefficients at the
+        terms of ``at`` alone.  One pass over them, unsorted."""
+        terms = self.terms
+        coeffs = terms.values() if at is None else [terms[e] for e in at.terms if e in terms]
+        h = 0
+        for c in coeffs:
+            ch = c.height()
+            if ch > h:
+                h = ch
+        return h
+
     def term_items(self) -> Tuple[Tuple[Exponents, Cyclo], ...]:
         """The (exponent vector, coefficient) pairs, leading term first."""
         terms = self.terms
@@ -715,6 +732,10 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
+
+    def height(self) -> int:
+        """The larger of the numerator's and the denominator's height."""
+        return max(self.num.height(), self.den.height())
 
     def as_poly(self) -> MPoly:
         if not self.is_polynomial():

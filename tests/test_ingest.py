@@ -21,9 +21,9 @@ from enricert.ingest import (
     serialize_document,
     serialize_family,
 )
-from enricert.maps import deck_flip, family_automorphism, k3_lift
+from enricert.maps import BirMap, deck_flip, family_automorphism, k3_lift
 from enricert.moduli import diagonal_base_scaling, homothety
-from enricert.poly import MPoly
+from enricert.poly import MPoly, RatFunc
 
 from _helpers import load_docgen
 
@@ -111,6 +111,29 @@ def test_repeated_support_pairs_accumulate():
     )
     fam = load_document(doc).families[0]
     assert str(fam.monomial_coefficient(4, 0)) == "3*A"
+
+
+def test_a_coefficient_past_the_digit_bound_is_refused_by_the_serializer():
+    # Repeated (0, 2) pairs add up: -1 and one 4,300-digit scalar still
+    # round trip; with eleven of them the coefficient has 4,302 digits, and
+    # its text would be a digit count that ingest cannot read back.
+    nines = {"i": 0, "j": 2, "coeff": {"scalar": "9" * 4300}}
+    doc = base_doc()
+    doc["families"][0]["monomials"].append(nines)
+    result = load_document(doc)
+    again = load_document(serialize_document(result.families, result.maps))
+    assert again.families == result.families
+    doc["families"][0]["monomials"] += [nines] * 10
+    fam = load_document(doc).families[0]
+    assert str(fam.monomial_coefficient(0, 2)) == "(<4302-digit integer>)"
+    refusal = r"^family t monomial \(0, 2\): a coefficient has more than 4300 digits"
+    with pytest.raises(ValueError, match=refusal):
+        serialize_document([fam])
+    # a map built through the API is refused the same way
+    y = RatFunc.var("y")
+    phi = BirMap(("w", "y", "z"), {"w": RatFunc.var("w"), "y": 10 ** 4300 * y, "z": y}, "big")
+    with pytest.raises(ValueError, match=r"^map big coordinate y: a coefficient has more than"):
+        serialize_document([], [phi])
 
 
 # -- schema violations --------------------------------------------------------

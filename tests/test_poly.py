@@ -1318,6 +1318,18 @@ def test_sum_monomials_matches_a_running_sum(entries):
     assert list(summed.terms.items()) == list(running.terms.items())
 
 
+def test_height_is_the_largest_numerator_or_denominator():
+    p = MPoly.sum_monomials([({"y": 1}, Fraction(-7, 3)), ({"z": 1}, Fraction(2, 11)), ({}, 5)])
+    assert p.height() == 11
+    # only the coefficients at the terms of the argument
+    assert p.height(V("y")) == 7
+    assert p.height(V("w")) == 0
+    assert MPoly.zero().height() == 0
+    # 13*z is made monic, so the numerator's coefficients are divided by 13
+    assert RatFunc(p, V("z").scale(13)).height() == 143
+    assert Cyclo(0, -9, Fraction(1, 2)).height() == 18
+
+
 def test_sum_monomials_refuses_what_monomial_refuses():
     with pytest.raises(DegreeCapError, match="total degree 65"):
         MPoly.sum_monomials([({"y": 1}, 1), ({"y": 64, "z": 1}, 1)])
