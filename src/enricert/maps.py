@@ -19,8 +19,10 @@ morphism, where composition is (c, M) . (d, N) = (c * d^M, M N) with
 (d^M)_v = prod_u d_u^(M_vu), and the identity is ((1, 1, 1), 1).  Powers
 are taken there, with no RatFunc, compose or BirMap per power.  Maps with
 no exponent form are composed, one compose and is_identity per power.
-BirMap.exponent_form computes a map's form once; the form ratios in the
-forms module read it too.
+compose, too, composes the forms of two monomial maps and builds the result
+from its form, with no substitution.  BirMap.exponent_form computes a map's
+form once, or BirMap.from_form seeds it; the form ratios in the forms
+module read it too.
 
 Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
 rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
@@ -31,8 +33,11 @@ The Klein-four normal form check and the search for monomial square roots
 run in exponent form, on integer matrices and exponents of zeta_8, not on
 these matrices; a QAut is built only for a root found.
 
-The built-in automorphisms and K3 lifts are tables of labels and coordinate
-texts keyed by family tag; cover.builtin_entry refuses an unknown tag.
+The built-in automorphisms and K3 lifts are tables of labels and exponent
+forms keyed by family tag, each row under a comment with its text in the
+paper's notation, and the deck flip is one such form; BirMap.from_form
+builds them, so a built-in run parses no text.  cover.builtin_entry refuses
+an unknown tag.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeCapError, InvariantError, PreconditionError
-from .field import Cyclo, ONE, ZERO, ZETA8
+from .field import Cyclo, ONE, SQRT_M1, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily, builtin_entry
@@ -122,6 +127,22 @@ class BirMap:
         )
 
     @staticmethod
+    def from_form(variables: Sequence[str], form, label: str = "") -> "BirMap":
+        """The monomial map with exponent form ``form``, which it keeps as
+        its exponent_form; each coordinate is built from the keys."""
+        phi = BirMap(
+            variables,
+            {
+                v: RatFunc.monomial(dict(zip(variables, row)), c)
+                for v, (c, row) in zip(variables, form)
+            },
+            label=label,
+        )
+        # seeds the cached_property
+        phi.__dict__["exponent_form"] = form
+        return phi
+
+    @staticmethod
     def from_strings(
         variables: Sequence[str], label: str = "", **exprs: str
     ) -> "BirMap":
@@ -136,18 +157,31 @@ class BirMap:
 def compose(outer: BirMap, inner: BirMap) -> BirMap:
     """The map sending P to outer(inner(P)).
 
-    Coordinates of the result are outer's expressions with inner's
-    coordinates substituted in; the result is again of the shape a + b*w.
+    Two monomial maps are composed in exponent form (see the module
+    docstring) and the result is built from the composed form; like
+    map_order, this answers where substituting would pass DEGREE_CAP
+    before cancelling under it.  Otherwise, and when the composed form has
+    a coordinate over DEGREE_CAP, inner's coordinates are substituted into
+    outer's, which keeps the shape a + b*w and raises the cap error.
     """
     if not same_triple(outer, inner):
         raise PreconditionError("composing maps over different coordinate triples")
+    label = f"{outer.label}.{inner.label}"
+    f, g = outer.exponent_form, inner.exponent_form
+    if f is not None and g is not None:
+        form = _compose_forms(f, g)
+        if max(max(_degrees(row)) for _, row in form) <= DEGREE_CAP:
+            return BirMap.from_form(outer.variables, form, label)
+    return _compose_by_substitution(outer, inner, label)
+
+
+def _compose_by_substitution(outer: BirMap, inner: BirMap, label: str) -> BirMap:
+    """compose by substituting inner's coordinates into outer's."""
     substitution = {v: inner.coords[v] for v in inner.variables}
     coords = {
         v: outer.coords[v].substitute(substitution) for v in outer.variables
     }
-    return BirMap(
-        outer.variables, coords, label=f"{outer.label}.{inner.label}"
-    )
+    return BirMap(outer.variables, coords, label=label)
 
 
 def is_identity(phi: BirMap) -> bool:
@@ -340,22 +374,31 @@ def _invariance_by_ratfuncs(relation, pulled, a, b) -> InvarianceResult:
 
 # -- built-in automorphisms ---------------------------------------------------
 #
-# Each built-in map by tag: its label and its w, y, z (or W, Y, Z) texts.
+# Each built-in map by tag: its label and its exponent form, the pairs
+# (c_v, M_v) of x_v -> c_v * x^(M_v) over (w, y, z) or (W, Y, Z); the
+# comment above each row is its text in the paper's notation.
 
 _AUTOMORPHISMS = {
-    1: ("aut_4_2", "i*w/(y^2*z^3)", "1/y", "1/z"),
-    2: ("aut_8_4", "zeta8*y^3*w/z^4", "y/z", "y^2/z"),
-    3: ("aut_8_2", "w*y^3/z^3", "i*y", "y^2/z"),
+    # w -> i*w/(y^2*z^3), y -> 1/y, z -> 1/z
+    1: ("aut_4_2", ((SQRT_M1, (1, -2, -3)), (ONE, (0, -1, 0)), (ONE, (0, 0, -1)))),
+    # w -> zeta8*y^3*w/z^4, y -> y/z, z -> y^2/z
+    2: ("aut_8_4", ((ZETA8, (1, 3, -4)), (ONE, (0, 1, -1)), (ONE, (0, 2, -1)))),
+    # w -> w*y^3/z^3, y -> i*y, z -> y^2/z
+    3: ("aut_8_2", ((ONE, (1, 3, -3)), (SQRT_M1, (0, 1, 0)), (ONE, (0, 2, -1)))),
 }
 _LIFTS = {
-    1: ("lift_4_2", "i*W/(Y^2*Z^2)", "1/Y", "1/Z"),
-    2: ("lift_8_4", "zeta8*W/Z^2", "1/Z", "Y"),
+    # W -> i*W/(Y^2*Z^2), Y -> 1/Y, Z -> 1/Z
+    1: ("lift_4_2", ((SQRT_M1, (1, -2, -2)), (ONE, (0, -1, 0)), (ONE, (0, 0, -1)))),
+    # W -> zeta8*W/Z^2, Y -> 1/Z, Z -> Y
+    2: ("lift_8_4", ((ZETA8, (1, 0, -2)), (ONE, (0, 0, -1)), (ONE, (0, 1, 0)))),
 }
+# W -> -W, Y -> -Y, Z -> -Z
+_DECK_FLIP = ((-ONE, (1, 0, 0)), (-ONE, (0, 1, 0)), (-ONE, (0, 0, 1)))
 
 
 def _builtin_map(variables, table, k, what: str) -> BirMap:
-    label, *texts = builtin_entry(table, k, what)
-    return BirMap.from_strings(variables, label, **dict(zip(variables, texts)))
+    label, form = builtin_entry(table, k, what)
+    return BirMap.from_form(variables, form, label)
 
 
 def family_automorphism(k: int) -> BirMap:
@@ -380,7 +423,7 @@ def k3_lift(k: int) -> BirMap:
 
 def deck_flip() -> BirMap:
     """The involution (W, Y, Z) -> (-W, -Y, -Z) over the deck map of the base."""
-    return BirMap.from_strings(K3_VARS, label="deck_flip", W="-W", Y="-Y", Z="-Z")
+    return BirMap.from_form(K3_VARS, _DECK_FLIP, "deck_flip")
 
 
 # -- automorphisms of the quadric P1 x P1 -------------------------------------

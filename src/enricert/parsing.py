@@ -30,9 +30,12 @@ of a +, -, * or / is refused at its operator when it has such a
 coefficient, so a chain of products of large constants stops growing at
 that size instead of taking time quadratic in its length.
 
-Every value is a RatFunc, and every operation is RatFunc arithmetic.  A
-product, quotient or power of constants, variables and their powers is one
-term over one term, which RatFunc builds from the exponent keys alone.
+Every value is a RatFunc, and every operation is RatFunc arithmetic, except
+that a run of polynomial summands is added in place in one poly.RunningSum,
+with the terms and term order of the chain of RatFunc sums, so a sum takes
+time linear in its number of terms.  A product, quotient or power of
+constants, variables and their powers is one term over one term, which
+RatFunc builds from the exponent keys alone.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import List, Tuple
 
 from .errors import DegreeCapError, ParseError, SizeCapError
 from .field import SQRT_M1, ZETA8, int_literal
-from .poly import DEGREE_CAP, RatFunc, VARIABLES
+from .poly import DEGREE_CAP, RatFunc, RunningSum, VARIABLES
 
 _SYMBOLS = set("+-*/^()")
 # ASCII only: str.isdigit also holds for other digits, such as "²" or "٣"
@@ -158,22 +161,27 @@ class _Parser:
 
     def expr(self) -> RatFunc:
         value = self.term()
+        # the sum so far while its summands are polynomials, added in place
+        run = None
         while True:
             kind, text, pos = self.peek()
-            if kind == "sym" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                self.at = pos
-                polynomials = value.is_polynomial() and rhs.is_polynomial()
-                value = value + rhs if text == "+" else value - rhs
-                # A sum or difference of polynomials changes only the
-                # coefficients at the terms of rhs; the others were checked
-                # already, so a long sum is not read in full per term.
-                _check_digits(
-                    value.num.height(rhs.num) if polynomials else value.height(), text, pos
-                )
-            else:
-                return value
+            if kind != "sym" or text not in "+-":
+                return value if run is None else RatFunc.from_poly(run.poly())
+            self.advance()
+            rhs = self.term()
+            self.at = pos
+            if rhs.is_polynomial() and (run is not None or value.is_polynomial()):
+                if run is None:
+                    run = RunningSum(value.num)
+                # Only the coefficients at the terms of rhs change; the
+                # others were checked already, so a long sum is neither
+                # copied nor read in full per term.
+                _check_digits(run.add(rhs.num, negate=text == "-"), text, pos)
+                continue
+            if run is not None:
+                value, run = RatFunc.from_poly(run.poly()), None
+            value = value + rhs if text == "+" else value - rhs
+            _check_digits(value.height(), text, pos)
 
     def term(self) -> RatFunc:
         value = self.factor()

@@ -299,14 +299,11 @@ class MPoly:
         """The coefficients, unsorted."""
         return self.terms.values()
 
-    def height(self, at: Optional["MPoly"] = None) -> int:
+    def height(self) -> int:
         """The largest absolute value of a coefficient's numerator or
-        denominator, 0 for zero; with ``at``, of the coefficients at the
-        terms of ``at`` alone.  One pass over them, unsorted."""
-        terms = self.terms
-        coeffs = terms.values() if at is None else [terms[e] for e in at.terms if e in terms]
+        denominator, 0 for zero.  One pass over them, unsorted."""
         h = 0
-        for c in coeffs:
+        for c in self.terms.values():
             ch = c.height()
             if ch > h:
                 h = ch
@@ -610,6 +607,43 @@ _ONE_POLY = MPoly.const(1)
 _ONE_TERMS = _ONE_POLY.terms
 
 
+class RunningSum:
+    """A sum of polynomials added in place, so a long sum is not copied per
+    summand.  Its terms and term order are those of the chain of MPoly
+    additions p1 + p2 + ...: a key that cancels is removed, and appended
+    again if it comes back."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, first: MPoly):
+        self._terms = dict(first.terms)
+
+    def add(self, p: MPoly, negate: bool = False) -> int:
+        """Add p, or -p with ``negate``, and return the height (see
+        MPoly.height) of the sum's coefficients at the terms of p, the only
+        ones that changed."""
+        terms = self._terms
+        h = 0
+        for e, c in p.terms.items():
+            if negate:
+                c = -c
+            prev = terms.get(e)
+            if prev is not None:
+                c = prev + c
+                if c.is_zero():
+                    del terms[e]
+                    continue
+            terms[e] = c
+            ch = c.height()
+            if ch > h:
+                h = ch
+        return h
+
+    def poly(self) -> MPoly:
+        """The sum, which shares its terms: add nothing to it after this."""
+        return _wrap(self._terms)
+
+
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
     """Exact quotient p / q, or IndivisibleError carrying the remainder.
 
@@ -724,6 +758,28 @@ class RatFunc:
     @staticmethod
     def var(name: str) -> "RatFunc":
         return RatFunc.from_poly(MPoly.var(name))
+
+    @staticmethod
+    def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "RatFunc":
+        """coeff times the product of name^k, k of either sign, built from
+        the keys as the simplified pair coeff * x^(k+) / x^(k-); each side
+        has total degree at most DEGREE_CAP."""
+        num = den = 0
+        for name, k in exponents.items():
+            if k > 0:
+                num += k * _UNITS[slot(name)]
+            elif k < 0:
+                den -= k * _UNITS[slot(name)]
+        degree = max(num, den) >> _DEG
+        if degree > DEGREE_CAP:
+            raise DegreeCapError(
+                f"monomial of total degree {degree} exceeds cap {DEGREE_CAP}"
+            )
+        c = Cyclo.coerce(coeff)
+        if c.is_zero():
+            return RatFunc.zero()
+        # x^(k+) and x^(k-) share no variable, and x^(k-) has coefficient 1
+        return _pair(_wrap({num: c}), _wrap({den: ONE}))
 
     # -- inspection ----------------------------------------------------------
 

@@ -274,6 +274,12 @@ def document_pairs(seeds=(1, 2, 3), indices=(0, 1, 2)):
     ]
 
 
+def document_maps(seeds=(1, 2, 3), indices=(0, 1, 2)):
+    """Every map of the generated documents of the given seeds and indices,
+    the failing decoy map included."""
+    return [phi for doc in _documents(seeds, indices) for phi in doc.maps]
+
+
 def document_families(seeds=(1, 2, 3), indices=(0, 1, 2)):
     """Every family of the generated documents of the given seeds and
     indices."""

@@ -4,6 +4,8 @@ import copy
 import itertools
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,7 +47,7 @@ from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 from enricert.parsing import parse_expression
 
 from _helpers import (
-    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs,
+    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_maps, document_pairs,
     monomial_maps, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
 )
 
@@ -179,13 +181,13 @@ _POINT = tuple(Cyclo.from_rational(p) for p in (2, 3, 5))
 @given(pair=_VARIABLE_TRIPLES.flatmap(
     lambda vs: st.tuples(monomial_maps(vs), monomial_maps(vs))
 ))
-# y/z after (y^64, y^20/z^20) is y^44*z^20, but composing the maps takes the
-# product y^64 * z^20, which is over the cap
+# y/z after (y^64, y^20/z^20) is y^44*z^20, which compose builds from the
+# form, where substituting takes the product y^64 * z^20, over the cap
 @example(pair=(strings(w="w", y="y/z", z="z"), strings(w="w", y="y^64", z="y^20/z^20")))
 def test_exponent_forms_compose_like_the_maps(pair):
     # (c, M) . (d, N) = (c * d^M, M N) for two different maps, which need
-    # not commute: it is outer after inner at a point, and it is the
-    # composed map wherever composing the maps stays under the cap
+    # not commute: it is outer after inner at a point, and it is the form
+    # of the composed map wherever that map stays under the cap
     outer, inner = pair
     f, g = _exponent_form(outer), _exponent_form(inner)
     form = _compose_forms(f, g)
@@ -195,6 +197,10 @@ def test_exponent_forms_compose_like_the_maps(pair):
     except DegreeCapError:
         return
     assert form == _exponent_form(composed)
+    # where substituting answers too, it gives the same map
+    expected = _compose_outcome(_by_substitution, outer, inner)
+    if not isinstance(expected[0], type):
+        assert _coordinates(composed) == expected
 
 
 @pytest.mark.parametrize("phi, expected", [
@@ -266,6 +272,90 @@ def test_map_order_composes_maps_outside_the_exponent_form(phi, expected):
 def test_compose_rejects_mixed_coordinate_triples():
     with pytest.raises(PreconditionError):
         compose(family_automorphism(1), deck_flip())
+
+
+def _builtin_maps():
+    return [
+        *(family_automorphism(k) for k in maps._AUTOMORPHISMS),
+        *(k3_lift(k) for k in maps._LIFTS),
+        deck_flip(),
+    ]
+
+
+def _declared_texts():
+    """label -> {variable: text}, from the comment above each row of the
+    built-in map tables in maps.py."""
+    source = Path(maps.__file__).read_text(encoding="utf-8")
+    rows = re.findall(r"# (\w) -> (.+), (\w) -> (.+), (\w) -> (.+)\n\s*(.+)", source)
+    texts = {}
+    for *pairs, row in rows:
+        label = "deck_flip" if row.startswith("_DECK_FLIP") else re.search(r'"(\w+)"', row)[1]
+        texts[label] = dict(zip(pairs[::2], pairs[1::2]))
+    return texts
+
+
+def _coordinates(phi):
+    """The label, the text and the num/den pair of each coordinate."""
+    return phi.label, str(phi), [
+        (list(phi.coords[v].num.term_items()), list(phi.coords[v].den.term_items()))
+        for v in phi.variables
+    ]
+
+
+@pytest.mark.parametrize("phi", _builtin_maps(), ids=lambda phi: phi.label)
+def test_a_builtin_map_is_the_map_of_its_paper_text(phi):
+    # each table row is declared in exponent form; the comment above it is
+    # its text, which parses to the same coordinates
+    parsed = BirMap.from_strings(phi.variables, phi.label, **_declared_texts()[phi.label])
+    assert _coordinates(phi) == _coordinates(parsed)
+    # from_form seeds the cached form with the form the coordinates give
+    assert phi.__dict__["exponent_form"] == _exponent_form(phi)
+
+
+def test_every_builtin_table_row_has_its_paper_text():
+    assert sorted(_declared_texts()) == sorted(phi.label for phi in _builtin_maps())
+
+
+def _compose_outcome(compose_fn, outer, inner):
+    try:
+        return _coordinates(compose_fn(outer, inner))
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def _by_substitution(outer, inner):
+    if not maps.same_triple(outer, inner):
+        raise PreconditionError("composing maps over different coordinate triples")
+    return maps._compose_by_substitution(outer, inner, f"{outer.label}.{inner.label}")
+
+
+def test_compose_by_forms_is_composition_by_substitution(monkeypatch):
+    # every ordered pair of the built-in maps and the generated documents'
+    # maps, over either triple, with the same labels
+    candidates = _builtin_maps() + document_maps()
+    assert all(phi.exponent_form is not None for phi in candidates)
+    pairs = list(itertools.product(candidates, repeat=2))
+    expected = [_compose_outcome(_by_substitution, *pair) for pair in pairs]
+
+    def refuse(*args):
+        raise AssertionError("compose substituted")
+
+    # every composed form is under the cap, so compose substitutes nothing
+    monkeypatch.setattr(maps, "_compose_by_substitution", refuse)
+    for pair, outcome_ in zip(pairs, expected):
+        assert _compose_outcome(compose, *pair) == outcome_, pair
+        if maps.same_triple(*pair):
+            composed = compose(*pair)
+            assert composed.exponent_form == _exponent_form(composed)
+
+
+def test_compose_past_the_cap_by_forms_raises_the_substitution_error():
+    # y^64 after y^2 is y^128, over the cap: compose substitutes, and the
+    # first product over the cap raises
+    outer = strings(label="a", w="w", y="y^64", z="z")
+    inner = strings(label="b", w="w", y="y^2", z="z")
+    with pytest.raises(DegreeCapError, match=r"^product term of total degree 66 exceeds cap 64$"):
+        compose(outer, inner)
 
 
 def test_builtin_index_errors():

@@ -142,6 +142,47 @@ def test_a_long_sum_is_refused_at_its_first_term_past_the_digit_bound():
     assert info.value.position == plus[first - 1]
 
 
+def _monomial_sum(n):
+    """n distinct monomials y^a*z^b*A^c within the degree cap, joined by +."""
+    exponents = ((a, b, c) for a in range(65) for b in range(65 - a) for c in range(65 - a - b))
+    return "+".join(f"y^{a}*z^{b}*A^{c}" for (a, b, c), _ in zip(exponents, range(n)))
+
+
+def test_a_sum_parses_in_time_linear_in_its_terms():
+    # each + adds its summand in place; copying the running sum at each +
+    # made the time quadratic, about 16 times as long for 4n terms
+    def best_of_three(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_expression(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    n = 2000
+    short, long = _monomial_sum(n), _monomial_sum(4 * n)
+    assert len(parse_expression(long).num.support()) == 4 * n
+    assert best_of_three(long) < 8 * best_of_three(short)
+
+
+_SUMMANDS = ["y", "3*y^2", "y^2", "i*z", "z/y", "1/2", "A*y", "y^2*A", "zeta8", "w"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(_SUMMANDS)), min_size=1, max_size=12))
+@example([("-", "y"), ("+", "z/y"), ("-", "z/y"), ("+", "y"), ("+", "3*y^2")])
+@example([("-", "3*y^2"), ("+", "y"), ("-", "y"), ("+", "y^2"), ("+", "y")])
+def test_a_sum_has_the_terms_and_order_of_the_chain_of_ratfunc_sums(summands):
+    # a key that cancels is removed and comes back at the end, and a
+    # summand that is not a polynomial ends the run of in-place additions
+    text = "y^2 " + " ".join(f"{op} {s}" for op, s in summands)
+    expected = parse_expression("y^2")
+    for op, s in summands:
+        rhs = parse_expression(s)
+        expected = expected + rhs if op == "+" else expected - rhs
+    assert outcome(parse_expression, text) == outcome(lambda: expected)
+
+
 def test_a_power_within_the_digit_bound_parses():
     assert parse_expression("(10^64)^64") == const(10 ** 4096)
     assert parse_expression(f"({10 ** 1433})^3") == const(10 ** 4299)

@@ -19,7 +19,7 @@ from enricert.errors import DegreeCapError, IndivisibleError, SizeCapError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
 from enricert.poly import (
-    DEGREE_CAP, MAX_TERM_PAIRS, PARAMETERS, VARIABLES, laurent_difference, slot,
+    DEGREE_CAP, MAX_TERM_PAIRS, PARAMETERS, VARIABLES, RunningSum, laurent_difference, slot,
 )
 
 from _helpers import (
@@ -1321,13 +1321,33 @@ def test_sum_monomials_matches_a_running_sum(entries):
 def test_height_is_the_largest_numerator_or_denominator():
     p = MPoly.sum_monomials([({"y": 1}, Fraction(-7, 3)), ({"z": 1}, Fraction(2, 11)), ({}, 5)])
     assert p.height() == 11
-    # only the coefficients at the terms of the argument
-    assert p.height(V("y")) == 7
-    assert p.height(V("w")) == 0
+    # a running sum reads only its coefficients at the terms it adds:
+    # -7/3 + 1 at y, then w, then nothing left at w
+    running = RunningSum(p)
+    assert running.add(V("y")) == 4
+    assert running.add(V("w")) == 1
+    assert running.add(V("w"), negate=True) == 0
     assert MPoly.zero().height() == 0
     # 13*z is made monic, so the numerator's coefficients are divided by 13
     assert RatFunc(p, V("z").scale(13)).height() == 143
     assert Cyclo(0, -9, Fraction(1, 2)).height() == 18
+
+
+@pytest.mark.parametrize("exponents, coeff, text", [
+    ({"w": 1, "y": -2, "z": -3}, SQRT_M1, "i*w/(y^2*z^3)"),
+    ({"W": 0, "Z": -1}, 1, "1/Z"),
+    ({"y": 64, "z": -64}, Fraction(3, 2), "3/2*y^64/z^64"),
+    ({}, -1, "-1"),
+    ({"y": 2}, 0, "0"),
+])
+def test_a_laurent_monomial_is_the_pair_its_text_parses_to(exponents, coeff, text):
+    assert outcome(RatFunc.monomial, exponents, coeff) == outcome(parse_expression, text)
+
+
+def test_a_laurent_monomial_past_the_cap_is_refused_on_either_side():
+    for exponents in ({"y": 64, "z": 1}, {"y": -1, "z": -64}):
+        with pytest.raises(DegreeCapError, match="total degree 65"):
+            RatFunc.monomial(exponents)
 
 
 def test_sum_monomials_refuses_what_monomial_refuses():
