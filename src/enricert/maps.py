@@ -52,7 +52,8 @@ from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily, builtin_entry
 
-#: The largest order map_order and QAut.order look for.
+#: The largest order map_order and the Klein-four check's _monomial_order
+#: look for.
 MAX_ORDER = 16
 
 
@@ -119,14 +120,6 @@ class BirMap:
         return _exponent_form(self)
 
     @staticmethod
-    def identity(variables: Sequence[str] = ENRIQUES_VARS) -> "BirMap":
-        return BirMap(
-            variables,
-            {v: RatFunc.var(v) for v in variables},
-            label="id",
-        )
-
-    @staticmethod
     def from_form(variables: Sequence[str], form, label: str = "") -> "BirMap":
         """The monomial map with exponent form ``form``, which it keeps as
         its exponent_form; each coordinate is built from the keys."""
@@ -170,7 +163,7 @@ def compose(outer: BirMap, inner: BirMap) -> BirMap:
     f, g = outer.exponent_form, inner.exponent_form
     if f is not None and g is not None:
         form = _compose_forms(f, g)
-        if max(max(_degrees(row)) for _, row in form) <= DEGREE_CAP:
+        if _degree(form) <= DEGREE_CAP:
             return BirMap.from_form(outer.variables, form, label)
     return _compose_by_substitution(outer, inner, label)
 
@@ -219,7 +212,7 @@ def map_order(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
             return n
         if n < max_n:
             power = _compose_forms(form, power)
-            degree = max(max(_degrees(row)) for _, row in power)
+            degree = _degree(power)
             if degree > DEGREE_CAP:
                 raise DegreeCapError(
                     f"power {n + 1} of {phi.label}: coordinate of total "
@@ -244,10 +237,11 @@ def _order_by_composition(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
 _UNIT_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _degrees(row: Tuple[int, ...]) -> Tuple[int, int]:
-    """The degrees of the numerator and the denominator of x^row."""
-    total, size = sum(row), sum(map(abs, row))
-    return (size + total) // 2, (size - total) // 2
+def _degree(form) -> int:
+    """The largest degree of a numerator or a denominator of form's
+    coordinates: x^row has degrees (size + total) / 2 and (size - total) / 2,
+    with total and size the sums of row and of its absolute values."""
+    return max((sum(map(abs, row)) + abs(sum(row))) // 2 for _, row in form)
 
 
 def _exponent_form(phi: BirMap):
@@ -460,10 +454,6 @@ class Mobius:
     def __reduce__(self):
         return Mobius, (self.a, self.b, self.c, self.d)
 
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(ONE, ZERO, ZERO, ONE)
-
     def is_identity(self) -> bool:
         return self.b.is_zero() and self.c.is_zero() and self.a == self.d
 
@@ -474,9 +464,6 @@ class Mobius:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mobius):
@@ -533,10 +520,6 @@ class QAut:
     def __reduce__(self):
         return QAut, (self.shape, self.m1, self.m2)
 
-    @staticmethod
-    def identity() -> "QAut":
-        return QAut(DIRECT, Mobius.identity(), Mobius.identity())
-
     def is_identity(self) -> bool:
         return (
             self.shape == DIRECT
@@ -551,11 +534,6 @@ class QAut:
             return QAut(shape, self.m1 @ other.m1, self.m2 @ other.m2)
         return QAut(shape, self.m1 @ other.m2, self.m2 @ other.m1)
 
-    def inverse(self) -> "QAut":
-        if self.shape == DIRECT:
-            return QAut(DIRECT, self.m1.inverse(), self.m2.inverse())
-        return QAut(SWAP, self.m2.inverse(), self.m1.inverse())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QAut):
             return NotImplemented
@@ -563,15 +541,6 @@ class QAut:
 
     def __hash__(self):
         return hash((self.shape, self.m1, self.m2))
-
-    def order(self, max_n: int = MAX_ORDER) -> Optional[int]:
-        current = self
-        for n in range(1, max_n + 1):
-            if current.is_identity():
-                return n
-            if n < max_n:
-                current = self.compose(current)
-        return None
 
     def ns_trace(self) -> int:
         """Trace on the rank-2 lattice spanned by the two ruling classes."""
@@ -675,7 +644,8 @@ _IDENTITY_FORM = ((1, 0, 0, 1), (0, 0))
 
 
 def _monomial_order(g, max_n: int = MAX_ORDER) -> Optional[int]:
-    """QAut.order of the monomial map with exponent form ``g``."""
+    """The order of the monomial QAut with exponent form ``g``, or None
+    when it is over max_n."""
     power = g
     for n in range(1, max_n + 1):
         if power == _IDENTITY_FORM:

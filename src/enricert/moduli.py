@@ -60,8 +60,7 @@ class ParameterAction:
             self.name == other.name
             and self.weights == other.weights
             and self.w_square_scale == other.w_square_scale
-            and set(self.geometric) == set(other.geometric)
-            and all(self.geometric[v] == other.geometric[v] for v in self.geometric)
+            and self.geometric == other.geometric
         )
 
     def __repr__(self) -> str:

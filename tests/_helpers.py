@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from enricert import SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc, poly
-from enricert.cover import family, k3_cover
+from enricert import ONE, SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc, poly
+from enricert.cover import ENRIQUES_VARS, family, k3_cover
 from enricert.ingest import load_document
 from enricert.poly import as_ratfunc, slot
 
@@ -178,7 +178,12 @@ def semisimple_mobius(rng):
     lam = Cyclo.from_rational(rng.choice(_DIAGONAL_RATIOS))
     h = rand_rational_mobius(rng)
     core = Mobius(lam, Cyclo(0), Cyclo(0), Cyclo(1))
-    return h @ core @ h.inverse()
+    return h @ core @ adjugate(h)
+
+
+def adjugate(m):
+    """The adjugate of a Moebius matrix, its inverse up to scalar."""
+    return Mobius(m.d, -m.b, -m.c, m.a)
 
 
 def rand_monomial_plane_map(rng, span=2):
@@ -192,6 +197,13 @@ def rand_monomial_plane_map(rng, span=2):
     c1 = RatFunc.const(nonzero_cyclo(rng, span=2))
     c2 = RatFunc.const(nonzero_cyclo(rng, span=2))
     return c1 * y ** a * z ** b, c2 * y ** c * z ** d
+
+
+def identity_map(variables=ENRIQUES_VARS):
+    """The identity map over its own three variables, from its exponent
+    form."""
+    form = tuple((ONE, row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return BirMap.from_form(variables, form, "id")
 
 
 def monomial_map(variables, scalars, rows):

@@ -116,9 +116,18 @@ def test_every_record_is_well_formed():
         assert isinstance(r.inputs, dict)
 
 
+def _record_dict(r):
+    """A record as docs/certificate-schema.md lays it out, keys in order."""
+    return {
+        "id": r.id, "group": r.group, "family": r.family, "result": r.result,
+        "inputs": r.inputs, "value": r.value, "witness": r.witness,
+        "statement": r.statement,
+    }
+
+
 def test_record_dict_key_order_is_fixed():
-    record = shared_cert().records[0]
-    assert list(record.as_dict().keys()) == [
+    record = json.loads(shared_cert().to_json())["records"][0]
+    assert list(record.keys()) == [
         "id", "group", "family", "result", "inputs", "value", "witness",
         "statement",
     ]
@@ -154,7 +163,13 @@ _records = st.builds(
 @example([])
 def test_to_json_is_json_dumps_of_the_dict(records):
     cert = Certificate(records)
-    assert cert.to_json() == json.dumps(cert.as_dict(), indent=2) + "\n"
+    expected = {
+        "schema": SCHEMA,
+        "engine_version": enricert.__version__,
+        "overall": cert.overall,
+        "records": [_record_dict(r) for r in records],
+    }
+    assert cert.to_json() == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -305,11 +320,11 @@ CLI_PAIRS = [
 
 
 def _selected(family, check, document=None):
-    return [r.as_dict() for r in run_checks(family, check, document).records]
+    return [_record_dict(r) for r in run_checks(family, check, document).records]
 
 
 def _filtered(records, family, check):
-    return [r.as_dict() for r in filter_records(list(records), family, check)]
+    return [_record_dict(r) for r in filter_records(list(records), family, check)]
 
 
 @pytest.mark.parametrize("family,check", CLI_PAIRS)
@@ -767,3 +782,23 @@ def test_any_exception_a_check_raises_becomes_its_failure(monkeypatch):
     record = cert.first_failure
     assert record.witness == "TypeError: injected"
     assert record.inputs == {} and record.value is None
+
+
+def test_a_failing_k4_check_names_its_flags_and_roots(monkeypatch):
+    # the double negation as the second swap candidate: it squares to the
+    # identity, not the double inversion, and the four roots found are no
+    # longer the two candidates and their inverses
+    import enricert.maps as maps
+
+    monkeypatch.setattr(maps, "_SWAP_ROOTS", {1: maps._SWAP_ROOTS[1], -1: maps._NEG_BOTH})
+    cert = verify_all()
+    assert [r.id for r in cert.records if r.failed] == ["k4-normal-form"]
+    record = cert.first_failure
+    assert record.value == "4 monomial square roots, 0 ruling-preserving"
+    assert record.witness == (
+        "klein_ok=True candidates_ok=False roots=["
+        "QAut(swap, Mobius((1, 0), (0, 1)), Mobius((0, 1), (1, 0))), "
+        "QAut(swap, Mobius((1, 0), (0, -1)), Mobius((0, 1), (-1, 0))), "
+        "QAut(swap, Mobius((0, 1), (1, 0)), Mobius((1, 0), (0, 1))), "
+        "QAut(swap, Mobius((0, 1), (-1, 0)), Mobius((1, 0), (0, -1)))]"
+    )

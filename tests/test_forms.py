@@ -33,8 +33,8 @@ from enricert.parsing import parse_expression
 from enricert.poly import VARIABLES, MPoly, RatFunc, jacobian_det2
 
 from _helpers import (
-    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs, monomial_maps,
-    raised_degree_cap,
+    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_pairs, identity_map,
+    monomial_maps, raised_degree_cap,
 )
 
 I = SQRT_M1
@@ -61,7 +61,7 @@ def test_builtin_ratios_and_indices():
 
 
 def test_identity_is_semi_symplectic():
-    r = biform(family(1), BirMap.identity())
+    r = biform(family(1), identity_map())
     assert r == ONE and index_of(r) == 1
 
 
@@ -240,7 +240,7 @@ def _quotient_ratio(fam, phi):
 
 def _builtin_pairs():
     flip = BirMap.from_strings(ENRIQUES_VARS, label="flip", w="-w", y="y", z="z")
-    maps = [family_automorphism(k) for k in (1, 2, 3)] + [BirMap.identity(), flip]
+    maps = [family_automorphism(k) for k in (1, 2, 3)] + [identity_map(), flip]
     sigma = family_automorphism(2)
     maps += [compose(sigma, sigma), compose(sigma, compose(sigma, sigma))]
     return [(family(k), phi) for k in (1, 2, 3) for phi in maps]

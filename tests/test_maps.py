@@ -47,8 +47,9 @@ from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 from enricert.parsing import parse_expression
 
 from _helpers import (
-    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, document_maps, document_pairs,
-    monomial_maps, nonzero_mpoly, rand_mpoly, rand_rational_mobius, semisimple_mobius,
+    BASE_BLOCKS, SINGULAR_BLOCKS, adjugate, builtin_and_document_families, document_maps,
+    document_pairs, identity_map, monomial_maps, nonzero_mpoly, rand_mpoly, rand_rational_mobius,
+    semisimple_mobius,
 )
 
 
@@ -90,9 +91,10 @@ def test_birmap_rejects_higher_cover_degree():
 
 
 def test_identity_map():
-    ident = BirMap.identity()
-    assert is_identity(ident)
-    assert map_order(ident) == 1
+    for ident in (identity_map(), strings(w="w", y="y", z="z")):
+        assert is_identity(ident)
+        assert map_order(ident) == 1
+        assert _order_by_composition(ident) == 1
 
 
 def test_identity_test_at_the_cap_multiplies_nothing():
@@ -204,8 +206,8 @@ def test_exponent_forms_compose_like_the_maps(pair):
 
 
 @pytest.mark.parametrize("phi, expected", [
-    (BirMap.identity(), 1),
-    (BirMap.identity(K3_VARS), 1),
+    (identity_map(), 1),
+    (identity_map(K3_VARS), 1),
     (deck_flip(), 2),
     (family_automorphism(1), 4),
     (family_automorphism(2), 8),
@@ -553,7 +555,8 @@ def test_mobius_rejects_singular_matrix():
 
 
 def test_mobius_scalar_normalization():
-    assert Mobius(2, 0, 0, 2) == Mobius.identity()
+    assert Mobius(2, 0, 0, 2) == Mobius(1, 0, 0, 1)
+    assert Mobius(2, 0, 0, 2).is_identity()
     assert Mobius(2, 4, 0, 2) == Mobius(1, 2, 0, 1)
 
 
@@ -563,16 +566,24 @@ def test_mobius_immutability():
         m.a = ZERO
 
 
+def test_qaut_immutability():
+    g = swap_root(1)
+    for attr, value in (("shape", DIRECT), ("m1", Mobius(1, 0, 0, 1)), ("m2", g.m1)):
+        with pytest.raises(AttributeError, match="QAut instances are immutable"):
+            setattr(g, attr, value)
+    assert g == swap_root(1)
+
+
 def test_mobius_group_laws():
     m = Mobius(1, 2, 3, 4)
     n = Mobius(0, 1, 1, 0)
-    assert m @ m.inverse() == Mobius.identity()
-    assert (m @ n).inverse() == n.inverse() @ m.inverse()
+    assert (m @ adjugate(m)).is_identity() and (adjugate(m) @ m).is_identity()
+    assert adjugate(m @ n) == adjugate(n) @ adjugate(m)
 
 
 def test_fixed_points_of_identity_rejected():
     with pytest.raises(ValueError):
-        Mobius.identity().fixed_points()
+        Mobius(1, 0, 0, 1).fixed_points()
 
 
 def test_fixed_points_are_fixed_point_data_for_mobius_and_qaut():
@@ -609,22 +620,48 @@ def test_fixed_points_outside_the_field():
 
 def test_qaut_shape_validation():
     with pytest.raises(InvariantError, match="shape"):
-        QAut("diagonal", Mobius.identity(), Mobius.identity())
+        QAut("diagonal", Mobius(1, 0, 0, 1), Mobius(1, 0, 0, 1))
 
 
 def test_qaut_identity_and_inverse():
-    g = QAut(SWAP, Mobius(0, 1, 1, 0), Mobius(2, 0, 0, 1))
+    # (m1 . Z, m2 . Y) is undone by (m2^-1 . Z, m1^-1 . Y)
+    m1, m2 = Mobius(0, 1, 1, 0), Mobius(2, 0, 0, 1)
+    g, inverse = QAut(SWAP, m1, m2), QAut(SWAP, adjugate(m2), adjugate(m1))
     assert not g.is_identity()
-    assert g.compose(g.inverse()).is_identity()
-    assert g.inverse().compose(g).is_identity()
+    assert g.compose(inverse).is_identity()
+    assert inverse.compose(g).is_identity()
+    assert _qaut_of_form(maps._IDENTITY_FORM).is_identity()
+    # every monomial form's inverse undoes it on both sides, in exponent
+    # form and through the Mobius arithmetic
+    for form in _monomial_forms():
+        back = _inverse_monomial(form)
+        assert _compose_monomial(form, back) == maps._IDENTITY_FORM
+        assert _compose_monomial(back, form) == maps._IDENTITY_FORM
+        g, h = _qaut_of_form(form), _qaut_of_form(back)
+        assert g.compose(h).is_identity() and h.compose(g).is_identity()
 
 
 def test_qaut_orders():
-    assert neg_both().order() == 2
-    assert inv_both().order() == 2
-    assert swap_root(1).order() == 4
-    assert swap_root(-1).order() == 4
-    assert QAut.identity().order() == 1
+    assert _monomial_order(maps._NEG_BOTH) == 2
+    assert _monomial_order(maps._INV_BOTH) == 2
+    assert _monomial_order(maps._SWAP_ROOTS[1]) == 4
+    assert _monomial_order(maps._SWAP_ROOTS[-1]) == 4
+    assert _monomial_order(maps._IDENTITY_FORM) == 1
+
+
+def _k3_lift_of_form(form):
+    """The monomial QAut of ``form`` as a K3 map fixing W, its scalars
+    powers of zeta8 in Cyclo."""
+    (m11, m12, m21, m22), (k1, k2) = form
+    rows = ((ONE, (1, 0, 0)), (ZETA8 ** k1, (0, m11, m12)), (ZETA8 ** k2, (0, m21, m22)))
+    return BirMap.from_form(K3_VARS, rows, "lift")
+
+
+def test_monomial_order_matches_map_order_of_the_k3_lift():
+    # map_order powers Cyclo scalars, not exponents of zeta8 mod 8
+    orders = [_monomial_order(form) for form in _monomial_forms()]
+    assert orders == [map_order(_k3_lift_of_form(form)) for form in _monomial_forms()]
+    assert None not in orders
 
 
 def test_qaut_ns_trace():
@@ -664,15 +701,15 @@ def test_swap_root_sign_validation():
 
 def test_qaut_fixed_points_rejects_identity():
     with pytest.raises(ValueError):
-        qaut_fixed_points(QAut.identity())
+        qaut_fixed_points(_qaut_of_form(maps._IDENTITY_FORM))
 
 
 def test_qaut_fixed_points_rejects_curve_fixing_maps():
-    half = QAut(DIRECT, Mobius(2, 0, 0, 1), Mobius.identity())
+    half = QAut(DIRECT, Mobius(2, 0, 0, 1), Mobius(1, 0, 0, 1))
     with pytest.raises(ValueError, match="curve"):
         qaut_fixed_points(half)
     m = Mobius(0, 1, 1, 0)
-    graph = QAut(SWAP, m, m.inverse())
+    graph = QAut(SWAP, m, adjugate(m))
     with pytest.raises(ValueError, match="curve"):
         qaut_fixed_points(graph)
 
@@ -759,7 +796,7 @@ def test_swap_fixed_points_survive_irrational_coordinates():
     # the count needs no coordinates: these fixed points (1 +- sqrt 5)/2
     # lie outside the field
     m1 = Mobius(1, 1, 1, 0)
-    g = QAut(SWAP, m1, Mobius.identity())
+    g = QAut(SWAP, m1, Mobius(1, 0, 0, 1))
     data = qaut_fixed_points(g)
     assert data.count == 2 and not data.parabolic
 
@@ -782,9 +819,11 @@ def test_monomial_square_roots_of_double_inversion():
     assert len(roots) == 4
     assert all(g.shape == SWAP for g in roots)
     assert all(g.compose(g) == inv_both() for g in roots)
+    # the inverse of (s/Z, s*Y) is (s*Z, s/Y)
     assert set(roots) == {
         swap_root(1), swap_root(-1),
-        swap_root(1).inverse(), swap_root(-1).inverse(),
+        QAut(SWAP, Mobius(1, 0, 0, 1), Mobius(0, 1, 1, 0)),
+        QAut(SWAP, Mobius(-1, 0, 0, 1), Mobius(0, -1, 1, 0)),
     }
 
 
@@ -877,13 +916,11 @@ def test_square_roots_of_every_monomial_target_match_the_search_over_all_candida
 
 
 def test_exponent_forms_follow_the_qaut_operations():
-    # every monomial candidate: its form builds it, and the form's inverse
-    # and order are the QAut's; composition on a sample of pairs
+    # every monomial candidate: its form builds it; composition on a sample
+    # of pairs
     forms = list(_monomial_forms())
     for form, g in zip(forms, _monomial_candidates()):
         assert _qaut_of_form(form) == g
-        assert _qaut_of_form(_inverse_monomial(form)) == g.inverse()
-        assert _monomial_order(form) == g.order()
     rng = random.Random(20261019)
     for _ in range(300):
         f, h = rng.choice(forms), rng.choice(forms)
@@ -969,7 +1006,7 @@ def test_projection_intertwines_double_inversion_with_order4_base():
 
 def test_mobius_and_qaut_pickle_and_deepcopy_round_trip():
     m = Mobius(ZETA8, ONE, ZERO, SQRT_M1)
-    g = QAut(SWAP, m, Mobius.identity())
+    g = QAut(SWAP, m, Mobius(1, 0, 0, 1))
     for value in (m, g):
         for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert restored == value and hash(restored) == hash(value)

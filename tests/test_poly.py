@@ -141,6 +141,17 @@ def test_ratfunc_cancellation():
     assert r2 == RatFunc.from_poly(y - z)
 
 
+def test_a_numerator_dividing_the_denominator_leaves_the_cofactor():
+    # y^2 - 1 does not divide y + 1, but y + 1 divides it: the quotient is
+    # 1 over the cofactor, renormalized to a monic denominator
+    y = V("y")
+    one = MPoly.const(1)
+    for num, expected in ((y + one, one), (MPoly.const(2) * y + MPoly.const(2), MPoly.const(2))):
+        r = RatFunc(num, y ** 2 - one)
+        assert (r.num, r.den) == (expected, y - one)
+    assert str(parse_expression("(y+1)/(y^2-1)")) == "1 / (y - 1)"
+
+
 def test_ratfunc_normalizes_leading_denominator_coefficient():
     y = V("y")
     r = RatFunc(y, MPoly.const(2) * y ** 2)
@@ -552,6 +563,15 @@ def test_unknown_variable_is_a_key_error_naming_it():
     for lookup in (lambda: slot("q"), lambda: MPoly.var("q"), lambda: V("y").degree_in("q")):
         with pytest.raises(KeyError, match="unknown variable 'q'"):
             lookup()
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
+def test_values_refuse_attribute_assignment(name):
+    value = _ROUND_TRIP[name]()
+    for attr in ("_q", "terms", "num", "den"):
+        with pytest.raises(AttributeError, match="instances are immutable"):
+            setattr(value, attr, None)
+    assert value == _ROUND_TRIP[name]()
 
 
 @pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
@@ -1414,34 +1434,66 @@ def _references(tree):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
-def test_every_public_engine_function_and_class_has_a_caller():
-    # a public name only the tests reach is dead API: an engine module, a
-    # demo or the benchmark must name it outside its own definition
-    engine = _engine_modules()
+def _callers():
+    """(place, tree) of every file that may reach the engine's public names:
+    the engine modules, the demos and the benchmark."""
     root = Path(__file__).resolve().parents[1]
     others = [
-        (path.name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        (f"{folder}/{path.name}", ast.parse(path.read_text(encoding="utf-8"), str(path)))
         for folder in ("demos", "perfbench")
         for path in sorted((root / folder).glob("*.py"))
     ]
-    references = [
-        (f"{folder}/{name}", ref, line)
-        for folder, trees in (("engine", engine), ("other", others))
-        for name, tree in trees
-        for ref, line in _references(tree)
+    return [(f"engine/{name}", tree) for name, tree in _engine_modules()] + others
+
+
+def _without_caller(definitions, references):
+    """The (module, node, shown) definitions that no reference (place, name,
+    line) names outside the definition's own lines."""
+    return [
+        f"{name}: {shown}"
+        for name, node, shown in definitions
+        if not any(
+            ref == node.name
+            and not (where == f"engine/{name}" and node.lineno <= line <= node.end_lineno)
+            for where, ref, line in references
+        )
     ]
-    unused = []
-    for name, tree in engine:
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                ref == node.name and not (where == f"engine/{name}" and line in own)
-                for where, ref, line in references
-            ):
-                unused.append(f"{name}: {node.name}")
-    assert unused == []
+
+
+def test_every_public_engine_function_and_class_has_a_caller():
+    # a public name only the tests reach is dead API: an engine module, a
+    # demo or the benchmark must name it outside its own definition
+    references = [
+        (where, ref, line) for where, tree in _callers() for ref, line in _references(tree)
+    ]
+    definitions = [
+        (name, node, node.name)
+        for name, tree in _engine_modules()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert _without_caller(definitions, references) == []
+
+
+def test_every_public_method_of_a_public_engine_class_has_a_caller():
+    # the same rule for the methods and properties of a public class: an
+    # engine module, a demo or the benchmark must read it as an attribute
+    # outside its own definition; dunders are exempt
+    references = [
+        (where, node.attr, node.lineno)
+        for where, tree in _callers()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    definitions = [
+        (name, node, f"{cls.name}.{node.name}")
+        for name, tree in _engine_modules()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert _without_caller(definitions, references) == []
 
 
 def test_no_engine_module_imports_a_name_it_never_uses():
