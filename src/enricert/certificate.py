@@ -423,9 +423,10 @@ def _map_order(ctx, k) -> Outcome:
 
 
 def _square_relation(ctx) -> Outcome:
-    square = compose(ctx.automorphism(2), ctx.automorphism(2))
-    ok = maps_equal(square, ctx.automorphism(1))
-    inputs = {"map": "aut_8_4", "target": "aut_4_2"}
+    phi, target = ctx.automorphism(2), ctx.automorphism(1)
+    square = compose(phi, phi)
+    ok = maps_equal(square, target)
+    inputs = {"map": phi.label, "target": target.label}
     return _verdict(ok), inputs, None, None if ok else repr(square)
 
 
@@ -491,7 +492,7 @@ def _freeness(ctx, k) -> Outcome:
 
 def _deck_ratio(ctx) -> Outcome:
     ratio = ctx.ratio(ctx.cover(ctx.family(1)), ctx.deck())
-    return _ratio(ratio == -ONE, ratio, {"map": "deck_flip"})
+    return _ratio(ratio == -ONE, ratio, {"map": ctx.deck().label})
 
 
 def _lift_ratio(ctx, k) -> Outcome:

@@ -86,15 +86,11 @@ class SurfaceFamily:
         return KIND_VARIABLES[self.kind]
 
     @property
-    def cover_var(self) -> str:
-        return self.variables[0]
-
-    @property
     def base_vars(self) -> Tuple[str, str]:
         return self.variables[1:]
 
     def relation(self) -> MPoly:
-        """The polynomial S with cover equation (cover_var)^2 = S."""
+        """The polynomial S with cover equation (variables[0])^2 = S."""
         if self.kind == ENRIQUES:
             return MPoly.var("z") * self.branch
         return self.branch

@@ -10,15 +10,15 @@ An element is four integer numerators over one positive common denominator,
 (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / den, reduced so that
 gcd(n0, n1, n2, n3, den) = 1.  Each value has exactly one such form, so
 equality is a tuple compare, and a product costs sixteen integer products and
-one gcd.  ``coords`` gives the rational coordinates as Fractions.  Inversion
-uses the quadratic tower Q <= Q(i) <= Q(zeta_8): the automorphism
-zeta -> -zeta fixes Q(i), so multiplying by the conjugate lands in Q(i), where
-a Gaussian integer a + b*i is inverted by (a - b*i) / (a^2 + b^2).
+one gcd.  Inversion uses the quadratic tower Q <= Q(i) <= Q(zeta_8): the
+automorphism zeta -> -zeta fixes Q(i), so multiplying by the conjugate lands
+in Q(i), where a Gaussian integer a + b*i is inverted by (a - b*i) / (a^2 + b^2).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Tuple, Union
@@ -59,6 +59,24 @@ def _int_text(n: int) -> str:
         while 10 ** (digits - 1) > m:
             digits -= 1
         return f"{'-' if n < 0 else ''}<{digits}-digit integer>"
+
+
+def int_digit_limit() -> int:
+    """The interpreter's int string-conversion limit in digits; 0 when there
+    is none, as on a Python without ``sys.get_int_max_str_digits``."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return limit() if limit else 0
+
+
+def signed_sum(parts) -> str:
+    """The term texts ``parts`` written as a sum: a part with a leading
+    minus joins with " - ", any other with " + "; no parts give "0"."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _coord_text(n: int, d: int) -> str:
@@ -113,12 +131,6 @@ class Cyclo:
     @property
     def den(self) -> int:
         return self._q[4]
-
-    @property
-    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        """The four rational coordinates in the power basis."""
-        n0, n1, n2, n3, d = self._q
-        return (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
 
     # -- predicates ----------------------------------------------------------
 
@@ -271,12 +283,7 @@ class Cyclo:
                 parts.append(f"-{name}")
             else:
                 parts.append(f"{c}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"Cyclo({self})"

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .cover import BRANCH_SUPPORT, KIND_VARIABLES, SurfaceFamily
 from .errors import InvariantError, ParseError, SchemaError
-from .field import Cyclo, parse_cyclo
+from .field import Cyclo, int_digit_limit, parse_cyclo
 from .maps import BirMap
 from .moduli import ParameterAction
 from .parsing import MAX_DIGITS, parse_expression
@@ -271,16 +271,16 @@ def ingest(path: str) -> IngestResult:
 
 # -- serialization -----------------------------------------------------------
 
-_READABLE = 10 ** MAX_DIGITS
-
-
 def _readable(value, where: str):
     """``value``, refused with ValueError when it has a coefficient numerator
-    or denominator of more than MAX_DIGITS digits: its text would give the
-    digit count, which ingest cannot read back."""
-    if value.height() >= _READABLE:
+    or denominator of more digits than ingest reads back: the int limit, past
+    which its text is a digit count, or the parser's MAX_DIGITS."""
+    limit = min(int_digit_limit() or MAX_DIGITS, MAX_DIGITS)
+    height = value.height()
+    # below 3.32 * limit bits a height is under 10^limit, unpowered
+    if height.bit_length() > 3.32 * limit and height >= 10 ** limit:
         raise ValueError(
-            f"{where}: a coefficient has more than {MAX_DIGITS} digits, "
+            f"{where}: a coefficient has more than {limit} digits, "
             "which ingest cannot read back"
         )
     return value

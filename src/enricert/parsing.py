@@ -57,8 +57,8 @@ _DIGITS = "0123456789"
 MAX_NESTING = 100
 
 #: Most decimal digits a power may give a coefficient's numerator or
-#: denominator: the interpreter's default int string-conversion limit,
-#: which int_literal applies to literals.
+#: denominator, a fixed work bound: the default int string-conversion limit.
+#: Literals are bounded by int_literal, which follows the current limit.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 

@@ -93,7 +93,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import DegreeCapError, IndivisibleError, SizeCapError
-from .field import Cyclo, ONE, ZERO
+from .field import Cyclo, ONE, ZERO, signed_sum
 
 Exponents = Tuple[int, ...]
 Scalar = Union[Cyclo, Fraction, int]
@@ -572,8 +572,6 @@ class MPoly:
         return self.terms == other.terms
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for e, c in self.term_items():
             factors = []
@@ -594,10 +592,7 @@ class MPoly:
                 parts.append(cs + "*".join(factors))
             else:
                 parts.append(f"({cs})" if (" " in cs) else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"MPoly({self})"

@@ -9,6 +9,8 @@ import contextlib
 import functools
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,12 +18,14 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import enricert
 from enricert import ONE, SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc, poly
 from enricert.cover import ENRIQUES_VARS, family, k3_cover
-from enricert.ingest import load_document
+from enricert.ingest import load_document, serialize_family
 from enricert.poly import as_ratfunc, slot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FIXTURES = Path(enricert.__file__).parent / "fixtures"
 
 
 def rand_fraction(rng, span=4):
@@ -255,6 +259,22 @@ def monomial_maps(draw, variables, blocks=BASE_BLOCKS):
     return monomial_map(variables, draw(st.tuples(scalar, scalar, scalar)), rows)
 
 
+def run_python(*args, env=(), **kwargs):
+    """Run ``python *args`` in a child process, with the variables ``env``
+    added to this process's environment.
+
+    The child imports the same package as this process, also when pytest
+    put it on sys.path through its pythonpath setting rather than the
+    environment.
+    """
+    root = str(Path(enricert.__file__).parents[1])
+    env = {**os.environ, **dict(env)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs,
+    )
+
+
 def load_docgen():
     """``perfbench/docgen.py``, the benchmark's document generator, imported
     from its directory and only read."""
@@ -322,3 +342,122 @@ def bis_condition(cover, which):
         lhs[tuple(moved)] = c
         rhs[e] = -c if which == 1 else SQRT_M1 * c
     return lhs == rhs
+
+
+# -- documents with pinned runs --------------------------------------------
+
+
+def fixture_doc_dict():
+    """The fixture document families.json as parsed JSON."""
+    return json.loads((FIXTURES / "families.json").read_text(encoding="utf-8"))
+
+
+def _two_broken_maps_doc():
+    corrupted = fixture_doc_dict()
+    # break two maps independently: both drop their unit factor
+    corrupted["maps"][0]["coords"]["w"] = "w/(y^2*z^3)"
+    corrupted["maps"][1]["coords"]["w"] = "y^3*w/z^4"
+    return corrupted
+
+
+def _one_broken_map_doc():
+    corrupted = fixture_doc_dict()
+    corrupted["maps"][2]["coords"]["w"] = "w*y^3/z^2"
+    return corrupted
+
+
+def _shift_map_doc():
+    # w -> y + w has both an even and an odd part, so its invariance
+    # witness carries the cross term 2ab of (a + b*w)^2
+    doc = fixture_doc_dict()
+    doc["maps"].append({"name": "shift", "coords": {"w": "y + w", "y": "y", "z": "z"}})
+    return doc
+
+
+def _big_power_map_doc():
+    # y -> y^40 pushes the pulled-back branch curve past poly.DEGREE_CAP, so
+    # custom-invariance-big fails on a DegreeCapError witness
+    doc = fixture_doc_dict()
+    doc["maps"].append({"name": "big", "coords": {"w": "w", "y": "y^40", "z": "z"}})
+    return doc
+
+
+def _monomial_denominator_map_doc():
+    # y -> 1 / y^20 substitutes a value with a monomial denominator
+    doc = fixture_doc_dict()
+    doc["maps"].append(
+        {"name": "inverse_power", "coords": {"w": "w", "y": "1 / y^20", "z": "z^3"}}
+    )
+    return doc
+
+
+def _polynomial_value_map_doc():
+    # y -> y + z substitutes a polynomial value at powers up to 4
+    doc = fixture_doc_dict()
+    doc["maps"].append({"name": "sum", "coords": {"w": "w", "y": "y + z", "z": "z"}})
+    return doc
+
+
+def _rational_value_map_doc():
+    # y -> (y+1)/(y-1) has a non-monomial denominator, so it substitutes
+    # term by term
+    doc = fixture_doc_dict()
+    doc["maps"].append(
+        {"name": "cayley", "coords": {"w": "w", "y": "(y+1)/(y-1)", "z": "z"}}
+    )
+    return doc
+
+
+def _k3_cover_families_doc():
+    # with the K3 covers of families 1 and 2 in the document, the fixture's
+    # lifts and deck_flip get invariance, order and 2-form ratio records
+    doc = fixture_doc_dict()
+    doc["families"] += [serialize_family(k3_cover(family(k))) for k in (1, 2)]
+    return doc
+
+
+def _nonconstant_ratio_map_doc():
+    # y -> z/y preserves A*z^2 + B*z^3 but its bi-2-form ratio is not
+    # constant; y -> y*z, z -> y*z does not preserve it
+    return {
+        "schema": "enricert-input/1",
+        "families": [{
+            "name": "zonly", "kind": "enriques_horikawa", "parameters": ["A", "B"],
+            "monomials": [
+                {"i": 0, "j": 2, "coeff": {"param": "A", "scalar": "1,0,0,0"}},
+                {"i": 0, "j": 3, "coeff": {"param": "B", "scalar": "1,0,0,0"}},
+            ],
+        }],
+        "maps": [
+            {"name": "flip", "coords": {"w": "w", "y": "z/y", "z": "z"}},
+            {"name": "singular", "coords": {"w": "w", "y": "y*z", "z": "y*z"}},
+        ],
+    }
+
+
+def _square_sum_map_doc():
+    # y -> (y + z + A + ... + F + 1)^2 is a 45-term value; the pulled-back
+    # relation passes the product size cap, so its invariance record is a
+    # SizeCapError
+    doc = fixture_doc_dict()
+    doc["maps"].append({
+        "name": "square_sum",
+        "coords": {"w": "w", "y": "(y + z + A + B + C + D + E + F + 1)^2", "z": "z"},
+    })
+    return doc
+
+
+#: The builders of the documents whose `enricert verify --input` output
+#: tests/data/pinned_document_runs.json pins, by name.
+PINNED_DOCUMENTS = {
+    "two-broken-maps": _two_broken_maps_doc,
+    "one-broken-map": _one_broken_map_doc,
+    "shift-map": _shift_map_doc,
+    "big-power-map": _big_power_map_doc,
+    "monomial-denominator-map": _monomial_denominator_map_doc,
+    "polynomial-value-map": _polynomial_value_map_doc,
+    "rational-value-map": _rational_value_map_doc,
+    "k3-cover-families": _k3_cover_families_doc,
+    "nonconstant-ratio-map": _nonconstant_ratio_map_doc,
+    "square-sum-map": _square_sum_map_doc,
+}

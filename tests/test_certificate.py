@@ -25,13 +25,12 @@ from enricert.certificate import (
     verify_all,
 )
 from enricert.cli import main
-from enricert.cover import BUILTIN_FAMILIES, family, k3_cover
+from enricert.cover import BUILTIN_FAMILIES, family
 from enricert.errors import SchemaError
-from enricert.ingest import ingest, load_document, serialize_document, serialize_family
+from enricert.ingest import ingest, load_document, serialize_document
 
-from _helpers import load_docgen
+from _helpers import FIXTURES, PINNED_DOCUMENTS, fixture_doc_dict, load_docgen
 
-FIXTURES = Path(enricert.__file__).parent / "fixtures"
 PINNED_RUNS = Path(__file__).parent / "data" / "pinned_document_runs.json"
 
 BUILTIN_IDS = [
@@ -362,117 +361,8 @@ def test_fixture_document_records():
     assert [r.id for r in cert.records[: len(BUILTIN_IDS)]] == BUILTIN_IDS
 
 
-def _fixture_doc_dict():
-    doc = ingest(str(FIXTURES / "families.json"))
-    return json.loads((FIXTURES / "families.json").read_text(encoding="utf-8")), doc
-
-
-def _two_broken_maps_doc():
-    raw, _ = _fixture_doc_dict()
-    corrupted = copy.deepcopy(raw)
-    # break two maps independently: both drop their unit factor
-    corrupted["maps"][0]["coords"]["w"] = "w/(y^2*z^3)"
-    corrupted["maps"][1]["coords"]["w"] = "y^3*w/z^4"
-    return corrupted
-
-
-def _one_broken_map_doc():
-    raw, _ = _fixture_doc_dict()
-    corrupted = copy.deepcopy(raw)
-    corrupted["maps"][2]["coords"]["w"] = "w*y^3/z^2"
-    return corrupted
-
-
-def _shift_map_doc():
-    # w -> y + w has both an even and an odd part, so its invariance
-    # witness carries the cross term 2ab of (a + b*w)^2
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append({"name": "shift", "coords": {"w": "y + w", "y": "y", "z": "z"}})
-    return doc
-
-
-def _big_power_map_doc():
-    # y -> y^40 pushes the pulled-back branch curve past poly.DEGREE_CAP, so
-    # custom-invariance-big fails on a DegreeCapError witness
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append({"name": "big", "coords": {"w": "w", "y": "y^40", "z": "z"}})
-    return doc
-
-
-def _monomial_denominator_map_doc():
-    # y -> 1 / y^20 substitutes a value with a monomial denominator
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append(
-        {"name": "inverse_power", "coords": {"w": "w", "y": "1 / y^20", "z": "z^3"}}
-    )
-    return doc
-
-
-def _polynomial_value_map_doc():
-    # y -> y + z substitutes a polynomial value at powers up to 4
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append({"name": "sum", "coords": {"w": "w", "y": "y + z", "z": "z"}})
-    return doc
-
-
-def _rational_value_map_doc():
-    # y -> (y+1)/(y-1) has a non-monomial denominator, so it substitutes
-    # term by term
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append(
-        {"name": "cayley", "coords": {"w": "w", "y": "(y+1)/(y-1)", "z": "z"}}
-    )
-    return doc
-
-
-def _k3_cover_families_doc():
-    # with the K3 covers of families 1 and 2 in the document, the fixture's
-    # lifts and deck_flip get invariance, order and 2-form ratio records
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["families"] += [serialize_family(k3_cover(family(k))) for k in (1, 2)]
-    return doc
-
-
-def _nonconstant_ratio_map_doc():
-    # y -> z/y preserves A*z^2 + B*z^3 but its bi-2-form ratio is not
-    # constant; y -> y*z, z -> y*z does not preserve it
-    return {
-        "schema": "enricert-input/1",
-        "families": [{
-            "name": "zonly", "kind": "enriques_horikawa", "parameters": ["A", "B"],
-            "monomials": [
-                {"i": 0, "j": 2, "coeff": {"param": "A", "scalar": "1,0,0,0"}},
-                {"i": 0, "j": 3, "coeff": {"param": "B", "scalar": "1,0,0,0"}},
-            ],
-        }],
-        "maps": [
-            {"name": "flip", "coords": {"w": "w", "y": "z/y", "z": "z"}},
-            {"name": "singular", "coords": {"w": "w", "y": "y*z", "z": "y*z"}},
-        ],
-    }
-
-
-def _square_sum_map_doc():
-    # y -> (y + z + A + ... + F + 1)^2 is a 45-term value; the pulled-back
-    # relation passes the product size cap, so its invariance record is a
-    # SizeCapError
-    raw, _ = _fixture_doc_dict()
-    doc = copy.deepcopy(raw)
-    doc["maps"].append({
-        "name": "square_sum",
-        "coords": {"w": "w", "y": "(y + z + A + B + C + D + E + F + 1)^2", "z": "z"},
-    })
-    return doc
-
-
 def test_checks_never_short_circuit():
-    cert = verify_all(document=load_document(_two_broken_maps_doc()))
+    cert = verify_all(document=load_document(PINNED_DOCUMENTS["two-broken-maps"]()))
     assert cert.overall == "fail"
     failing = [r.id for r in cert.records if r.failed]
     assert failing == [
@@ -487,7 +377,7 @@ def test_checks_never_short_circuit():
 
 
 def test_failing_invariance_drops_order_and_ratio_records():
-    cert = verify_all(document=load_document(_one_broken_map_doc()))
+    cert = verify_all(document=load_document(PINNED_DOCUMENTS["one-broken-map"]()))
     ids = {r.id for r in cert.records}
     assert "custom-invariance-aut_8_2" in ids
     assert "custom-order-aut_8_2" not in ids
@@ -527,7 +417,7 @@ def test_a_check_that_raises_runs_once(monkeypatch):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(certificate, name, counted)
-    raw, _ = _fixture_doc_dict()
+    raw = fixture_doc_dict()
     fam = raw["families"][0]
     fam["actions"] = [{
         "name": "big", "weights": {p: 1 for p in fam["parameters"]},
@@ -550,7 +440,7 @@ def test_a_check_that_raises_runs_once(monkeypatch):
 def _zonly_and_family1_doc(coords, zonly_first):
     # zonly is A*z^2 + B*z^3; on family1 a y -> z^16/y map passes the degree
     # cap, so its invariance check there raises DegreeCapError
-    raw, _ = _fixture_doc_dict()
+    raw = fixture_doc_dict()
     family1 = next(f for f in raw["families"] if f["name"] == "family1")
     zonly = {
         "name": "zonly", "kind": "enriques_horikawa", "parameters": ["A", "B"],
@@ -587,27 +477,13 @@ def test_with_no_holder_the_first_candidate_is_the_witness():
     )
 
 
-_PINNED_DOCUMENTS = {
-    "two-broken-maps": _two_broken_maps_doc,
-    "one-broken-map": _one_broken_map_doc,
-    "shift-map": _shift_map_doc,
-    "big-power-map": _big_power_map_doc,
-    "monomial-denominator-map": _monomial_denominator_map_doc,
-    "polynomial-value-map": _polynomial_value_map_doc,
-    "rational-value-map": _rational_value_map_doc,
-    "k3-cover-families": _k3_cover_families_doc,
-    "nonconstant-ratio-map": _nonconstant_ratio_map_doc,
-    "square-sum-map": _square_sum_map_doc,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_PINNED_DOCUMENTS))
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
 def test_document_run_output_is_pinned(name, tmp_path, capsys):
     # The data file holds the full `enricert verify --input` output, witness
     # lines included, captured before the map layer dropped its cover-ring
     # reduction; it must never be regenerated from the code it checks.
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_PINNED_DOCUMENTS[name]()), encoding="utf-8")
+    path.write_text(json.dumps(PINNED_DOCUMENTS[name]()), encoding="utf-8")
     code = main(["verify", "--input", str(path)])
     captured = capsys.readouterr()
     want = json.loads(PINNED_RUNS.read_text(encoding="utf-8"))[name]
@@ -617,7 +493,7 @@ def test_document_run_output_is_pinned(name, tmp_path, capsys):
 
 
 def test_vanishing_corner_fails_custom_cover_record():
-    raw, _ = _fixture_doc_dict()
+    raw = fixture_doc_dict()
     corrupted = copy.deepcopy(raw)
     entry = copy.deepcopy(corrupted["families"][2])
     entry["name"] = "pinched"
@@ -634,7 +510,7 @@ def test_vanishing_corner_fails_custom_cover_record():
 
 def test_map_with_no_matching_families_is_skipped():
     # K3 lifts have no K3 families to act on in this document
-    raw, _ = _fixture_doc_dict()
+    raw = fixture_doc_dict()
     doc = {"families": raw["families"][:1], "maps": raw["maps"][3:]}
     cert = verify_all(document=load_document(doc))
     ids = {r.id for r in cert.records if r.id.startswith("custom-invariance")}
@@ -645,7 +521,7 @@ def test_map_with_no_matching_families_is_skipped():
 def _colliding_ids_doc():
     # family f's action "construction" and family action-f's construction
     # check would both be custom-action-f-construction
-    raw, _ = _fixture_doc_dict()
+    raw = fixture_doc_dict()
     f, action_f = copy.deepcopy(raw["families"][:2])
     f["name"] = "f"
     f["actions"][0]["name"] = "construction"
@@ -720,7 +596,7 @@ def test_a_repeated_record_id_exits_2_and_prints_no_record(monkeypatch, tmp_path
 _ID_RUNS = (
     ["families.json"]
     + [f"docgen-{seed}-{index}" for seed in (1, 2, 3) for index in (0, 1, 2)]
-    + sorted(_PINNED_DOCUMENTS)
+    + sorted(PINNED_DOCUMENTS)
 )
 
 
@@ -733,7 +609,7 @@ def test_record_ids_are_unique_within_a_run(name):
         text = load_docgen().generate(int(seed), int(index))[0]
         doc = load_document(json.loads(text))
     else:
-        doc = load_document(_PINNED_DOCUMENTS[name]())
+        doc = load_document(PINNED_DOCUMENTS[name]())
     ids = [r.id for r in verify_all(document=doc).records]
     assert len(ids) > len(BUILTIN_IDS)
     assert len(set(ids)) == len(ids)
@@ -743,8 +619,7 @@ def test_record_ids_are_unique_within_a_run(name):
 def _selection_document(name):
     if name == "fixture":
         return ingest(str(FIXTURES / "families.json"))
-    broken = {"two-broken-maps": _two_broken_maps_doc, "one-broken-map": _one_broken_map_doc}
-    return load_document(broken[name]())
+    return load_document(PINNED_DOCUMENTS[name]())
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,9 +5,7 @@ import contextlib
 import copy
 import io
 import json
-import os
-import subprocess
-import sys
+import re
 from datetime import timedelta
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from enricert.cli import main, parse_args
 from enricert.errors import PreconditionError
 from enricert.ingest import MAX_MAPS
 
-from _helpers import WELL_FORMED_EXPRESSIONS
+from _helpers import WELL_FORMED_EXPRESSIONS, run_python
 
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 PINNED_OUTPUTS = Path(__file__).parent / "data" / "pinned_cli_outputs.json"
@@ -35,21 +33,6 @@ def write_doc(tmp_path, doc, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
-
-
-def run_python(*args, **kwargs):
-    """Run ``python *args`` in a child process.
-
-    The child imports the same package as this process, also when pytest
-    put it on sys.path through its pythonpath setting rather than the
-    environment.
-    """
-    root = str(Path(enricert.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs,
-    )
 
 
 def run_cli(*args, **kwargs):
@@ -635,6 +618,23 @@ def test_verify_usage_and_help_list_every_choice():
             listed = "{" + ",".join(choices) + "}"
             assert f"[{name} {listed}]" in cli._USAGE["verify"]
             assert f"  {name} {listed}" in cli._HELP["verify"]
+
+
+def test_every_brace_group_of_the_help_texts_is_a_choice_list_of_the_grammar():
+    # _OPTIONS builds the choices from BUILTIN_FAMILIES and FILTERABLE_GROUPS,
+    # and the top-level group lists the subcommands, so a new family tag,
+    # group or subcommand cannot leave a usage line or --help stale
+    from enricert import cli
+
+    seen = set()
+    for command in cli._USAGE:
+        text = cli._USAGE[command] + cli._HELP[command]
+        for option, group in re.findall(r"(--[\w-]+ )?\{([^}]*)\}", text):
+            option = option.strip()
+            choices = cli._OPTIONS[command][option] if option else tuple(cli._OPTIONS)
+            assert tuple(group.split(",")) == choices, (command, option)
+            seen.add((command, option))
+    assert seen == {("", ""), ("verify", "--family"), ("verify", "--check")}
 
 
 def test_a_request_loads_no_argument_parsing_modules():

@@ -56,7 +56,7 @@ def test_builtin_family_shapes():
     assert len(f3.geometric_support()) == 6
     for fam in (f1, f2, f3):
         assert set(fam.geometric_support()) <= horikawa_support()
-        assert fam.cover_var == "w"
+        assert fam.variables[0] == "w"
         assert fam.base_vars == ("y", "z")
 
 
@@ -216,7 +216,7 @@ def test_cover_shape():
     assert cov.name == "family1_cover"
     assert cov.parameters == family(1).parameters
     assert cov.base_vars == ("Y", "Z")
-    assert cov.cover_var == "W"
+    assert cov.variables[0] == "W"
     for i, j in cov.geometric_support():
         assert i <= 4 and j <= 4 and (i + j) % 2 == 0
 

@@ -25,7 +25,7 @@ from enricert.maps import BirMap, deck_flip, family_automorphism, k3_lift
 from enricert.moduli import diagonal_base_scaling, homothety
 from enricert.poly import MPoly, RatFunc
 
-from _helpers import load_docgen
+from _helpers import load_docgen, run_python
 
 FIXTURE = Path(enricert.__file__).parent / "fixtures" / "families.json"
 
@@ -134,6 +134,34 @@ def test_a_coefficient_past_the_digit_bound_is_refused_by_the_serializer():
     phi = BirMap(("w", "y", "z"), {"w": RatFunc.var("w"), "y": 10 ** 4300 * y, "z": y}, "big")
     with pytest.raises(ValueError, match=r"^map big coordinate y: a coefficient has more than"):
         serialize_document([], [phi])
+
+
+@pytest.mark.parametrize("limit, printed", [
+    ("640", ["more than 640 digits", "more than 640 digits", "True"]),
+    ("0", ["True", "more than 4300 digits", "True"]),
+], ids=["lowered-limit", "no-limit"])
+def test_the_serializer_refuses_what_ingest_cannot_read_back(limit, printed):
+    # maps y -> c*y with c = 2^3072 (925 digits), 10^4300 and 10^599.
+    # Under a limit of 640 digits the first two would print as digit
+    # counts; with no limit, the parser still refuses a product of more
+    # than MAX_DIGITS = 4,300 digits.
+    code = (
+        "from enricert import BirMap, RatFunc, serialize_document\n"
+        "from enricert.ingest import load_document\n"
+        "w, y, z = (RatFunc.var(v) for v in 'wyz')\n"
+        "for c in (((2 ** 64) ** 16) ** 3, 10 ** 4300, 10 ** 599):\n"
+        "    phi = BirMap(('w', 'y', 'z'), {'w': w, 'y': c * y, 'z': z}, 'm')\n"
+        "    try:\n"
+        "        doc = serialize_document([], [phi])\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print(load_document(doc).maps[0].coords == phi.coords)\n"
+    )
+    proc = run_python("-c", code, env={"PYTHONINTMAXSTRDIGITS": limit}, timeout=120)
+    refusal = "map m coordinate y: a coefficient has {}, which ingest cannot read back"
+    expected = [line if line == "True" else refusal.format(line) for line in printed]
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", expected)
 
 
 # -- schema violations --------------------------------------------------------

@@ -42,6 +42,7 @@ from enricert.maps import (
     _compose_forms, _compose_monomial, _exponent_form, _exponent_matrix, _inverse_monomial,
     _monomial_mobius, _monomial_order, _order_by_composition, _qaut_of_form, _square_roots,
 )
+from enricert.moduli import homothety
 from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 
 from enricert.parsing import parse_expression
@@ -560,6 +561,14 @@ def test_mobius_scalar_normalization():
     assert Mobius(2, 4, 0, 2) == Mobius(1, 2, 0, 1)
 
 
+@pytest.mark.parametrize("value", [
+    MPoly.var("y"), RatFunc.var("y"), Mobius(1, 1, 0, 1), swap_root(1), homothety(family(1)),
+], ids=lambda value: type(value).__name__)
+def test_equality_with_a_foreign_object_is_not_implemented(value):
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object()
+
+
 def test_mobius_immutability():
     m = Mobius(1, 1, 0, 1)
     with pytest.raises(AttributeError):
@@ -647,6 +656,8 @@ def test_qaut_orders():
     assert _monomial_order(maps._SWAP_ROOTS[1]) == 4
     assert _monomial_order(maps._SWAP_ROOTS[-1]) == 4
     assert _monomial_order(maps._IDENTITY_FORM) == 1
+    # an order over max_n is None
+    assert _monomial_order(maps._NEG_BOTH, max_n=1) is None
 
 
 def _k3_lift_of_form(form):

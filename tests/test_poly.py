@@ -1,9 +1,16 @@
 """Sparse multivariate polynomials and rational functions."""
 
 import ast
+import contextlib
 import copy
+import importlib
+import inspect
+import io
+import json
 import pickle
 import random
+import runpy
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,18 +21,20 @@ import enricert
 from enricert import (
     Cyclo, MPoly, ONE, RatFunc, SQRT_M1, ZERO, ZETA8, exact_divide, jacobian_det2,
 )
+from enricert.cli import main
 from enricert.cover import family
 from enricert.errors import DegreeCapError, IndivisibleError, SizeCapError
 from enricert.maps import family_automorphism
 from enricert.parsing import parse_expression
 from enricert.poly import (
-    DEGREE_CAP, MAX_TERM_PAIRS, PARAMETERS, VARIABLES, RunningSum, laurent_difference, slot,
+    DEGREE_CAP, MAX_TERM_PAIRS, PARAMETERS, VARIABLES, RunningSum, as_ratfunc,
+    laurent_difference, slot,
 )
 
 from _helpers import (
-    general_ratfunc_inverse, general_ratfunc_mul, general_ratfunc_pow, nonzero_cyclo,
-    nonzero_mpoly, outcome, raised_degree_cap, rand_cyclo, rand_mpoly, rand_monomial_plane_map,
-    square_and_multiply_mpoly_pow,
+    FIXTURES, PINNED_DOCUMENTS, general_ratfunc_inverse, general_ratfunc_mul,
+    general_ratfunc_pow, load_docgen, nonzero_cyclo, nonzero_mpoly, outcome, raised_degree_cap,
+    rand_cyclo, rand_mpoly, rand_monomial_plane_map, square_and_multiply_mpoly_pow,
 )
 
 
@@ -41,6 +50,25 @@ def test_constructors_and_equality():
     assert MPoly.const(0).is_zero()
     assert (p - p).is_zero()
     assert MPoly.const(Fraction(1, 2)) * 2 == MPoly.const(1)
+    assert MPoly.const(3) == 3 and p != 3
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: MPoly.var("y", ("y",)), ValueError, "^the only variable layout is TABLE$"),
+    (lambda: V("y") + "y", TypeError, "^cannot coerce str to MPoly$"),
+    (lambda: as_ratfunc("y"), TypeError, "^cannot coerce str to RatFunc$"),
+    (lambda: V("y") ** -1, ValueError, "^MPoly exponent must be a nonnegative integer$"),
+    (lambda: exact_divide(V("y"), MPoly.zero()), ZeroDivisionError, "^division by the zero"),
+    (lambda: RatFunc(V("y"), MPoly.zero()), ZeroDivisionError, "^zero denominator$"),
+    (lambda: (1 / RatFunc.var("y")).as_poly(), ValueError, "^1 / y is not a polynomial$"),
+    (lambda: RatFunc.var("y") ** 1.5, TypeError, "^exponent must be an integer$"),
+], ids=[
+    "other-layout", "mpoly-coerce", "ratfunc-coerce", "negative-mpoly-power",
+    "divide-by-zero", "zero-denominator", "as-poly-of-a-quotient", "float-ratfunc-power",
+])
+def test_bad_arguments_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_coefficient_extraction_keeps_other_variables():
@@ -50,6 +78,9 @@ def test_coefficient_extraction_keeps_other_variables():
     assert c == A + MPoly.const(1)
     assert p.coefficient({"y": 0, "z": 3}) == MPoly.const(-1)
     assert p.coefficient({"y": 5, "z": 0}).is_zero()
+    # an exponent outside 0..DEGREE_CAP matches no term
+    assert p.coefficient({"y": -1}).is_zero()
+    assert p.coefficient({"y": DEGREE_CAP + 1}).is_zero()
 
 
 def test_degree_queries():
@@ -165,6 +196,9 @@ def test_ratfunc_arithmetic():
     assert (ry / rz) * (rz / ry) == 1
     assert (ry / rz) ** -2 == RatFunc(z ** 2, y ** 2)
     assert -(ry / rz) + ry / rz == 0
+    # a constant on the left of a difference or a quotient
+    assert 2 - ry == RatFunc(MPoly.const(2) - y, MPoly.const(1))
+    assert 2 / ry == RatFunc(MPoly.const(2), y)
 
 
 def test_ratfunc_as_constant():
@@ -1494,6 +1528,79 @@ def test_every_public_method_of_a_public_engine_class_has_a_caller():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     assert _without_caller(definitions, references) == []
+
+
+def _public_methods():
+    """{code: (class, shown, static)} for the function behind every public
+    method, property and cached property of a public engine class."""
+    methods = {}
+    for name, _ in _engine_modules():
+        module = importlib.import_module(f"enricert.{name[:-3]}")
+        for cls in vars(module).values():
+            if not (
+                inspect.isclass(cls)
+                and cls.__module__ == module.__name__
+                and not cls.__name__.startswith("_")
+            ):
+                continue
+            for attr, value in vars(cls).items():
+                func = getattr(value, "fget", None) or getattr(value, "func", None) or value
+                func = getattr(func, "__func__", func)
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    shown = f"{cls.__name__}.{attr}"
+                    methods[func.__code__] = (cls, shown, isinstance(value, staticmethod))
+    return methods
+
+
+def _run_traffic(folder):
+    """What users and the benchmark run, in process: the demos, the
+    benchmark's generated documents, the fixture document, the pinned
+    documents but the costly square-sum-map, and three commands."""
+    root = Path(__file__).resolve().parents[1]
+    for script in sorted((root / "demos").glob("*.py")):
+        runpy.run_path(str(script), run_name="__main__")
+    docgen = load_docgen()
+    texts = [docgen.generate(seed, index)[0] for seed in (1, 2, 3) for index in (0, 1, 2)]
+    texts += [
+        json.dumps(build()) for name, build in sorted(PINNED_DOCUMENTS.items())
+        if name != "square-sum-map"
+    ]
+    paths = [FIXTURES / "families.json"]
+    for n, text in enumerate(texts):
+        paths.append(folder / f"document-{n}.json")
+        paths[-1].write_text(text, encoding="utf-8")
+    for path in paths:
+        main(["verify", "--input", str(path)])
+    main(["classify"])
+    main(["report", "--out", str(folder / "certificate.json")])
+    main(["verify", "--family", "3", "--check", "order"])
+
+
+def test_every_public_method_of_a_public_engine_class_runs_on_its_class(tmp_path):
+    # The guard above matches a method by name, so a method that only
+    # shares its name with one read on another class passes it.  Here each
+    # public method, property or cached property of a public engine class
+    # must be entered, under a profiler, with self an instance of its class
+    # while the real traffic runs; a static method only has to be entered.
+    # Dunders are exempt.
+    pending = _public_methods()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in pending:
+            code = frame.f_code
+            cls, _, static = pending[code]
+            if static or isinstance(frame.f_locals[code.co_varnames[0]], cls):
+                del pending[code]
+
+    out = io.StringIO()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            _run_traffic(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    assert sorted(shown for _, shown, _ in pending.values()) == []
 
 
 def test_no_engine_module_imports_a_name_it_never_uses():
