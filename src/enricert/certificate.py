@@ -286,20 +286,16 @@ class _Context:
         return self._once(check_parameter_action, fam, action)
 
 
-def _require_unique_ids(rows) -> None:
-    """Record ids are unique within a run: a repeated row id, which
-    document names can make, is a SchemaError."""
+def _run(rows, ctx: _Context) -> List[CheckRecord]:
+    """Run the rows in the declared order; an exception a check raises
+    becomes its failure.  Record ids are unique within a run: a repeated row
+    id, which document names can make, is a SchemaError before any row
+    runs."""
     ids = set()
     for row in rows:
         if row.id in ids:
             raise SchemaError(f"two records would share the id {row.id!r}")
         ids.add(row.id)
-
-
-def _run(rows, ctx: _Context) -> List[CheckRecord]:
-    """Run the rows in the declared order, once their ids are known to be
-    unique; an exception a check raises becomes its failure."""
-    _require_unique_ids(rows)
     records = []
     for row in rows:
         if row.fn is None:
@@ -989,17 +985,14 @@ def run_checks(
     keep a subset of the records of the full run.  An unknown filter or a
     repeated document record id is refused before any check runs."""
     _require_filters(str(family), check)
-    if document is not None:
-        _require_unique_ids(
-            _document_rows(document.families, document.maps, document.actions)
-        )
     ctx = _Context()
-    records = builtin_records(ctx)
-    if document is not None:
-        records += document_records(
-            document.families, document.maps, document.actions, ctx
-        )
-    return Certificate(filter_records(records, family, check))
+    # the document's records are made first, so that _run refuses a
+    # repeated id before any check runs; they are listed after the built-in
+    # ones
+    records = [] if document is None else document_records(
+        document.families, document.maps, document.actions, ctx
+    )
+    return Certificate(filter_records(builtin_records(ctx) + records, family, check))
 
 
 def verify_all(document=None) -> Certificate:

@@ -5,8 +5,8 @@ non-trivial index forces even order; the index is a power of 2 dividing the
 order, and the semi-symplectic part has order at most 6.  Within the finite
 candidate grid these constraints leave, three specific exclusion arguments
 prune everything except (4, 2), (8, 2) and (8, 4).  Each pruning step is
-recorded with the statement of the fact it encodes, so the certificate shows
-why every rejected candidate dies.
+recorded with its rule, and RULE_STATEMENTS states the fact each rule
+encodes, so the certificate shows why every rejected candidate dies.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class PruneRecord:
     """One rejected candidate with the rule that killed it."""
 
     def __init__(self, pair: Pair, rule: str):
+        if rule not in RULE_STATEMENTS:
+            raise KeyError(f"unknown prune rule {rule!r}")
         self.pair = pair
         self.rule = rule
-        self.statement = RULE_STATEMENTS[rule]
 
     def __repr__(self) -> str:
         return f"PruneRecord({self.pair}, rule={self.rule})"

@@ -104,11 +104,6 @@ class Cyclo:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo instances are immutable")
 
-    def __reduce__(self):
-        # pickle and copy rebuild from the reduced form, never through the
-        # __setattr__ above
-        return _raw, (self._q,)
-
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -182,9 +177,6 @@ class Cyclo:
             ad * bd,
         )
 
-    def __rsub__(self, other) -> "Cyclo":
-        return Cyclo.coerce(other) + (-self)
-
     def __mul__(self, other) -> "Cyclo":
         a0, a1, a2, a3, ad = self._q
         b0, b1, b2, b3, bd = (other if type(other) is Cyclo else Cyclo.coerce(other))._q
@@ -226,9 +218,6 @@ class Cyclo:
 
     def __truediv__(self, other) -> "Cyclo":
         return self * Cyclo.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "Cyclo":
-        return Cyclo.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "Cyclo":
         if not isinstance(n, int):

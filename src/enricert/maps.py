@@ -451,9 +451,6 @@ class Mobius:
     def __setattr__(self, name, value):
         raise AttributeError("Mobius instances are immutable")
 
-    def __reduce__(self):
-        return Mobius, (self.a, self.b, self.c, self.d)
-
     def is_identity(self) -> bool:
         return self.b.is_zero() and self.c.is_zero() and self.a == self.d
 
@@ -516,9 +513,6 @@ class QAut:
 
     def __setattr__(self, name, value):
         raise AttributeError("QAut instances are immutable")
-
-    def __reduce__(self):
-        return QAut, (self.shape, self.m1, self.m2)
 
     def is_identity(self) -> bool:
         return (

@@ -37,9 +37,9 @@ attempted for it, and two such pairs are equal exactly when they are the
 same pair.  Any other equality is decided by cross-multiplication, so it
 never depends on how much simplification happened.
 
-Powers.  MPoly.__pow__ is the chain P^k = P^(k-1) * P, and a multi-term
-polynomial is powered that way everywhere: RatFunc.__pow__ and both paths
-of MPoly.substitute, which cache each value's chain, take it too.  Repeated
+Powers.  A multi-term polynomial is powered by the chain P^k = P^(k-1) * P
+everywhere: RatFunc.__pow__ and both paths of MPoly.substitute, which cache
+each value's chain, take it; MPoly itself has no power.  Repeated
 multiplication suits sparse polynomials better than repeated squaring
 (Fateman, "On the computation of powers of sparse polynomials", 1974): for
 P = (y + z + A + ... + F)^2, 36 terms, P^4 = P^3 * P visits 61,776 term
@@ -199,9 +199,6 @@ class MPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MPoly instances are immutable")
 
-    def __reduce__(self):
-        return MPoly, (self.terms,)
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -351,9 +348,6 @@ class MPoly:
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "MPoly":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
         a, b = self.terms, other.terms
@@ -389,15 +383,6 @@ class MPoly:
         return MPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MPoly":
-        """The chain P^k = P^(k-1) * P; see the module docstring."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("MPoly exponent must be a nonnegative integer")
-        result = _ONE_POLY
-        for _ in range(n):
-            result = result * self
-        return result
 
     def scale(self, c: Scalar) -> "MPoly":
         cc = Cyclo.coerce(c)
@@ -693,10 +678,6 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc instances are immutable")
 
-    def __reduce__(self):
-        # _simplify returns a simplified pair unchanged
-        return RatFunc, (self.num, self.den)
-
     @staticmethod
     def _simplify(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         if den.terms == _ONE_TERMS:
@@ -829,9 +810,6 @@ class RatFunc:
             return RatFunc.zero()
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFunc":
-        return as_ratfunc(other) - self
-
     def __mul__(self, other) -> "RatFunc":
         other = as_ratfunc(other)
         a, b = self.num.terms, other.num.terms
@@ -862,9 +840,6 @@ class RatFunc:
 
     def __truediv__(self, other) -> "RatFunc":
         return self * as_ratfunc(other).inverse()
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return as_ratfunc(other) * self.inverse()
 
     def __pow__(self, n: int) -> "RatFunc":
         if not isinstance(n, int):

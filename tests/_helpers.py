@@ -93,19 +93,6 @@ def general_ratfunc_pow(r, n):
     return result
 
 
-def square_and_multiply_mpoly_pow(p, n):
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("MPoly exponent must be a nonnegative integer")
-    base, result = p, MPoly.const(1)
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 @contextlib.contextmanager
 def general_ratfunc_arithmetic():
     """RatFunc's product, inverse and power as the general bodies above,
@@ -147,10 +134,8 @@ def outcome(compute, *args):
 def rand_mpoly(rng, names=("y", "z"), max_terms=3, max_exp=3, span=3):
     p = MPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        term = MPoly.const(rand_cyclo(rng, span, density=1.0))
-        for name in names:
-            term = term * MPoly.var(name) ** rng.randint(0, max_exp)
-        p = p + term
+        c = rand_cyclo(rng, span, density=1.0)
+        p = p + MPoly.monomial({name: rng.randint(0, max_exp) for name in names}, c)
     return p
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import enricert
 from enricert.certificate import verify_all
-from enricert.classify import admissible_pairs, allowed_orders
+from enricert.classify import RULE_STATEMENTS, admissible_pairs, allowed_orders
 from enricert.cover import (
     epsilon_fixed_point_free,
     family,
@@ -258,9 +258,7 @@ def test_criterion_09_classification():
         outcome = admissible_pairs()
         assert set(outcome.pairs) == {(4, 2), (8, 4), (8, 2)}
         grid = {r.pair for r in outcome.trace} | set(outcome.pairs)
-        assert all(
-            record.statement and record.rule for record in outcome.trace
-        )
+        assert all(RULE_STATEMENTS[record.rule] for record in outcome.trace)
         assert len(outcome.trace) == len(grid) - 3
         assert allowed_orders() == [1, 2, 3, 4, 5, 6, 8]
 

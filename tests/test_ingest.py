@@ -460,7 +460,7 @@ def _summed_branch(entry):
         term = MPoly.const(parse_cyclo(coeff["scalar"]))
         if "param" in coeff:
             term = term * MPoly.var(coeff["param"])
-        term = term * MPoly.var(base1) ** mono["i"] * MPoly.var(base2) ** mono["j"]
+        term = term * MPoly.monomial({base1: mono["i"], base2: mono["j"]})
         branch = branch + term
     return branch
 

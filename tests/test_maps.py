@@ -1,8 +1,6 @@
 """Birational maps, quadric automorphisms, and fixed-point counting."""
 
-import copy
 import itertools
-import pickle
 import random
 import re
 from pathlib import Path
@@ -1013,11 +1011,3 @@ def test_projection_intertwines_double_inversion_with_order4_base():
         sigma.coords["z"].substitute({"y": p1, "z": p2}),
     )
     assert lhs == rhs
-
-
-def test_mobius_and_qaut_pickle_and_deepcopy_round_trip():
-    m = Mobius(ZETA8, ONE, ZERO, SQRT_M1)
-    g = QAut(SWAP, m, Mobius(1, 0, 0, 1))
-    for value in (m, g):
-        for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-            assert restored == value and hash(restored) == hash(value)

@@ -84,7 +84,7 @@ def test_action_requires_full_weight_cover():
 
 def _cover_family():
     """W^2 = A*Y^4 + A*Z^4, a k3_cover family with one parameter."""
-    branch = MPoly.var("A") * (MPoly.var("Y") ** 4 + MPoly.var("Z") ** 4)
+    branch = MPoly.var("A") * MPoly.sum_monomials([({"Y": 4}, 1), ({"Z": 4}, 1)])
     return SurfaceFamily("c", K3, branch, ("A",))
 
 
