@@ -830,9 +830,9 @@ _BUILTIN_ROWS = (
 )
 
 
-def builtin_records(ctx: Optional[_Context] = None) -> List[CheckRecord]:
+def builtin_records(ctx: _Context) -> List[CheckRecord]:
     """Run every built-in check in the declared order."""
-    return _run(_BUILTIN_ROWS, ctx if ctx is not None else _Context())
+    return _run(_BUILTIN_ROWS, ctx)
 
 
 # -- checks for user-supplied families and maps ------------------------------
@@ -943,12 +943,9 @@ def _document_rows(families, maps, actions) -> List[_Row]:
     return rows
 
 
-def document_records(
-    families, maps, actions, ctx: Optional[_Context] = None
-) -> List[CheckRecord]:
+def document_records(families, maps, actions, ctx: _Context) -> List[CheckRecord]:
     """Run every check of ingested objects, in order."""
-    rows = _document_rows(families, maps, actions)
-    return _run(rows, ctx if ctx is not None else _Context())
+    return _run(_document_rows(families, maps, actions), ctx)
 
 
 def filter_records(
@@ -995,6 +992,8 @@ def run_checks(
     return Certificate(filter_records(builtin_records(ctx) + records, family, check))
 
 
-def verify_all(document=None) -> Certificate:
-    """The full fixed-order run; the golden certificate pins its output."""
-    return run_checks(document=document)
+def verify_all() -> Certificate:
+    """The full fixed-order run of the built-in checks; the golden
+    certificate pins its output.  A document goes through
+    run_checks(document=...)."""
+    return run_checks()

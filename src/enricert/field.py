@@ -13,6 +13,9 @@ equality is a tuple compare, and a product costs sixteen integer products and
 one gcd.  Inversion uses the quadratic tower Q <= Q(i) <= Q(zeta_8): the
 automorphism zeta -> -zeta fixes Q(i), so multiplying by the conjugate lands
 in Q(i), where a Gaussian integer a + b*i is inverted by (a - b*i) / (a^2 + b^2).
+
+An int or a Fraction enters arithmetic only as the right operand, as in
+x * 2 or x - 1; 2 * x, 1 + x, 2 - x and 1 / x raise TypeError.
 """
 
 from __future__ import annotations
@@ -160,8 +163,6 @@ class Cyclo:
             ad * bd,
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Cyclo":
         n0, n1, n2, n3, d = self._q
         return _raw((-n0, -n1, -n2, -n3, d))
@@ -189,8 +190,6 @@ class Cyclo:
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
             ad * bd,
         )
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse by conjugate and norm.

@@ -81,16 +81,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _load_list(owner: Mapping, key: str, where: str, noun: str, load) -> Dict[str, object]:
+def _load_list(
+    owner: Mapping, key: str, cap: int, where: str, noun: str, load
+) -> Dict[str, object]:
     """The entries of owner[key], loaded in order by load(entry, name,
     location) into (name, item) pairs and keyed by name.  The value must be
-    a list of at most MAX_<KEY> entries, each an object with a string
-    name, and no two entries may share a name."""
-    cap_name = f"MAX_{key.upper()}"
-    cap = globals()[cap_name]
+    a list of at most ``cap`` entries, each an object with a string name,
+    and no two entries may share a name.  ``cap`` is MAX_<KEY>, which the
+    message over it names."""
     raw = owner.get(key, [])
     _expect(isinstance(raw, list), where, f"{key!r} must be a list")
-    _expect(len(raw) <= cap, where, f"{len(raw)} {key} exceed the cap {cap_name} = {cap}")
+    _expect(
+        len(raw) <= cap, where, f"{len(raw)} {key} exceed the cap MAX_{key.upper()} = {cap}"
+    )
     prefix = "" if where == "document" else f"{where}."
     loaded = {}
     for idx, entry in enumerate(raw):
@@ -176,7 +179,7 @@ def _load_family(
         raise InvariantError(f"{where} {name!r}: {exc}") from exc
 
     actions = _load_list(
-        entry, "actions", where, "action",
+        entry, "actions", MAX_ACTIONS, where, "action",
         lambda raw, action, at: _load_action(raw, action, at, (base1, base2)),
     )
     return name, (fam, tuple(actions.values()))
@@ -239,8 +242,10 @@ def load_document(document: Mapping) -> IngestResult:
     _expect(
         document.get("schema", _SCHEMA) == _SCHEMA, "document", f"'schema' must be {_SCHEMA!r}"
     )
-    families = _load_list(document, "families", "document", "family", _load_family)
-    maps = _load_list(document, "maps", "document", "map", _load_map)
+    families = _load_list(
+        document, "families", MAX_FAMILIES, "document", "family", _load_family
+    )
+    maps = _load_list(document, "maps", MAX_MAPS, "document", "map", _load_map)
     return IngestResult(
         tuple(fam for fam, _ in families.values()),
         tuple(maps.values()),

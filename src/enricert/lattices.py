@@ -77,7 +77,7 @@ def row_reduce(rows: IntMatrix) -> Tuple[int, Fraction]:
     return rank, pivot_product
 
 
-def hyperbolic_plane(scale: int = 1) -> GramLattice:
+def hyperbolic_plane(scale: int) -> GramLattice:
     """The rank-2 lattice ((0, scale), (scale, 0))."""
     return GramLattice(((0, scale), (scale, 0)))
 

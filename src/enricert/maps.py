@@ -73,7 +73,7 @@ class BirMap:
         self,
         variables: Sequence[str],
         coords: Dict[str, RatFunc],
-        label: str = "",
+        label: str,
     ):
         self.variables = tuple(variables)
         if len(self.variables) != 3:
@@ -120,7 +120,7 @@ class BirMap:
         return _exponent_form(self)
 
     @staticmethod
-    def from_form(variables: Sequence[str], form, label: str = "") -> "BirMap":
+    def from_form(variables: Sequence[str], form, label: str) -> "BirMap":
         """The monomial map with exponent form ``form``, which it keeps as
         its exponent_form; each coordinate is built from the keys."""
         phi = BirMap(
@@ -136,9 +136,7 @@ class BirMap:
         return phi
 
     @staticmethod
-    def from_strings(
-        variables: Sequence[str], label: str = "", **exprs: str
-    ) -> "BirMap":
+    def from_strings(variables: Sequence[str], label: str, **exprs: str) -> "BirMap":
         coords = {v: parse_expression(exprs[v]) for v in variables}
         return BirMap(variables, coords, label=label)
 
@@ -188,8 +186,8 @@ def maps_equal(phi: BirMap, psi: BirMap) -> bool:
     )
 
 
-def map_order(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
-    """Smallest n <= max_n with phi^n the identity, or None.
+def map_order(phi: BirMap) -> Optional[int]:
+    """Smallest n <= MAX_ORDER with phi^n the identity, or None.
 
     Powers are compared with the identity coordinate by coordinate, with no
     reduction modulo w^2 = S.  That is exact on the surface: each power sends
@@ -206,11 +204,11 @@ def map_order(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
     """
     power = form = phi.exponent_form
     if form is None:
-        return _order_by_composition(phi, max_n)
-    for n in range(1, max_n + 1):
+        return _order_by_composition(phi)
+    for n in range(1, MAX_ORDER + 1):
         if all(c == ONE and row == unit for (c, row), unit in zip(power, _UNIT_ROWS)):
             return n
-        if n < max_n:
+        if n < MAX_ORDER:
             power = _compose_forms(form, power)
             degree = _degree(power)
             if degree > DEGREE_CAP:
@@ -221,13 +219,13 @@ def map_order(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
     return None
 
 
-def _order_by_composition(phi: BirMap, max_n: int = MAX_ORDER) -> Optional[int]:
+def _order_by_composition(phi: BirMap) -> Optional[int]:
     """map_order by composing the maps: one compose and is_identity per power."""
     current = phi
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_ORDER + 1):
         if is_identity(current):
             return n
-        if n < max_n:
+        if n < MAX_ORDER:
             current = compose(phi, current)
     return None
 
@@ -362,7 +360,7 @@ def _pullback(fam: SurfaceFamily, phi: BirMap):
 def _invariance_by_ratfuncs(relation, pulled, a, b) -> InvarianceResult:
     """check_equation_invariance in RatFunc arithmetic, for any map."""
     even = a * a + b * b * RatFunc.from_poly(relation) - pulled
-    odd = 2 * a * b
+    odd = a * 2 * b
     return InvarianceResult(even.num, odd.num)
 
 
@@ -484,7 +482,7 @@ class Mobius:
         if self.is_identity():
             raise ValueError("the identity fixes everything")
         a, b, c, d = self.a, self.b, self.c, self.d
-        parabolic = ((d - a) * (d - a) + 4 * b * c).is_zero()
+        parabolic = ((d - a) * (d - a) + b * 4 * c).is_zero()
         return FixedPointData(1 if parabolic else 2, parabolic)
 
     def __repr__(self) -> str:
@@ -637,11 +635,11 @@ def _inverse_monomial(g):
 _IDENTITY_FORM = ((1, 0, 0, 1), (0, 0))
 
 
-def _monomial_order(g, max_n: int = MAX_ORDER) -> Optional[int]:
+def _monomial_order(g) -> Optional[int]:
     """The order of the monomial QAut with exponent form ``g``, or None
-    when it is over max_n."""
+    when it is over MAX_ORDER."""
     power = g
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_ORDER + 1):
         if power == _IDENTITY_FORM:
             return n
         power = _compose_monomial(g, power)

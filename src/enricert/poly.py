@@ -3,7 +3,10 @@
 Every polynomial lives in one ring, Q(zeta_8)[w, y, z, W, Y, Z, A..F, alpha],
 and this module owns its fixed variable layout, VARIABLES.  A polynomial is
 a dict from packed exponent vectors to nonzero field coefficients.  Zero
-coefficients are never stored, so equality is dict equality.
+coefficients are never stored, so equality is dict equality.  A scalar
+(an int, a Fraction or a Cyclo), and for RatFunc also an MPoly, enters
+arithmetic only as the right operand: p * 2 works and 2 * p raises
+TypeError.
 
 Packed exponents.  Each term's exponent vector e (slot i holds the exponent
 of VARIABLES[i]) is one int, its key.  Each slot has an 8-bit lane, slot 0
@@ -222,9 +225,9 @@ class MPoly:
         return _wrap({_UNITS[slot(name)]: ONE})
 
     @staticmethod
-    def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "MPoly":
-        """coeff times the product of name^k; a lane holds at most DEGREE_CAP."""
-        return MPoly.sum_monomials([(exponents, coeff)])
+    def monomial(exponents: Mapping[str, int]) -> "MPoly":
+        """The product of name^k; a lane holds at most DEGREE_CAP."""
+        return MPoly.sum_monomials([(exponents, 1)])
 
     @staticmethod
     def sum_monomials(
@@ -340,8 +343,6 @@ class MPoly:
             out[e] = c if prev is None else prev + c
         return MPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MPoly":
         return _wrap({e: -c for e, c in self.terms.items()})
 
@@ -381,8 +382,6 @@ class MPoly:
                 prev = out.get(e)
                 out[e] = c1 * c2 if prev is None else prev + c1 * c2
         return MPoly(out)
-
-    __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "MPoly":
         cc = Cyclo.coerce(c)
@@ -797,8 +796,6 @@ class RatFunc:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFunc":
         # negating num changes no key and no divisibility
         return _pair(-self.num, self.den)
@@ -824,8 +821,6 @@ class RatFunc:
                 c = c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
                 return _pair(_wrap({n - shift: c}), _wrap({d - shift: ONE}))
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
         num = self.num.terms
@@ -960,7 +955,7 @@ def laurent_difference(t: RatFunc, p: MPoly, q: RatFunc) -> Optional[MPoly]:
     return _wrap(terms)
 
 
-def jacobian_det2(fy: RatFunc, fz: RatFunc, vy: str = "y", vz: str = "z") -> RatFunc:
+def jacobian_det2(fy: RatFunc, fz: RatFunc, vy: str, vz: str) -> RatFunc:
     """Determinant of the 2x2 Jacobian of (fy, fz) with respect to (vy, vz).
 
     This is the factor J with d(fy) wedge d(fz) = J * d(vy) wedge d(vz).

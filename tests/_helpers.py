@@ -97,9 +97,9 @@ def general_ratfunc_pow(r, n):
 def general_ratfunc_arithmetic():
     """RatFunc's product, inverse and power as the general bodies above,
     while the block runs."""
-    names = ("__mul__", "__rmul__", "inverse", "__pow__")
+    names = ("__mul__", "inverse", "__pow__")
     saved = {name: RatFunc.__dict__[name] for name in names}
-    RatFunc.__mul__ = RatFunc.__rmul__ = general_ratfunc_mul
+    RatFunc.__mul__ = general_ratfunc_mul
     RatFunc.inverse = general_ratfunc_inverse
     RatFunc.__pow__ = general_ratfunc_pow
     try:
@@ -135,7 +135,7 @@ def rand_mpoly(rng, names=("y", "z"), max_terms=3, max_exp=3, span=3):
     p = MPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
         c = rand_cyclo(rng, span, density=1.0)
-        p = p + MPoly.monomial({name: rng.randint(0, max_exp) for name in names}, c)
+        p = p + MPoly.sum_monomials([({name: rng.randint(0, max_exp) for name in names}, c)])
     return p
 
 
@@ -199,7 +199,7 @@ def monomial_map(variables, scalars, rows):
     """The map x_v -> scalars[v] * x^rows[v] over its own three variables."""
     coords = {}
     for v, c, row in zip(variables, scalars, rows):
-        num = MPoly.monomial({x: k for x, k in zip(variables, row) if k > 0}, c)
+        num = MPoly.sum_monomials([({x: k for x, k in zip(variables, row) if k > 0}, c)])
         den = MPoly.monomial({x: -k for x, k in zip(variables, row) if k < 0})
         coords[v] = RatFunc(num, den)
     return BirMap(variables, coords, label="m")

@@ -18,6 +18,7 @@ from enricert.certificate import (
     CheckRecord,
     FILTERABLE_GROUPS,
     SCHEMA,
+    _Context,
     builtin_records,
     document_records,
     filter_records,
@@ -83,7 +84,7 @@ def shared_cert():
 
 @functools.lru_cache(maxsize=1)
 def shared_builtin_records():
-    return tuple(builtin_records())
+    return tuple(builtin_records(_Context()))
 
 
 def test_builtin_run_is_green():
@@ -219,7 +220,7 @@ def test_builtin_and_generated_runs_never_reach_the_ratfunc_bodies(monkeypatch):
     import enricert.maps as maps
 
     doc = load_document(json.loads(load_docgen().generate(1, 0)[0]))
-    want = [verify_all().to_json(), verify_all(document=doc).to_json()]
+    want = [verify_all().to_json(), run_checks(document=doc).to_json()]
 
     def refuse(*args):
         raise AssertionError("a RatFunc body ran")
@@ -227,7 +228,7 @@ def test_builtin_and_generated_runs_never_reach_the_ratfunc_bodies(monkeypatch):
     monkeypatch.setattr(maps, "_invariance_by_ratfuncs", refuse)
     monkeypatch.setattr(forms, "_bitwoform_by_ratfuncs", refuse)
     monkeypatch.setattr(forms, "_k3_twoform_by_ratfuncs", refuse)
-    assert [verify_all().to_json(), verify_all(document=doc).to_json()] == want
+    assert [verify_all().to_json(), run_checks(document=doc).to_json()] == want
 
 
 def test_certificate_envelope():
@@ -338,7 +339,7 @@ def test_filtered_run_equals_filtering_the_full_run(family, check):
 
 def test_fixture_document_records():
     doc = ingest(str(FIXTURES / "families.json"))
-    cert = verify_all(document=doc)
+    cert = run_checks(document=doc)
     assert cert.overall == "pass"
     custom = [r.id for r in cert.records if r.id.startswith("custom-")]
     assert custom == [
@@ -362,7 +363,7 @@ def test_fixture_document_records():
 
 
 def test_checks_never_short_circuit():
-    cert = verify_all(document=load_document(PINNED_DOCUMENTS["two-broken-maps"]()))
+    cert = run_checks(document=load_document(PINNED_DOCUMENTS["two-broken-maps"]()))
     assert cert.overall == "fail"
     failing = [r.id for r in cert.records if r.failed]
     assert failing == [
@@ -377,7 +378,7 @@ def test_checks_never_short_circuit():
 
 
 def test_failing_invariance_drops_order_and_ratio_records():
-    cert = verify_all(document=load_document(PINNED_DOCUMENTS["one-broken-map"]()))
+    cert = run_checks(document=load_document(PINNED_DOCUMENTS["one-broken-map"]()))
     ids = {r.id for r in cert.records}
     assert "custom-invariance-aut_8_2" in ids
     assert "custom-order-aut_8_2" not in ids
@@ -395,7 +396,7 @@ def test_escaping_exception_becomes_failure_record():
             "w_square_scale": 0,
         }
     ]
-    cert = verify_all(document=load_document(doc))
+    cert = run_checks(document=load_document(doc))
     by_id = {r.id: r for r in cert.records}
     action = by_id["custom-action-family3-skewed"]
     assert action.failed and action.witness
@@ -425,7 +426,7 @@ def test_a_check_that_raises_runs_once(monkeypatch):
     }]
     cube = {"w": "w", "y": "(y+z+A+B+C+D+E+F)^3", "z": "z"}
     doc = load_document({"families": [fam], "maps": [{"name": "cube", "coords": cube}]})
-    records = document_records(doc.families, doc.maps, doc.actions)
+    records = document_records(doc.families, doc.maps, doc.actions, _Context())
     assert [(r.id, r.witness) for r in records if r.failed] == [
         ("custom-invariance-cube",
          "SizeCapError: product of 1716 by 120 terms exceeds cap 65536 term pairs"),
@@ -451,7 +452,7 @@ def _zonly_and_family1_doc(coords, zonly_first):
     }
     families = [zonly, family1] if zonly_first else [family1, zonly]
     doc = load_document({"families": families, "maps": [{"name": "m", "coords": coords}]})
-    records = document_records(doc.families, doc.maps, doc.actions)
+    records = document_records(doc.families, doc.maps, doc.actions, _Context())
     return {r.id: r for r in records if r.id.endswith("-m")}
 
 
@@ -502,7 +503,7 @@ def test_vanishing_corner_fails_custom_cover_record():
         if not (m["i"] == 0 and m["j"] == 2)
     ]
     doc = {"families": [entry]}
-    cert = verify_all(document=load_document(doc))
+    cert = run_checks(document=load_document(doc))
     record = {r.id: r for r in cert.records}["custom-pinched-cover"]
     assert record.failed
     assert "corner" in record.witness
@@ -512,7 +513,7 @@ def test_map_with_no_matching_families_is_skipped():
     # K3 lifts have no K3 families to act on in this document
     raw = fixture_doc_dict()
     doc = {"families": raw["families"][:1], "maps": raw["maps"][3:]}
-    cert = verify_all(document=load_document(doc))
+    cert = run_checks(document=load_document(doc))
     ids = {r.id for r in cert.records if r.id.startswith("custom-invariance")}
     assert ids == set()
     assert cert.overall == "pass"
@@ -536,7 +537,7 @@ def test_a_repeated_record_id_is_a_schema_error_before_any_check(monkeypatch):
     monkeypatch.setattr(certificate, "_construction_value", ran.append)
     doc = load_document(_colliding_ids_doc())
     with pytest.raises(SchemaError, match=r"'custom-action-f-construction'$"):
-        document_records(doc.families, doc.maps, doc.actions)
+        document_records(doc.families, doc.maps, doc.actions, _Context())
     assert ran == []
 
 
@@ -610,7 +611,7 @@ def test_record_ids_are_unique_within_a_run(name):
         doc = load_document(json.loads(text))
     else:
         doc = load_document(PINNED_DOCUMENTS[name]())
-    ids = [r.id for r in verify_all(document=doc).records]
+    ids = [r.id for r in run_checks(document=doc).records]
     assert len(ids) > len(BUILTIN_IDS)
     assert len(set(ids)) == len(ids)
 
@@ -624,7 +625,7 @@ def _selection_document(name):
 
 @functools.lru_cache(maxsize=None)
 def _full_document_run(name):
-    return tuple(verify_all(document=_selection_document(name)).records)
+    return tuple(run_checks(document=_selection_document(name)).records)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from _helpers import bis_condition, document_families
 
 
 def mono(exps, scalar=1):
-    return MPoly.monomial(exps, scalar)
+    return MPoly.sum_monomials([(exps, scalar)])
 
 
 def var(name):

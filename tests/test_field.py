@@ -50,8 +50,12 @@ def test_named_constants():
 
 def test_mixed_arithmetic_with_ints_and_fractions():
     assert ONE + 1 == Cyclo(2)
-    assert Fraction(1, 2) * Cyclo(2) == ONE
+    assert Cyclo(2) * Fraction(1, 2) == ONE
     assert ZERO - 1 == Cyclo(-1)
+    # an int or a Fraction is only ever the right operand
+    for left in (lambda x: 1 + x, lambda x: 2 * x, lambda x: Fraction(1, 2) * x):
+        with pytest.raises(TypeError):
+            left(ZETA8)
 
 
 def test_inverse_of_basis_elements():

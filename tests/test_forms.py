@@ -224,7 +224,7 @@ def _pulled_relation(fam, phi):
     pulled = RatFunc.zero()
     for e, c in fam.relation().term_items():
         rest = {n: k for n, k in zip(VARIABLES, e) if k and n not in fam.base_vars}
-        term = RatFunc.from_poly(MPoly.monomial(rest, c))
+        term = RatFunc.from_poly(MPoly.sum_monomials([(rest, c)]))
         pulled = pulled + term * y_image ** e[VARIABLES.index(y_name)] * z_image ** e[
             VARIABLES.index(z_name)
         ]

@@ -131,7 +131,7 @@ def test_a_coefficient_past_the_digit_bound_is_refused_by_the_serializer():
         serialize_document([fam])
     # a map built through the API is refused the same way
     y = RatFunc.var("y")
-    phi = BirMap(("w", "y", "z"), {"w": RatFunc.var("w"), "y": 10 ** 4300 * y, "z": y}, "big")
+    phi = BirMap(("w", "y", "z"), {"w": RatFunc.var("w"), "y": y * 10 ** 4300, "z": y}, "big")
     with pytest.raises(ValueError, match=r"^map big coordinate y: a coefficient has more than"):
         serialize_document([], [phi])
 
@@ -150,7 +150,7 @@ def test_the_serializer_refuses_what_ingest_cannot_read_back(limit, printed):
         "from enricert.ingest import load_document\n"
         "w, y, z = (RatFunc.var(v) for v in 'wyz')\n"
         "for c in (((2 ** 64) ** 16) ** 3, 10 ** 4300, 10 ** 599):\n"
-        "    phi = BirMap(('w', 'y', 'z'), {'w': w, 'y': c * y, 'z': z}, 'm')\n"
+        "    phi = BirMap(('w', 'y', 'z'), {'w': w, 'y': y * c, 'z': z}, 'm')\n"
         "    try:\n"
         "        doc = serialize_document([], [phi])\n"
         "    except ValueError as exc:\n"

@@ -34,7 +34,7 @@ def test_gram_validation():
 
 
 def test_hyperbolic_plane_invariants():
-    assert hyperbolic_plane().invariants() == (2, -1)
+    assert hyperbolic_plane(1).invariants() == (2, -1)
     assert hyperbolic_plane(2).invariants() == (2, -4)
 
 

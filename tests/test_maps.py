@@ -61,7 +61,7 @@ def strings(label="m", **exprs):
 
 def test_birmap_requires_three_variables():
     with pytest.raises(InvariantError, match="three"):
-        BirMap(("w", "y"), {"w": 1, "y": 1})
+        BirMap(("w", "y"), {"w": 1, "y": 1}, "m")
 
 
 def test_birmap_rejects_zero_base_coordinate():
@@ -100,7 +100,6 @@ def test_identity_test_at_the_cap_multiplies_nothing():
     # y against (1 + y)/y^64: cross-multiplying would build y^65
     grow = strings(w="w", y="(1+y)/y^64", z="z")
     assert not is_identity(grow)
-    assert map_order(grow, 1) is None
 
 
 # -- built-in automorphisms ---------------------------------------------------
@@ -131,16 +130,16 @@ def test_square_of_order8_map_is_order4_map():
 
 def test_infinite_order_returns_none():
     grow = strings(label="grow", w="w", y="2*y", z="z")
-    assert map_order(grow, max_n=8) is None
+    assert map_order(grow) is None
 
 
 # -- map_order in exponent form against composition -----------------------
 
 
-def _outcome(order_fn, phi, max_n):
+def _outcome(order_fn, phi):
     """The order, or the type and text of the exception raised instead."""
     try:
-        return order_fn(phi, max_n)
+        return order_fn(phi)
     except EngineError as exc:
         return type(exc), str(exc)
 
@@ -149,16 +148,13 @@ _VARIABLE_TRIPLES = st.sampled_from((ENRIQUES_VARS, K3_VARS))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(
-    phi=_VARIABLE_TRIPLES.flatmap(monomial_maps),
-    max_n=st.one_of(st.just(16), st.integers(1, 16)),
-)
-def test_map_order_matches_composition_on_monomial_maps(phi, max_n):
+@given(phi=_VARIABLE_TRIPLES.flatmap(monomial_maps))
+def test_map_order_matches_composition_on_monomial_maps(phi):
     # exponent form gives the loop's order wherever the loop returns; where
     # the loop hits the cap, exponent form may still answer
     assert _exponent_form(phi) is not None
-    fast = _outcome(map_order, phi, max_n)
-    loop = _outcome(_order_by_composition, phi, max_n)
+    fast = _outcome(map_order, phi)
+    loop = _outcome(_order_by_composition, phi)
     if isinstance(loop, tuple):
         assert not isinstance(fast, tuple) or fast[0] is DegreeCapError
     else:
@@ -226,7 +222,7 @@ def test_map_order_of_monomial_maps_composes_nothing(monkeypatch, phi, expected)
     assert map_order(phi) == expected
     assert not calls
     monkeypatch.undo()
-    assert _order_by_composition(phi, 16) == expected
+    assert _order_by_composition(phi) == expected
 
 
 def _cap_error(power, degree):
@@ -236,28 +232,27 @@ def _cap_error(power, degree):
     )
 
 
-@pytest.mark.parametrize("coords, outcomes", [
+@pytest.mark.parametrize("coords, expected", [
     # y^(2^n): the seventh power y^128 cannot be stored
-    ({"w": "w", "y": "y^2", "z": "z"}, {6: None, 16: _cap_error(7, 128)}),
+    ({"w": "w", "y": "y^2", "z": "z"}, _cap_error(7, 128)),
     # the third power sends y to 1/y^64, which the identity test compares
     # with y without a product
-    ({"w": "w", "y": "1/y^4", "z": "1/y^4"}, {3: None, 4: _cap_error(4, 256)}),
+    ({"w": "w", "y": "1/y^4", "z": "1/y^4"}, _cap_error(4, 256)),
     # the square is under the cap, but substituting z^3/y^4 into y^5*z^6
     # takes the term-by-term path, whose products are not
-    ({"w": "w", "y": "y^5*z^6", "z": "z^3/y^4"}, {2: None}),
+    ({"w": "w", "y": "y^5*z^6", "z": "z^3/y^4"}, _cap_error(3, 337)),
     # the same for the denominator y^2 of the cover coordinate
-    ({"w": "w/y^2", "y": "1/(y^5*z^5)", "z": "z^5/y^3"}, {2: None}),
+    ({"w": "w/y^2", "y": "1/(y^5*z^5)", "z": "z^5/y^3"}, _cap_error(3, 400)),
     # the map itself is stored; its square y^4096 is not
-    ({"w": "w", "y": "1/y^64", "z": "z"}, {1: None, 16: _cap_error(2, 4096)}),
+    ({"w": "w", "y": "1/y^64", "z": "z"}, _cap_error(2, 4096)),
 ], ids=["substitution", "identity-test", "term-by-term", "denominator", "first-power"])
-def test_map_order_past_the_cap_raises_the_loops_error(coords, outcomes):
+def test_map_order_past_the_cap_raises_the_loops_error(coords, expected):
     # composing the maps raises DegreeCapError on each of these maps;
     # map_order raises its own error only at a power it cannot store
     grow = strings(label="grow", **coords)
-    for max_n, expected in outcomes.items():
-        assert _outcome(map_order, grow, max_n) == expected
+    assert _outcome(map_order, grow) == expected
     with pytest.raises(DegreeCapError, match="product term"):
-        _order_by_composition(grow, 16)
+        _order_by_composition(grow)
 
 
 @pytest.mark.parametrize("phi, expected", [
@@ -267,7 +262,7 @@ def test_map_order_past_the_cap_raises_the_loops_error(coords, outcomes):
 ], ids=["parameter", "multi-term", "cover-sum"])
 def test_map_order_composes_maps_outside_the_exponent_form(phi, expected):
     assert _exponent_form(phi) is None
-    assert map_order(phi) == _order_by_composition(phi, 16) == expected
+    assert map_order(phi) == _order_by_composition(phi) == expected
 
 
 def test_compose_rejects_mixed_coordinate_triples():
@@ -393,7 +388,7 @@ def test_cover_parts_split_the_cover_coordinate():
         )
         if a.is_zero() and b.is_zero():
             continue
-        phi = BirMap(ENRIQUES_VARS, {"w": a + b * w, "y": y, "z": z})
+        phi = BirMap(ENRIQUES_VARS, {"w": a + b * w, "y": y, "z": z}, "m")
         assert phi.cover_parts() == (a, b)
 
 
@@ -654,8 +649,6 @@ def test_qaut_orders():
     assert _monomial_order(maps._SWAP_ROOTS[1]) == 4
     assert _monomial_order(maps._SWAP_ROOTS[-1]) == 4
     assert _monomial_order(maps._IDENTITY_FORM) == 1
-    # an order over max_n is None
-    assert _monomial_order(maps._NEG_BOTH, max_n=1) is None
 
 
 def _k3_lift_of_form(form):

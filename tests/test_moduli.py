@@ -2,7 +2,7 @@
 
 import pytest
 
-from enricert.certificate import document_records
+from enricert.certificate import _Context, document_records
 from enricert.cover import K3, SurfaceFamily, family, specialize
 from enricert.errors import InvariantError, PreconditionError
 from enricert.moduli import (
@@ -102,7 +102,9 @@ def test_cover_action_gets_an_action_record_and_no_moduli_record():
     action = ParameterAction("h", {"A": 1}, {}, -1)
     doc = serialize_document([_cover_family()], actions={"c": (action,)})
     ingested = load_document(doc)
-    records = document_records(ingested.families, ingested.maps, ingested.actions)
+    records = document_records(
+        ingested.families, ingested.maps, ingested.actions, _Context()
+    )
     by_id = {r.id: r for r in records}
     assert by_id["custom-action-c-h"].result == "pass"
     assert not any(r.id.startswith("custom-moduli-") for r in records)
