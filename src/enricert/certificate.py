@@ -192,15 +192,13 @@ Outcome = Tuple[str, Dict[str, str], Optional[str], Optional[str]]
 class _Row(NamedTuple):
     """One declared check.  ``fn`` computes its outcome from the run's
     context, or returns None when the check does not apply, so no record is
-    made; an info row has no ``fn`` and records its statement with
-    ``inputs``."""
+    made; an info row's ``fn`` is _note."""
 
     id: str
     group: str
     family: Optional[int]
     statement: str
-    fn: Optional[Callable[["_Context"], Optional[Outcome]]] = None
-    inputs: Optional[Dict[str, str]] = None
+    fn: Callable[["_Context"], Optional[Outcome]]
 
 
 class _Context:
@@ -298,21 +296,23 @@ def _run(rows, ctx: _Context) -> List[CheckRecord]:
         ids.add(row.id)
     records = []
     for row in rows:
-        if row.fn is None:
-            outcome = ("info", row.inputs or {}, None, None)
-        else:
-            try:
-                outcome = row.fn(ctx)
-            except Exception as exc:
-                outcome = ("fail", {}, None, f"{type(exc).__name__}: {exc}")
-            if outcome is None:
-                continue
+        try:
+            outcome = row.fn(ctx)
+        except Exception as exc:
+            outcome = ("fail", {}, None, f"{type(exc).__name__}: {exc}")
+        if outcome is None:
+            continue
         records.append(CheckRecord(row.id, row.group, row.family, *outcome, row.statement))
     return records
 
 
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _note(ctx, **inputs) -> Outcome:
+    """The body of an info row: its statement, recorded with ``inputs``."""
+    return "info", inputs, None, None
 
 
 # -- frozen expectations for the built-in run --------------------------------
@@ -743,7 +743,8 @@ _BUILTIN_ROWS = (
          "The square-root search is exhaustive over monomial maps with "
          "8th-root-of-unity coefficients only; uniqueness within the full "
          "symmetry group of the quadric is used as an input fact, not "
-         "rechecked here."),
+         "rechecked here.",
+         _note),
     *(_Row(rec_id, "lefschetz", None,
            f"The map {coords} has exactly {expected} fixed points on the "
            "quadric, equal to 2 plus its trace on the two ruling classes.",
@@ -786,11 +787,12 @@ _BUILTIN_ROWS = (
          "alpha, so rescaling w itself requires a square root of alpha; the "
          "root exists over the complex numbers and is recorded, not "
          "constructed, in this field.",
-         inputs={"homothety": "alpha^-1", "diagonal_base_scaling": "alpha^1"}),
+         partial(_note, homothety="alpha^-1", diagonal_base_scaling="alpha^1")),
     _Row("action-completeness-assumption", "moduli", None,
          "The effective parameter counts treat the declared identification "
          "lists as complete; completeness is an input assumption about the "
-         "families, not something this engine proves."),
+         "families, not something this engine proves.",
+         _note),
     *(_Row(f"moduli-dimension-{k}", "moduli", k,
            f"A transcendental-type lattice of rank {rank_t} with a "
            f"primitive order-{_LIFT_ORDERS[k]} eigenvalue action gives moduli "
@@ -801,7 +803,7 @@ _BUILTIN_ROWS = (
     _Row("transcendental-rank-assumption", "moduli", None,
          f"The lattice ranks {_RANKS_TEXT} feeding the dimension table are input "
          "facts about the three surfaces, recorded rather than recomputed.",
-         inputs={"ranks": _RANKS_TEXT}),
+         partial(_note, ranks=_RANKS_TEXT)),
     _Row("picard-bound", "moduli", 3,
          "Four A3 configurations, two A1 configurations and the ample class "
          "force 4*3 + 2*1 + 1 = 15 independent algebraic classes on the K3 "
@@ -826,7 +828,8 @@ _BUILTIN_ROWS = (
          "Excluding index 8 at order 16 uses that the sublattice on which "
          "the deck involution and the induced non-symplectic involution "
          "both act by -1 has rank at least 12, the transcendental rank; "
-         "that bound is an input fact recorded here."),
+         "that bound is an input fact recorded here.",
+         _note),
 )
 
 
@@ -948,9 +951,7 @@ def document_records(families, maps, actions, ctx: _Context) -> List[CheckRecord
     return _run(_document_rows(families, maps, actions), ctx)
 
 
-def filter_records(
-    records: List[CheckRecord], family: str = "all", check: str = "all"
-) -> List[CheckRecord]:
+def filter_records(records: List[CheckRecord], family: str, check: str) -> List[CheckRecord]:
     """Subset selection used by the command line; built-in records carry a
     family tag from BUILTIN_FAMILIES, custom and family-agnostic ones carry
     none and only survive the 'all' family filter.  A family is given as a

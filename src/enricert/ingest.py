@@ -81,6 +81,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_family_parameter(value) -> bool:
+    """A name a family may declare or an action may weight: one of A..F,
+    since alpha, the formal scale of the parameter actions, is reserved."""
+    return isinstance(value, str) and value in PARAMETERS and value != "alpha"
+
+
 def _load_list(
     owner: Mapping, key: str, cap: int, where: str, noun: str, load
 ) -> Dict[str, object]:
@@ -132,11 +138,7 @@ def _load_family(
     params = entry.get("parameters", [])
     _expect(isinstance(params, list), where, "'parameters' must be a list")
     for p in params:
-        _expect(
-            isinstance(p, str) and p in PARAMETERS and p != "alpha",
-            where,
-            f"unknown parameter {p!r}",
-        )
+        _expect(_is_family_parameter(p), where, f"unknown parameter {p!r}")
     monomials = entry.get("monomials")
     _expect(isinstance(monomials, list) and monomials, where,
             "'monomials' must be a non-empty list")
@@ -191,11 +193,7 @@ def _load_action(
     weights = entry.get("weights")
     _expect(isinstance(weights, Mapping), where, "'weights' must be an object")
     for p, wgt in weights.items():
-        _expect(
-            isinstance(p, str) and p in PARAMETERS and p != "alpha",
-            where,
-            f"weight names unknown parameter {p!r}",
-        )
+        _expect(_is_family_parameter(p), where, f"weight names unknown parameter {p!r}")
         _expect(_is_int(wgt), where, f"weight of {p!r} must be an integer")
     geometric_raw = entry.get("geometric", {})
     _expect(isinstance(geometric_raw, Mapping), where, "'geometric' must be an object")
@@ -316,7 +314,7 @@ def _coeff_entries(fam: SurfaceFamily, i: int, j: int) -> List[Dict[str, object]
 
 
 def serialize_family(
-    fam: SurfaceFamily, actions: Tuple[ParameterAction, ...] = ()
+    fam: SurfaceFamily, actions: Tuple[ParameterAction, ...]
 ) -> Dict[str, object]:
     monomials: List[Dict[str, object]] = []
     for i, j in fam.geometric_support():
@@ -356,7 +354,7 @@ def serialize_map(phi: BirMap) -> Dict[str, object]:
 
 def serialize_document(
     families,
-    maps=(),
+    maps,
     actions: Optional[Mapping[str, Tuple[ParameterAction, ...]]] = None,
 ) -> Dict[str, object]:
     actions = actions or {}

@@ -52,8 +52,7 @@ from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily, builtin_entry
 
-#: The largest order map_order and the Klein-four check's _monomial_order
-#: look for.
+#: The largest order map_order looks for.
 MAX_ORDER = 16
 
 
@@ -635,15 +634,15 @@ def _inverse_monomial(g):
 _IDENTITY_FORM = ((1, 0, 0, 1), (0, 0))
 
 
-def _monomial_order(g) -> Optional[int]:
-    """The order of the monomial QAut with exponent form ``g``, or None
-    when it is over MAX_ORDER."""
-    power = g
-    for n in range(1, MAX_ORDER + 1):
-        if power == _IDENTITY_FORM:
-            return n
+def _monomial_order(g) -> int:
+    """The order of the monomial QAut with exponent form ``g``.  The 512
+    forms (M, k), M a signed 2x2 permutation and k mod 8, make a finite
+    group, so some power of g is the identity."""
+    power, n = g, 1
+    while power != _IDENTITY_FORM:
         power = _compose_monomial(g, power)
-    return None
+        n += 1
+    return n
 
 
 def _qaut_of_form(form) -> QAut:

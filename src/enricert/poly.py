@@ -3,10 +3,11 @@
 Every polynomial lives in one ring, Q(zeta_8)[w, y, z, W, Y, Z, A..F, alpha],
 and this module owns its fixed variable layout, VARIABLES.  A polynomial is
 a dict from packed exponent vectors to nonzero field coefficients.  Zero
-coefficients are never stored, so equality is dict equality.  A scalar
-(an int, a Fraction or a Cyclo), and for RatFunc also an MPoly, enters
-arithmetic only as the right operand: p * 2 works and 2 * p raises
-TypeError.
+coefficients are never stored, so equality is dict equality.  MPoly
+arithmetic takes only MPoly operands, and MPoly.scale multiplies by a scalar
+(an int, a Fraction or a Cyclo): p * 2 raises TypeError.  A RatFunc also
+takes a scalar or an MPoly, as the right operand only: r * 2 works and 2 * r
+raises TypeError.
 
 Packed exponents.  Each term's exponent vector e (slot i holds the exponent
 of VARIABLES[i]) is one int, its key.  Each slot has an 8-bit lane, slot 0
@@ -258,13 +259,6 @@ class MPoly:
                 terms[key] = c
         return _wrap(terms)
 
-    def _coerce(self, x) -> "MPoly":
-        if isinstance(x, MPoly):
-            return x
-        if isinstance(x, (Cyclo, Fraction, int)):
-            return MPoly.const(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to MPoly")
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -336,7 +330,8 @@ class MPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
+        if not isinstance(other, MPoly):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             prev = out.get(e)
@@ -347,10 +342,11 @@ class MPoly:
         return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __mul__(self, other) -> "MPoly":
-        other = self._coerce(other)
+        if not isinstance(other, MPoly):
+            return NotImplemented
         a, b = self.terms, other.terms
         if a and b and (max(a) >> _DEG) + (max(b) >> _DEG) > DEGREE_CAP:
             # the first product term over the cap, in the order of the loop below
@@ -597,7 +593,7 @@ class RunningSum:
     def __init__(self, first: MPoly):
         self._terms = dict(first.terms)
 
-    def add(self, p: MPoly, negate: bool = False) -> int:
+    def add(self, p: MPoly, negate: bool) -> int:
         """Add p, or -p with ``negate``, and return the height (see
         MPoly.height) of the sum's coefficients at the terms of p, the only
         ones that changed."""
@@ -735,7 +731,7 @@ class RatFunc:
         return RatFunc.from_poly(MPoly.var(name))
 
     @staticmethod
-    def monomial(exponents: Mapping[str, int], coeff: Scalar = 1) -> "RatFunc":
+    def monomial(exponents: Mapping[str, int], coeff: Scalar) -> "RatFunc":
         """coeff times the product of name^k, k of either sign, built from
         the keys as the simplified pair coeff * x^(k+) / x^(k-); each side
         has total degree at most DEGREE_CAP."""

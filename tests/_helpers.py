@@ -25,6 +25,7 @@ from enricert.ingest import load_document, serialize_family
 from enricert.poly import as_ratfunc, slot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(__file__).resolve().parent / "data"
 FIXTURES = Path(enricert.__file__).parent / "fixtures"
 
 
@@ -397,7 +398,7 @@ def _k3_cover_families_doc():
     # with the K3 covers of families 1 and 2 in the document, the fixture's
     # lifts and deck_flip get invariance, order and 2-form ratio records
     doc = fixture_doc_dict()
-    doc["families"] += [serialize_family(k3_cover(family(k))) for k in (1, 2)]
+    doc["families"] += [serialize_family(k3_cover(family(k)), ()) for k in (1, 2)]
     return doc
 
 
@@ -432,6 +433,13 @@ def _square_sum_map_doc():
     return doc
 
 
+def _k3_cayley_doc():
+    # W -> 2i*W/(Y-1)^2, Y -> (Y+1)/(Y-1) preserves W^2 = (Y^4 - 6Y^2 + 1) *
+    # (Z^4 + A*Z^2 + B) and is not monomial, so its invariance, order and
+    # 2-form ratio take the general rational paths; its square is W -> -W
+    return json.loads((DATA / "k3_cayley_document.json").read_text(encoding="utf-8"))
+
+
 #: The builders of the documents whose `enricert verify --input` output
 #: tests/data/pinned_document_runs.json pins, by name.
 PINNED_DOCUMENTS = {
@@ -445,4 +453,5 @@ PINNED_DOCUMENTS = {
     "k3-cover-families": _k3_cover_families_doc,
     "nonconstant-ratio-map": _nonconstant_ratio_map_doc,
     "square-sum-map": _square_sum_map_doc,
+    "k3-cayley-automorphism": _k3_cayley_doc,
 }

@@ -21,7 +21,7 @@ from enricert.ingest import (
     serialize_document,
     serialize_family,
 )
-from enricert.maps import BirMap, deck_flip, family_automorphism, k3_lift
+from enricert.maps import BirMap, deck_flip, family_automorphism, k3_lift, maps_equal
 from enricert.moduli import diagonal_base_scaling, homothety
 from enricert.poly import MPoly, RatFunc
 
@@ -74,6 +74,16 @@ def test_builtin_round_trip():
     assert result.actions["family3"] == actions["family3"]
 
 
+def test_a_rational_k3_map_round_trips():
+    # the Cayley map's coordinates have non-monomial denominators
+    result = ingest(str(Path(__file__).parent / "data" / "k3_cayley_document.json"))
+    again = load_document(serialize_document(result.families, result.maps))
+    assert again.families == result.families
+    (phi,), (psi,) = result.maps, again.maps
+    assert maps_equal(psi, phi) and psi.label == phi.label == "cayley"
+    assert str(phi.coords["Y"]) == "(Y + 1) / (Y - 1)"
+
+
 def test_shipped_fixture_matches_builtins():
     result = ingest(str(FIXTURE))
     assert list(result.families) == [family(k) for k in (1, 2, 3)]
@@ -93,7 +103,7 @@ def test_shipped_fixture_matches_builtins():
 
 def test_mixed_coefficients_serialize_as_split_entries():
     fam = specialize(family(1), specialization_one_param())
-    entry = serialize_family(fam)
+    entry = serialize_family(fam, ())
     by_pair = {}
     for m in entry["monomials"]:
         by_pair.setdefault((m["i"], m["j"]), []).append(m["coeff"])
@@ -128,7 +138,7 @@ def test_a_coefficient_past_the_digit_bound_is_refused_by_the_serializer():
     assert str(fam.monomial_coefficient(0, 2)) == "(<4302-digit integer>)"
     refusal = r"^family t monomial \(0, 2\): a coefficient has more than 4300 digits"
     with pytest.raises(ValueError, match=refusal):
-        serialize_document([fam])
+        serialize_document([fam], [])
     # a map built through the API is refused the same way
     y = RatFunc.var("y")
     phi = BirMap(("w", "y", "z"), {"w": RatFunc.var("w"), "y": y * 10 ** 4300, "z": y}, "big")

@@ -100,7 +100,7 @@ def test_action_on_a_cover_family_is_certified():
 
 def test_cover_action_gets_an_action_record_and_no_moduli_record():
     action = ParameterAction("h", {"A": 1}, {}, -1)
-    doc = serialize_document([_cover_family()], actions={"c": (action,)})
+    doc = serialize_document([_cover_family()], [], {"c": (action,)})
     ingested = load_document(doc)
     records = document_records(
         ingested.families, ingested.maps, ingested.actions, _Context()

@@ -47,20 +47,21 @@ def test_constructors_and_equality():
     assert p != y * z
     assert MPoly.const(0).is_zero()
     assert (p - p).is_zero()
-    assert MPoly.const(Fraction(1, 2)) * 2 == MPoly.const(1)
+    assert MPoly.const(Fraction(1, 2)).scale(2) == MPoly.const(1)
     assert MPoly.const(3) == 3 and p != 3
 
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: MPoly.var("y", ("y",)), ValueError, "^the only variable layout is TABLE$"),
-    (lambda: V("y") + "y", TypeError, "^cannot coerce str to MPoly$"),
+    (lambda: V("y") + 1, TypeError, r"^unsupported operand type\(s\) for \+: 'MPoly' and 'int'$"),
+    (lambda: V("y") * 2, TypeError, r"^unsupported operand type\(s\) for \*: 'MPoly' and 'int'$"),
     (lambda: as_ratfunc("y"), TypeError, "^cannot coerce str to RatFunc$"),
     (lambda: exact_divide(V("y"), MPoly.zero()), ZeroDivisionError, "^division by the zero"),
     (lambda: RatFunc(V("y"), MPoly.zero()), ZeroDivisionError, "^zero denominator$"),
     (lambda: RatFunc.var("y").inverse().as_poly(), ValueError, "^1 / y is not a polynomial$"),
     (lambda: RatFunc.var("y") ** 1.5, TypeError, "^exponent must be an integer$"),
 ], ids=[
-    "other-layout", "mpoly-coerce", "ratfunc-coerce",
+    "other-layout", "mpoly-coerce", "mpoly-times-scalar", "ratfunc-coerce",
     "divide-by-zero", "zero-denominator", "as-poly-of-a-quotient", "float-ratfunc-power",
 ])
 def test_bad_arguments_are_refused(call, error, match):
@@ -427,7 +428,7 @@ def test_specialize_takes_the_monomial_path():
     # an affine parameter substitution is a polynomial value over 1
     branch = family(1).branch
     values = branch._values(
-        {"A": 1, "B": -V("C") - 1, "D": 0, "E": 0, "F": MPoly.const(1) - V("C")}
+        {"A": 1, "B": -V("C") - MPoly.const(1), "D": 0, "E": 0, "F": MPoly.const(1) - V("C")}
     )
     fast = branch._substitute_monomials(values)
     assert fast is not None and fast == branch._substitute_terms(values)
@@ -1289,8 +1290,8 @@ def test_the_monomial_path_builds_each_power_from_the_one_before(monkeypatch):
 @given(_ratfuncs, _ratfuncs, _nonzero_cyclos)
 def test_ratfunc_equality_matches_cross_multiplication(r, s, c):
     # pairs over single-term denominators are compared as pairs
-    y2 = MPoly.monomial({"y": 2})
-    twin = RatFunc(r.num * y2 * c, r.den * y2 * c)
+    cy2 = MPoly.monomial({"y": 2}).scale(c)
+    twin = RatFunc(r.num * cy2, r.den * cy2)
     for a, b in ((r, s), (s, r), (r, twin), (twin, r)):
         assert (a == b) == (a.num * b.den == b.num * a.den)
     assert r == twin
@@ -1328,8 +1329,8 @@ def test_height_is_the_largest_numerator_or_denominator():
     # a running sum reads only its coefficients at the terms it adds:
     # -7/3 + 1 at y, then w, then nothing left at w
     running = RunningSum(p)
-    assert running.add(V("y")) == 4
-    assert running.add(V("w")) == 1
+    assert running.add(V("y"), negate=False) == 4
+    assert running.add(V("w"), negate=False) == 1
     assert running.add(V("w"), negate=True) == 0
     assert MPoly.zero().height() == 0
     # 13*z is made monic, so the numerator's coefficients are divided by 13
@@ -1351,7 +1352,7 @@ def test_a_laurent_monomial_is_the_pair_its_text_parses_to(exponents, coeff, tex
 def test_a_laurent_monomial_past_the_cap_is_refused_on_either_side():
     for exponents in ({"y": 64, "z": 1}, {"y": -1, "z": -64}):
         with pytest.raises(DegreeCapError, match="total degree 65"):
-            RatFunc.monomial(exponents)
+            RatFunc.monomial(exponents, 1)
 
 
 def test_sum_monomials_refuses_what_monomial_refuses():
@@ -1469,11 +1470,20 @@ _OPERATORS = {
 def _public_methods():
     """{code: (class, shown, static)} for the function behind every public
     method, property, cached property and operator or pickling method of a
-    public engine class, and the aliases: each name a public engine class
-    binds to a function it already binds under another name."""
+    public engine class, and for every public function an engine module
+    defines, shown as module.name with class None and static true; and the
+    aliases: each name a public engine class binds to a function it already
+    binds under another name."""
     methods, aliases = {}, []
     for name, _ in _engine_modules():
         module = importlib.import_module(f"enricert.{name[:-3]}")
+        for attr, func in vars(module).items():
+            if (
+                inspect.isfunction(func)
+                and func.__module__ == module.__name__
+                and not attr.startswith("_")
+            ):
+                methods[func.__code__] = (None, f"{name[:-3]}.{attr}", True)
         for cls in vars(module).values():
             if not (
                 inspect.isclass(cls)
@@ -1525,10 +1535,11 @@ def test_every_public_method_of_a_public_engine_class_runs_on_its_class(tmp_path
     # Each public method, property, cached property and operator or
     # pickling method of a public engine class must be entered, under a
     # profiler, with self an instance of its class while the real traffic
-    # runs; a static method only has to be entered.  Other dunders are
-    # exempt.  The profiler sees code objects, so an alias such as
-    # __radd__ = __add__ would count as run whenever its target runs: no
-    # public engine class may bind one function under two names.
+    # runs; a static method and a public module-level function only have to
+    # be entered.  Other dunders are exempt.  The profiler sees code
+    # objects, so an alias such as __radd__ = __add__ would count as run
+    # whenever its target runs: no public engine class may bind one function
+    # under two names.
     pending, aliases = _public_methods()
 
     def profile(frame, event, arg):
