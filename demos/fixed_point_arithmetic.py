@@ -5,6 +5,7 @@ from enricert import (
     FixedCurveData,
     SQRT_M1,
     ZERO,
+    ZETA8,
     holomorphic_lefschetz_case_a,
     holomorphic_lefschetz_case_b,
     hyperbolic_plane,
@@ -32,13 +33,14 @@ for sign in (1, -1):
 
 # Fixed loci of the coordinate involutions on P^1 x P^1, with the
 # topological count 2 + trace as cross-check.  The engine counts the fixed
-# points without solving for them; the paper names them, and a point x of
-# P^1 is fixed by (a, b; c, d) exactly when c x^2 + (d - a) x - b = 0, or,
-# for x = oo, when c = 0.
-def fixes(m, x):
-    if x == "oo":
-        return m.c.is_zero()
-    return (m.c * x * x + (m.d - m.a) * x - m.b).is_zero()
+# points without solving for them; the paper names them.  A factor of a map
+# is x -> u * x^e with u = zeta8^k and e = +-1 (the units and the matrix
+# entries of its exponent form); a point x of P^1 is fixed by it exactly
+# when u * x^e = x, and 0 and oo are fixed exactly when e = 1.
+def fixes(e, k, x):
+    if x == "oo" or x.is_zero():
+        return e == 1
+    return ZETA8 ** k * x ** e == x
 
 
 one, i = Cyclo(1), SQRT_M1
@@ -49,17 +51,20 @@ involutions = [
 ]
 for label, g, named in involutions:
     data = qaut_fixed_points(g)
-    named_fixed = all(fixes(m, x) for m in (g.m1, g.m2) for x in named)
+    (e1, _, _, e2), (k1, k2) = g.matrix, g.units
+    named_fixed = all(fixes(e, k, x) for e, k in ((e1, k1), (e2, k2)) for x in named)
     assert named_fixed and data.count == len(named) ** 2
     names = ", ".join(str(x) for x in named)
     print(f"{label}: {data.count} fixed points, {{{names}}}^2 fixed: {named_fixed}, "
           f"topological count {topological_lefschetz_count(g.ns_trace())}")
 
-# The ruling swap (Y, Z) -> (1/Z, Y) fixes (Y0, m2 . Y0) for each Y0 fixed
-# by m1 . m2; m2 is the identity, so the points are (1, 1) and (-1, -1).
+# The ruling swap (Y, Z) -> (1/Z, Y) = (m1 . Z, m2 . Y) fixes (Y0, m2 . Y0)
+# for each Y0 fixed by m1 . m2, which is x -> zeta8^(k1 + e1*k2) * x^(e1*e2);
+# m2 is the identity, so the points are (1, 1) and (-1, -1).
 g = swap_root(1)
 data = qaut_fixed_points(g)
-named_fixed = all(fixes(g.m1 @ g.m2, x) for x in (one, -one))
+(_, e1, e2, _), (k1, k2) = g.matrix, g.units
+named_fixed = all(fixes(e1 * e2, (k1 + e1 * k2) % 8, x) for x in (one, -one))
 assert named_fixed and data.count == 2
 print(f"factor swap: {data.count} fixed points, Y0 = 1 and -1 are fixed: "
       f"{named_fixed}")

@@ -35,7 +35,6 @@ from .cover import (
 )
 from .maps import (
     BirMap,
-    Mobius,
     QAut,
     check_equation_invariance,
     compose,

@@ -17,14 +17,16 @@ so they do not re-wrap to the terminal.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 the input could not be used (malformed expression, schema violation, or
-an object breaking a structural invariant) or the certificate could not be
-written to ``--out`` ("output error: cannot write PATH: reason", after the
-records are printed).  Checks never stop early; a failing run still reports
-every record.
+an object breaking a structural invariant) or read ("input error"), or
+``--out`` or standard output, as a closed pipe, could not be written
+("output error: cannot write PATH: reason", after the records are printed,
+with "standard output" for PATH).  Checks never stop early; a failing run
+still reports every record.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from typing import NamedTuple, NoReturn, Optional, Tuple
@@ -77,9 +79,11 @@ def _write_out(cert: Certificate, path: Optional[str]) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    document = None
-    if args.input is not None:
-        document = ingest(args.input)
+    try:
+        document = None if args.input is None else ingest(args.input)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     cert = run_checks(family=args.family, check=args.check, document=document)
     _print_certificate(cert, sys.stdout)
     if not _write_out(cert, args.out):
@@ -285,18 +289,24 @@ _COMMANDS = {"verify": _cmd_verify, "classify": _cmd_classify, "report": _cmd_re
 
 _ERROR_PREFIXES = (  # an exit-2 error's stderr prefix; the first matching kind wins
     (ParseError, "parse error"), (SchemaError, "schema violation"),
-    (InvariantError, "invariant violation"), (OSError, "input error"), (EngineError, "error"),
+    (InvariantError, "invariant violation"), (EngineError, "error"),
 )
 
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (EngineError, OSError) as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except EngineError as exc:
         prefix = next(text for kind, text in _ERROR_PREFIXES if isinstance(exc, kind))
         print(f"{prefix}: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # the commands handle their files, so stdout failed
+        print(f"output error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        # what is still buffered goes to the null device, not to a failing exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 2
 
 
 if __name__ == "__main__":

@@ -24,14 +24,13 @@ from its form, with no substitution.  BirMap.exponent_form computes a map's
 form once, or BirMap.from_form seeds it; the form ratios in the forms
 module read it too.
 
-Automorphisms of the quadric P1 x P1 that either preserve or exchange the two
-rulings are represented exactly by a pair of 2x2 matrices over Q(zeta_8) plus
-a shape flag ("direct" preserves the rulings, "swap" exchanges them).  Fixed
-points are counted, not solved for: the quadratic c x^2 + (d - a) x - b = 0
-of each Moebius factor has one root or two, as its discriminant decides.
-The Klein-four normal form check and the search for monomial square roots
-run in exponent form, on integer matrices and exponents of zeta_8, not on
-these matrices; a QAut is built only for a root found.
+The monomial automorphisms of the quadric P1 x P1 that preserve ("direct")
+or exchange ("swap") its two rulings are QAuts, each its own exponent form
+(M, k) of a signed 2x2 permutation matrix and two exponents of zeta_8.  Their
+fixed points are counted, not solved for, from the discriminant of each
+fractional-linear factor x -> zeta_8^k * x^e.  The Klein-four check and the
+square-root search run on plain (M, k) tuples; a QAut is built only for a
+root found.
 
 The built-in automorphisms and K3 lifts are tables of labels and exponent
 forms keyed by family tag, each row under a comment with its text in the
@@ -47,7 +46,7 @@ import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeCapError, InvariantError, PreconditionError
-from .field import Cyclo, ONE, SQRT_M1, ZERO, ZETA8
+from .field import ONE, SQRT_M1, ZERO, ZETA8
 from .parsing import parse_expression
 from .poly import DEGREE_CAP, MPoly, RatFunc, as_ratfunc, laurent_difference, slot
 from .cover import ENRIQUES_VARS, K3_VARS, SurfaceFamily, builtin_entry
@@ -419,148 +418,89 @@ def deck_flip() -> BirMap:
 
 # -- automorphisms of the quadric P1 x P1 -------------------------------------
 
-
-class FixedPointData(NamedTuple):
-    """Fixed-point count of a Mobius map or a QAut, with the parabolic flag."""
-
-    count: int
-    parabolic: bool
-
-
-class Mobius:
-    """A 2x2 invertible matrix over Q(zeta_8), normalized up to scalar."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        a, b, c, d = (Cyclo.coerce(x) for x in (a, b, c, d))
-        if (a * d - b * c).is_zero():
-            raise InvariantError("Moebius matrix is singular")
-        lead = next(x for x in (a, b, c, d) if not x.is_zero())
-        if lead != ONE:
-            scale = lead.inverse()
-            a, b, c, d = (x * scale for x in (a, b, c, d))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mobius instances are immutable")
-
-    def is_identity(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
-
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mobius):
-            return NotImplemented
-        return (
-            self.a == other.a and self.b == other.b
-            and self.c == other.c and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def fixed_points(self) -> FixedPointData:
-        """Fixed-point count and parabolic flag of the action on P1.
-
-        Fixed points solve c x^2 + (d - a) x - b = 0, with infinity fixed
-        exactly when c = 0.  There is one, and the map is parabolic, exactly
-        when the discriminant (d - a)^2 + 4bc vanishes (for c = 0: when
-        a = d); there are two otherwise.
-        """
-        if self.is_identity():
-            raise ValueError("the identity fixes everything")
-        a, b, c, d = self.a, self.b, self.c, self.d
-        parabolic = ((d - a) * (d - a) + b * 4 * c).is_zero()
-        return FixedPointData(1 if parabolic else 2, parabolic)
-
-    def __repr__(self) -> str:
-        return f"Mobius(({self.a}, {self.b}), ({self.c}, {self.d}))"
-
-
 DIRECT = "direct"
 SWAP = "swap"
 
+# the eight signed 2x2 permutation matrices, flat, direct ones first
+_MATRICES = (
+    (1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, 1), (-1, 0, 0, -1),
+    (0, 1, 1, 0), (0, 1, -1, 0), (0, -1, 1, 0), (0, -1, -1, 0),
+)
+# the 64 pairs of exponents of zeta8
+_UNIT_PAIRS = tuple(itertools.product(range(8), repeat=2))
 
-class QAut:
-    """An automorphism of P1 x P1 respecting the two rulings.
 
-    direct shape: (Y, Z) -> (m1 . Y, m2 . Z)
-    swap shape:   (Y, Z) -> (m1 . Z, m2 . Y)
+class QAut(NamedTuple("_QAutForm", [("matrix", tuple), ("units", tuple)])):
+    """A monomial automorphism of P1 x P1 respecting the two rulings, as its
+    exponent form (M, k) = (matrix, units):
+
+    direct shape: (Y, Z) -> (zeta8^k1 * Y^m11, zeta8^k2 * Z^m22)
+    swap shape:   (Y, Z) -> (zeta8^k1 * Z^m12, zeta8^k2 * Y^m21)
+
+    M = (m11, m12, m21, m22), a signed permutation matrix in GL2(Z), has in
+    row i the exponents of output coordinate i in (Y, Z); k is in (Z/8)^2.
     """
 
-    __slots__ = ("shape", "m1", "m2")
+    __slots__ = ()
 
-    def __init__(self, shape: str, m1: Mobius, m2: Mobius):
-        if shape not in (DIRECT, SWAP):
-            raise InvariantError(f"unknown shape {shape!r}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+    def __new__(cls, matrix, units):
+        if matrix not in _MATRICES or units not in _UNIT_PAIRS:
+            raise InvariantError(f"not a monomial quadric form: {matrix}, {units}")
+        return super().__new__(cls, matrix, units)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QAut instances are immutable")
-
-    def is_identity(self) -> bool:
-        return (
-            self.shape == DIRECT
-            and self.m1.is_identity()
-            and self.m2.is_identity()
-        )
+    @property
+    def shape(self) -> str:
+        return DIRECT if self.matrix[1] == 0 else SWAP
 
     def compose(self, other: "QAut") -> "QAut":
         """self after other."""
-        shape = DIRECT if self.shape == other.shape else SWAP
-        if self.shape == DIRECT:
-            return QAut(shape, self.m1 @ other.m1, self.m2 @ other.m2)
-        return QAut(shape, self.m1 @ other.m2, self.m2 @ other.m1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QAut):
-            return NotImplemented
-        return self.shape == other.shape and self.m1 == other.m1 and self.m2 == other.m2
-
-    def __hash__(self):
-        return hash((self.shape, self.m1, self.m2))
+        return QAut(*_compose_monomial(self, other))
 
     def ns_trace(self) -> int:
         """Trace on the rank-2 lattice spanned by the two ruling classes."""
         return 2 if self.shape == DIRECT else 0
 
-    def __repr__(self) -> str:
-        return f"QAut({self.shape}, {self.m1}, {self.m2})"
+
+class FixedPointData(NamedTuple):
+    """Fixed-point count of a QAut or of one factor, with the parabolic flag."""
+
+    count: int
+    parabolic: bool
+
+
+def _factor_fixed_points(e: int, k: int) -> FixedPointData:
+    """Fixed-point count and parabolic flag of x -> u * x^e, u = zeta8^k,
+    other than the identity.  As the matrix (a, b; c, d) = (u, 0; 0, 1) or
+    (0, u; 1, 0), its fixed points solve c x^2 + (d - a) x - b = 0, infinity
+    when c = 0; there is one, and the map is parabolic, exactly when the
+    discriminant (d - a)^2 + 4bc vanishes, and two otherwise."""
+    u = ZETA8 ** k
+    a, b, c, d = (u, ZERO, ZERO, ONE) if e == 1 else (ZERO, u, ONE, ZERO)
+    parabolic = ((d - a) * (d - a) + b * 4 * c).is_zero()
+    return FixedPointData(1 if parabolic else 2, parabolic)
 
 
 def qaut_fixed_points(g: QAut) -> FixedPointData:
     """Fixed-point count of a non-identity QAut on the quadric.
 
     direct shape: the product of the two factors' fixed sets; a factor equal
-    to the identity would fix a curve, which is rejected.  swap shape: fixed
-    points biject with fixed points of m1 . m2 on the first ruling via
-    (Y0, m2 . Y0); m1 . m2 = identity (fixing the graph curve) is rejected.
+    to the identity would fix a curve, which is rejected.  swap shape
+    (Y, Z) -> (m1 . Z, m2 . Y): fixed points (Y0, m2 . Y0) biject with the
+    fixed points Y0 of m1 . m2, x -> zeta8^(k1 + e1*k2) * x^(e1*e2); an
+    identity m1 . m2 (fixing the graph curve) is rejected.
     """
-    if g.is_identity():
+    (m11, m12, m21, m22), (k1, k2) = g
+    if g.shape == SWAP:
+        e, k = m12 * m21, (k1 + m12 * k2) % 8
+        if (e, k) == (1, 0):
+            raise ValueError("this ruling swap fixes a curve, not isolated points")
+        return _factor_fixed_points(e, k)
+    if g == _IDENTITY_FORM:
         raise ValueError("the identity automorphism fixes everything")
-    if g.shape == DIRECT:
-        if g.m1.is_identity() or g.m2.is_identity():
-            raise ValueError("a direct map with an identity factor fixes a curve")
-        c1, par1 = g.m1.fixed_points()
-        c2, par2 = g.m2.fixed_points()
-        return FixedPointData(c1 * c2, par1 or par2)
-    h = g.m1 @ g.m2
-    if h.is_identity():
-        raise ValueError("this ruling swap fixes a curve, not isolated points")
-    return h.fixed_points()
+    if (m11, k1) == (1, 0) or (m22, k2) == (1, 0):
+        raise ValueError("a direct map with an identity factor fixes a curve")
+    (c1, par1), (c2, par2) = _factor_fixed_points(m11, k1), _factor_fixed_points(m22, k2)
+    return FixedPointData(c1 * c2, par1 or par2)
 
 
 # -- the Klein-four normal form and square roots of the double inversion ------
@@ -568,12 +508,12 @@ def qaut_fixed_points(g: QAut) -> FixedPointData:
 
 def neg_both() -> QAut:
     """(Y, Z) -> (-Y, -Z), the residual deck map on the quadric."""
-    return _qaut_of_form(_NEG_BOTH)
+    return QAut(*_NEG_BOTH)
 
 
 def inv_both() -> QAut:
     """(Y, Z) -> (1/Y, 1/Z), the base of the order-4 automorphism's lift."""
-    return _qaut_of_form(_INV_BOTH)
+    return QAut(*_INV_BOTH)
 
 
 def swap_root(sign: int) -> QAut:
@@ -581,36 +521,13 @@ def swap_root(sign: int) -> QAut:
     the double inversion (sign in {1, -1})."""
     if sign not in _SWAP_ROOTS:
         raise ValueError("sign must be 1 or -1")
-    return _qaut_of_form(_SWAP_ROOTS[sign])
+    return QAut(*_SWAP_ROOTS[sign])
 
-
-# A monomial QAut (Y, Z) -> (zeta8^k1 * V1^e1, zeta8^k2 * V2^e2), with
-# (V1, V2) = (Y, Z) for the direct shape and (Z, Y) for the swap shape, in
-# exponent form (M, k): M is the signed permutation matrix in GL2(Z) whose
-# row i holds the exponents of output coordinate i in (Y, Z), and k is in
-# (Z/8)^2.
-
-_UNITS = tuple(ZETA8 ** k for k in range(8))
 
 # neg_both, inv_both and swap_root in exponent form
 _NEG_BOTH = ((1, 0, 0, 1), (4, 4))
 _INV_BOTH = ((-1, 0, 0, -1), (0, 0))
 _SWAP_ROOTS = {1: ((0, -1, 1, 0), (0, 0)), -1: ((0, -1, 1, 0), (4, 4))}
-
-
-def _monomial_mobius(e: int, k: int) -> Mobius:
-    """x -> zeta8^k * x^e for e in {1, -1}, entered with leading entry 1 so
-    that Mobius has no scale to divide out."""
-    if e == -1:
-        return Mobius(ZERO, ONE, _UNITS[-k % 8], ZERO)
-    return Mobius(ONE, ZERO, ZERO, _UNITS[-k % 8])
-
-
-def _exponent_matrix(shape: str, e1: int, e2: int) -> Tuple[int, int, int, int]:
-    """M = ((m11, m12), (m21, m22)) as a flat tuple."""
-    if shape == DIRECT:
-        return (e1, 0, 0, e2)
-    return (0, e1, e2, 0)
 
 
 def _compose_monomial(g, h):
@@ -625,8 +542,7 @@ def _compose_monomial(g, h):
 
 
 def _inverse_monomial(g):
-    """(M, k)^-1 = (M^-1, -M^-1 k mod 8); M is a signed permutation, so
-    M^-1 is its transpose."""
+    """(M, k)^-1 = (M^T, -M^T k mod 8), as M is a signed permutation."""
     (m11, m12, m21, m22), (k1, k2) = g
     return (m11, m21, m12, m22), (-(m11 * k1 + m21 * k2) % 8, -(m12 * k1 + m22 * k2) % 8)
 
@@ -645,28 +561,16 @@ def _monomial_order(g) -> int:
     return n
 
 
-def _qaut_of_form(form) -> QAut:
-    """The monomial QAut with exponent form ``form``."""
-    (m11, m12, m21, m22), (k1, k2) = form
-    if m12 == 0:
-        return QAut(DIRECT, _monomial_mobius(m11, k1), _monomial_mobius(m22, k2))
-    return QAut(SWAP, _monomial_mobius(m12, k1), _monomial_mobius(m21, k2))
-
-
 def _square_roots(wanted):
-    """The exponent forms, of all 2 shapes * 4 inversion patterns * 64 unit
-    pairs, whose square is ``wanted``, in that order of enumeration.  The
-    matrix part of a square is M^2 whatever k is, so the 64 unit pairs are
-    tried only for the matrices M whose square is the wanted matrix."""
+    """The exponent forms (M, k), of the 8 matrices _MATRICES by the 64 unit
+    pairs in that order, whose square is ``wanted``.  The matrix part of a
+    square is M^2 whatever k is, so k is tried only where M^2 is wanted."""
     roots = []
-    for shape in (DIRECT, SWAP):
-        for e1, e2 in itertools.product((1, -1), repeat=2):
-            m = _exponent_matrix(shape, e1, e2)
-            if _compose_monomial((m, (0, 0)), (m, (0, 0)))[0] == wanted[0]:
-                roots += [
-                    (m, k) for k in itertools.product(range(8), repeat=2)
-                    if _compose_monomial((m, k), (m, k)) == wanted
-                ]
+    for m in _MATRICES:
+        if _compose_monomial((m, (0, 0)), (m, (0, 0)))[0] == wanted[0]:
+            roots += [
+                (m, k) for k in _UNIT_PAIRS if _compose_monomial((m, k), (m, k)) == wanted
+            ]
     return roots
 
 
@@ -684,12 +588,8 @@ class K4CheckResult(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.klein_ok
-            and self.candidates_ok
-            and not self.direct_roots
-            and self.up_to_inverse_ok
-        )
+        flags = self.klein_ok and self.candidates_ok and self.up_to_inverse_ok
+        return flags and not self.direct_roots
 
     def __bool__(self) -> bool:
         return self.ok
@@ -726,5 +626,5 @@ def k4_normal_form_check() -> K4CheckResult:
     expected = {plus, minus, _inverse_monomial(plus), _inverse_monomial(minus)}
     # every root is then a candidate or the inverse of one
     up_to_inverse_ok = set(found) == expected
-    roots = [_qaut_of_form(root) for root in found]
+    roots = [QAut(*root) for root in found]
     return K4CheckResult(klein_ok, candidates_ok, roots, up_to_inverse_ok)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 import enricert
-from enricert import ONE, SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, Mobius, RatFunc, poly
+from enricert import ONE, SQRT_M1, ZETA8, BirMap, Cyclo, MPoly, RatFunc, poly
 from enricert.cover import ENRIQUES_VARS, family, k3_cover
 from enricert.ingest import load_document, serialize_family
 from enricert.poly import as_ratfunc, slot
@@ -147,33 +147,37 @@ def nonzero_mpoly(rng, **kw):
             return p
 
 
-def rand_rational_mobius(rng, span=3):
-    """An invertible Mobius map with small rational entries."""
-    while True:
-        entries = [Cyclo.from_rational(rand_fraction(rng, span)) for _ in range(4)]
-        a, b, c, d = entries
-        if not (a * d - b * c).is_zero():
-            return Mobius(a, b, c, d)
+def quadric_forms():
+    """The exponent form (M, k) of each of the 512 monomial automorphisms
+    (Y, Z) -> (zeta8^k1 * V1^e1, zeta8^k2 * V2^e2) of P1 x P1, with
+    (V1, V2) = (Y, Z) for the direct shape and (Z, Y) for the swap shape, in
+    the order the square-root search reports roots: direct before swap, then
+    the signs (e1, e2) from (1, 1) to (-1, -1), then k."""
+    for swap in (False, True):
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            matrix = (0, e1, e2, 0) if swap else (e1, 0, 0, e2)
+            for k in itertools.product(range(8), repeat=2):
+                yield matrix, k
 
 
-_DIAGONAL_RATIOS = (
-    Fraction(-1), Fraction(2), Fraction(3), Fraction(-2),
-    Fraction(1, 2), Fraction(-1, 3), Fraction(5), Fraction(-5, 2),
-)
+@functools.lru_cache(maxsize=None)
+def quadric_coords(form):
+    """The (Y, Z) coordinate functions of the quadric form (M, k), as the
+    RatFuncs zeta8^k1 * V1^e1 and zeta8^k2 * V2^e2: the reference for the
+    engine's form arithmetic, read off the definition with none of it."""
+    (m11, m12, m21, m22), (k1, k2) = form
+    y, z = RatFunc.var("Y"), RatFunc.var("Z")
+    factors = ((k1, y, m11), (k2, z, m22)) if m12 == 0 else ((k1, z, m12), (k2, y, m21))
+    return tuple(
+        RatFunc.const(ZETA8 ** k) * (v if e == 1 else v.inverse()) for k, v, e in factors
+    )
 
 
-def semisimple_mobius(rng):
-    """h . diag(lambda, 1) . h^-1 with lambda != 0, 1: exactly two fixed
-    points h(0), h(infinity), both rational, never parabolic."""
-    lam = Cyclo.from_rational(rng.choice(_DIAGONAL_RATIOS))
-    h = rand_rational_mobius(rng)
-    core = Mobius(lam, Cyclo(0), Cyclo(0), Cyclo(1))
-    return h @ core @ adjugate(h)
-
-
-def adjugate(m):
-    """The adjugate of a Moebius matrix, its inverse up to scalar."""
-    return Mobius(m.d, -m.b, -m.c, m.a)
+def compose_coords(outer, inner):
+    """outer after inner, each a pair of (Y, Z) coordinate functions, by
+    substitution."""
+    at = {"Y": inner[0], "Z": inner[1]}
+    return tuple(f.substitute(at) for f in outer)
 
 
 def rand_monomial_plane_map(rng, span=2):
@@ -247,7 +251,8 @@ def monomial_maps(draw, variables, blocks=BASE_BLOCKS):
 
 def run_python(*args, env=(), **kwargs):
     """Run ``python *args`` in a child process, with the variables ``env``
-    added to this process's environment.
+    added to this process's environment; ``kwargs`` go to subprocess.run,
+    and may replace its captured text output.
 
     The child imports the same package as this process, also when pytest
     put it on sys.path through its pythonpath setting rather than the
@@ -256,9 +261,8 @@ def run_python(*args, env=(), **kwargs):
     root = str(Path(enricert.__file__).parents[1])
     env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs,
-    )
+    options = {"capture_output": True, "text": True, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, **options)
 
 
 def load_docgen():

@@ -31,10 +31,7 @@ from enricert.lattices import (
     moduli_dimension,
 )
 from enricert.maps import (
-    DIRECT,
-    Mobius,
     QAut,
-    SWAP,
     check_equation_invariance,
     compose,
     family_automorphism,
@@ -63,11 +60,10 @@ from _helpers import (
     bis_condition,
     nonzero_cyclo,
     nonzero_mpoly,
+    quadric_forms,
     rand_cyclo,
     rand_monomial_plane_map,
     rand_mpoly,
-    rand_rational_mobius,
-    semisimple_mobius,
 )
 
 GOLDEN = Path(enricert.__file__).parent / "fixtures" / "golden_certificate.json"
@@ -314,21 +310,20 @@ def _jacobian_multiplicativity(rng):
     assert composed == jf.substitute(inner) * jg
 
 
-def _lefschetz_count(rng):
-    if rng.random() < 0.5:
-        g = QAut(DIRECT, semisimple_mobius(rng), semisimple_mobius(rng))
-        assert qaut_fixed_points(g).count == 2 + g.ns_trace() == 4
-    else:
-        while True:
-            m1, m2 = rand_rational_mobius(rng), rand_rational_mobius(rng)
-            h = m1 @ m2
-            if h.is_identity():
-                continue
-            if h.fixed_points()[1]:
-                continue
-            break
-        g = QAut(SWAP, m1, m2)
-        assert qaut_fixed_points(g).count == 2 + g.ns_trace() == 2
+def _lefschetz_count():
+    """Every monomial automorphism of the quadric with isolated fixed points
+    fixes 2 + trace of them; the identity and the 46 forms that fix a curve
+    are refused."""
+    isolated = 0
+    for form in quadric_forms():
+        g = QAut(*form)
+        try:
+            data = qaut_fixed_points(g)
+        except ValueError:
+            continue
+        assert data.count == 2 + g.ns_trace() and not data.parabolic
+        isolated += 1
+    assert isolated == 512 - 47
 
 
 def test_criterion_10_property_suites_and_golden_determinism():
@@ -338,20 +333,23 @@ def test_criterion_10_property_suites_and_golden_determinism():
             ("substitution homomorphism", _substitution_homomorphism),
             ("exact division round trip", _exact_divide_round_trip),
             ("Jacobian multiplicativity", _jacobian_multiplicativity),
-            ("fixed count = 2 + trace", _lefschetz_count),
         )
         for label, suite in suites:
             rng = random.Random(20260822)
             for _ in range(100):
                 suite(rng)
+        _lefschetz_count()
         golden = GOLDEN.read_text(encoding="utf-8")
         assert verify_all().to_json() == golden
         assert verify_all().to_json() == golden
-        return "5 suites x 100 instances; certificate bytes reproduced twice"
+        return (
+            "4 suites x 100 instances, fixed count = 2 + trace on all 512 "
+            "quadric forms; certificate bytes reproduced twice"
+        )
 
     _criterion(
         10,
-        "randomized algebraic property suites and byte-for-byte "
-        "certificate determinism",
+        "randomized algebraic property suites, the exhaustive fixed-point "
+        "count, and byte-for-byte certificate determinism",
         body,
     )

@@ -673,8 +673,8 @@ def test_a_failing_k4_check_names_its_flags_and_roots(monkeypatch):
     assert record.value == "4 monomial square roots, 0 ruling-preserving"
     assert record.witness == (
         "klein_ok=True candidates_ok=False roots=["
-        "QAut(swap, Mobius((1, 0), (0, 1)), Mobius((0, 1), (1, 0))), "
-        "QAut(swap, Mobius((1, 0), (0, -1)), Mobius((0, 1), (-1, 0))), "
-        "QAut(swap, Mobius((0, 1), (1, 0)), Mobius((1, 0), (0, 1))), "
-        "QAut(swap, Mobius((0, 1), (-1, 0)), Mobius((1, 0), (0, -1)))]"
+        "QAut(matrix=(0, 1, -1, 0), units=(0, 0)), "
+        "QAut(matrix=(0, 1, -1, 0), units=(4, 4)), "
+        "QAut(matrix=(0, -1, 1, 0), units=(0, 0)), "
+        "QAut(matrix=(0, -1, 1, 0), units=(4, 4))]"
     )

@@ -5,7 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
 from datetime import timedelta
 from pathlib import Path
 
@@ -363,6 +365,25 @@ def test_verify_unwritable_out_is_an_output_error(tmp_path, capsys):
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "--input", "/nonexistent/input.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_a_closed_standard_output_is_an_output_error(command, unbuffered):
+    # the pipe's reader is gone before the child writes a byte; buffered,
+    # the write fails at the flush, unbuffered at the first line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(
+            command, env={"PYTHONUNBUFFERED": unbuffered}, capture_output=False,
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    # one line, with no traceback and no "Exception ignored" at exit
+    assert proc.stderr == "output error: cannot write standard output: Broken pipe\n"
 
 
 def test_verify_any_other_engine_error_exits_2(monkeypatch, capsys):

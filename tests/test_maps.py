@@ -1,5 +1,6 @@
 """Birational maps, quadric automorphisms, and fixed-point counting."""
 
+import collections
 import itertools
 import random
 import re
@@ -19,7 +20,6 @@ from enricert.maps import (
     DIRECT,
     ENRIQUES_VARS,
     K3_VARS,
-    Mobius,
     QAut,
     SWAP,
     check_equation_invariance,
@@ -37,8 +37,8 @@ from enricert.maps import (
     swap_root,
 )
 from enricert.maps import (
-    _compose_forms, _compose_monomial, _exponent_form, _exponent_matrix, _inverse_monomial,
-    _monomial_mobius, _monomial_order, _order_by_composition, _qaut_of_form, _square_roots,
+    _compose_forms, _exponent_form, _inverse_monomial, _monomial_order, _order_by_composition,
+    _square_roots,
 )
 from enricert.moduli import homothety
 from enricert.poly import DEGREE_CAP, MPoly, RatFunc
@@ -46,9 +46,9 @@ from enricert.poly import DEGREE_CAP, MPoly, RatFunc
 from enricert.parsing import parse_expression
 
 from _helpers import (
-    BASE_BLOCKS, SINGULAR_BLOCKS, adjugate, builtin_and_document_families, document_maps,
-    document_pairs, identity_map, monomial_maps, nonzero_mpoly, rand_mpoly, rand_rational_mobius,
-    semisimple_mobius,
+    BASE_BLOCKS, SINGULAR_BLOCKS, builtin_and_document_families, compose_coords, document_maps,
+    document_pairs, identity_map, monomial_maps, nonzero_mpoly, quadric_coords, quadric_forms,
+    rand_mpoly,
 )
 
 
@@ -540,107 +540,61 @@ def test_monomial_invariance_at_the_size_cap(monkeypatch, spare):
     assert _invariance_outcome(check_equation_invariance, fam, phi) == default
 
 
-# -- Moebius transformations --------------------------------------------------
+# -- quadric automorphisms ----------------------------------------------------
+#
+# The reference is _helpers.quadric_coords: a form's (Y, Z) coordinate
+# functions as RatFuncs, composed by substitution, which shares no code with
+# the engine's form arithmetic.
 
-
-def test_mobius_rejects_singular_matrix():
-    with pytest.raises(InvariantError, match="singular"):
-        Mobius(1, 2, 2, 4)
-
-
-def test_mobius_scalar_normalization():
-    assert Mobius(2, 0, 0, 2) == Mobius(1, 0, 0, 1)
-    assert Mobius(2, 0, 0, 2).is_identity()
-    assert Mobius(2, 4, 0, 2) == Mobius(1, 2, 0, 1)
+_Y, _Z = RatFunc.var("Y"), RatFunc.var("Z")
+_IDENTITY = QAut((1, 0, 0, 1), (0, 0))
 
 
 @pytest.mark.parametrize("value", [
-    MPoly.var("y"), RatFunc.var("y"), Mobius(1, 1, 0, 1), swap_root(1), homothety(family(1)),
+    MPoly.var("y"), RatFunc.var("y"), swap_root(1), homothety(family(1)),
 ], ids=lambda value: type(value).__name__)
 def test_equality_with_a_foreign_object_is_not_implemented(value):
     assert value.__eq__(object()) is NotImplemented
     assert value != object()
 
 
-def test_mobius_immutability():
-    m = Mobius(1, 1, 0, 1)
-    with pytest.raises(AttributeError):
-        m.a = ZERO
-
-
 def test_qaut_immutability():
     g = swap_root(1)
-    for attr, value in (("shape", DIRECT), ("m1", Mobius(1, 0, 0, 1)), ("m2", g.m1)):
-        with pytest.raises(AttributeError, match="QAut instances are immutable"):
+    for attr, value in (("matrix", (1, 0, 0, 1)), ("units", (0, 0)), ("shape", DIRECT)):
+        with pytest.raises(AttributeError):
             setattr(g, attr, value)
+    with pytest.raises(AttributeError):
+        g.label = "swap"
     assert g == swap_root(1)
 
 
-def test_mobius_group_laws():
-    m = Mobius(1, 2, 3, 4)
-    n = Mobius(0, 1, 1, 0)
-    assert (m @ adjugate(m)).is_identity() and (adjugate(m) @ m).is_identity()
-    assert adjugate(m @ n) == adjugate(n) @ adjugate(m)
-
-
-def test_fixed_points_of_identity_rejected():
-    with pytest.raises(ValueError):
-        Mobius(1, 0, 0, 1).fixed_points()
-
-
-def test_fixed_points_are_fixed_point_data_for_mobius_and_qaut():
-    data = Mobius(2, 0, 0, 1).fixed_points()
-    assert isinstance(data, maps.FixedPointData)
-    assert (data.count, data.parabolic) == (2, False)
-    assert isinstance(qaut_fixed_points(swap_root(1)), maps.FixedPointData)
-
-
-def test_fixed_points_translation_is_parabolic():
-    assert Mobius(1, 1, 0, 1).fixed_points() == (1, True)
-
-
-def test_fixed_points_diagonal():
-    assert Mobius(2, 0, 0, 1).fixed_points() == (2, False)
-
-
-def test_fixed_points_inversion():
-    assert Mobius(0, 1, 1, 0).fixed_points() == (2, False)
-
-
-def test_fixed_points_parabolic_affine():
-    # discriminant (1 - 3)^2 + 4 * 1 * (-1) = 0: the double root -1
-    assert Mobius(3, 1, -1, 1).fixed_points() == (1, True)
-
-
-def test_fixed_points_outside_the_field():
-    # discriminant 5 has no square root in the field; count still 2
-    assert Mobius(1, 1, 1, 0).fixed_points() == (2, False)
-
-
-# -- quadric automorphisms ----------------------------------------------------
-
-
 def test_qaut_shape_validation():
-    with pytest.raises(InvariantError, match="shape"):
-        QAut("diagonal", Mobius(1, 0, 0, 1), Mobius(1, 0, 0, 1))
+    # a matrix that is not a signed 2x2 permutation, or a unit outside 0..7
+    for matrix, units in (
+        ((1, 1, 0, 1), (0, 0)),
+        ((2, 0, 0, 1), (0, 0)),
+        ((0, 0, 0, 0), (0, 0)),
+        ((1, 0, 0), (0, 0)),
+        ((1, 0, 0, 1), (8, 0)),
+        ((1, 0, 0, 1), (0, -1)),
+        ((1, 0, 0, 1), (0,)),
+        ((1, 0, 0, 1), (0, 0, 0)),
+    ):
+        with pytest.raises(InvariantError, match="not a monomial quadric form"):
+            QAut(matrix, units)
 
 
 def test_qaut_identity_and_inverse():
-    # (m1 . Z, m2 . Y) is undone by (m2^-1 . Z, m1^-1 . Y)
-    m1, m2 = Mobius(0, 1, 1, 0), Mobius(2, 0, 0, 1)
-    g, inverse = QAut(SWAP, m1, m2), QAut(SWAP, adjugate(m2), adjugate(m1))
-    assert not g.is_identity()
-    assert g.compose(inverse).is_identity()
-    assert inverse.compose(g).is_identity()
-    assert _qaut_of_form(maps._IDENTITY_FORM).is_identity()
-    # every monomial form's inverse undoes it on both sides, in exponent
-    # form and through the Mobius arithmetic
-    for form in _monomial_forms():
+    # every form's inverse undoes it on both sides, as QAuts and on the
+    # coordinate functions
+    ident = (_Y, _Z)
+    assert quadric_coords(_IDENTITY) == ident
+    for form in quadric_forms():
         back = _inverse_monomial(form)
-        assert _compose_monomial(form, back) == maps._IDENTITY_FORM
-        assert _compose_monomial(back, form) == maps._IDENTITY_FORM
-        g, h = _qaut_of_form(form), _qaut_of_form(back)
-        assert g.compose(h).is_identity() and h.compose(g).is_identity()
+        g, h = QAut(*form), QAut(*back)
+        assert g.compose(h) == h.compose(g) == _IDENTITY
+        f, b = quadric_coords(form), quadric_coords(back)
+        assert compose_coords(f, b) == compose_coords(b, f) == ident
 
 
 def test_qaut_orders():
@@ -649,6 +603,16 @@ def test_qaut_orders():
     assert _monomial_order(maps._SWAP_ROOTS[1]) == 4
     assert _monomial_order(maps._SWAP_ROOTS[-1]) == 4
     assert _monomial_order(maps._IDENTITY_FORM) == 1
+
+
+def _reference_order(form):
+    """The order of form, by composing its coordinate functions."""
+    f = quadric_coords(form)
+    power, n = f, 1
+    while power != (_Y, _Z):
+        power = compose_coords(f, power)
+        n += 1
+    return n
 
 
 def _k3_lift_of_form(form):
@@ -661,10 +625,15 @@ def _k3_lift_of_form(form):
 
 def test_monomial_order_matches_map_order_of_the_k3_lift():
     # map_order powers Cyclo scalars, not exponents of zeta8 mod 8
-    orders = [_monomial_order(form) for form in _monomial_forms()]
-    assert orders == [map_order(_k3_lift_of_form(form)) for form in _monomial_forms()]
+    orders = [_monomial_order(form) for form in quadric_forms()]
+    assert orders == [map_order(_k3_lift_of_form(form)) for form in quadric_forms()]
     # a swap whose two unit exponents have an odd sum has the largest order
     assert max(orders) == 16
+
+
+def test_monomial_order_matches_the_coordinate_functions():
+    for form in quadric_forms():
+        assert _monomial_order(form) == _reference_order(form)
 
 
 def test_qaut_ns_trace():
@@ -672,26 +641,19 @@ def test_qaut_ns_trace():
     assert swap_root(1).ns_trace() == 0
 
 
-def _act(m, x):
-    """m . x as a RatFunc, by the fractional-linear formula."""
-    a, b, c, d = (RatFunc.const(e) for e in (m.a, m.b, m.c, m.d))
-    return (a * x + b) / (c * x + d)
-
-
-def _coord_funcs(g):
-    """The (Y, Z) coordinate functions of a QAut."""
-    y, z = RatFunc.var("Y"), RatFunc.var("Z")
-    if g.shape == DIRECT:
-        return _act(g.m1, y), _act(g.m2, z)
-    return _act(g.m1, z), _act(g.m2, y)
+def test_qaut_shape_is_read_from_the_matrix():
+    shapes = [QAut(*form).shape for form in quadric_forms()]
+    assert shapes == [DIRECT] * 256 + [SWAP] * 256
 
 
 def test_qaut_coord_funcs():
-    # the matrices encode the maps the constructors' docstrings name
-    y = RatFunc.var("Y")
-    z = RatFunc.var("Z")
-    assert _coord_funcs(swap_root(1)) == (z.inverse(), y)
-    assert _coord_funcs(inv_both()) == (y.inverse(), z.inverse())
+    # the forms encode the maps the constructors' docstrings name
+    i = RatFunc.const(SQRT_M1)
+    assert quadric_coords(swap_root(1)) == (_Z.inverse(), _Y)
+    assert quadric_coords(swap_root(-1)) == (-_Z.inverse(), -_Y)
+    assert quadric_coords(inv_both()) == (_Y.inverse(), _Z.inverse())
+    assert quadric_coords(neg_both()) == (-_Y, -_Z)
+    assert quadric_coords(QAut((1, 0, 0, -1), (2, 0))) == (i * _Y, _Z.inverse())
 
 
 def test_swap_root_sign_validation():
@@ -703,42 +665,116 @@ def test_swap_root_sign_validation():
 
 
 def test_qaut_fixed_points_rejects_identity():
-    with pytest.raises(ValueError):
-        qaut_fixed_points(_qaut_of_form(maps._IDENTITY_FORM))
+    with pytest.raises(ValueError, match="fixes everything"):
+        qaut_fixed_points(_IDENTITY)
 
 
 def test_qaut_fixed_points_rejects_curve_fixing_maps():
-    half = QAut(DIRECT, Mobius(2, 0, 0, 1), Mobius(1, 0, 0, 1))
+    # (Y, Z) -> (Y, -Z) fixes the curve Z = 0; (Y, Z) -> (Z, Y) the diagonal
+    half = QAut((1, 0, 0, 1), (0, 4))
     with pytest.raises(ValueError, match="curve"):
         qaut_fixed_points(half)
-    m = Mobius(0, 1, 1, 0)
-    graph = QAut(SWAP, m, adjugate(m))
+    graph = QAut((0, 1, 1, 0), (0, 0))
     with pytest.raises(ValueError, match="curve"):
         qaut_fixed_points(graph)
 
 
-# The paper's named fixed points, checked with plain field arithmetic and
-# not with the engine's count: a point x of P1 is fixed by m exactly when
-# c x^2 + (d - a) x - b = 0 (x finite) or c = 0 (x infinite, None here).
-# A non-identity m has at most two fixed points, so naming that many
-# distinct ones settles the count.
+def _rejection(form):
+    """Why the count must refuse form, read off its coordinate functions:
+    the identity, a direct form with an identity factor, a swap whose
+    m1 . m2 is the identity; None for isolated fixed points."""
+    fy, fz = quadric_coords(form)
+    if form[0][1] == 0:
+        return {(True, True): "identity", (True, False): "identity factor",
+                (False, True): "identity factor"}.get((fy == _Y, fz == _Z))
+    # a swap is (m1 . Z, m2 . Y), so fy with Z := fz is m1 . m2 in Y
+    return "graph" if fy.substitute({"Z": fz}) == _Y else None
 
 
-def _fixes(m, x):
+def test_fixed_points_of_identity_rejected():
+    # exactly three kinds of form raise, each where a factor the count
+    # reads is the identity
+    kinds = collections.Counter()
+    for form in quadric_forms():
+        kind = _rejection(form)
+        if kind is None:
+            qaut_fixed_points(QAut(*form))
+            continue
+        kinds[kind] += 1
+        with pytest.raises(ValueError, match="everything" if kind == "identity" else "curve"):
+            qaut_fixed_points(QAut(*form))
+    assert kinds == {"identity": 1, "identity factor": 30, "graph": 16}
+
+
+def test_fixed_points_are_fixed_point_data_for_mobius_and_qaut():
+    # a factor x -> i*x, a fractional-linear (Moebius) map, and a QAut of
+    # either shape
+    data = maps._factor_fixed_points(1, 2)
+    assert isinstance(data, maps.FixedPointData)
+    assert (data.count, data.parabolic) == (2, False)
+    for g in (neg_both(), swap_root(1)):
+        data = qaut_fixed_points(g)
+        assert isinstance(data, maps.FixedPointData)
+        assert (data.count, data.parabolic) == (2 + g.ns_trace(), False)
+
+
+def test_fixed_points_diagonal():
+    # x -> i*x and x -> -x each fix 0 and infinity
+    g = QAut((1, 0, 0, 1), (2, 4))
+    _check_direct(g, [ZERO, None], [ZERO, None])
+
+
+def test_fixed_points_inversion():
+    # x -> -1/x fixes i and -i, x -> 1/x fixes 1 and -1
+    g = QAut((-1, 0, 0, -1), (4, 0))
+    _check_direct(g, [SQRT_M1, -SQRT_M1], [ONE, -ONE])
+
+
+def _no_square_root_of_zeta8_in_the_field():
+    # a square root of zeta8 would be a root of unity of order 16, and the
+    # roots of unity of the field are the powers of zeta8
+    assert all(ZETA8 ** (2 * j) != ZETA8 for j in range(8))
+
+
+def test_fixed_points_outside_the_field():
+    # x -> zeta8/x fixes the two square roots of zeta8, which lie outside
+    # the field; the count needs no coordinates, so it is still 2 per factor
+    _no_square_root_of_zeta8_in_the_field()
+    data = qaut_fixed_points(QAut((-1, 0, 0, -1), (1, 1)))
+    assert data.count == 4 and not data.parabolic
+
+
+def test_swap_fixed_points_survive_irrational_coordinates():
+    # (Y, Z) -> (zeta8 * Z, 1/Y): m1 . m2 is x -> zeta8/x, whose fixed
+    # points, the square roots of zeta8, lie outside the field
+    g = QAut((0, 1, -1, 0), (1, 0))
+    fy, fz = quadric_coords(g)
+    assert fy.substitute({"Z": fz}) == RatFunc.const(ZETA8) * _Y.inverse()
+    _no_square_root_of_zeta8_in_the_field()
+    data = qaut_fixed_points(g)
+    assert data.count == 2 and not data.parabolic
+
+
+# The paper's named fixed points, checked by substitution into the
+# coordinate functions and not with the engine's count; infinity (None here)
+# is checked in the chart 1/x.  A factor other than the identity has at most
+# two fixed points, so naming that many distinct ones settles the count.
+
+
+def _fixes(f, v, x):
+    """Whether f, a function of the variable v alone, fixes the point x."""
     if x is None:
-        return m.c.is_zero()
-    return (m.c * x * x + (m.d - m.a) * x - m.b).is_zero()
-
-
-def _check_named_points(m, points):
-    assert len(set(points)) == len(points)
-    assert all(_fixes(m, x) for x in points)
-    assert m.fixed_points() == (len(points), len(points) == 1)
+        var = RatFunc.var(v)
+        f, x = f.substitute({v: var.inverse()}).inverse(), ZERO
+    point = RatFunc.const(x)
+    return f.substitute({v: point}) == point
 
 
 def _check_direct(g, points1, points2):
-    _check_named_points(g.m1, points1)
-    _check_named_points(g.m2, points2)
+    fy, fz = quadric_coords(g)
+    for f, v, points in ((fy, "Y", points1), (fz, "Z", points2)):
+        assert len(set(points)) == len(points) == 2
+        assert all(_fixes(f, v, x) for x in points)
     data = qaut_fixed_points(g)
     assert data.count == len(points1) * len(points2) == 2 + g.ns_trace()
     assert not data.parabolic
@@ -761,47 +797,29 @@ def test_product_map_fixes_four_points():
 def test_ruling_swap_fixes_two_points():
     g = swap_root(1)
     one, minus = Cyclo.coerce(1), Cyclo.coerce(-1)
-    # a fixed point (Y0, m2 . Y0) has Y0 fixed by m1 . m2
-    _check_named_points(g.m1 @ g.m2, [one, minus])
+    # a fixed point (Y0, m2 . Y0) has Y0 fixed by m1 . m2, here 1/Y
+    fy, fz = quadric_coords(g)
+    assert all(_fixes(fy.substitute({"Z": fz}), "Y", x) for x in (one, minus))
     data = qaut_fixed_points(g)
     assert data.count == 2 == 2 + g.ns_trace() and not data.parabolic
     # and (1, 1), (-1, -1) really are fixed by (Y, Z) -> (1/Z, Y)
-    fy, fz = _coord_funcs(g)
     for p in (one, minus):
         point = {"Y": RatFunc.const(p), "Z": RatFunc.const(p)}
         assert (fy.substitute(point), fz.substitute(point)) == (point["Y"], point["Z"])
 
 
-def test_fixed_count_matches_lattice_trace_on_random_maps():
-    # Lefschetz-style bookkeeping: a semisimple map fixes 2 + trace points,
-    # with trace 2 for ruling-preserving and 0 for ruling-swapping maps
-    rng = random.Random(20260822)
-    direct_checked = swap_checked = 0
-    while direct_checked < 60 or swap_checked < 60:
-        if rng.random() < 0.5:
-            g = QAut(DIRECT, semisimple_mobius(rng), semisimple_mobius(rng))
-            assert qaut_fixed_points(g).count == 4 == 2 + g.ns_trace()
-            direct_checked += 1
-        else:
-            m1, m2 = rand_rational_mobius(rng), rand_rational_mobius(rng)
-            h = m1 @ m2
-            if h.is_identity():
-                continue
-            _, parabolic = h.fixed_points()
-            if parabolic:
-                continue
-            g = QAut(SWAP, m1, m2)
-            assert qaut_fixed_points(g).count == 2 == 2 + g.ns_trace()
-            swap_checked += 1
-
-
-def test_swap_fixed_points_survive_irrational_coordinates():
-    # the count needs no coordinates: these fixed points (1 +- sqrt 5)/2
-    # lie outside the field
-    m1 = Mobius(1, 1, 1, 0)
-    g = QAut(SWAP, m1, Mobius(1, 0, 0, 1))
-    data = qaut_fixed_points(g)
-    assert data.count == 2 and not data.parabolic
+def test_fixed_count_matches_lattice_trace_on_every_form():
+    # Lefschetz-style bookkeeping: every form with isolated fixed points
+    # fixes 2 + trace of them, with trace 2 for ruling-preserving and 0 for
+    # ruling-swapping maps, and none is parabolic
+    isolated = 0
+    for form in quadric_forms():
+        if _rejection(form) is None:
+            g = QAut(*form)
+            data = qaut_fixed_points(g)
+            assert data.count == 2 + g.ns_trace() and not data.parabolic
+            isolated += 1
+    assert isolated == 512 - 47
 
 
 # -- square roots and the Klein-four normal form ------------------------------
@@ -809,30 +827,28 @@ def test_swap_fixed_points_survive_irrational_coordinates():
 
 def _roots(target):
     """The square roots of an exponent-form target, as QAuts."""
-    return [_qaut_of_form(root) for root in _square_roots(target)]
+    return [QAut(*root) for root in _square_roots(target)]
 
 
-_DOUBLE_INVERSION = (_exponent_matrix(DIRECT, -1, -1), (0, 0))
-_DOUBLE_NEGATION = (_exponent_matrix(DIRECT, 1, 1), (4, 4))
+_DOUBLE_INVERSION = ((-1, 0, 0, -1), (0, 0))
+_DOUBLE_NEGATION = ((1, 0, 0, 1), (4, 4))
 
 
 def test_monomial_square_roots_of_double_inversion():
-    assert _qaut_of_form(_DOUBLE_INVERSION) == inv_both()
+    assert QAut(*_DOUBLE_INVERSION) == inv_both()
     roots = _roots(_DOUBLE_INVERSION)
     assert len(roots) == 4
     assert all(g.shape == SWAP for g in roots)
     assert all(g.compose(g) == inv_both() for g in roots)
     # the inverse of (s/Z, s*Y) is (s*Z, s/Y)
     assert set(roots) == {
-        swap_root(1), swap_root(-1),
-        QAut(SWAP, Mobius(1, 0, 0, 1), Mobius(0, 1, 1, 0)),
-        QAut(SWAP, Mobius(-1, 0, 0, 1), Mobius(0, -1, 1, 0)),
+        swap_root(1), swap_root(-1), QAut((0, 1, -1, 0), (0, 0)), QAut((0, 1, -1, 0), (4, 4)),
     }
 
 
 def test_monomial_square_roots_of_double_negation():
     # sanity check on a target that does admit ruling-preserving roots
-    assert _qaut_of_form(_DOUBLE_NEGATION) == neg_both()
+    assert QAut(*_DOUBLE_NEGATION) == neg_both()
     roots = _roots(_DOUBLE_NEGATION)
     assert roots and all(g.compose(g) == neg_both() for g in roots)
     assert any(g.shape == DIRECT for g in roots)
@@ -844,6 +860,7 @@ def test_k4_normal_form():
     assert result.klein_ok and result.candidates_ok and result.up_to_inverse_ok
     assert result.direct_roots == []
     assert len(result.roots) == 4
+    assert all(isinstance(g, QAut) for g in result.roots)
     # a ruling-preserving root fails the check, whatever the stored flags
     direct = next(g for g in _roots(_DOUBLE_NEGATION) if g.shape == DIRECT)
     spoiled = maps.K4CheckResult(True, True, result.roots + [direct], True)
@@ -851,41 +868,25 @@ def test_k4_normal_form():
     assert not spoiled.ok and not bool(spoiled)
 
 
-def _unit_mobius(k, inverted):
-    u = ZETA8 ** k
-    return Mobius(ZERO, u, ONE, ZERO) if inverted else Mobius(u, ZERO, ZERO, ONE)
-
-
-def _monomial_forms():
-    """The exponent form (M, k) of every monomial QAut
-    (Y, Z) -> (u1 * V1^+-1, u2 * V2^+-1), in the order the search reports
-    roots."""
-    for shape in (DIRECT, SWAP):
-        for e1, e2 in itertools.product((1, -1), repeat=2):
-            for k in itertools.product(range(8), repeat=2):
-                yield _exponent_matrix(shape, e1, e2), k
-
-
-def _monomial_candidates():
-    """The QAuts of _monomial_forms, built through Mobius normalisation."""
-    for shape in (DIRECT, SWAP):
-        for inv1, inv2 in itertools.product((False, True), repeat=2):
-            for k1, k2 in itertools.product(range(8), repeat=2):
-                yield QAut(shape, _unit_mobius(k1, inv1), _unit_mobius(k2, inv2))
+def _square_coords(form):
+    f = quadric_coords(form)
+    return compose_coords(f, f)
 
 
 def _brute_force_square_roots(target):
-    return [g for g in _monomial_candidates() if g.compose(g) == target]
+    """The forms whose coordinate functions square to target's."""
+    want = quadric_coords(target)
+    return [QAut(*form) for form in quadric_forms() if _square_coords(form) == want]
 
 
 @pytest.mark.parametrize("target", [
     _DOUBLE_INVERSION,
     _DOUBLE_NEGATION,
     maps._IDENTITY_FORM,
-    (_exponent_matrix(SWAP, -1, 1), (0, 0)),
+    ((0, -1, 1, 0), (0, 0)),
 ], ids=["double-inversion", "double-negation", "identity", "swap-shaped"])
 def test_monomial_square_roots_match_the_brute_force_search(target):
-    assert _roots(target) == _brute_force_square_roots(_qaut_of_form(target))
+    assert _roots(target) == _brute_force_square_roots(target)
 
 
 def _square_of_form(m, k):
@@ -903,11 +904,11 @@ def _square_roots_over_all_candidates(target):
     """The square-root search that squares all 512 candidates in exponent
     form, matrix and unit pair alike: the reference for the search that
     tries the unit pairs only for a matrix whose square is the target's."""
-    return [(m, k) for m, k in _monomial_forms() if _square_of_form(m, k) == target]
+    return [(m, k) for m, k in quadric_forms() if _square_of_form(m, k) == target]
 
 
 def test_square_roots_of_every_monomial_target_match_the_search_over_all_candidates():
-    targets = list(_monomial_forms())
+    targets = list(quadric_forms())
     assert len(targets) == 512
     found = 0
     for target in targets:
@@ -918,52 +919,74 @@ def test_square_roots_of_every_monomial_target_match_the_search_over_all_candida
     assert found == 512
 
 
+def test_square_roots_of_every_target_match_the_coordinate_functions():
+    # the forms whose coordinate functions square to each target's, found
+    # by the text of the squares: the 512 coordinate pairs print distinctly
+    # (test_monomial_candidates_are_pairwise_distinct)
+    by_square = collections.defaultdict(list)
+    for form in quadric_forms():
+        by_square[str(_square_coords(form))].append(form)
+    for target in quadric_forms():
+        assert _square_roots(target) == by_square.get(str(quadric_coords(target)), [])
+
+
 def test_exponent_forms_follow_the_qaut_operations():
-    # every monomial candidate: its form builds it; composition on a sample
-    # of pairs
-    forms = list(_monomial_forms())
-    for form, g in zip(forms, _monomial_candidates()):
-        assert _qaut_of_form(form) == g
+    # every form builds its QAut, and composing it with a drawn form, on
+    # either side, matches composing the coordinate functions
+    forms = list(quadric_forms())
     rng = random.Random(20261019)
-    for _ in range(300):
-        f, h = rng.choice(forms), rng.choice(forms)
-        assert _qaut_of_form(_compose_monomial(f, h)) == _qaut_of_form(f).compose(_qaut_of_form(h))
+    for f in forms:
+        g = QAut(*f)
+        assert (g.matrix, g.units) == f and g == f
+        h = rng.choice(forms)
+        for outer, inner in ((f, h), (h, f)):
+            composed = QAut(*outer).compose(QAut(*inner))
+            assert quadric_coords(composed) == compose_coords(
+                quadric_coords(outer), quadric_coords(inner)
+            )
 
 
 def test_monomial_candidates_are_pairwise_distinct():
-    candidates = list(_monomial_candidates())
-    assert len(candidates) == len(set(candidates)) == 512
+    forms = list(quadric_forms())
+    assert len({QAut(*form) for form in forms}) == 512
+    assert len({str(quadric_coords(form)) for form in forms}) == 512
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    shape=st.sampled_from((DIRECT, SWAP)),
+    swap=st.booleans(),
     signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
     units=st.tuples(st.integers(0, 7), st.integers(0, 7)),
 )
-def test_square_roots_of_squares_match_the_brute_force_search(shape, signs, units):
-    form = (_exponent_matrix(shape, *signs), units)
-    target = _compose_monomial(form, form)
-    g = _qaut_of_form(form)
-    assert g.compose(g) == _qaut_of_form(target)
+def test_square_roots_of_squares_match_the_brute_force_search(swap, signs, units):
+    e1, e2 = signs
+    form = ((0, e1, e2, 0) if swap else (e1, 0, 0, e2), units)
+    g = QAut(*form)
+    target = g.compose(g)
+    assert quadric_coords(target) == _square_coords(form)
     roots = _roots(target)
     assert g in roots
-    assert roots == _brute_force_square_roots(_qaut_of_form(target))
+    assert roots == _brute_force_square_roots(target)
 
 
 def test_k4_check_stays_off_the_mobius_path(monkeypatch):
-    # the Klein-four checks and the square-root search run in exponent form;
-    # only the four roots found build Mobius matrices, two each
+    # the Klein-four checks and the square-root search run on plain form
+    # tuples: they build no fractional-linear (Moebius) matrix, and only the
+    # four roots found are built as QAuts
     calls = []
-    real = Mobius.__init__
+    real = QAut.__new__
 
-    def counted(self, *args):
+    def counted(cls, *args):
         calls.append(args)
-        real(self, *args)
+        return real(cls, *args)
 
-    monkeypatch.setattr(Mobius, "__init__", counted)
+    def refused(e, k):
+        raise AssertionError("the Klein-four check built a Moebius matrix")
+
+    monkeypatch.setattr(QAut, "__new__", staticmethod(counted))
+    monkeypatch.setattr(maps, "_factor_fixed_points", refused)
     assert k4_normal_form_check().ok
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 # -- compatibility between surface maps and quadric maps ----------------------
@@ -979,7 +1002,7 @@ def test_projection_intertwines_swap_root_with_order8_base():
     # the quotient map (Y, Z) -> (Y*Z, Z^2) carries the ruling swap
     # (1/Z, Y) to the order-8 base map (y/z, y^2/z)
     p1, p2 = _projection()
-    fy, fz = _coord_funcs(swap_root(1))
+    fy, fz = quadric_coords(swap_root(1))
     lhs = (
         p1.substitute({"Y": fy, "Z": fz}),
         p2.substitute({"Y": fy, "Z": fz}),
@@ -994,7 +1017,7 @@ def test_projection_intertwines_swap_root_with_order8_base():
 
 def test_projection_intertwines_double_inversion_with_order4_base():
     p1, p2 = _projection()
-    fy, fz = _coord_funcs(inv_both())
+    fy, fz = quadric_coords(inv_both())
     lhs = (
         p1.substitute({"Y": fy, "Z": fz}),
         p2.substitute({"Y": fy, "Z": fz}),
